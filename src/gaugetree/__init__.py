@@ -41,7 +41,6 @@ from .game import (
     ShiftMap,
     TransducerMap,
     TreeMap,
-    apply_map,
     bad_set,
     run_game,
     stage_step,

@@ -33,7 +33,7 @@ from .transfer import (
     interleave_metric_check,
     to_cube,
 )
-from .tree import NODE_BUDGET, SplittingTree
+from .tree import NODE_BUDGET, SplittingTree, check_node
 
 TOOL_NAME = "gaugetree"
 TOOL_VERSION = "0.1.0"
@@ -115,6 +115,16 @@ def parse_gauge_spec(spec: str) -> Gauge:
         raise argparse.ArgumentTypeError(f"bad gauge spec {spec!r}: {err}") from err
 
 
+def parse_roots(spec: str) -> List[str]:
+    try:
+        roots = [check_node(root) for root in spec.split(",")]
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad root in {spec!r}: {err}") from err
+    if len(set(roots)) != len(roots):
+        raise argparse.ArgumentTypeError(f"duplicate root in {spec!r}")
+    return roots
+
+
 def load_maps(path: str):
     with open(path) as fh:
         data = json.load(fh)
@@ -184,7 +194,7 @@ def cmd_measure(args) -> int:
 def cmd_antichain(args) -> int:
     g = args.gauge
     maps = load_maps(args.maps)
-    roots = args.roots.split(",")
+    roots = args.roots
     schedule = sparsity_schedule(g, args.depth)
     try:
         tree, certificate = run_game(
@@ -371,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maps", required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--roots", default="0,1")
+    p.add_argument("--roots", type=parse_roots, default="0,1")
     p.add_argument("--delta-exp", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--escape-samples", type=int, default=1000)

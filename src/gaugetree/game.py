@@ -6,10 +6,20 @@ still consistent with the tree) are split by the image bit at a fresh forced
 level, the thinner half is kept alive, and the other is killed by the level
 assignment.  All measures are exact dyadic rationals, so the halving
 guarantee in the certificate is an equality, not an estimate.
+
+Every bad-set scan reads one cached frontier: the sorted leaves of the tree
+at the scan depth, kept on the `GameState` and keyed by the layers plus the
+scan depth, because the tree changes only when a layer is appended or the
+scan depth grows.  Beside the frontier sit, per requirement, the images of
+the leaves above its root, computed on first use.  An image depends only on
+its leaf, so the memo stays valid while the frontier does and is dropped
+with it.  An image comparable with the root can never make its leaf bad, so
+the memo keeps "" (comparable with every root) in its place.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,13 +61,16 @@ class TreeMap:
         raise NotImplementedError
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 @dataclass(frozen=True)
 class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
 
     def apply(self, node: str) -> str:
-        return "".join("1" if b == "0" else "0" for b in check_node(node))
+        return check_node(node).translate(_FLIP)
 
     def to_json_dict(self) -> dict:
         return {"kind": "bit_flip"}
@@ -85,12 +98,14 @@ class TransducerMap(TreeMap):
         self.start = start
         self.delta = dict(delta)
         self.lag = int(lag)
+        self._step = {(s, str(b)): move for (s, b), move in self.delta.items()}
 
     def apply(self, node: str) -> str:
+        step = self._step
         state = self.start
         out = []
-        for b in check_node(node):
-            state, emitted = self.delta[(state, int(b))]
+        for ch in check_node(node):
+            state, emitted = step[state, ch]
             out.append(emitted)
         return "".join(out)
 
@@ -157,10 +172,6 @@ def map_from_json_dict(d: dict) -> TreeMap:
     raise ValueError(f"unknown map kind {kind!r}")
 
 
-def apply_map(m: TreeMap, node: str) -> str:
-    return m.apply(node)
-
-
 # ---------------------------------------------------------------------------
 # requirements, bad sets, game state
 
@@ -193,6 +204,12 @@ class GameState:
     stage_counts: Dict[int, int] = field(default_factory=dict)
     consulted: Dict[int, int] = field(default_factory=dict)
     stage_log: List[dict] = field(default_factory=list)
+    # scan cache; schedule, maps and default_bit stay fixed for the state's lifetime
+    _frontier_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _frontier: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+    _images: Dict[Requirement, List[Optional[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def selector(self) -> GameBuiltSelector:
         return GameBuiltSelector(self.layers, default=self.default_bit)
@@ -203,15 +220,23 @@ class GameState:
     def decided(self) -> set:
         return {l.level for l in self.layers}
 
+    def frontier(self, d: int) -> Tuple[str, ...]:
+        """Sorted depth-d leaves of the current tree (see the module
+        docstring for when they are materialised again)."""
+        key = (tuple(self.layers), d)
+        if key != self._frontier_key:
+            self._frontier = self.tree(d).materialize(d).leaves
+            self._frontier_key = key
+            self._images = {}
+        return self._frontier
 
-def _image_consistent(state: GameState, image: str) -> bool:
-    """Image obeys the selector at every currently decided forced level."""
-    selector = state.selector()
-    decided = state.decided()
-    for n in state.schedule.indices:
+
+def _image_consistent(image: str, selector: GameBuiltSelector, decided: Sequence[int]) -> bool:
+    """Image obeys the selector at every decided forced level (ascending)."""
+    for n in decided:
         if n >= len(image):
             break
-        if n in decided and int(image[n]) != selector.bit(image[:n]):
+        if int(image[n]) != selector.bit(image[:n]):
             return False
     return True
 
@@ -222,18 +247,25 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     d = state.scan_depth if depth is None else depth
     if d > state.depth:
         raise ValueError(f"scan depth {d} > working depth {state.depth}")
-    m = state.maps[req.map_index]
+    apply = state.maps[req.map_index].apply
     s = req.root
-    tree = state.tree(d)
+    leaves = state.frontier(d)
+    # the leaves extending s are contiguous in the sorted frontier
+    lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
+    # images of leaves[lo:hi]; None marks one not computed yet
+    images = state._images.setdefault(req, [None] * (hi - lo))
+    selector = state.selector()
+    decided = sorted(state.decided().intersection(state.schedule.indices))
     bad = []
-    for leaf in tree.materialize(d).leaves:
-        if not leaf.startswith(s):
-            continue
-        image = m.apply(leaf)
-        if compatible(image, s):
-            continue
-        if _image_consistent(state, image):
-            bad.append(leaf)
+    for i in range(hi - lo):
+        image = images[i]
+        if image is None:
+            image = apply(leaves[lo + i])
+            if compatible(image, s):
+                image = ""
+            images[i] = image
+        if image and _image_consistent(image, selector, decided):
+            bad.append(leaves[lo + i])
     unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
     return BadSet(requirement=req, depth=d, leaves=tuple(bad), measure=len(bad) * unit)
 
@@ -398,6 +430,8 @@ def run_game(
     depth-d measures over-approximate the deeper bad sets, so the certified
     bounds are sound for the full working depth.
     """
+    if len(set(roots)) != len(roots):
+        raise ValueError(f"duplicate roots in {list(roots)!r}")
     if scan_depth is None:
         scan_depth = _pick_scan_depth(schedule, depth, leaf_budget)
     requirements = [

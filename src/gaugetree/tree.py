@@ -20,7 +20,9 @@ NODE_BUDGET = 2**22
 
 
 def check_node(bits: str) -> str:
-    if any(ch not in "01" for ch in bits):
+    # strip() stops at the first character outside "01", so whatever is
+    # left over contains one
+    if bits.strip("01"):
         raise ValueError(f"not a binary string: {bits!r}")
     return bits
 
@@ -216,18 +218,15 @@ class SplittingTree:
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = random.Random(seed)
-        out = []
+        draw = rng.getrandbits
+        selector_bit = self.selector.bit
         forced = set(self.schedule.indices)
+        is_forced = [n in forced for n in range(self.depth)]
+        out = []
         for _ in range(count):
-            bits = []
             prefix = ""
-            for n in range(self.depth):
-                if n in forced:
-                    b = self.selector.bit(prefix)
-                else:
-                    b = rng.getrandbits(1)
-                bits.append(str(b))
-                prefix += bits[-1]
+            for f in is_forced:
+                prefix += "1" if (selector_bit(prefix) if f else draw(1)) else "0"
             out.append(prefix)
         return out
 

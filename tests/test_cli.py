@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -116,6 +117,50 @@ def test_antichain_infeasible_exits_3(tmp_path, maps_file, capsys):
     assert code == 3
     assert "infeasible" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("roots", ["0,0", "1,0,1", "0,2", "0, 1", "x", "01\n"])
+def test_antichain_bad_roots_exit_2(tmp_path, maps_file, capsys, roots):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as e:
+        run([
+            "antichain", "--gauge", "power_log:1,1", "--maps", maps_file,
+            "--depth", 16, "--stages", 1, "--roots", roots, "--out", out,
+        ])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("gaugetree antichain: error: argument --roots:")
+    assert not out.exists()
+
+
+PARITY = {
+    "kind": "transducer",
+    "start": 0,
+    "delta": [[0, 0, 0, "0"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "0"]],
+    "lag": 0,
+}
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.mark.parametrize("gauge, maps, depth, fixture", [
+    ("power_log:1,1", [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY], 64,
+     "antichain_power_log_flip_shift_parity_d64.json"),
+    ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}], 32,
+     "antichain_power_half_flip_shift_d32.json"),
+])
+def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, fixture):
+    maps_path = tmp_path / "maps.json"
+    maps_path.write_text(json.dumps(maps))
+    out = tmp_path / "report.json"
+    assert run([
+        "antichain", "--gauge", gauge, "--maps", maps_path,
+        "--depth", depth, "--stages", 3, "--out", out,
+    ]) == 0
+    report = json.loads(out.read_text())
+    del report["manifest"]  # holds the input's temporary path
+    with open(os.path.join(FIXTURES, fixture)) as fh:
+        assert report == json.load(fh)
 
 
 def test_transfer_four_cover(tmp_path):

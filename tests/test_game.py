@@ -14,7 +14,6 @@ from gaugetree import (
     ShiftMap,
     SplittingTree,
     TransducerMap,
-    apply_map,
     bad_set,
     run_game,
     stage_step,
@@ -44,9 +43,9 @@ def make_state(indices, depth, maps, roots, scan_depth):
 
 
 def test_map_basics():
-    assert apply_map(BitFlipMap(), "0110") == "1001"
-    assert apply_map(ShiftMap(), "0110") == "110"
-    assert apply_map(TransducerMap.identity(), "0110") == "0110"
+    assert BitFlipMap().apply("0110") == "1001"
+    assert ShiftMap().apply("0110") == "110"
+    assert TransducerMap.identity().apply("0110") == "0110"
 
 
 def test_transducer_custom():
@@ -160,6 +159,13 @@ def test_run_game_infeasible():
     sched = BranchSchedule(depth=8, indices=(1, 3), n0=0)
     with pytest.raises(InfeasibleError):
         run_game(sched, [ShiftMap()], ["1"], depth=8, stages_per_requirement=5)
+
+
+@pytest.mark.parametrize("roots", [["0", "0"], ["1", "0", "1"], ["", ""], ["2"], ["0", "1a"]])
+def test_run_game_rejects_duplicate_or_non_binary_roots(roots):
+    sched = BranchSchedule(depth=16, indices=(1, 3), n0=0)
+    with pytest.raises(ValueError):
+        run_game(sched, [BitFlipMap()], roots, 16, 1)
 
 
 def test_run_game_deterministic():

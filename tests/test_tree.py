@@ -15,7 +15,7 @@ from gaugetree import (
     SplittingTree,
 )
 from gaugetree.errors import NodeBudgetError, NotInTreeError, TruncationError
-from gaugetree.tree import compatible, selector_from_json_dict
+from gaugetree.tree import check_node, compatible, selector_from_json_dict
 
 
 def make_tree(indices, depth, selector=None):
@@ -28,6 +28,17 @@ def test_compatible():
     assert compatible("010", "01")
     assert compatible("", "111")
     assert not compatible("00", "01")
+
+
+@pytest.mark.parametrize("bits", ["2", "0 1", "01\n", "0a", "a0", "0\u00b91"])
+def test_check_node_rejects_non_binary(bits):
+    with pytest.raises(ValueError):
+        check_node(bits)
+
+
+@pytest.mark.parametrize("bits", ["", "0", "1", "0110"])
+def test_check_node_accepts_binary(bits):
+    assert check_node(bits) == bits
 
 
 def test_membership_forced_levels():
