@@ -18,6 +18,7 @@ import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from . import __version__
 from .dyadic import format_dyadic, format_rational
 from .errors import FrostmanConditionError, InfeasibleError
 from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
@@ -36,7 +37,6 @@ from .transfer import (
 from .tree import NODE_BUDGET, SplittingTree, check_node
 
 TOOL_NAME = "gaugetree"
-TOOL_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ TOOL_VERSION = "0.1.0"
 def build_manifest(command: str, args: argparse.Namespace, inputs: Sequence[str]) -> dict:
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "inputs": sorted(inputs),
         "seed": getattr(args, "seed", 0),
@@ -123,6 +123,19 @@ def parse_roots(spec: str) -> List[str]:
     if len(set(roots)) != len(roots):
         raise argparse.ArgumentTypeError(f"duplicate root in {spec!r}")
     return roots
+
+
+def int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
 
 
 def load_maps(path: str):
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="compute a sparsity schedule for a gauge")
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_schedule)
@@ -371,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
     p.add_argument("--delta-exp", type=int, default=0)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int_at_least(0))
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_measure)
@@ -379,21 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("antichain", help="run the full antichain pipeline")
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
     p.add_argument("--maps", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--depth", type=int_at_least(0), required=True)
+    p.add_argument("--stages", type=int_at_least(0), required=True)
     p.add_argument("--roots", type=parse_roots, default="0,1")
     p.add_argument("--delta-exp", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--escape-samples", type=int, default=1000)
+    p.add_argument("--escape-samples", type=int_at_least(1), default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_antichain)
 
     p = sub.add_parser("transfer", help="batch-check the transfer laws")
     p.add_argument("mode", choices=["four-cover", "interleave-check", "cube-map"])
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--length", type=int, default=60)
+    # every n in {2, 3, 4} leaves a nonempty string of length - length % n
+    p.add_argument("--length", type=int_at_least(4), default=60)
     p.add_argument("--bits", default="")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transfer)

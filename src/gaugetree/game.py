@@ -8,13 +8,13 @@ assignment.  All measures are exact dyadic rationals, so the halving
 guarantee in the certificate is an equality, not an estimate.
 
 Every bad-set scan reads one cached frontier: the sorted leaves of the tree
-at the scan depth, kept on the `GameState` and keyed by the layers plus the
-scan depth, because the tree changes only when a layer is appended or the
-scan depth grows.  Beside the frontier sit, per requirement, the images of
-the leaves above its root, computed on first use.  An image depends only on
-its leaf, so the memo stays valid while the frontier does and is dropped
-with it.  An image comparable with the root can never make its leaf bad, so
-the memo keeps "" (comparable with every root) in its place.
+at the scan depth, kept on the `GameState` under the frontier key (the
+layers plus the scan depth), because the tree changes only when a layer is
+appended or the scan depth grows.  A bad set is a pure function of the
+frontier key and its requirement, so beside the frontier sits at most one
+`BadSet` per requirement.  It is valid while the frontier key holds and is
+dropped with the frontier: a call on a changed key always scans afresh, and
+only repeated calls on an unchanged tree are served from the memo.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from .tree import (
     check_node,
     compatible,
 )
+
+# TransducerMap.apply steps through the input this many characters at a time
+TRANSDUCER_CHUNK = 8
 
 DEFAULT_SCAN_DEPTH_BUDGET = 2**12
 MAX_SCAN_LEAVES = 2**18
@@ -99,13 +102,29 @@ class TransducerMap(TreeMap):
         self.delta = dict(delta)
         self.lag = int(lag)
         self._step = {(s, str(b)): move for (s, b), move in self.delta.items()}
+        # (state, chunk) -> (state, output), filled on first use; at most
+        # 2**(TRANSDUCER_CHUNK + 1) - 1 chunks per state
+        self._chunks: Dict[Tuple[object, str], Tuple[object, str]] = {}
+
+    def _run(self, state, chunk: str) -> Tuple[object, str]:
+        step = self._step
+        out = []
+        for ch in chunk:
+            state, emitted = step[state, ch]
+            out.append(emitted)
+        return state, "".join(out)
 
     def apply(self, node: str) -> str:
-        step = self._step
+        chunks = self._chunks
         state = self.start
         out = []
-        for ch in check_node(node):
-            state, emitted = step[state, ch]
+        node = check_node(node)
+        for i in range(0, len(node), TRANSDUCER_CHUNK):
+            key = (state, node[i : i + TRANSDUCER_CHUNK])
+            move = chunks.get(key)
+            if move is None:
+                move = chunks[key] = self._run(*key)
+            state, emitted = move
             out.append(emitted)
         return "".join(out)
 
@@ -207,7 +226,7 @@ class GameState:
     # scan cache; schedule, maps and default_bit stay fixed for the state's lifetime
     _frontier_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _frontier: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
-    _images: Dict[Requirement, List[Optional[str]]] = field(
+    _bad: Dict[Requirement, BadSet] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -227,18 +246,8 @@ class GameState:
         if key != self._frontier_key:
             self._frontier = self.tree(d).materialize(d).leaves
             self._frontier_key = key
-            self._images = {}
+            self._bad = {}
         return self._frontier
-
-
-def _image_consistent(image: str, selector: GameBuiltSelector, decided: Sequence[int]) -> bool:
-    """Image obeys the selector at every decided forced level (ascending)."""
-    for n in decided:
-        if n >= len(image):
-            break
-        if int(image[n]) != selector.bit(image[:n]):
-            return False
-    return True
 
 
 def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> BadSet:
@@ -247,27 +256,25 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     d = state.scan_depth if depth is None else depth
     if d > state.depth:
         raise ValueError(f"scan depth {d} > working depth {state.depth}")
+    leaves = state.frontier(d)
+    memo = state._bad.get(req)
+    if memo is not None:
+        return memo
     apply = state.maps[req.map_index].apply
     s = req.root
-    leaves = state.frontier(d)
     # the leaves extending s are contiguous in the sorted frontier
     lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
-    # images of leaves[lo:hi]; None marks one not computed yet
-    images = state._images.setdefault(req, [None] * (hi - lo))
-    selector = state.selector()
+    consistent = state.selector().consistent
     decided = sorted(state.decided().intersection(state.schedule.indices))
     bad = []
-    for i in range(hi - lo):
-        image = images[i]
-        if image is None:
-            image = apply(leaves[lo + i])
-            if compatible(image, s):
-                image = ""
-            images[i] = image
-        if image and _image_consistent(image, selector, decided):
-            bad.append(leaves[lo + i])
+    for leaf in leaves[lo:hi]:
+        image = apply(leaf)
+        if not compatible(image, s) and consistent(image, decided):
+            bad.append(leaf)
     unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
-    return BadSet(requirement=req, depth=d, leaves=tuple(bad), measure=len(bad) * unit)
+    result = BadSet(requirement=req, depth=d, leaves=tuple(bad), measure=len(bad) * unit)
+    state._bad[req] = result
+    return result
 
 
 def _eligible_level(state: GameState, req: Requirement, lag: int) -> Optional[int]:
@@ -432,6 +439,8 @@ def run_game(
     """
     if len(set(roots)) != len(roots):
         raise ValueError(f"duplicate roots in {list(roots)!r}")
+    if stages_per_requirement < 0:
+        raise ValueError(f"negative stage count {stages_per_requirement}")
     if scan_depth is None:
         scan_depth = _pick_scan_depth(schedule, depth, leaf_budget)
     requirements = [
@@ -511,9 +520,9 @@ def verify_escape(
     recomputed bad set of that requirement, else it counts as unaccounted.
     """
     xs = tree.sample(seed, samples)
-    decided = set(tree.selector.decided_levels(tree.schedule))
+    decided = sorted(tree.selector.decided_levels(tree.schedule))
+    consistent = tree.selector.consistent
 
-    cert_state = None
     cert_bad = {}
     if certificate is not None:
         cert_state = GameState(
@@ -537,12 +546,7 @@ def verify_escape(
             if compatible(u, x):
                 counts["fixed"] += 1
                 continue
-            escaped = False
-            for n in decided:
-                if n < len(u) and int(u[n]) != tree.selector.bit(u[:n]):
-                    escaped = True
-                    break
-            if escaped:
+            if not consistent(u, decided):
                 counts["escaped"] += 1
                 continue
             counts["undetermined"] += 1

@@ -17,6 +17,10 @@ from .errors import NodeBudgetError, NotInTreeError, TruncationError
 from .gauge import BranchSchedule
 
 NODE_BUDGET = 2**22
+# samples filled per block by SplittingTree.sample
+SAMPLE_BLOCK = 256
+# byte -> "1" if its top bit is set, else "0"
+_TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 
 
 def check_node(bits: str) -> str:
@@ -40,6 +44,21 @@ class BranchSelector:
     def bit(self, node: str) -> int:
         raise NotImplementedError
 
+    def constant_bit(self, level: int) -> Optional[int]:
+        """The bit of every node at `level` when it does not depend on the
+        node, else None."""
+        return None
+
+    def consistent(self, node: str, levels: Sequence[int]) -> bool:
+        """True when `node` obeys the selector at each of the ascending
+        `levels` shorter than it."""
+        for n in levels:
+            if n >= len(node):
+                break
+            if int(node[n]) != self.bit(node[:n]):
+                return False
+        return True
+
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         """Forced levels whose values this selector actively pins down."""
         return schedule.indices
@@ -54,6 +73,9 @@ class ConstantSelector(BranchSelector):
     kind = "constant"
 
     def bit(self, node: str) -> int:
+        return self.value
+
+    def constant_bit(self, level: int) -> Optional[int]:
         return self.value
 
     def to_json_dict(self) -> dict:
@@ -116,20 +138,33 @@ class GameBuiltSelector(BranchSelector):
     kind = "game_built"
 
     def __init__(self, layers: Sequence[Layer], default: int = 0):
-        by_level = {}
-        for layer in layers:
-            if layer.level in by_level:
-                raise ValueError(f"two layers decide level {layer.level}")
-            by_level[layer.level] = layer
         self.layers = tuple(sorted(layers, key=lambda l: l.level))
-        self.by_level = by_level
         self.default = int(default)
+        # level -> (root cut to the level, layer bit): a node reaching the
+        # level is compatible with the root there iff it starts with the cut
+        self._cuts = {}
+        for layer in self.layers:
+            if layer.level in self._cuts:
+                raise ValueError(f"two layers decide level {layer.level}")
+            self._cuts[layer.level] = (layer.root[: layer.level], str(layer.bit))
 
     def bit(self, node: str) -> int:
-        layer = self.by_level.get(len(node))
-        if layer is None or compatible(node, layer.root):
-            return self.default
-        return layer.bit
+        cut, bit = self._cuts.get(len(node), ("", ""))
+        return self.default if node.startswith(cut) else int(bit)
+
+    def constant_bit(self, level: int) -> Optional[int]:
+        return None if level in self._cuts else self.default
+
+    def consistent(self, node: str, levels: Sequence[int]) -> bool:
+        default = str(self.default)
+        no_layer = ("", default)
+        for n in levels:
+            if n >= len(node):
+                break
+            cut, bit = self._cuts.get(n, no_layer)
+            if node[n] != (default if node.startswith(cut) else bit):
+                return False
+        return True
 
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         return tuple(l.level for l in self.layers)
@@ -194,12 +229,7 @@ class SplittingTree:
         check_node(node)
         if len(node) > self.depth:
             raise TruncationError(f"node length {len(node)} > depth {self.depth}")
-        for n in self.schedule.indices:
-            if n >= len(node):
-                break
-            if int(node[n]) != self.selector.bit(node[:n]):
-                return False
-        return True
+        return self.selector.consistent(node, self.schedule.indices)
 
     def cylinder_measure(self, node: str) -> Fraction:
         if not self.contains(node):
@@ -214,20 +244,37 @@ class SplittingTree:
 
     def sample(self, seed: int, count: int) -> List[str]:
         """Draw `count` depth-length branches distributed as the uniform
-        branch measure; deterministic per seed."""
+        branch measure; deterministic per seed.
+
+        The free bits are the `random.Random(seed).getrandbits(1)` stream,
+        one draw per free level, branch after branch, which the per-bit
+        reference sampler in the tests pins.  Branches are filled column-wise
+        in blocks of SAMPLE_BLOCK, with one `getrandbits(32 * k)` for a
+        block's k draws: a draw is the top bit of one 32-bit word, and the
+        words fill that integer from its low end.
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = random.Random(seed)
-        draw = rng.getrandbits
-        selector_bit = self.selector.bit
         forced = set(self.schedule.indices)
-        is_forced = [n in forced for n in range(self.depth)]
+        free = sum(n not in forced for n in range(self.depth))
+        constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
         out = []
-        for _ in range(count):
-            prefix = ""
-            for f in is_forced:
-                prefix += "1" if (selector_bit(prefix) if f else draw(1)) else "0"
-            out.append(prefix)
+        for start in range(0, count, SAMPLE_BLOCK):
+            size = min(SAMPLE_BLOCK, count - start)
+            raw = rng.getrandbits(32 * size * free).to_bytes(4 * size * free, "little")
+            draws = raw[3::4].translate(_TOP_BIT).decode()
+            rows, columns, j = [""] * size, [], 0
+            for n in range(self.depth):
+                if n not in forced:
+                    columns.append(draws[j::free])
+                    j += 1
+                elif (b := constant_bit(n)) is not None:
+                    columns.append(("1" if b else "0") * size)
+                else:  # the bit reads the node: bring the rows up to level n
+                    rows, columns = ["".join(t) for t in zip(rows, *columns)], []
+                    columns.append("".join("1" if selector_bit(r) else "0" for r in rows))
+            out.extend("".join(t) for t in zip(rows, *columns))
         return out
 
     def materialize(self, depth: Optional[int] = None, budget: int = NODE_BUDGET) -> ExplicitTree:

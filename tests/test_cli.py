@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import gaugetree
 from gaugetree.cli import main, parse_gauge_spec, read_csv_table
 
 
@@ -134,6 +135,70 @@ def test_antichain_bad_roots_exit_2(tmp_path, maps_file, capsys, roots):
     assert not out.exists()
 
 
+# (command line of int_flag_argv, flag, value): that flag alone is out of range
+BAD_INT_FLAGS = [
+    ("antichain", "--escape-samples", "0"),
+    ("antichain", "--escape-samples", "-2"),
+    ("antichain", "--stages", "-1"),
+    ("antichain", "--depth", "-3"),
+    ("antichain", "--depth", "2.5"),
+    ("schedule", "--depth", "-3"),
+    ("schedule", "--depth", "x"),
+    ("measure", "--depth", "-1"),
+    # length - length % n is 0 for some n in {2, 3, 4}: used to loop forever
+    ("transfer", "--length", "1"),
+    ("transfer", "--length", "3"),
+    ("transfer", "--length", "-4"),
+    ("cube-map", "--n", "0"),
+]
+
+
+def int_flag_argv(tmp_path, command, maps_file):
+    out = tmp_path / "x.out"
+    return {
+        "antichain": ["antichain", "--gauge", "power_log:1,1", "--maps", maps_file,
+                      "--depth", 16, "--stages", 1, "--escape-samples", 10, "--out", out],
+        "schedule": ["schedule", "--gauge", "power:1/2", "--depth", 8, "--out", out],
+        "measure": ["measure", "--tree", tmp_path / "absent.json", "--gauge", "power:1/2",
+                    "--out", out],
+        "transfer": ["transfer", "interleave-check", "--count", 20, "--out", out],
+        "cube-map": ["transfer", "cube-map", "--bits", "0110", "--out", out],
+    }[command], out
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_INT_FLAGS)
+def test_bad_integer_flag_exits_2(tmp_path, maps_file, capsys, command, flag, value):
+    argv, out = int_flag_argv(tmp_path, command, maps_file)
+    with pytest.raises(SystemExit) as e:
+        run(argv + [flag, value])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"gaugetree {argv[0]}: error: argument {flag}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("antichain", "--escape-samples", 1),
+    ("antichain", "--stages", 0),
+    ("schedule", "--depth", 0),
+    ("transfer", "--length", 4),
+    ("transfer", "--length", 5),
+    ("cube-map", "--n", 1),
+])
+def test_smallest_integer_flag_accepted(tmp_path, maps_file, command, flag, value):
+    argv, out = int_flag_argv(tmp_path, command, maps_file)
+    assert run(argv + [flag, value]) == 0
+    if command == "transfer":
+        _, rows = read_csv_table(str(out))
+        assert len(rows) == 20 and all(r[-1] == "1" for r in rows)
+    if command == "antichain":
+        report = json.loads(out.read_text())
+        assert report["game_certificate"]["escape_report"]["samples"] == (
+            1 if flag == "--escape-samples" else 10
+        )
+
+
 PARITY = {
     "kind": "transducer",
     "start": 0,
@@ -220,4 +285,5 @@ def test_json_outputs_are_sorted_and_manifested(tmp_path):
     assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
     m = data["manifest"]
     assert m["tool"] == "gaugetree"
+    assert m["version"] == gaugetree.__version__
     assert "version" in m and "config" in m

@@ -168,6 +168,17 @@ def test_run_game_rejects_duplicate_or_non_binary_roots(roots):
         run_game(sched, [BitFlipMap()], roots, 16, 1)
 
 
+@pytest.mark.parametrize("stages, ok", [(-1, False), (-7, False), (0, True), (1, True)])
+def test_run_game_checks_stage_count(stages, ok):
+    sched = BranchSchedule(depth=16, indices=(1, 3, 5), n0=0)
+    if not ok:
+        with pytest.raises(ValueError, match="negative stage count"):
+            run_game(sched, [BitFlipMap()], ["0", "1"], 16, stages)
+        return
+    _, cert = run_game(sched, [BitFlipMap()], ["0", "1"], 16, stages)
+    assert cert.stages_executed == 2 * stages
+
+
 def test_run_game_deterministic():
     sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)), n0=0)
     _, c1 = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 3)

@@ -1,7 +1,10 @@
-"""The cached bad-set scan and the sampler against full-recomputation
-references: after every stage, each requirement's bad set must equal a scan
-that materialises the frontier and applies every map afresh."""
+"""The game's fast kernels against full-recomputation references: after
+every stage, each requirement's bad set must equal a scan that materialises
+the frontier and applies every map afresh; the block-wise sampler, the
+chunked transducer and the per-layer consistency test must match their
+per-bit, per-character and per-level definitions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +13,8 @@ import pytest
 from gaugetree import (
     BitFlipMap,
     BranchSchedule,
+    BranchSelector,
+    ConstantSelector,
     GameBuiltSelector,
     GameState,
     Layer,
@@ -23,7 +28,7 @@ from gaugetree import (
     stage_step,
 )
 from gaugetree.cli import parse_gauge_spec
-from gaugetree.tree import compatible
+from gaugetree.tree import SAMPLE_BLOCK, compatible
 
 PARITY = TransducerMap(
     start=0,
@@ -72,6 +77,24 @@ def reference_sample(tree, seed, count):
             prefix += str(b)
         out.append(prefix)
     return out
+
+
+def reference_leaves(tree, d):
+    """Depth-d strings that obey the selector at every forced level."""
+    forced = set(tree.schedule.indices)
+    return tuple(
+        node
+        for node in ("".join(bits) for bits in itertools.product("01", repeat=d))
+        if all(int(node[n]) == tree.selector.bit(node[:n]) for n in range(d) if n in forced)
+    )
+
+
+def reference_transduce(t, node):
+    state, out = t.start, []
+    for ch in node:
+        state, emitted = t.delta[state, int(ch)]
+        out.append(emitted)
+    return "".join(out)
 
 
 # -- the cached scan through whole games ------------------------------------
@@ -158,6 +181,32 @@ def test_frontier_follows_hand_appended_layers():
         assert bad_set(state, Requirement(0, "0")).leaves
 
 
+def test_bad_set_memo_dropped_with_its_frontier():
+    # scan depth d, then d - 1, then d again, with a layer appended between
+    # rounds: every call sees a frontier other than the previous call's
+    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0)
+    reqs = [Requirement(0, "0"), Requirement(0, "1"), Requirement(1, "0"), Requirement(2, "01")]
+    state = GameState(
+        schedule=schedule, maps=[BitFlipMap(), ShiftMap(), PARITY],
+        requirements=reqs, depth=12, scan_depth=10,
+    )
+    d = state.scan_depth
+    seen = set()
+    for layer in [None, Layer(4, "1", 1), Layer(2, "0", 1), Layer(8, "11", 1)]:
+        if layer is not None:
+            state.layers.append(layer)
+        for depth in (d, d - 1, d):
+            for req in reqs:
+                got = bad_set(state, req, depth)
+                assert got.depth == depth
+                assert (got.leaves, got.measure) == reference_bad_set(state, req, depth)
+                # a repeat on the unchanged tree is served from the memo
+                assert bad_set(state, req, depth) is got
+                seen.add((req, depth, got.leaves))
+    # the layers change the bad sets, so a stale memo would show
+    assert len(seen) > 2 * len(reqs)
+
+
 # -- sampler ---------------------------------------------------------------
 
 
@@ -176,3 +225,101 @@ def sample_trees():
 def test_sample_matches_per_bit_reference(index, seed):
     tree = sample_trees()[index]
     assert tree.sample(seed, 64) == reference_sample(tree, seed, 64)
+
+
+def block_edge_trees():
+    schedule = sparsity_schedule(parse_gauge_spec("power:1/2"), 40)  # forced: odd levels
+    # the root of the level-7 layer is longer than 7: a node there keeps the
+    # default 1 exactly when it is all ones, which the free levels allow
+    long_root = GameBuiltSelector([Layer(7, "1" * 10, 0), Layer(13, "0", 0)], default=1)
+    return {
+        "constant": SplittingTree(schedule, ConstantSelector(1), 40),
+        "seeded": SplittingTree(schedule, SeededSelector(9), 40),
+        "game_built_long_root": SplittingTree(schedule, long_root, 40),
+        "no_free_levels": SplittingTree(
+            BranchSchedule(depth=12, indices=tuple(range(12)), n0=0), SeededSelector(4), 12
+        ),
+        "no_forced_levels": SplittingTree(
+            BranchSchedule(depth=40, indices=(), n0=0), ConstantSelector(0), 40
+        ),
+    }
+
+
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 1000])
+@pytest.mark.parametrize("name", sorted(block_edge_trees()))
+def test_sample_matches_per_bit_reference_across_blocks(name, count):
+    tree = block_edge_trees()[name]
+    got = tree.sample(3, count)
+    assert got == reference_sample(tree, 3, count)
+    if name == "game_built_long_root" and count == 1000:
+        assert {x[7] for x in got} == {"0", "1"}
+
+
+@pytest.mark.parametrize("name", sorted(block_edge_trees()))
+def test_materialize_matches_per_bit_reference(name):
+    tree = block_edge_trees()[name]
+    for d in (0, 9, 12):
+        assert tree.materialize(d).leaves == reference_leaves(tree, d)
+
+
+# -- transducer ------------------------------------------------------------
+
+# three states, chunks of length 0, 1 and 2; lag bounds the length drift for
+# inputs up to 300 characters
+STUTTER = {
+    ("a", 0): ("b", ""), ("a", 1): ("c", "10"),
+    ("b", 0): ("a", "0"), ("b", 1): ("b", "11"),
+    ("c", 0): ("c", ""), ("c", 1): ("a", "01"),
+}
+
+
+@pytest.mark.parametrize("start, delta", [("a", STUTTER), (0, PARITY.delta)])
+def test_chunked_transducer_matches_per_character_reference(start, delta):
+    t = TransducerMap(start=start, delta=delta, lag=300)
+    for n in range(13):
+        for bits in itertools.product("01", repeat=n):
+            node = "".join(bits)
+            assert t.apply(node) == reference_transduce(t, node)
+    rng = random.Random(8)
+    for _ in range(400):
+        node = "".join(rng.choice("01") for _ in range(rng.randint(0, 300)))
+        assert t.apply(node) == reference_transduce(t, node)
+
+
+@pytest.mark.parametrize("node", ["2", "0000000012", "01010101" * 3 + "x", "0" * 16 + " "])
+def test_chunked_transducer_rejects_non_binary(node):
+    t = TransducerMap(start="a", delta=STUTTER, lag=300)
+    t.apply("0" * 32)  # fill the chunk table first
+    with pytest.raises(ValueError):
+        t.apply(node)
+
+
+# -- selector consistency --------------------------------------------------
+
+
+def test_game_built_consistent_matches_base_loop():
+    rng = random.Random(21)
+    outcomes, long_roots = set(), 0
+    for _ in range(300):
+        depth = rng.randint(1, 24)
+        layer_levels = rng.sample(range(depth), rng.randint(0, min(depth, 6)))
+        layers = [
+            Layer(n, "".join(rng.choice("01") for _ in range(rng.randint(0, depth + 3))),
+                  rng.getrandbits(1))
+            for n in layer_levels
+        ]
+        long_roots += sum(len(l.root) > l.level for l in layers)
+        sel = GameBuiltSelector(layers, default=rng.getrandbits(1))
+        # layer levels, other levels and levels past the node's end
+        levels = sorted(rng.sample(range(depth + 4), rng.randint(0, depth + 4)))
+        for _ in range(20):
+            # mostly obey the selector, so that long checks happen too
+            node = ""
+            for n in range(rng.randint(0, depth + 2)):
+                obey = n in levels and rng.random() < 0.9
+                node += str(sel.bit(node)) if obey else rng.choice("01")
+            expected = BranchSelector.consistent(sel, node, levels)
+            assert sel.consistent(node, levels) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+    assert long_roots > 0
