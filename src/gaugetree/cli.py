@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import os
@@ -16,10 +17,10 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import format_dyadic, format_rational
+from .dyadic import Value, format_dyadic, format_pair, format_rational
 from .errors import FrostmanConditionError, InfeasibleError
 from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
 from .hausdorff import (
@@ -76,7 +77,7 @@ def write_json(path: str, payload: dict, manifest: dict) -> None:
     atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: str, header: List[str], rows: List[List], manifest: dict) -> None:
+def write_csv(path: str, header: List[str], rows: Iterable[List], manifest: dict) -> None:
     buf = io.StringIO()
     buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -150,7 +151,8 @@ def load_maps(path: str):
 
 def cmd_schedule(args) -> int:
     g = args.gauge
-    schedule = sparsity_schedule(g, args.depth)
+    caps = bound_table(g, args.depth + 1)
+    schedule = sparsity_schedule(g, args.depth, caps)
     manifest = build_manifest("schedule", args, [])
     payload = {"schedule": schedule.to_json_dict(gauge=g)}
     if not schedule.indices:
@@ -158,47 +160,54 @@ def cmd_schedule(args) -> int:
         print("warning: empty schedule (full binary tree)", file=sys.stderr)
     write_json(args.out, payload, manifest)
     if args.csv:
-        caps = bound_table(g, args.depth)
-        rows = [
-            [n, caps[n], int(n in schedule)]
-            for n in range(args.depth)
-        ]
+        rows = ([n, caps[n], int(n in schedule)] for n in range(args.depth))
         write_csv(args.csv, ["n", "cap", "in_schedule"], rows, manifest)
     return 0
 
 
-def _level_rows(tree: SplittingTree, g: Gauge, k: int, depth: int):
-    rows = []
+def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
+    """Yield the levels CSV rows 0..depth.  The count 2^free is an exact
+    Decimal doubled at each free level: rendering a large int is quadratic
+    and refused beyond the interpreter's 4 300-digit limit."""
+    forced = set(tree.schedule.indices)
+    exact = decimal.Context(prec=decimal.MAX_PREC)
+    count, free = decimal.Decimal(1), 0  # free levels above level n
     for n in range(depth + 1):
-        count = tree.level_count(n)
-        mu = Fraction(1, 2 ** (n - tree.schedule.count_below(n)))
-        gv = g.at_scale(n)
-        cost = count * gv
-        rows.append(
-            [
-                n,
-                count,
-                format_dyadic(mu),
-                format_dyadic(gv) if isinstance(gv, Fraction) else repr(float(gv)),
-                format_dyadic(cost) if isinstance(cost, Fraction) else repr(float(cost)),
-            ]
-        )
-    return rows
+        gv = values[n]
+        if type(gv) is tuple:
+            m, e = gv
+            gauge_value = format_pair(m, e)
+            level_cost = format_pair(m, e - free) if m else "0"
+        else:
+            cost = 2**free * gv
+            gauge_value = format_dyadic(gv) if isinstance(gv, Fraction) else repr(float(gv))
+            level_cost = format_dyadic(cost) if isinstance(cost, Fraction) else repr(float(cost))
+        yield [n, count, format_pair(1, free), gauge_value, level_cost]
+        if n not in forced:
+            count = exact.add(count, count)
+            free += 1
 
 
 def cmd_measure(args) -> int:
     with open(args.tree) as fh:
         tree = SplittingTree.from_json_dict(json.load(fh))
     g = args.gauge
-    depth = args.depth or tree.depth
-    cert = measure_certificate(tree, g, args.delta_exp, depth)
+    depth = tree.depth if args.depth is None else args.depth
+    if depth > tree.depth:
+        print(f"error: --depth {depth} exceeds the tree depth {tree.depth}", file=sys.stderr)
+        return 2
+    if args.delta_exp > depth:
+        print(f"error: --delta-exp {args.delta_exp} exceeds the depth {depth}", file=sys.stderr)
+        return 2
+    values = g.scale_values(depth)
+    cert = measure_certificate(tree, g, args.delta_exp, depth, values)
     manifest = build_manifest("measure", args, [args.tree])
     write_json(args.out, {"certificate": cert.to_json_dict()}, manifest)
     if args.csv:
         write_csv(
             args.csv,
             ["n", "count", "mu_cylinder", "gauge_value", "level_cost"],
-            _level_rows(tree, g, args.delta_exp, depth),
+            _level_rows(tree, values, depth),
             manifest,
         )
     return 0
@@ -206,9 +215,13 @@ def cmd_measure(args) -> int:
 
 def cmd_antichain(args) -> int:
     g = args.gauge
+    if args.delta_exp > args.depth:
+        print(f"error: --delta-exp {args.delta_exp} exceeds --depth {args.depth}", file=sys.stderr)
+        return 2
     maps = load_maps(args.maps)
     roots = args.roots
-    schedule = sparsity_schedule(g, args.depth)
+    values = g.scale_values(args.depth)
+    schedule = sparsity_schedule(g, args.depth, bound_table(g, args.depth + 1, values))
     try:
         tree, certificate = run_game(
             schedule, maps, roots, args.depth, args.stages
@@ -218,14 +231,14 @@ def cmd_antichain(args) -> int:
         return 3
     escape = verify_escape(tree, maps, args.escape_samples, args.seed, certificate)
     try:
-        lower, n0 = frostman_lower(tree, g)
+        lower, n0 = frostman_lower(tree, g, values)
         frostman = {"lower": format_dyadic(lower), "n0": n0}
     except FrostmanConditionError as err:
         n0 = 0
         frostman = {"lower": None, "violating_level": err.worst_level}
     # the lower bound only constrains covers finer than 2^-n0
     delta_used = max(args.delta_exp, n0)
-    upper = level_dp_cost(tree, g, delta_used, min(args.depth, tree.depth))
+    upper = level_dp_cost(tree, g, delta_used, min(args.depth, tree.depth), values)
     dim = dimension_estimate(tree, tolerance=0.01, depth=min(args.depth, 60))
     manifest = build_manifest("antichain", args, [args.maps])
     report = {
@@ -383,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="certify gauge-measure bounds for a tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
-    p.add_argument("--delta-exp", type=int, default=0)
+    p.add_argument("--delta-exp", type=int_at_least(0), default=0)
     p.add_argument("--depth", type=int_at_least(0))
     p.add_argument("--out", required=True)
     p.add_argument("--csv")
@@ -395,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int_at_least(0), required=True)
     p.add_argument("--stages", type=int_at_least(0), required=True)
     p.add_argument("--roots", type=parse_roots, default="0,1")
-    p.add_argument("--delta-exp", type=int, default=0)
+    p.add_argument("--delta-exp", type=int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--escape-samples", type=int_at_least(1), default=1000)
     p.add_argument("--out", required=True)
@@ -403,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="batch-check the transfer laws")
     p.add_argument("mode", choices=["four-cover", "interleave-check", "cube-map"])
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=int_at_least(1), default=1000)
     # every n in {2, 3, 4} leaves a nonempty string of length - length % n
     p.add_argument("--length", type=int_at_least(4), default=60)
     p.add_argument("--bits", default="")

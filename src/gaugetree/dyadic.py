@@ -1,25 +1,55 @@
-"""Exact dyadic-rational helpers shared across modules.
+"""Exact dyadic values shared across modules.
 
-Measures and cover costs are kept as :class:`fractions.Fraction` whenever the
-value is exactly representable; everything else degrades to float with the
-documented precision.
+An exact dyadic value m·2^-e is the integer pair ``(m, e)`` with m odd, or
+``(0, 0)``; e may be negative.  Doubling it is ``(m, e - 1)``, its floor(log2)
+is ``m.bit_length() - 1 - e``, and two pairs compare with one shift, so its
+cost does not grow with the depth of its scale as a Fraction's does.  Other
+values stay :class:`fractions.Fraction` when exact and float otherwise, with
+the documented precision; :func:`to_number` projects a pair to a Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 Number = Union[Fraction, float]
+Pair = Tuple[int, int]
+# a gauge value as Gauge.dyadic_at_scale returns it
+Value = Union[Pair, Number]
 
 
-def pow2(num: int, den: int = 1) -> Number:
-    """2**(num/den); exact Fraction when the exponent is an integer."""
-    if num % den == 0:
-        e = num // den
-        return Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
-    return math.pow(2.0, num / den)
+def dyadic_pair(m: int, e: int = 0) -> Pair:
+    """The normal form of m·2^-e: m odd, or (0, 0)."""
+    if not m:
+        return (0, 0)
+    zeros = (m & -m).bit_length() - 1
+    return (m >> zeros, e - zeros)
+
+
+def to_number(v: Value) -> Number:
+    """A pair as the equal Fraction; any other value as it is."""
+    if type(v) is not tuple:
+        return v
+    m, e = v
+    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+
+
+def value_le(a: Value, b: Value) -> bool:
+    """Exact a <= b; two pairs compare with one shift."""
+    if type(a) is not tuple or type(b) is not tuple:
+        return to_number(a) <= to_number(b)
+    (ma, ea), (mb, eb) = a, b
+    if ea <= eb:
+        return ma << (eb - ea) <= mb
+    return ma <= mb << (ea - eb)
+
+
+def format_pair(m: int, e: int) -> str:
+    """Render m·2^-e, m odd or 0, as ``m/2^e`` (plain integer when e <= 0)."""
+    if e <= 0:
+        return str(m << -e)
+    return f"{m}/2^{e}"
 
 
 def floor_log2(x: Fraction) -> int:
@@ -44,10 +74,7 @@ def format_dyadic(x: Fraction) -> str:
     """Render a dyadic rational as ``p/2^q`` (plain integer when q = 0)."""
     if not is_dyadic(x):
         raise ValueError(f"{x} is not dyadic")
-    q = x.denominator.bit_length() - 1
-    if q == 0:
-        return str(x.numerator)
-    return f"{x.numerator}/2^{q}"
+    return format_pair(x.numerator, x.denominator.bit_length() - 1)
 
 
 def parse_dyadic(s: str) -> Fraction:

@@ -1,8 +1,11 @@
 """Gauge functions at dyadic scales, order comparison, and sparsity schedules.
 
-A gauge is only ever evaluated at scales t = 2^-n.  Power gauges with integer
-exponent results come back as exact Fractions; everything else is float with
-relative error well below 2^-40.
+A gauge is only ever evaluated at scales t = 2^-n, by one evaluator,
+:meth:`Gauge.dyadic_at_scale`: an exact dyadic value comes back as the pair
+``(m, e)`` = m·2^-e of :mod:`gaugetree.dyadic`, a non-dyadic table entry as its
+Fraction, and everything else as a float with relative error well below
+2^-40; :meth:`Gauge.at_scale` projects a pair to a Fraction.  A command
+evaluates each level once (:meth:`Gauge.scale_values`) for all its consumers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dyadic import Number, floor_log2, format_rational, parse_rational, pow2
+from .dyadic import (
+    Number, Value, dyadic_pair, floor_log2, format_rational, is_dyadic, parse_rational, to_number
+)
 from .errors import InsufficientDataError, OutOfRangeError
 
 # Conservative slack subtracted from floating log2 values before flooring,
@@ -29,6 +34,13 @@ POWER = "power"
 POWER_LOG = "power_log"
 TABLE = "table"
 CONJUGATE = "conjugate"
+
+
+def _pow2(num: int, den: int) -> Value:
+    """2**(num/den): the pair (1, -num/den) when the exponent is an integer."""
+    if num % den == 0:
+        return (1, -num // den)
+    return math.pow(2.0, num / den)
 
 
 @dataclass(frozen=True)
@@ -100,29 +112,35 @@ class Gauge:
 
     # -- evaluation ------------------------------------------------------
 
-    def at_scale(self, exponent: int) -> Number:
-        """Value g(2^-exponent)."""
+    def dyadic_at_scale(self, exponent: int) -> Value:
+        """Value g(2^-exponent): an exact dyadic value as the pair (m, e),
+        a non-dyadic table entry as it is, anything else as a float."""
         n = int(exponent)
         if n < 0:
             raise ValueError("scale exponent must be >= 0")
         if self.kind == POWER:
-            return pow2(-n * self.s.numerator, self.s.denominator)
+            return _pow2(-n * self.s.numerator, self.s.denominator)
         if self.kind == POWER_LOG:
             if n == 0:
-                return Fraction(0)
-            v = pow2(-n * self.s.numerator, self.s.denominator)
-            if self.c.denominator == 1 and self.c >= 0:
-                return v * n ** self.c.numerator
-            return float(v) * n ** float(self.c)
+                return (0, 0)
+            v = _pow2(-n * self.s.numerator, self.s.denominator)
+            if self.c.denominator == 1 and self.c.numerator >= 0:
+                if type(v) is tuple:
+                    return dyadic_pair(n**self.c.numerator, v[1])
+                return v * n**self.c.numerator
+            return float(to_number(v)) * n ** float(self.c)
         if self.kind == TABLE:
             i = bisect_left([e for e, _ in self.entries], n)
             if i < len(self.entries) and self.entries[i][0] == n:
-                return self.entries[i][1]
+                v = self.entries[i][1]
+                if isinstance(v, Fraction) and is_dyadic(v):
+                    return dyadic_pair(v.numerator, v.denominator.bit_length() - 1)
+                return v
             raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
         if self.kind == CONJUGATE:
             q, r = divmod(n, self.root)
             if r == 0:
-                return self.base.at_scale(q)
+                return self.base.dyadic_at_scale(q)
             # geometric interpolation between the two neighboring base scales
             lo = float(self.base.at_scale(q)) if q > 0 else float(self.base.at_scale(1))
             hi = float(self.base.at_scale(q + 1))
@@ -132,6 +150,14 @@ class Gauge:
                 return hi ** f * lo ** (1 - f) if lo > 0 else hi**f
             return math.exp((1 - f) * math.log(lo) + f * math.log(hi))
         raise ValueError(f"unknown gauge kind {self.kind!r}")
+
+    def at_scale(self, exponent: int) -> Number:
+        """Value g(2^-exponent), with an exact dyadic value as a Fraction."""
+        return to_number(self.dyadic_at_scale(exponent))
+
+    def scale_values(self, depth: int) -> List[Value]:
+        """dyadic_at_scale at every level 0..depth."""
+        return [self.dyadic_at_scale(n) for n in range(depth + 1)]
 
     def log2_at_scale(self, exponent: int) -> float:
         """log2 of the value, computed without under/overflow."""
@@ -271,17 +297,23 @@ def compare_order(
     return OrderVerdict(relation=relation, ratio_trace=tuple(trace))
 
 
-def bound_table(g: Gauge, depth: int) -> List[int]:
+def bound_table(g: Gauge, depth: int, values: Optional[Sequence[Value]] = None) -> List[int]:
     """Per-level sparsity caps c(n) = floor(log2(g(2^-n) * 2^n)), guarded.
 
-    The floor is computed exactly when the gauge value is an exact rational;
-    on the floating path a slack of 2^-20 is subtracted first so the integer
-    bound is never overstated by rounding.
+    The floor is exact for an exact value; for a pair (m, e) it is
+    m.bit_length() - 1 + n - e.  On the floating path a slack of 2^-20 is
+    subtracted first so the integer bound is never overstated by rounding.
+    `values` defaults to g.scale_values(depth - 1).
     """
+    if values is None:
+        values = g.scale_values(depth - 1)
     caps = []
     for n in range(depth):
-        v = g.at_scale(n)
-        if isinstance(v, Fraction):
+        v = values[n]
+        if type(v) is tuple:
+            m, e = v
+            caps.append(max(0, m.bit_length() - 1 + n - e) if m else 0)
+        elif isinstance(v, Fraction):
             x = v * 2**n
             caps.append(max(0, floor_log2(x)) if x > 0 else 0)
         else:
@@ -290,14 +322,16 @@ def bound_table(g: Gauge, depth: int) -> List[int]:
     return caps
 
 
-def sparsity_schedule(g: Gauge, depth: int) -> BranchSchedule:
+def sparsity_schedule(g: Gauge, depth: int, caps: Optional[Sequence[int]] = None) -> BranchSchedule:
     """Greedy maximal forced-level set compatible with the gauge's caps.
 
     Level n is included whenever the incremented counting function still
     respects c(m) at every later level m <= depth.  The result satisfies the
     sparsity inequality at every level, so the certified threshold is 0.
+    `caps` defaults to bound_table(g, depth + 1).
     """
-    caps = bound_table(g, depth + 1)
+    if caps is None:
+        caps = bound_table(g, depth + 1)
     # suffix minima: including n requires count+1 <= c(m) for all m in (n, depth]
     suffix_min = [0] * (depth + 2)
     suffix_min[depth + 1] = 10**9

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .dyadic import Number, format_dyadic
+from .dyadic import Number, Value, format_dyadic, to_number, value_le
 from .errors import EnumerationBudgetError, FrostmanConditionError
 from .gauge import Gauge
 from .tree import ExplicitTree, SplittingTree
@@ -22,36 +22,40 @@ BRUTE_FORCE_NODE_LIMIT = 64
 WITNESS_NODE_LIMIT = 2**12
 
 
-def _cylinder_log2(tree: SplittingTree, n: int) -> int:
-    return -n + tree.schedule.count_below(n)
-
-
-def frostman_lower(tree: SplittingTree, g: Gauge) -> Tuple[Fraction, int]:
+def frostman_lower(
+    tree: SplittingTree, g: Gauge, values: Optional[Sequence[Value]] = None
+) -> Tuple[Fraction, int]:
     """Least threshold from which every cylinder measure is below the gauge.
 
     Returns (1, n0): the full branch set then has gauge measure at least its
     own total mass for covers at scales finer than 2^-n0.  The comparison is
-    non-strict, which is all the lower-bound chain needs.
+    non-strict, which is all the lower-bound chain needs.  `values` defaults
+    to g.scale_values(tree.depth).
     """
-    violations = []
-    worst = None
+    if values is None:
+        values = g.scale_values(tree.depth)
+    forced = set(tree.schedule.indices)
+    last = worst = None
+    below = 0  # forced levels above level n
     for n in range(tree.depth + 1):
-        e = _cylinder_log2(tree, n)
-        v = g.at_scale(n)
-        if isinstance(v, Fraction):
+        e = below - n  # a level-n cylinder has measure 2^e
+        below += n in forced
+        v = values[n]
+        if type(v) is tuple:
+            ok = v[0] > 0 and e + v[1] <= v[0].bit_length() - 1
+        elif isinstance(v, Fraction):
             ok = v > 0 and Fraction(2) ** e <= v
-            excess = e - (g.log2_at_scale(n) if v > 0 else -math.inf)
         else:
-            lg = g.log2_at_scale(n)
-            ok = e <= lg
-            excess = e - lg
+            ok = e <= g.log2_at_scale(n)
         if not ok:
-            violations.append(n)
+            # an exact 0 has log2 -inf; a float that underflowed to 0.0 keeps its log2
+            excess = e - g.log2_at_scale(n) if isinstance(v, float) or to_number(v) else math.inf
+            last = n
             if worst is None or excess > worst[1]:
                 worst = (n, excess)
-    if violations and violations[-1] == tree.depth:
+    if last == tree.depth:
         raise FrostmanConditionError(worst[0], worst[1])
-    n0 = violations[-1] + 1 if violations else 0
+    n0 = last + 1 if last is not None else 0
     return Fraction(1), n0
 
 
@@ -89,24 +93,41 @@ def optimal_cover_cost(
     return solve("", etree.leaves)
 
 
-def level_dp_cost(
-    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None
-) -> Number:
-    """Same value as the node DP, in O(depth), using level homogeneity."""
+def level_dp(
+    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
+    values: Optional[Sequence[Value]] = None,
+) -> Tuple[Value, int]:
+    """The level cover DP in one downward pass: (cost, witness level).
+
+    Going up from cost(n_max) = g(2^-n_max), level n costs through(n) =
+    cost(n + 1) on a forced level and 2·cost(n + 1) on a free one, or the
+    cut g(2^-n) when n >= k and the cut <= through(n).  The witness level is
+    the smallest n >= k at which the cut wins (ties go to the cut), else
+    n_max.  Comparisons are exact, and the cost keeps dyadic_at_scale's form.
+    `values` defaults to g.scale_values(depth).
+    """
     k = int(delta_exponent)
     n_max = tree.depth if depth is None else int(depth)
     if not k <= n_max <= tree.depth:
         raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
-    cost = g.at_scale(n_max)
+    if values is None:
+        values = g.scale_values(n_max)
+    forced = set(tree.schedule.indices)
+    cost, witness = values[n_max], n_max
     for n in range(n_max - 1, -1, -1):
-        branching = 1 if n in tree.schedule else 2
-        through = branching * cost
-        if n >= k:
-            cut = g.at_scale(n)
-            cost = cut if cut <= through else through
-        else:
-            cost = through
-    return cost
+        if n not in forced:  # through a free level: twice the cost below
+            cost = (cost[0], cost[1] - 1) if type(cost) is tuple else 2 * cost
+        if n >= k and value_le(values[n], cost):
+            cost, witness = values[n], n
+    return cost, witness
+
+
+def level_dp_cost(
+    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
+    values: Optional[Sequence[Value]] = None,
+) -> Number:
+    """Same value as the node DP, in O(depth), using level homogeneity."""
+    return to_number(level_dp(tree, g, delta_exponent, depth, values)[0])
 
 
 def level_dp_witness_level(
@@ -114,22 +135,7 @@ def level_dp_witness_level(
 ) -> int:
     """Shallowest level at which the level DP cuts; the witness cover is the
     full set of tree nodes at that level."""
-    k = int(delta_exponent)
-    n_max = tree.depth if depth is None else int(depth)
-    costs = [None] * (n_max + 1)
-    costs[n_max] = g.at_scale(n_max)
-    for n in range(n_max - 1, -1, -1):
-        branching = 1 if n in tree.schedule else 2
-        through = branching * costs[n + 1]
-        if n >= k and g.at_scale(n) <= through:
-            costs[n] = g.at_scale(n)
-        else:
-            costs[n] = through
-    for n in range(max(k, 0), n_max + 1):
-        branching = 1 if n in tree.schedule else 2
-        if n == n_max or g.at_scale(n) <= branching * costs[n + 1]:
-            return n
-    return n_max
+    return level_dp(tree, g, delta_exponent, depth)[1]
 
 
 def brute_force_cover_cost(etree: ExplicitTree, g: Gauge, delta_exponent: int) -> Number:
@@ -295,18 +301,21 @@ class MeasureCertificate:
 
 
 def measure_certificate(
-    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None
+    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
+    values: Optional[Sequence[Value]] = None,
 ) -> MeasureCertificate:
-    """Bundle the Frostman floor and the optimal-cover ceiling at one scale."""
+    """Bundle the Frostman floor and the optimal-cover ceiling at one scale;
+    `values` defaults to g.scale_values(depth)."""
     n_max = tree.depth if depth is None else int(depth)
+    if values is None:
+        values = g.scale_values(n_max)
     try:
-        lower, n0 = frostman_lower(SplittingTree(tree.schedule, tree.selector, n_max), g)
+        lower, n0 = frostman_lower(SplittingTree(tree.schedule, tree.selector, n_max), g, values)
         failure = None
     except FrostmanConditionError as err:
         lower, n0 = None, None
         failure = err.worst_level
-    upper = level_dp_cost(tree, g, delta_exponent, n_max)
-    w_level = level_dp_witness_level(tree, g, delta_exponent, n_max)
+    upper, w_level = level_dp(tree, g, delta_exponent, n_max, values)
     witness = None
     if tree.level_count(w_level) <= WITNESS_NODE_LIMIT:
         witness = tree.materialize(w_level).leaves if w_level > 0 else ("",)
@@ -315,7 +324,7 @@ def measure_certificate(
         delta_exponent=delta_exponent,
         lower=lower,
         frostman_threshold=n0,
-        upper=upper,
+        upper=to_number(upper),
         witness=witness,
         witness_level=w_level,
         failure_level=failure,

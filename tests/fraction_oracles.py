@@ -1,0 +1,151 @@
+"""Fraction references for the certify numerics, kept as test oracles.
+
+These are the bodies that computed every gauge value afresh as a Fraction (or
+float) and ran the level cover DP twice.  The integer (mantissa, exponent)
+fast paths in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli`
+must agree with them exactly; `tests/test_certify_oracles.py` compares the two.
+"""
+
+import math
+from bisect import bisect_left
+from fractions import Fraction
+
+from gaugetree.dyadic import floor_log2, is_dyadic
+from gaugetree.errors import FrostmanConditionError, OutOfRangeError
+from gaugetree.gauge import CONJUGATE, POWER, POWER_LOG, TABLE, _GUARD
+
+
+def reference_pow2(num, den=1):
+    """2**(num/den); exact Fraction when the exponent is an integer."""
+    if num % den == 0:
+        e = num // den
+        return Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
+    return math.pow(2.0, num / den)
+
+
+def reference_at_scale(g, n):
+    """g(2^-n) as a Fraction when exact, else as a float."""
+    if g.kind == POWER:
+        return reference_pow2(-n * g.s.numerator, g.s.denominator)
+    if g.kind == POWER_LOG:
+        if n == 0:
+            return Fraction(0)
+        v = reference_pow2(-n * g.s.numerator, g.s.denominator)
+        if g.c.denominator == 1 and g.c >= 0:
+            return v * n**g.c.numerator
+        return float(v) * n ** float(g.c)
+    if g.kind == TABLE:
+        i = bisect_left([e for e, _ in g.entries], n)
+        if i < len(g.entries) and g.entries[i][0] == n:
+            return g.entries[i][1]
+        raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
+    assert g.kind == CONJUGATE
+    q, r = divmod(n, g.root)
+    if r == 0:
+        return reference_at_scale(g.base, q)
+    lo = float(reference_at_scale(g.base, q)) if q > 0 else float(reference_at_scale(g.base, 1))
+    hi = float(reference_at_scale(g.base, q + 1))
+    f = r / g.root
+    if q == 0:
+        return hi**f * lo ** (1 - f) if lo > 0 else hi**f
+    return math.exp((1 - f) * math.log(lo) + f * math.log(hi))
+
+
+def reference_bound_table(g, depth):
+    caps = []
+    for n in range(depth):
+        v = reference_at_scale(g, n)
+        if isinstance(v, Fraction):
+            x = v * 2**n
+            caps.append(max(0, floor_log2(x)) if x > 0 else 0)
+        else:
+            l = g.log2_at_scale(n) + n
+            caps.append(max(0, math.floor(l - _GUARD)))
+    return caps
+
+
+def reference_frostman_lower(tree, g):
+    violations = []
+    worst = None
+    for n in range(tree.depth + 1):
+        e = -n + tree.schedule.count_below(n)
+        v = reference_at_scale(g, n)
+        if isinstance(v, Fraction):
+            ok = v > 0 and Fraction(2) ** e <= v
+            excess = e - (g.log2_at_scale(n) if v > 0 else -math.inf)
+        else:
+            lg = g.log2_at_scale(n)
+            ok = e <= lg
+            excess = e - lg
+        if not ok:
+            violations.append(n)
+            if worst is None or excess > worst[1]:
+                worst = (n, excess)
+    if violations and violations[-1] == tree.depth:
+        raise FrostmanConditionError(worst[0], worst[1])
+    n0 = violations[-1] + 1 if violations else 0
+    return Fraction(1), n0
+
+
+def reference_level_dp_cost(tree, g, delta_exponent, depth=None):
+    k = int(delta_exponent)
+    n_max = tree.depth if depth is None else int(depth)
+    if not k <= n_max <= tree.depth:
+        raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
+    cost = reference_at_scale(g, n_max)
+    for n in range(n_max - 1, -1, -1):
+        branching = 1 if n in tree.schedule else 2
+        through = branching * cost
+        if n >= k:
+            cut = reference_at_scale(g, n)
+            cost = cut if cut <= through else through
+        else:
+            cost = through
+    return cost
+
+
+def reference_level_dp_witness_level(tree, g, delta_exponent, depth=None):
+    k = int(delta_exponent)
+    n_max = tree.depth if depth is None else int(depth)
+    costs = [None] * (n_max + 1)
+    costs[n_max] = reference_at_scale(g, n_max)
+    for n in range(n_max - 1, -1, -1):
+        branching = 1 if n in tree.schedule else 2
+        through = branching * costs[n + 1]
+        if n >= k and reference_at_scale(g, n) <= through:
+            costs[n] = reference_at_scale(g, n)
+        else:
+            costs[n] = through
+    for n in range(max(k, 0), n_max + 1):
+        branching = 1 if n in tree.schedule else 2
+        if n == n_max or reference_at_scale(g, n) <= branching * costs[n + 1]:
+            return n
+    return n_max
+
+
+def format_dyadic(x):
+    if not is_dyadic(x):
+        raise ValueError(f"{x} is not dyadic")
+    q = x.denominator.bit_length() - 1
+    if q == 0:
+        return str(x.numerator)
+    return f"{x.numerator}/2^{q}"
+
+
+def reference_level_rows(tree, g, depth):
+    rows = []
+    for n in range(depth + 1):
+        count = tree.level_count(n)
+        mu = Fraction(1, 2 ** (n - tree.schedule.count_below(n)))
+        gv = reference_at_scale(g, n)
+        cost = count * gv
+        rows.append(
+            [
+                n,
+                count,
+                format_dyadic(mu),
+                format_dyadic(gv) if isinstance(gv, Fraction) else repr(float(gv)),
+                format_dyadic(cost) if isinstance(cost, Fraction) else repr(float(cost)),
+            ]
+        )
+    return rows

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import decimal
 import json
 import os
 
@@ -145,11 +146,17 @@ BAD_INT_FLAGS = [
     ("schedule", "--depth", "-3"),
     ("schedule", "--depth", "x"),
     ("measure", "--depth", "-1"),
+    ("measure", "--delta-exp", "-3"),
+    ("antichain", "--delta-exp", "-1"),
     # length - length % n is 0 for some n in {2, 3, 4}: used to loop forever
     ("transfer", "--length", "1"),
     ("transfer", "--length", "3"),
     ("transfer", "--length", "-4"),
     ("cube-map", "--n", "0"),
+    # a count below 1 used to write a table with only its header
+    ("transfer", "--count", "-5"),
+    ("four-cover", "--count", "-5"),
+    ("four-cover", "--count", "0"),
 ]
 
 
@@ -163,6 +170,7 @@ def int_flag_argv(tmp_path, command, maps_file):
                     "--out", out],
         "transfer": ["transfer", "interleave-check", "--count", 20, "--out", out],
         "cube-map": ["transfer", "cube-map", "--bits", "0110", "--out", out],
+        "four-cover": ["transfer", "four-cover", "--count", 20, "--out", out],
     }[command], out
 
 
@@ -185,10 +193,14 @@ def test_bad_integer_flag_exits_2(tmp_path, maps_file, capsys, command, flag, va
     ("transfer", "--length", 4),
     ("transfer", "--length", 5),
     ("cube-map", "--n", 1),
+    ("four-cover", "--count", 1),
 ])
 def test_smallest_integer_flag_accepted(tmp_path, maps_file, command, flag, value):
     argv, out = int_flag_argv(tmp_path, command, maps_file)
     assert run(argv + [flag, value]) == 0
+    if command == "four-cover":
+        _, rows = read_csv_table(str(out))
+        assert len(rows) == 1 and rows[0][-1] == "1"
     if command == "transfer":
         _, rows = read_csv_table(str(out))
         assert len(rows) == 20 and all(r[-1] == "1" for r in rows)
@@ -197,6 +209,90 @@ def test_smallest_integer_flag_accepted(tmp_path, maps_file, command, flag, valu
         assert report["game_certificate"]["escape_report"]["samples"] == (
             1 if flag == "--escape-samples" else 10
         )
+
+
+def write_tree(tmp_path, gauge, depth, selector=None):
+    """A tree file over the schedule `schedule` computes for the gauge."""
+    sched_out = tmp_path / "sched.json"
+    assert run(["schedule", "--gauge", gauge, "--depth", depth, "--out", sched_out]) == 0
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({
+        "schedule": json.loads(sched_out.read_text())["schedule"],
+        "selector": selector or {"kind": "constant", "bit": 0},
+        "depth": depth,
+    }))
+    return tree_file
+
+
+# flags beyond a depth known only once the tree or the command is read
+@pytest.mark.parametrize("command, flags", [
+    ("measure", ["--delta-exp", 9]),
+    ("measure", ["--depth", 9]),
+    ("measure", ["--depth", 9, "--delta-exp", 9]),
+    ("measure", ["--depth", 2, "--delta-exp", 3]),
+    ("antichain", ["--depth", 16, "--delta-exp", 40]),
+    ("antichain", ["--depth", 16, "--delta-exp", 17]),
+])
+def test_flag_beyond_depth_exits_2(tmp_path, maps_file, capsys, command, flags):
+    out, csv_out = tmp_path / "x.json", tmp_path / "x.csv"
+    if command == "measure":
+        argv = ["measure", "--tree", write_tree(tmp_path, "power:1/2", 8),
+                "--gauge", "power:1/2", "--csv", csv_out]
+    else:
+        argv = ["antichain", "--gauge", "power_log:1,1", "--maps", maps_file, "--stages", 1]
+    capsys.readouterr()
+    assert run(argv + flags + ["--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists() and not csv_out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--delta-exp", 8]])
+def test_measure_depth_bound_accepted(tmp_path, flags):
+    out = tmp_path / "m.json"
+    tree_file = write_tree(tmp_path, "power:1/2", 8)
+    assert run(["measure", "--tree", tree_file, "--gauge", "power:1/2",
+                "--depth", 8, "--out", out] + flags) == 0
+    assert json.loads(out.read_text())["certificate"]["delta_exp"] == (flags or [0, 0])[1]
+
+
+def test_measure_depth_zero_is_honoured(tmp_path):
+    tree_file = write_tree(tmp_path, "power:1/2", 8)
+    reports = {}
+    for depth in (0, 8):
+        out = tmp_path / f"m{depth}.json"
+        csv_out = tmp_path / f"m{depth}.csv"
+        assert run(["measure", "--tree", tree_file, "--gauge", "power:1",
+                    "--depth", depth, "--out", out, "--csv", csv_out]) == 0
+        reports[depth] = json.loads(out.read_text())["certificate"]
+        assert len(read_csv_table(str(csv_out))[1]) == depth + 1
+    assert reports[0]["upper"] == {"provenance": "optimal_cover", "value": "1", "witness_level": 0}
+    assert reports[0]["witness"] == [""]
+    # 16 nodes of measure 2^-8 at the full depth
+    assert reports[8]["upper"]["witness_level"] == 8
+    assert reports[8]["upper"]["value"] == "1/2^4"
+
+
+def test_levels_csv_count_beyond_int_digit_limit(tmp_path):
+    """2^14400 has 4335 digits, over the interpreter's 4300-digit limit on
+    int-to-string conversion, which the levels CSV must not depend on."""
+    depth = 14400
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({
+        "schedule": {"depth": depth, "indices": [], "n0": 0},
+        "selector": {"kind": "constant", "bit": 0},
+        "depth": depth,
+    }))
+    out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
+    assert run(["measure", "--tree", tree_file, "--gauge", "power:1",
+                "--out", out, "--csv", csv_out]) == 0
+    _, rows = read_csv_table(str(csv_out))
+    assert len(rows) == depth + 1
+    exact = decimal.Context(prec=4400)
+    assert len(rows[-1][1]) == 4335
+    assert exact.create_decimal(rows[-1][1]) == exact.power(2, depth)
+    assert rows[-1][2:] == [f"1/2^{depth}", f"1/2^{depth}", "1"]
+    assert rows[1000][1:3] == [str(2**1000), "1/2^1000"]
 
 
 PARITY = {
@@ -226,6 +322,38 @@ def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, f
     del report["manifest"]  # holds the input's temporary path
     with open(os.path.join(FIXTURES, fixture)) as fh:
         assert report == json.load(fh)
+
+
+@pytest.mark.parametrize("gauge, depth, name", [
+    ("power_log:1,1", 300, "power_log_d300"),
+    ("power:1/2", 301, "power_half_d301"),
+])
+def test_certify_outputs_match_pinned_fixtures(tmp_path, gauge, depth, name):
+    """schedule --csv and measure --delta-exp 3 --csv, without manifests."""
+    selector = {"power_log_d300": {"kind": "constant", "bit": 0},
+                "power_half_d301": {"kind": "seeded", "seed": 7}}[name]
+    sched, caps = tmp_path / "s.json", tmp_path / "caps.csv"
+    assert run(["schedule", "--gauge", gauge, "--depth", depth,
+                "--out", sched, "--csv", caps]) == 0
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({
+        "schedule": json.loads(sched.read_text())["schedule"],
+        "selector": selector,
+        "depth": depth,
+    }))
+    cert, levels = tmp_path / "m.json", tmp_path / "levels.csv"
+    assert run(["measure", "--tree", tree_file, "--gauge", gauge, "--delta-exp", 3,
+                "--out", cert, "--csv", levels]) == 0
+    for produced, fixture in ((sched, f"schedule_{name}.json"), (cert, f"measure_{name}.json")):
+        data = json.loads(produced.read_text())
+        del data["manifest"]  # the measure manifest holds the tree's temporary path
+        with open(os.path.join(FIXTURES, fixture)) as fh:
+            assert json.dumps(data, sort_keys=True, indent=2) + "\n" == fh.read()
+    for produced, fixture in ((caps, f"caps_{name}.csv"), (levels, f"levels_{name}.csv")):
+        manifest, body = produced.read_text().split("\n", 1)
+        assert manifest.startswith("# manifest: ")
+        with open(os.path.join(FIXTURES, fixture)) as fh:
+            assert body == fh.read()
 
 
 def test_transfer_four_cover(tmp_path):

@@ -5,22 +5,43 @@ from fractions import Fraction
 import pytest
 
 from gaugetree.dyadic import (
+    dyadic_pair,
     floor_log2,
     format_dyadic,
+    format_pair,
     format_rational,
     is_dyadic,
     parse_dyadic,
     parse_rational,
-    pow2,
+    to_number,
+    value_le,
 )
 
 
-def test_pow2_exact_and_float():
-    assert pow2(-3, 1) == Fraction(1, 8)
-    assert pow2(4, 2) == Fraction(4)
-    v = pow2(-3, 2)
-    assert isinstance(v, float)
-    assert v == pytest.approx(2.0**-1.5, rel=2.0**-40)
+def test_dyadic_pair_normal_form():
+    assert dyadic_pair(12, 5) == (3, 3)
+    assert dyadic_pair(7, -2) == (7, -2)
+    assert dyadic_pair(8) == (1, -3)
+    assert dyadic_pair(0, 9) == (0, 0)
+    for m in range(-40, 41):
+        for e in range(-5, 6):
+            mm, ee = dyadic_pair(m, e)
+            assert mm % 2 == 1 or (mm, ee) == (0, 0)
+            assert to_number((mm, ee)) == m / Fraction(2) ** e
+
+
+def test_pair_projection_format_and_order():
+    pairs = [dyadic_pair(m, e) for m in range(0, 20) for e in range(-3, 8)]
+    for a in pairs:
+        x = to_number(a)
+        assert isinstance(x, Fraction)
+        assert format_pair(*a) == format_dyadic(x)
+        assert parse_dyadic(format_pair(*a)) == x
+        for b in pairs + [0.25, 2.0**-7, 3.0, Fraction(1, 3), Fraction(7, 3)]:
+            y = to_number(b)
+            assert value_le(a, b) == (x <= y)
+            assert value_le(b, a) == (y <= x)
+    assert to_number(0.25) == 0.25 and to_number(Fraction(1, 3)) == Fraction(1, 3)
 
 
 def test_floor_log2():

@@ -31,6 +31,23 @@ def test_power_eval_nondyadic_is_float():
     assert v == pytest.approx(2.0**-4.5, rel=2.0**-40)
 
 
+def test_dyadic_at_scale_pair_and_float():
+    assert Gauge.power(1).dyadic_at_scale(3) == (1, 3)
+    assert Gauge.power(Fraction(3, 2)).dyadic_at_scale(4) == (1, 6)
+    assert Gauge.power(Fraction(1, 2)).dyadic_at_scale(0) == (1, 0)
+    v = Gauge.power(Fraction(3, 2)).dyadic_at_scale(1)
+    assert isinstance(v, float)
+    assert v == pytest.approx(2.0**-1.5, rel=2.0**-40)
+    # n * log2(1/t)^c: the odd part of n^c stays in the mantissa
+    assert Gauge.power_log(1, 2).dyadic_at_scale(12) == (9, 8)
+    assert Gauge.power_log(1, 1).dyadic_at_scale(0) == (0, 0)
+    assert isinstance(Gauge.power_log(1, -1).dyadic_at_scale(4), float)
+    g = Gauge.table([(0, Fraction(1)), (1, Fraction(1, 3)), (2, Fraction(1, 4)), (3, 0.1)])
+    assert g.scale_values(3) == [(1, 0), Fraction(1, 3), (1, 2), 0.1]
+    assert [g.at_scale(n) for n in range(4)] == [1, Fraction(1, 3), Fraction(1, 4), 0.1]
+    assert Gauge.conjugate(Gauge.power_log(1, 1), 3).dyadic_at_scale(6) == (1, 1)
+
+
 def test_power_log_eval():
     g = Gauge.power_log(1, 1)
     assert g.at_scale(8) == Fraction(8, 256)
