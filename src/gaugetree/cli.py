@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
-import io
 import json
 import os
 import random
@@ -20,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_pair, format_rational
+from .dyadic import Value, format_dyadic, format_exact, format_pair, format_rational
 from .errors import FrostmanConditionError, InfeasibleError
 from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
 from .hausdorff import (
@@ -35,7 +34,7 @@ from .transfer import (
     interleave_metric_check,
     to_cube,
 )
-from .tree import NODE_BUDGET, SplittingTree, check_node
+from .tree import NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
 
@@ -78,12 +77,21 @@ def write_json(path: str, payload: dict, manifest: dict) -> None:
 
 
 def write_csv(path: str, header: List[str], rows: Iterable[List], manifest: dict) -> None:
-    buf = io.StringIO()
-    buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue())
+    """Write str() of each field joined by commas, one line per row; a quote,
+    comma or line break inside a field raises ValueError instead."""
+    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.append("")
+    data = "\n".join(lines)
+    start, records = len(lines[0]) + 1, len(lines) - 2  # the header and the rows
+    if (
+        data.find('"', start) >= 0
+        or data.find("\r", start) >= 0
+        or data.count(",", start) != (len(header) - 1) * records
+        or data.count("\n", start) != records
+    ):
+        raise ValueError(f"{path}: a field holds a quote, comma or line break, or a row is ragged")
+    atomic_write(path, data)
 
 
 def read_csv_table(path: str):
@@ -180,8 +188,8 @@ def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
             level_cost = format_pair(m, e - free) if m else "0"
         else:
             cost = 2**free * gv
-            gauge_value = format_dyadic(gv) if isinstance(gv, Fraction) else repr(float(gv))
-            level_cost = format_dyadic(cost) if isinstance(cost, Fraction) else repr(float(cost))
+            gauge_value = format_exact(gv) if isinstance(gv, Fraction) else repr(float(gv))
+            level_cost = format_exact(cost) if isinstance(cost, Fraction) else repr(float(cost))
         yield [n, count, format_pair(1, free), gauge_value, level_cost]
         if n not in forced:
             count = exact.add(count, count)
@@ -251,9 +259,7 @@ def cmd_antichain(args) -> int:
         },
         "measure_certificate": {
             "frostman": frostman,
-            "upper": format_dyadic(upper)
-            if isinstance(upper, Fraction)
-            else repr(float(upper)),
+            "upper": format_exact(upper) if isinstance(upper, Fraction) else repr(float(upper)),
             "delta_exp": delta_used,
         },
         "dimension": {
@@ -278,24 +284,23 @@ def cmd_transfer(args) -> int:
             hi = rng.randrange(lo + 1, den)
             a, b = Fraction(lo, den), Fraction(hi, den)
             cover = dyadic_four_cover(a, b)
+            m = cover[0].level
+            # [min index, max index + 1] / 2^m contains [lo, hi] / den
             ok = (
                 len(cover) <= 4
-                and min(iv.left for iv in cover) <= a
-                and max(iv.right for iv in cover) >= b
-                and len({iv.level for iv in cover}) == 1
+                and all(iv.level == m for iv in cover)
+                and min(iv.index for iv in cover) * den <= lo << m
+                and (max(iv.index for iv in cover) + 1) * den >= hi << m
             )
-            rows.append(
-                [i, format_rational(a), format_rational(b), cover[0].level, len(cover), int(ok)]
-            )
+            rows.append([i, format_rational(a), format_rational(b), m, len(cover), int(ok)])
         write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], rows, manifest)
     elif args.mode == "interleave-check":
         for i in range(args.count):
             n = rng.choice([2, 3, 4])
             length = args.length - args.length % n
-            x = "".join(str(rng.getrandbits(1)) for _ in range(length))
-            y = x
+            x = y = random_bits(rng, length)
             while y == x:
-                y = "".join(str(rng.getrandbits(1)) for _ in range(length))
+                y = random_bits(rng, length)
             chk = interleave_metric_check(x, y, n)
             rows.append(
                 [i, n, chk.first_difference, format_rational(chk.expected),

@@ -52,17 +52,18 @@ def format_pair(m: int, e: int) -> str:
     return f"{m}/2^{e}"
 
 
+def floor_log2_ratio(p: int, q: int) -> int:
+    """Exact floor(log2(p/q)) for positive integers p, q, coprime or not."""
+    e = p.bit_length() - q.bit_length()
+    ok = p >= q << e if e >= 0 else p << -e >= q
+    return e if ok else e - 1
+
+
 def floor_log2(x: Fraction) -> int:
     """Exact floor(log2(x)) for a positive rational."""
     if x <= 0:
         raise ValueError("floor_log2 needs a positive argument")
-    p, q = x.numerator, x.denominator
-    e = p.bit_length() - q.bit_length()
-    if e >= 0:
-        ok = p >= q << e
-    else:
-        ok = p << -e >= q
-    return e if ok else e - 1
+    return floor_log2_ratio(x.numerator, x.denominator)
 
 
 def is_dyadic(x: Fraction) -> bool:
@@ -75,6 +76,11 @@ def format_dyadic(x: Fraction) -> str:
     if not is_dyadic(x):
         raise ValueError(f"{x} is not dyadic")
     return format_pair(x.numerator, x.denominator.bit_length() - 1)
+
+
+def format_exact(x: Fraction) -> str:
+    """A dyadic rational as ``p/2^q``, any other as ``p/q``."""
+    return format_dyadic(x) if is_dyadic(x) else format_rational(x)
 
 
 def parse_dyadic(s: str) -> Fraction:

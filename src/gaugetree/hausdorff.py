@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .dyadic import Number, Value, format_dyadic, to_number, value_le
+from .dyadic import Number, Value, format_dyadic, format_exact, to_number, value_le
 from .errors import EnumerationBudgetError, FrostmanConditionError
 from .gauge import Gauge
 from .tree import ExplicitTree, SplittingTree
@@ -280,9 +280,8 @@ class MeasureCertificate:
             "gauge": self.gauge.to_json_dict(),
             "delta_exp": self.delta_exponent,
             "upper": {
-                "value": format_dyadic(self.upper)
-                if isinstance(self.upper, Fraction)
-                else float(self.upper),
+                "value": format_exact(self.upper)
+                if isinstance(self.upper, Fraction) else float(self.upper),
                 "provenance": "optimal_cover",
                 "witness_level": self.witness_level,
             },

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .dyadic import Number, floor_log2, format_dyadic
+from .dyadic import Number, floor_log2_ratio, format_dyadic
 from .errors import DegenerateIntervalError
 from .gauge import Gauge
 from .tree import check_node
@@ -154,24 +154,20 @@ def to_cube(node: str, n: int) -> CubePoint:
 def dyadic_four_cover(a: Fraction, b: Fraction) -> List[DyadicInterval]:
     """At most four level-m dyadic intervals covering [a, b], following the
     grid-point construction; the least valid grid index keeps it total."""
-    a, b = Fraction(a), Fraction(b)
-    if not 0 <= a < b <= 1:
-        if a >= b:
+    a, b = (a, b) if type(a) is type(b) is Fraction else (Fraction(a), Fraction(b))
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    num, den = pb * qa - pa * qb, qa * qb
+    if not (pa >= 0 and num > 0 and pb <= qb):
+        if num <= 0:
             raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
         raise ValueError("interval must lie inside [0, 1]")
-    diam = b - a
-    if diam > Fraction(1, 2):
+    if 2 * num > den:
         return [DyadicInterval(level=0, index=0)]
-    # unique m with 2^-m < diam <= 2^-(m-1)
-    e = floor_log2(diam)
-    m = -e + 1 if diam == Fraction(2) ** e else -e
-    scale = 2**m
-    p = (a * scale).numerator // (a * scale).denominator + 1
-    intervals = []
-    for idx in range(p - 2, p + 2):
-        if 0 <= idx < scale:
-            intervals.append(DyadicInterval(level=m, index=idx))
-    return intervals
+    # unique m with 2^-m < diam <= 2^-(m-1); diam <= 1/2, so e < 0
+    e = floor_log2_ratio(num, den)
+    m = -e + (num << -e == den)
+    p = (pa << m) // qa + 1
+    return [DyadicInterval(m, idx) for idx in range(max(p - 2, 0), min(p + 2, 1 << m))]
 
 
 def pushforward_cover(

@@ -21,6 +21,18 @@ NODE_BUDGET = 2**22
 SAMPLE_BLOCK = 256
 # byte -> "1" if its top bit is set, else "0"
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
+# draws per getrandbits call in random_bits: 16 KB temporaries stay below the
+# allocator's large-block threshold, so no call maps and unmaps fresh pages
+BITS_CHUNK = 4096
+
+
+def random_bits(rng: random.Random, n: int) -> str:
+    """The next n draws of rng's `getrandbits(1)` stream as "0"/"1": draw i is
+    the top bit of the i-th 32-bit word of `getrandbits(32 * n)`, low end first."""
+    return "".join(
+        rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT).decode()
+        for k in [BITS_CHUNK] * (n // BITS_CHUNK) + [n % BITS_CHUNK]
+    )
 
 
 def check_node(bits: str) -> str:
@@ -249,9 +261,7 @@ class SplittingTree:
         The free bits are the `random.Random(seed).getrandbits(1)` stream,
         one draw per free level, branch after branch, which the per-bit
         reference sampler in the tests pins.  Branches are filled column-wise
-        in blocks of SAMPLE_BLOCK, with one `getrandbits(32 * k)` for a
-        block's k draws: a draw is the top bit of one 32-bit word, and the
-        words fill that integer from its low end.
+        in blocks of SAMPLE_BLOCK, with one `random_bits` for a block's draws.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -262,8 +272,7 @@ class SplittingTree:
         out = []
         for start in range(0, count, SAMPLE_BLOCK):
             size = min(SAMPLE_BLOCK, count - start)
-            raw = rng.getrandbits(32 * size * free).to_bytes(4 * size * free, "little")
-            draws = raw[3::4].translate(_TOP_BIT).decode()
+            draws = random_bits(rng, size * free)
             rows, columns, j = [""] * size, [], 0
             for n in range(self.depth):
                 if n not in forced:

@@ -1,9 +1,12 @@
-"""Fraction references for the certify numerics, kept as test oracles.
+"""Fraction references for the certify and transfer numerics, kept as test
+oracles.
 
 These are the bodies that computed every gauge value afresh as a Fraction (or
 float) and ran the level cover DP twice.  The integer (mantissa, exponent)
 fast paths in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli`
 must agree with them exactly; `tests/test_certify_oracles.py` compares the two.
+`reference_dyadic_four_cover` is the Fraction body of the four-interval cover,
+which `tests/test_transfer.py` compares with the integer one.
 """
 
 import math
@@ -11,8 +14,9 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from gaugetree.dyadic import floor_log2, is_dyadic
-from gaugetree.errors import FrostmanConditionError, OutOfRangeError
+from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError
 from gaugetree.gauge import CONJUGATE, POWER, POWER_LOG, TABLE, _GUARD
+from gaugetree.transfer import DyadicInterval
 
 
 def reference_pow2(num, den=1):
@@ -123,9 +127,10 @@ def reference_level_dp_witness_level(tree, g, delta_exponent, depth=None):
     return n_max
 
 
-def format_dyadic(x):
+def format_exact(x):
+    """p/2^q for a dyadic x, p/q for any other."""
     if not is_dyadic(x):
-        raise ValueError(f"{x} is not dyadic")
+        return f"{x.numerator}/{x.denominator}"
     q = x.denominator.bit_length() - 1
     if q == 0:
         return str(x.numerator)
@@ -143,9 +148,31 @@ def reference_level_rows(tree, g, depth):
             [
                 n,
                 count,
-                format_dyadic(mu),
-                format_dyadic(gv) if isinstance(gv, Fraction) else repr(float(gv)),
-                format_dyadic(cost) if isinstance(cost, Fraction) else repr(float(cost)),
+                format_exact(mu),
+                format_exact(gv) if isinstance(gv, Fraction) else repr(float(gv)),
+                format_exact(cost) if isinstance(cost, Fraction) else repr(float(cost)),
             ]
         )
     return rows
+
+
+def reference_dyadic_four_cover(a, b):
+    """At most four level-m dyadic intervals covering [a, b], in Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    if not 0 <= a < b <= 1:
+        if a >= b:
+            raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
+        raise ValueError("interval must lie inside [0, 1]")
+    diam = b - a
+    if diam > Fraction(1, 2):
+        return [DyadicInterval(level=0, index=0)]
+    # unique m with 2^-m < diam <= 2^-(m-1)
+    e = floor_log2(diam)
+    m = -e + 1 if diam == Fraction(2) ** e else -e
+    scale = 2**m
+    p = (a * scale).numerator // (a * scale).denominator + 1
+    intervals = []
+    for idx in range(p - 2, p + 2):
+        if 0 <= idx < scale:
+            intervals.append(DyadicInterval(level=m, index=idx))
+    return intervals

@@ -1,13 +1,17 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import csv
 import decimal
+import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 import gaugetree
-from gaugetree.cli import main, parse_gauge_spec, read_csv_table
+from gaugetree.cli import main, parse_gauge_spec, read_csv_table, write_csv
+from gaugetree.transfer import DyadicInterval, dyadic_four_cover
 
 
 def run(argv):
@@ -381,6 +385,107 @@ def test_transfer_cube_map(tmp_path):
     ]) == 0
     _, rows = read_csv_table(str(out))
     assert rows == [["0", "3/8"], ["1", "5/8"]]
+
+
+@pytest.mark.parametrize("argv, fixture", [
+    (["four-cover", "--count", 500, "--seed", 11], "transfer_four_cover_c500_s11.csv"),
+    (["interleave-check", "--count", 300, "--length", 61, "--seed", 5],
+     "transfer_interleave_check_c300_l61_s5.csv"),
+    (["cube-map", "--bits", "0110110", "--n", 3], "transfer_cube_map_0110110_n3.csv"),
+])
+def test_transfer_outputs_match_pinned_fixtures(tmp_path, argv, fixture):
+    out = tmp_path / "t.csv"
+    assert run(["transfer", *argv, "--out", out]) == 0
+    manifest, body = out.read_text().split("\n", 1)
+    assert manifest.startswith("# manifest: ")
+    with open(os.path.join(FIXTURES, fixture)) as fh:
+        assert body == fh.read()
+
+
+def test_four_cover_pass_column_rejects_bad_covers(tmp_path, monkeypatch):
+    """The pass column re-checks each cover; it does not trust the construction."""
+
+    def drop_first(a, b):
+        cover = dyadic_four_cover(a, b)
+        return cover[1:] if len(cover) > 1 else cover
+
+    def drop_last(a, b):
+        cover = dyadic_four_cover(a, b)
+        return cover[:-1] if len(cover) > 1 else cover
+
+    def shift_right(a, b):
+        cover = dyadic_four_cover(a, b)
+        m = cover[0].level
+        return [DyadicInterval(m, min(iv.index + 1, 2**m - 1)) for iv in cover]
+
+    def mixed_levels(a, b):
+        cover = dyadic_four_cover(a, b)
+        return cover + [DyadicInterval(cover[0].level + 1, 0)]
+
+    for bad in (drop_first, drop_last, shift_right, mixed_levels):
+        monkeypatch.setattr(gaugetree.cli, "dyadic_four_cover", bad)
+        out = tmp_path / f"{bad.__name__}.csv"
+        assert run(["transfer", "four-cover", "--count", 200, "--out", out]) == 0
+        _, rows = read_csv_table(str(out))
+        assert any(r[-1] == "0" for r in rows), bad.__name__
+        for r in rows:
+            a, b = Fraction(r[1]), Fraction(r[2])
+            assert r[-1] == str(int(cli_pass_reference(bad(a, b), a, b))), (bad.__name__, r)
+
+
+def cli_pass_reference(cover, a, b):
+    """The pass check in Fractions."""
+    return (
+        len(cover) <= 4
+        and min(iv.left for iv in cover) <= a
+        and max(iv.right for iv in cover) >= b
+        and len({iv.level for iv in cover}) == 1
+    )
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    header = ["n", "count", "value", "x"]
+    rows = [[0, decimal.Decimal(1), "1/2^3", 0.25], [17, decimal.Decimal(2) ** 80, Fraction(2, 3), -1],
+            [2, "", "a b", 1e-300], [3, True, "x;y", float("inf")]]
+    manifest = {"tool": "gaugetree", "inputs": ["a,b.json"], "note": 'say "hi"'}
+    out = tmp_path / "t.csv"
+    write_csv(str(out), header, iter(rows), manifest)
+    buf = io.StringIO()
+    buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert out.read_text() == buf.getvalue()
+    write_csv(str(out), header, [], manifest)
+    assert out.read_text().split("\n")[1:] == ["n,count,value,x", ""]
+
+
+@pytest.mark.parametrize("row", [
+    [1, 'say "hi"'], [1, "a,b"], [1, "a\nb"], [1, "a\rb"], [1], [1, 2, 3],
+])
+def test_write_csv_refuses_fields_csv_would_quote(tmp_path, row):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_csv(str(out), ["a", "b"], [[0, 0], row, [2, 2]], {"tool": "gaugetree"})
+    assert not out.exists()
+
+
+def test_non_dyadic_gauge_values_are_rendered_exactly(tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"schedule": {"indices": [], "depth": 4},
+                                "selector": {"kind": "constant", "bit": 0}, "depth": 4}))
+    cert, levels = tmp_path / "c.json", tmp_path / "l.csv"
+    assert run(["measure", "--tree", tree, "--gauge", "table:0=1,1=1/3,2=1/4,3=1/8,4=1/16",
+                "--out", cert, "--csv", levels]) == 0
+    assert json.loads(cert.read_text())["certificate"]["upper"]["value"] == "2/3"
+    _, rows = read_csv_table(str(levels))
+    assert rows[1] == ["1", "2", "1/2^1", "1/3", "2/3"]
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps([{"kind": "bit_flip"}]))
+    report = tmp_path / "r.json"
+    assert run(["antichain", "--gauge", "table:0=1,1=1/3,2=1/5,3=1/7,4=1/9", "--maps", maps,
+                "--depth", 4, "--stages", 0, "--out", report]) == 0
+    assert json.loads(report.read_text())["measure_certificate"]["upper"] == "8/7"
 
 
 def test_plot_svg(tmp_path):

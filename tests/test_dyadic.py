@@ -1,5 +1,6 @@
 """Exact dyadic helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from gaugetree.dyadic import (
     dyadic_pair,
     floor_log2,
+    floor_log2_ratio,
     format_dyadic,
+    format_exact,
     format_pair,
     format_rational,
     is_dyadic,
@@ -61,6 +64,28 @@ def test_floor_log2_brute_agreement():
             x = Fraction(p, q)
             e = floor_log2(x)
             assert Fraction(2) ** e <= x < Fraction(2) ** (e + 1)
+
+
+def test_floor_log2_ratio_matches_fraction_form():
+    rng = random.Random(4)
+    for _ in range(3000):
+        p = rng.randint(1, 2 ** rng.randint(1, 200))
+        q = rng.randint(1, 2 ** rng.randint(1, 200))
+        k = rng.choice([1, 1, 3, 2**rng.randint(1, 40), rng.randint(2, 10**9)])
+        # unreduced (p*k, q*k) has the same floor(log2)
+        assert floor_log2_ratio(p * k, q * k) == floor_log2(Fraction(p, q))
+    for e in range(-70, 71):
+        x = Fraction(2) ** e
+        for y in (x, x - Fraction(1, 2**90), x + Fraction(1, 2**90)):
+            assert floor_log2_ratio(y.numerator, y.denominator) == floor_log2(y)
+
+
+def test_format_exact():
+    for x in [Fraction(0), Fraction(5, 8), Fraction(3), Fraction(-7, 16), Fraction(1, 2**90)]:
+        assert format_exact(x) == format_dyadic(x)
+    assert format_exact(Fraction(2, 3)) == "2/3"
+    assert format_exact(Fraction(-8, 7)) == "-8/7"
+    assert parse_rational(format_exact(Fraction(10, 12))) == Fraction(5, 6)
 
 
 def test_dyadic_round_trip():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_oracles import reference_dyadic_four_cover
 
 from gaugetree import (
     CoverTransferRule,
@@ -133,6 +134,55 @@ def test_four_cover_random_odd_denominators():
 def test_four_cover_degenerate():
     with pytest.raises(DegenerateIntervalError):
         dyadic_four_cover(Fraction(1, 2), Fraction(1, 2))
+
+
+def four_cover_cases(rng):
+    """Random [a, b] in [0, 1] with the edges the integer cover must match."""
+    for _ in range(1500):
+        q = rng.choice([2 ** rng.randint(0, 40), 2 * rng.randint(1, 10**4) + 1,
+                        rng.randint(2, 10**6), rng.randint(10**30, 10**40)])
+        i = rng.randrange(q)
+        yield Fraction(i, q), Fraction(rng.randint(i + 1, q), q)
+    for _ in range(500):
+        d = Fraction(1, 2 ** rng.randint(1, 50))  # a power-of-two diameter
+        a = Fraction(rng.randrange(2**60), 2**60) * (1 - d)
+        a = a if rng.random() < 0.5 else a - a % d  # on the grid, then off it
+        yield a, a + d
+        yield Fraction(0), d  # grid index clipped at 0
+        yield 1 - d, Fraction(1)  # and at 2^m
+        q = rng.randint(3, 10**9)
+        yield Fraction(0), Fraction(rng.randint(1, q), q)
+        yield Fraction(rng.randint(0, q - 1), q), Fraction(1)
+    yield Fraction(0), Fraction(1)
+    yield Fraction(1, 4), Fraction(3, 4)  # a diameter of exactly 1/2
+    yield Fraction(1, 3), Fraction(5, 6)
+
+
+def test_four_cover_matches_fraction_reference():
+    rng = random.Random(11)
+    for a, b in four_cover_cases(rng):
+        assert dyadic_four_cover(a, b) == reference_dyadic_four_cover(a, b), (a, b)
+
+
+@pytest.mark.parametrize("a, b, err", [
+    (Fraction(1, 2), Fraction(1, 2), DegenerateIntervalError),
+    (Fraction(2, 3), Fraction(1, 3), DegenerateIntervalError),
+    (Fraction(-1, 3), Fraction(-1, 2), DegenerateIntervalError),
+    (Fraction(-1, 3), Fraction(1, 2), ValueError),
+    (Fraction(1, 2), Fraction(4, 3), ValueError),
+    (0, 2, ValueError),
+])
+def test_four_cover_errors_match_fraction_reference(a, b, err):
+    with pytest.raises(err) as new:
+        dyadic_four_cover(a, b)
+    with pytest.raises(err) as old:
+        reference_dyadic_four_cover(a, b)
+    assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
+
+
+def test_four_cover_accepts_ints_and_floats():
+    for a, b in ((0, 1), (0.25, 0.5), (0, Fraction(1, 3)), ("1/7", "2/7")):
+        assert dyadic_four_cover(a, b) == reference_dyadic_four_cover(a, b)
 
 
 # -- cost transfer ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Splitting-tree membership, measures, materialization, and sampling."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from gaugetree import (
     SplittingTree,
 )
 from gaugetree.errors import NodeBudgetError, NotInTreeError, TruncationError
-from gaugetree.tree import check_node, compatible, selector_from_json_dict
+from gaugetree.tree import BITS_CHUNK, check_node, compatible, random_bits, selector_from_json_dict
 
 
 def make_tree(indices, depth, selector=None):
@@ -138,3 +139,14 @@ def test_tree_json_round_trip():
     tree = make_tree({1, 3, 7}, 10, SeededSelector(2))
     back = SplittingTree.from_json_dict(json.loads(json.dumps(tree.to_json_dict())))
     assert back.materialize().leaves == tree.materialize().leaves
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 300, BITS_CHUNK, BITS_CHUNK + 1, 3 * BITS_CHUNK - 7])
+def test_random_bits_is_the_per_bit_stream(n):
+    for seed in (0, 1, 12345):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(3):  # consecutive calls continue the stream
+            assert random_bits(fast, n) == "".join(str(slow.getrandbits(1)) for _ in range(n))
+            assert fast.getstate() == slow.getstate()
+        assert fast.getrandbits(1) == slow.getrandbits(1)
+        assert fast.random() == slow.random()
