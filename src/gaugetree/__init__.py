@@ -24,12 +24,10 @@ from .tree import (
 from .hausdorff import (
     DimensionEstimate,
     MeasureCertificate,
-    brute_force_cover_cost,
     dimension_estimate,
     frostman_lower,
     level_dp_cost,
     measure_certificate,
-    optimal_cover_cost,
 )
 from .game import (
     AntichainCertificate,
@@ -47,16 +45,12 @@ from .game import (
     verify_escape,
 )
 from .transfer import (
-    CoverTransferRule,
     CubePoint,
     DyadicInterval,
-    deinterleave,
     dyadic_four_cover,
     expand,
-    gauge_conjugate,
     interleave,
     interleave_metric_check,
-    pushforward_cover,
     to_cube,
 )
 

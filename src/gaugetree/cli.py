@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_exact, format_pair, format_rational
-from .errors import FrostmanConditionError, InfeasibleError
+from .dyadic import Value, format_dyadic, format_exact, format_pair, format_rational, parse_dyadic
+from .errors import FrostmanConditionError, InfeasibleError, OutOfRangeError
 from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
 from .hausdorff import (
     dimension_estimate,
@@ -53,7 +53,6 @@ def build_manifest(command: str, args: argparse.Namespace, inputs: Sequence[str]
         "config": {
             "node_budget": NODE_BUDGET,
             "guard_exp": GUARD_EXP,
-            "decay_threshold": 1.0,
         },
     }
 
@@ -327,11 +326,16 @@ def cmd_plot(args) -> int:
             print(f"error: missing column {col!r}", file=sys.stderr)
             return 2
     xi = header.index(args.x)
-    xs = [float(r[xi]) for r in rows]
-    series = []
-    for col in y_cols:
-        yi = header.index(col)
-        series.append((col, [float(r[yi]) for r in rows]))
+    try:
+        xs = [float(parse_dyadic(r[xi])) for r in rows]
+        series = []
+        for col in y_cols:
+            yi = header.index(col)
+            series.append((col, [float(parse_dyadic(r[yi])) for r in rows]))
+    except (ValueError, ZeroDivisionError, OverflowError, IndexError) as err:
+        # IndexError: a row shorter than the header
+        print(f"error: bad cell in {args.table}: {err}", file=sys.stderr)
+        return 2
     manifest = build_manifest("plot", args, [args.table])
     atomic_write(args.out, render_svg(xs, series, args.x, manifest))
     return 0
@@ -443,7 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutOfRangeError as err:  # raised before any output is written
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

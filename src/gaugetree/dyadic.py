@@ -84,10 +84,12 @@ def format_exact(x: Fraction) -> str:
 
 
 def parse_dyadic(s: str) -> Fraction:
+    """Parse ``p/2^q``; anything else (an integer, ``p/q``, a float repr)
+    goes to Fraction."""
     if "/2^" in s:
         p, q = s.split("/2^")
         return Fraction(int(p), 2 ** int(q))
-    return Fraction(int(s))
+    return Fraction(s)
 
 
 def format_rational(x: Fraction) -> str:

@@ -42,10 +42,6 @@ class FrostmanConditionError(GaugeTreeError):
         self.excess = excess
 
 
-class EnumerationBudgetError(GaugeTreeError):
-    """Brute-force cover enumeration bound exceeded."""
-
-
 class UndefinedNodeError(GaugeTreeError):
     """An explicit node map has no entry for the requested node."""
 

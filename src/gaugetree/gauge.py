@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .dyadic import (
     Number, Value, dyadic_pair, floor_log2, format_rational, is_dyadic, parse_rational, to_number
@@ -33,7 +33,6 @@ INCONCLUSIVE = "inconclusive"
 POWER = "power"
 POWER_LOG = "power_log"
 TABLE = "table"
-CONJUGATE = "conjugate"
 
 
 def _pow2(num: int, den: int) -> Value:
@@ -51,15 +50,12 @@ class Gauge:
       power      t^s for rational s > 0
       power_log  t^s * log2(1/t)^c for t < 1, value 0 at t = 1
       table      finite list of (exponent, value) pairs
-      conjugate  base gauge precomposed with t -> t^(1/root)
     """
 
     kind: str
     s: Optional[Fraction] = None
     c: Optional[Fraction] = None
     entries: Optional[Tuple[Tuple[int, Number], ...]] = None
-    base: Optional["Gauge"] = None
-    root: Optional[int] = None
     description: str = ""
 
     @staticmethod
@@ -95,21 +91,6 @@ class Gauge:
             raise ValueError("table values must be positive")
         return Gauge(kind=TABLE, entries=ents, description=description)
 
-    @staticmethod
-    def conjugate(base: "Gauge", root: int) -> "Gauge":
-        if root < 1:
-            raise ValueError("conjugation root must be >= 1")
-        if root == 1:
-            return base
-        if base.kind == POWER:
-            return Gauge.power(base.s / root)
-        return Gauge(
-            kind=CONJUGATE,
-            base=base,
-            root=root,
-            description=f"({base.description}) at t^(1/{root})",
-        )
-
     # -- evaluation ------------------------------------------------------
 
     def dyadic_at_scale(self, exponent: int) -> Value:
@@ -137,18 +118,6 @@ class Gauge:
                     return dyadic_pair(v.numerator, v.denominator.bit_length() - 1)
                 return v
             raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
-        if self.kind == CONJUGATE:
-            q, r = divmod(n, self.root)
-            if r == 0:
-                return self.base.dyadic_at_scale(q)
-            # geometric interpolation between the two neighboring base scales
-            lo = float(self.base.at_scale(q)) if q > 0 else float(self.base.at_scale(1))
-            hi = float(self.base.at_scale(q + 1))
-            f = r / self.root
-            if q == 0:
-                # base value at scale 0 may be 0 (power_log); anchor at scale 1
-                return hi ** f * lo ** (1 - f) if lo > 0 else hi**f
-            return math.exp((1 - f) * math.log(lo) + f * math.log(hi))
         raise ValueError(f"unknown gauge kind {self.kind!r}")
 
     def at_scale(self, exponent: int) -> Number:
@@ -168,14 +137,6 @@ class Gauge:
             if n == 0:
                 return -math.inf
             return -n * float(self.s) + float(self.c) * math.log2(n)
-        if self.kind == CONJUGATE:
-            q, r = divmod(n, self.root)
-            if r == 0:
-                return self.base.log2_at_scale(q)
-            lo = self.base.log2_at_scale(max(q, 1))
-            hi = self.base.log2_at_scale(q + 1)
-            f = r / self.root
-            return (1 - f) * lo + f * hi
         v = self.at_scale(n)
         if isinstance(v, Fraction):
             return math.log2(v.numerator) - math.log2(v.denominator)
@@ -188,15 +149,13 @@ class Gauge:
             return {"kind": POWER, "s": format_rational(self.s)}
         if self.kind == POWER_LOG:
             return {"kind": POWER_LOG, "s": format_rational(self.s), "c": format_rational(self.c)}
-        if self.kind == TABLE:
-            return {
-                "kind": TABLE,
-                "entries": [
-                    [n, format_rational(v) if isinstance(v, Fraction) else float(v)]
-                    for n, v in self.entries
-                ],
-            }
-        return {"kind": CONJUGATE, "base": self.base.to_json_dict(), "n": self.root}
+        return {
+            "kind": TABLE,
+            "entries": [
+                [n, format_rational(v) if isinstance(v, Fraction) else float(v)]
+                for n, v in self.entries
+            ],
+        }
 
     @staticmethod
     def from_json_dict(d: dict) -> "Gauge":
@@ -211,8 +170,6 @@ class Gauge:
                 for n, v in d["entries"]
             ]
             return Gauge.table(entries)
-        if kind == CONJUGATE:
-            return Gauge.conjugate(Gauge.from_json_dict(d["base"]), int(d["n"]))
         raise ValueError(f"unknown gauge kind {kind!r}")
 
 

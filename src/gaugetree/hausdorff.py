@@ -8,17 +8,15 @@ loses nothing and reduces the cover infimum to a tree DP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .dyadic import Number, Value, format_dyadic, format_exact, to_number, value_le
-from .errors import EnumerationBudgetError, FrostmanConditionError
+from .errors import FrostmanConditionError
 from .gauge import Gauge
-from .tree import ExplicitTree, SplittingTree
+from .tree import SplittingTree
 
-BRUTE_FORCE_NODE_LIMIT = 64
 WITNESS_NODE_LIMIT = 2**12
 
 
@@ -57,40 +55,6 @@ def frostman_lower(
         raise FrostmanConditionError(worst[0], worst[1])
     n0 = last + 1 if last is not None else 0
     return Fraction(1), n0
-
-
-def optimal_cover_cost(
-    etree: ExplicitTree, g: Gauge, delta_exponent: int
-) -> Tuple[Number, Tuple[str, ...]]:
-    """Exact infimum over cylinder covers with depths in [k, tree depth].
-
-    Node-level DP: at each trie node, either pay the cylinder at this depth
-    (when allowed) or recurse into both children.  Returns the minimizing
-    antichain as witness.
-    """
-    k = int(delta_exponent)
-    if k > etree.depth:
-        raise ValueError(f"delta exponent {k} > tree depth {etree.depth}")
-
-    def solve(prefix: str, leaves: Tuple[str, ...]):
-        n = len(prefix)
-        if n == etree.depth:
-            return g.at_scale(n), (prefix,)
-        left = tuple(l for l in leaves if l[n] == "0")
-        right = tuple(l for l in leaves if l[n] == "1")
-        parts = []
-        for part in (left, right):
-            if part:
-                parts.append(solve(prefix + part[0][n], part))
-        child_cost = sum(c for c, _ in parts)
-        child_witness = tuple(w for _, ws in parts for w in ws)
-        if n >= k:
-            cut = g.at_scale(n)
-            if cut <= child_cost:
-                return cut, (prefix,)
-        return child_cost, child_witness
-
-    return solve("", etree.leaves)
 
 
 def level_dp(
@@ -138,46 +102,6 @@ def level_dp_witness_level(
     return level_dp(tree, g, delta_exponent, depth)[1]
 
 
-def brute_force_cover_cost(etree: ExplicitTree, g: Gauge, delta_exponent: int) -> Number:
-    """Enumerate every cylinder antichain covering the leaves; test oracle only."""
-    k = int(delta_exponent)
-    if k > etree.depth:
-        raise ValueError(f"delta exponent {k} > tree depth {etree.depth}")
-    nodes = set()
-    for leaf in etree.leaves:
-        for n in range(k, etree.depth + 1):
-            nodes.add(leaf[:n])
-    if len(nodes) > BRUTE_FORCE_NODE_LIMIT:
-        raise EnumerationBudgetError(
-            f"{len(nodes)} candidate nodes exceed the bound {BRUTE_FORCE_NODE_LIMIT}"
-        )
-
-    def covers(prefix: str, leaves: Tuple[str, ...]):
-        result = []
-        n = len(prefix)
-        if n >= k:
-            result.append((prefix,))
-        if n < etree.depth:
-            parts = []
-            for b in ("0", "1"):
-                part = tuple(l for l in leaves if l[n] == b)
-                if part:
-                    parts.append(covers(prefix + b, part))
-            if parts:
-                combined = parts[0]
-                for nxt in parts[1:]:
-                    combined = [a + b for a in combined for b in nxt]
-                # avoid duplicating the singleton cut when n < k produced nothing
-                if n >= k:
-                    result.extend(combined)
-                else:
-                    result = combined
-        return result
-
-    all_covers = covers("", etree.leaves)
-    return min(sum(g.at_scale(len(t)) for t in cover) for cover in all_covers)
-
-
 @dataclass(frozen=True)
 class DimensionEstimate:
     s_lo: float
@@ -195,22 +119,19 @@ def dimension_estimate(
     tree: SplittingTree,
     tolerance: float,
     depth: Optional[int] = None,
-    decay_threshold: float = 1.0,
 ) -> DimensionEstimate:
     """Bisection bracket for the branch set's dimension at finite depth.
 
     s is certified from below when the mass-distribution bound succeeds for
     the power gauge t^s, and from above when the optimal cover cost at this
-    depth drops below the decay threshold (strictly below the certified
-    mass floor 1).
+    depth drops strictly below the certified mass floor 1.
     """
     if tolerance < 2.0**-20:
         raise ValueError("tolerance must be >= 2^-20")
     n_max = tree.depth if depth is None else int(depth)
 
+    # both bisections only probe s in (0, 1]
     def lower_ok(s: Fraction) -> bool:
-        if s == 0:
-            return True
         try:
             frostman_lower(
                 SplittingTree(tree.schedule, tree.selector, n_max), Gauge.power(s)
@@ -220,9 +141,7 @@ def dimension_estimate(
             return False
 
     def upper_ok(s: Fraction) -> bool:
-        if s == 0:
-            return 1 < decay_threshold
-        return level_dp_cost(tree, Gauge.power(s), 0, n_max) < decay_threshold
+        return level_dp_cost(tree, Gauge.power(s), 0, n_max) < 1
 
     # lower bisection: largest s with mass-distribution evidence
     lo, hi = Fraction(0), Fraction(1)

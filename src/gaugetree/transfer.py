@@ -2,19 +2,17 @@
 
 Bit interleaving splits one sequence into n residue-class subsequences; each
 component expands to a dyadic interval endpoint.  The four-interval covering
-construction and the gauge conjugation carry cover costs across exactly.
+construction covers any interval by at most four dyadic intervals of one level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .dyadic import Number, floor_log2_ratio, format_dyadic
+from .dyadic import floor_log2_ratio, format_dyadic
 from .errors import DegenerateIntervalError
-from .gauge import Gauge
 from .tree import check_node
 
 
@@ -61,30 +59,6 @@ class CubePoint:
         }
 
 
-@dataclass(frozen=True)
-class CoverTransferRule:
-    """Multiplicity k and scale map (identity or t -> t^(1/root))."""
-
-    multiplicity: int = 1
-    root: int = 1
-
-    def __post_init__(self):
-        if self.multiplicity < 1 or self.root < 1:
-            raise ValueError("multiplicity and root must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {"k": self.multiplicity, "h": "identity" if self.root == 1 else f"t^(1/{self.root})"}
-
-
-def supmetric_to_euclidean_multiplicity(n: int) -> int:
-    """A sup-diameter-r cube in n dimensions splits into ceil(sqrt(n))^n
-    subcubes of Euclidean diameter <= r."""
-    c = math.isqrt(n)
-    if c * c < n:
-        c += 1
-    return c**n
-
-
 def expand(node: str) -> DyadicInterval:
     """Interval whose binary digits are the node's bits."""
     check_node(node)
@@ -100,20 +74,6 @@ def interleave(node: str, n: int) -> Tuple[str, ...]:
     return tuple(node[i::n] for i in range(n))
 
 
-def deinterleave(components: Sequence[str], n: int = None) -> str:
-    if n is None:
-        n = len(components)
-    if n != len(components):
-        raise ValueError("component count mismatch")
-    length = sum(len(c) for c in components)
-    out = []
-    for j in range((length + n - 1) // n):
-        for i in range(n):
-            if j < len(components[i]):
-                out.append(components[i][j])
-    return "".join(out)
-
-
 @dataclass(frozen=True)
 class MetricCheck:
     first_difference: int
@@ -123,15 +83,13 @@ class MetricCheck:
 
 def interleave_metric_check(x: str, y: str, n: int) -> MetricCheck:
     """Distance law under interleaving: 2^-k maps to 2^-floor(k/n)."""
-    check_node(x)
-    check_node(y)
+    xs, ys = interleave(x, n), interleave(y, n)  # validates both strings
     if x == y:
         raise DegenerateIntervalError("distance undefined for equal strings")
     if len(x) != len(y):
         raise ValueError("strings must have equal length")
     k = next(i for i in range(len(x)) if x[i] != y[i])
     expected = Fraction(1, 2 ** (k // n))
-    xs, ys = interleave(x, n), interleave(y, n)
     dists = []
     for xc, yc in zip(xs, ys):
         diff = next((i for i in range(len(xc)) if xc[i] != yc[i]), None)
@@ -169,17 +127,3 @@ def dyadic_four_cover(a: Fraction, b: Fraction) -> List[DyadicInterval]:
     p = (pa << m) // qa + 1
     return [DyadicInterval(m, idx) for idx in range(max(p - 2, 0), min(p + 2, 1 << m))]
 
-
-def pushforward_cover(
-    diameter_exponents: Sequence[int], rule: CoverTransferRule, g: Gauge
-) -> Number:
-    """Certified cover-cost bound for the image: k * sum g(diam_i), since the
-    conjugated gauge at the distorted scale gives back g at the original."""
-    total = sum(g.at_scale(e) for e in diameter_exponents)
-    return rule.multiplicity * total
-
-
-def gauge_conjugate(g: Gauge, n: int) -> Gauge:
-    """Gauge evaluating the original at the n-th root scale; exact power-law
-    exponent division for power gauges."""
-    return Gauge.conjugate(g, n)

@@ -7,6 +7,11 @@ fast paths in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli`
 must agree with them exactly; `tests/test_certify_oracles.py` compares the two.
 `reference_dyadic_four_cover` is the Fraction body of the four-interval cover,
 which `tests/test_transfer.py` compares with the integer one.
+
+The cover-cost oracles of the level DP live here too: `optimal_cover_cost`,
+the node DP over an explicit trie, and `brute_force_cover_cost`, which
+enumerates every covering antichain; `deinterleave` is the inverse of
+`gaugetree.transfer.interleave`.
 """
 
 import math
@@ -15,8 +20,14 @@ from fractions import Fraction
 
 from gaugetree.dyadic import floor_log2, is_dyadic
 from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError
-from gaugetree.gauge import CONJUGATE, POWER, POWER_LOG, TABLE, _GUARD
+from gaugetree.gauge import POWER, POWER_LOG, TABLE, _GUARD
 from gaugetree.transfer import DyadicInterval
+
+BRUTE_FORCE_NODE_LIMIT = 64
+
+
+class EnumerationBudgetError(Exception):
+    """Brute-force cover enumeration bound exceeded."""
 
 
 def reference_pow2(num, den=1):
@@ -38,21 +49,11 @@ def reference_at_scale(g, n):
         if g.c.denominator == 1 and g.c >= 0:
             return v * n**g.c.numerator
         return float(v) * n ** float(g.c)
-    if g.kind == TABLE:
-        i = bisect_left([e for e, _ in g.entries], n)
-        if i < len(g.entries) and g.entries[i][0] == n:
-            return g.entries[i][1]
-        raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
-    assert g.kind == CONJUGATE
-    q, r = divmod(n, g.root)
-    if r == 0:
-        return reference_at_scale(g.base, q)
-    lo = float(reference_at_scale(g.base, q)) if q > 0 else float(reference_at_scale(g.base, 1))
-    hi = float(reference_at_scale(g.base, q + 1))
-    f = r / g.root
-    if q == 0:
-        return hi**f * lo ** (1 - f) if lo > 0 else hi**f
-    return math.exp((1 - f) * math.log(lo) + f * math.log(hi))
+    assert g.kind == TABLE
+    i = bisect_left([e for e, _ in g.entries], n)
+    if i < len(g.entries) and g.entries[i][0] == n:
+        return g.entries[i][1]
+    raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
 
 
 def reference_bound_table(g, depth):
@@ -176,3 +177,90 @@ def reference_dyadic_four_cover(a, b):
         if 0 <= idx < scale:
             intervals.append(DyadicInterval(level=m, index=idx))
     return intervals
+
+
+def optimal_cover_cost(etree, g, delta_exponent):
+    """Exact infimum over cylinder covers with depths in [k, tree depth].
+
+    Node-level DP: at each trie node, either pay the cylinder at this depth
+    (when allowed) or recurse into both children.  Returns the minimizing
+    antichain as witness.
+    """
+    k = int(delta_exponent)
+    if k > etree.depth:
+        raise ValueError(f"delta exponent {k} > tree depth {etree.depth}")
+
+    def solve(prefix, leaves):
+        n = len(prefix)
+        if n == etree.depth:
+            return g.at_scale(n), (prefix,)
+        left = tuple(l for l in leaves if l[n] == "0")
+        right = tuple(l for l in leaves if l[n] == "1")
+        parts = []
+        for part in (left, right):
+            if part:
+                parts.append(solve(prefix + part[0][n], part))
+        child_cost = sum(c for c, _ in parts)
+        child_witness = tuple(w for _, ws in parts for w in ws)
+        if n >= k:
+            cut = g.at_scale(n)
+            if cut <= child_cost:
+                return cut, (prefix,)
+        return child_cost, child_witness
+
+    return solve("", etree.leaves)
+
+
+def brute_force_cover_cost(etree, g, delta_exponent):
+    """Enumerate every cylinder antichain covering the leaves."""
+    k = int(delta_exponent)
+    if k > etree.depth:
+        raise ValueError(f"delta exponent {k} > tree depth {etree.depth}")
+    nodes = set()
+    for leaf in etree.leaves:
+        for n in range(k, etree.depth + 1):
+            nodes.add(leaf[:n])
+    if len(nodes) > BRUTE_FORCE_NODE_LIMIT:
+        raise EnumerationBudgetError(
+            f"{len(nodes)} candidate nodes exceed the bound {BRUTE_FORCE_NODE_LIMIT}"
+        )
+
+    def covers(prefix, leaves):
+        result = []
+        n = len(prefix)
+        if n >= k:
+            result.append((prefix,))
+        if n < etree.depth:
+            parts = []
+            for b in ("0", "1"):
+                part = tuple(l for l in leaves if l[n] == b)
+                if part:
+                    parts.append(covers(prefix + b, part))
+            if parts:
+                combined = parts[0]
+                for nxt in parts[1:]:
+                    combined = [a + b for a in combined for b in nxt]
+                # avoid duplicating the singleton cut when n < k produced nothing
+                if n >= k:
+                    result.extend(combined)
+                else:
+                    result = combined
+        return result
+
+    all_covers = covers("", etree.leaves)
+    return min(sum(g.at_scale(len(t)) for t in cover) for cover in all_covers)
+
+
+def deinterleave(components, n=None):
+    """Inverse of `interleave`: bit j*n + i is bit j of component i."""
+    if n is None:
+        n = len(components)
+    if n != len(components):
+        raise ValueError("component count mismatch")
+    length = sum(len(c) for c in components)
+    out = []
+    for j in range((length + n - 1) // n):
+        for i in range(n):
+            if j < len(components[i]):
+                out.append(components[i][j])
+    return "".join(out)

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from fraction_oracles import brute_force_cover_cost, optimal_cover_cost
 
 from gaugetree import (
     BitFlipMap,
@@ -22,14 +23,12 @@ from gaugetree import (
     SeededSelector,
     ShiftMap,
     SplittingTree,
-    brute_force_cover_cost,
     compare_order,
     dimension_estimate,
     dyadic_four_cover,
     frostman_lower,
     interleave_metric_check,
     level_dp_cost,
-    optimal_cover_cost,
     run_game,
     sparsity_schedule,
     verify_escape,

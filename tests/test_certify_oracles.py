@@ -50,7 +50,6 @@ GAUGES = {
     "power_log:1/2,1": Gauge.power_log(Fraction(1, 2), 1),
     "power_log:1,-1": Gauge.power_log(1, -1),  # the float path
     "table": _table(),
-    "conjugate": Gauge.conjugate(Gauge.power_log(1, 1), 3),
 }
 DEPTHS = [*range(65), 300]
 DELTAS = (0, 3, 8)

@@ -2,15 +2,18 @@
 
 import csv
 import decimal
+import importlib
+import importlib.util
 import io
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
 import gaugetree
-from gaugetree.cli import main, parse_gauge_spec, read_csv_table, write_csv
+from gaugetree.cli import main, parse_gauge_spec, read_csv_table, render_svg, write_csv
 from gaugetree.transfer import DyadicInterval, dyadic_four_cover
 
 
@@ -248,6 +251,26 @@ def test_flag_beyond_depth_exits_2(tmp_path, maps_file, capsys, command, flags):
     assert run(argv + flags + ["--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists() and not csv_out.exists()
+
+
+# a table gauge needs an entry at every level 0..depth
+@pytest.mark.parametrize("gauge, level", [
+    ("table:0=1,1=1/3,2=1/4,3=1/8,4=1/16", 5),
+    ("table:1=1/3,2=1/4,3=1/8,4=1/16,5=1/32", 0),
+])
+@pytest.mark.parametrize("command", ["schedule", "measure", "antichain"])
+def test_table_gauge_out_of_range_exits_2(tmp_path, maps_file, capsys, command, gauge, level):
+    out, csv_out = tmp_path / "x.json", tmp_path / "x.csv"
+    argv = {
+        "schedule": ["schedule", "--depth", 5, "--csv", csv_out],
+        "measure": ["measure", "--tree", write_tree(tmp_path, "power:1/2", 5), "--csv", csv_out],
+        "antichain": ["antichain", "--maps", maps_file, "--depth", 5, "--stages", 1],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--gauge", gauge, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: table gauge has no entry at exponent {level}"]
     assert not out.exists() and not csv_out.exists()
 
 
@@ -501,6 +524,41 @@ def test_plot_svg(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _cell_value(cell):
+    """A levels CSV cell as a float, reading p/2^q without Fractions."""
+    if "/2^" in cell:
+        p, q = cell.split("/2^")
+        return math.ldexp(int(p), -int(q))
+    return float(cell)
+
+
+@pytest.mark.parametrize("name", ["levels_power_log_d300.csv", "levels_power_half_d301.csv"])
+def test_plot_reads_exact_columns(tmp_path, name):
+    """plot reads the p/2^q cells the levels CSV writes."""
+    table = os.path.join(FIXTURES, name)
+    out = tmp_path / "p.svg"
+    assert run(["plot", "--table", table, "--x", "n", "--y", "gauge_value,level_cost",
+                "--out", out]) == 0
+    header, rows = read_csv_table(table)
+    assert any("/2^" in r[header.index("gauge_value")] for r in rows)
+    xs = [float(r[0]) for r in rows]
+    series = [(col, [_cell_value(r[header.index(col)]) for r in rows])
+              for col in ("gauge_value", "level_cost")]
+    # line 2 is the manifest, which names the table's path
+    assert out.read_text().splitlines()[2:] == render_svg(xs, series, "n", {}).splitlines()[2:]
+
+
+@pytest.mark.parametrize("last_row", ["2,x", "2,1/0", "2,1/2^x", "2,1e999", "2,", "2,inf", "2"])
+def test_plot_bad_cell_exits_2(tmp_path, capsys, last_row):
+    table = tmp_path / "t.csv"
+    table.write_text(f"n,y\n0,1/2^1\n1,3/7\n{last_row}\n")
+    out = tmp_path / "p.svg"
+    assert run(["plot", "--table", table, "--x", "n", "--y", "y", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_plot_missing_column_exits_2(tmp_path, capsys):
     table = tmp_path / "t.csv"
     run(["schedule", "--gauge", "power_log:1,1", "--depth", 16,
@@ -520,3 +578,20 @@ def test_json_outputs_are_sorted_and_manifested(tmp_path):
     assert m["tool"] == "gaugetree"
     assert m["version"] == gaugetree.__version__
     assert "version" in m and "config" in m
+
+
+def test_benchmark_tracer_targets_exist():
+    """Every function and method perfbench/spans.py rebinds still exists in
+    its gaugetree module: the tracer skips a missing method silently."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.SPANS + spans.COUNTERS:
+        owner = importlib.import_module(f"gaugetree.{module}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            root = getattr(owner, cls_name)
+            assert any(method in vars(cls) for cls in (root, *root.__subclasses__())), attr
+        else:
+            assert callable(getattr(owner, attr, None)), f"{module}.{attr}"

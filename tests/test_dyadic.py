@@ -93,6 +93,10 @@ def test_dyadic_round_trip():
         assert is_dyadic(x)
         assert parse_dyadic(format_dyadic(x)) == x
     assert not is_dyadic(Fraction(1, 3))
+    # every cell the tool writes: exact p/q and float reprs too
+    assert parse_dyadic(format_exact(Fraction(-8, 7))) == Fraction(-8, 7)
+    assert float(parse_dyadic(repr(2.0**-0.5))) == 2.0**-0.5
+    assert float(parse_dyadic("1e-310")) == 1e-310
 
 
 def test_rational_round_trip():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_oracles import brute_force_cover_cost, optimal_cover_cost
 
 from gaugetree import (
     BranchSchedule,
@@ -13,12 +14,10 @@ from gaugetree import (
     Gauge,
     SeededSelector,
     SplittingTree,
-    brute_force_cover_cost,
     dimension_estimate,
     frostman_lower,
     level_dp_cost,
     measure_certificate,
-    optimal_cover_cost,
 )
 from gaugetree.errors import FrostmanConditionError
 

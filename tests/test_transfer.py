@@ -1,25 +1,19 @@
-"""Interleaving, dyadic expansion, four-interval covers, cost transfer."""
+"""Interleaving, dyadic expansion, four-interval covers."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import reference_dyadic_four_cover
+from fraction_oracles import deinterleave, reference_dyadic_four_cover
 
 from gaugetree import (
-    CoverTransferRule,
-    Gauge,
-    deinterleave,
     dyadic_four_cover,
     expand,
-    gauge_conjugate,
     interleave,
     interleave_metric_check,
-    pushforward_cover,
     to_cube,
 )
 from gaugetree.errors import DegenerateIntervalError
-from gaugetree.transfer import supmetric_to_euclidean_multiplicity
 
 
 def test_expand():
@@ -68,6 +62,13 @@ def test_metric_law_random():
 def test_metric_check_rejects_equal():
     with pytest.raises(DegenerateIntervalError):
         interleave_metric_check("0101", "0101", 2)
+
+
+@pytest.mark.parametrize("x, y", [("0121", "0121"), ("0101", "012"), ("012", "0101")])
+def test_metric_check_rejects_non_binary_first(x, y):
+    """A non-binary string is refused before the equal-string and length checks."""
+    with pytest.raises(ValueError, match="not a binary string"):
+        interleave_metric_check(x, y, 2)
 
 
 # -- four-interval covers ---------------------------------------------------
@@ -184,33 +185,3 @@ def test_four_cover_accepts_ints_and_floats():
     for a, b in ((0, 1), (0.25, 0.5), (0, Fraction(1, 3)), ("1/7", "2/7")):
         assert dyadic_four_cover(a, b) == reference_dyadic_four_cover(a, b)
 
-
-# -- cost transfer ----------------------------------------------------------
-
-
-def test_pushforward_cover_cost():
-    g = Gauge.power(Fraction(1, 2))
-    rule = CoverTransferRule(multiplicity=4)
-    cost = pushforward_cover([2, 2, 4], rule, g)
-    assert cost == 4 * (2 * Fraction(1, 2) + Fraction(1, 4))
-
-
-def test_gauge_conjugate_power_exact():
-    h = gauge_conjugate(Gauge.power(Fraction(1, 2)), 2)
-    assert h.at_scale(4) == Fraction(1, 2)  # (2^-4)^(1/2*1/2)
-    assert h.kind == "power"
-    assert h.s == Fraction(1, 4)
-
-
-def test_gauge_conjugate_power_log():
-    h = gauge_conjugate(Gauge.power_log(1, 1), 3)
-    # h(2^-n) = g(2^(-n/3)) = 2^(-n/3) * (n/3)
-    assert float(h.at_scale(6)) == pytest.approx(2.0**-2 * 2.0)
-
-
-def test_supmetric_multiplicity():
-    assert supmetric_to_euclidean_multiplicity(1) == 1
-    assert supmetric_to_euclidean_multiplicity(2) == 4
-    assert supmetric_to_euclidean_multiplicity(3) == 8
-    assert supmetric_to_euclidean_multiplicity(4) == 16
-    assert supmetric_to_euclidean_multiplicity(5) == 243
