@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
 from .dyadic import Value, format_dyadic, format_exact, format_pair, format_rational, parse_dyadic
-from .errors import FrostmanConditionError, InfeasibleError, OutOfRangeError
+from .errors import FrostmanConditionError, InfeasibleError, OutOfRangeError, UsageError
 from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
 from .hausdorff import (
     dimension_estimate,
@@ -59,7 +59,10 @@ def build_manifest(command: str, args: argparse.Namespace, inputs: Sequence[str]
 
 def atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gaugetree-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gaugetree-")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from err
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -94,8 +97,11 @@ def write_csv(path: str, header: List[str], rows: Iterable[List], manifest: dict
 
 
 def read_csv_table(path: str):
-    with open(path) as fh:
-        lines = [l for l in fh if not l.startswith("#")]
+    try:
+        with open(path) as fh:
+            lines = [l for l in fh if not l.startswith("#")]
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror}") from err
     reader = csv.reader(lines)
     rows = list(reader)
     if not rows:
@@ -133,6 +139,21 @@ def parse_roots(spec: str) -> List[str]:
     return roots
 
 
+def parse_bits(spec: str) -> str:
+    try:
+        return check_node(spec)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+
+
+def output_path(path: str) -> str:
+    """argparse type: a path in an existing directory, so that no command
+    writes one output and then fails on the next."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise argparse.ArgumentTypeError(f"no directory for {path!r}")
+    return path
+
+
 def int_at_least(low: int):
     """argparse type: an integer no smaller than `low`."""
 
@@ -146,10 +167,20 @@ def int_at_least(low: int):
     return parse
 
 
+def load_json(path: str, parse):
+    """parse() of the JSON document in `path`; a file that cannot be read, is
+    not JSON or does not parse raises UsageError."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror}") from err
+    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+        raise UsageError(f"bad input {path}: {type(err).__name__}: {err}") from err
+
+
 def load_maps(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    return [map_from_json_dict(d) for d in data]
+    return load_json(path, lambda data: [map_from_json_dict(d) for d in data])
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +227,7 @@ def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
 
 
 def cmd_measure(args) -> int:
-    with open(args.tree) as fh:
-        tree = SplittingTree.from_json_dict(json.load(fh))
+    tree = load_json(args.tree, SplittingTree.from_json_dict)
     g = args.gauge
     depth = tree.depth if args.depth is None else args.depth
     if depth > tree.depth:
@@ -398,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="compute a sparsity schedule for a gauge")
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
     p.add_argument("--depth", type=int_at_least(0), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv")
+    p.add_argument("--out", type=output_path, required=True)
+    p.add_argument("--csv", type=output_path)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("measure", help="certify gauge-measure bounds for a tree")
@@ -407,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
     p.add_argument("--delta-exp", type=int_at_least(0), default=0)
     p.add_argument("--depth", type=int_at_least(0))
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv")
+    p.add_argument("--out", type=output_path, required=True)
+    p.add_argument("--csv", type=output_path)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("antichain", help="run the full antichain pipeline")
@@ -420,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-exp", type=int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--escape-samples", type=int_at_least(1), default=1000)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=output_path, required=True)
     p.set_defaults(func=cmd_antichain)
 
     p = sub.add_parser("transfer", help="batch-check the transfer laws")
@@ -428,17 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int_at_least(1), default=1000)
     # every n in {2, 3, 4} leaves a nonempty string of length - length % n
     p.add_argument("--length", type=int_at_least(4), default=60)
-    p.add_argument("--bits", default="")
+    p.add_argument("--bits", type=parse_bits, default="")
     p.add_argument("--n", type=int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=output_path, required=True)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("plot", help="render a CSV table as an SVG plot")
     p.add_argument("--table", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=output_path, required=True)
     p.set_defaults(func=cmd_plot)
 
     return parser
@@ -449,7 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OutOfRangeError as err:  # raised before any output is written
+    except (OutOfRangeError, UsageError) as err:  # raised before any output is written
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,10 @@ class OutOfRangeError(GaugeTreeError):
     """A table gauge was queried outside its stored scale range."""
 
 
+class UsageError(GaugeTreeError):
+    """An input file cannot be read or parsed, or an output cannot be created."""
+
+
 class InsufficientDataError(GaugeTreeError):
     """Not enough scales requested to reach an order verdict."""
 

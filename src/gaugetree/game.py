@@ -8,13 +8,19 @@ assignment.  All measures are exact dyadic rationals, so the halving
 guarantee in the certificate is an equality, not an estimate.
 
 Every bad-set scan reads one cached frontier: the sorted leaves of the tree
-at the scan depth, kept on the `GameState` under the frontier key (the
-layers plus the scan depth), because the tree changes only when a layer is
-appended or the scan depth grows.  A bad set is a pure function of the
-frontier key and its requirement, so beside the frontier sits at most one
-`BadSet` per requirement.  It is valid while the frontier key holds and is
-dropped with the frontier: a call on a changed key always scans afresh, and
-only repeated calls on an unchanged tree are served from the memo.
+at the scan depth, kept on the `GameState`.  The frontier key is the tree's,
+not the layer list's: the layers whose bit differs from the default, plus the
+scan depth.  A default-bit layer leaves the tree unchanged (the selector
+reads the default on both sides of its root), so appending one keeps the
+frontier.  Beside the frontier sit the candidate lists, one per requirement:
+the (leaf, image) pairs above the root whose image is incompatible with the
+root.  They depend only on the frontier and are dropped with it, so every map
+is applied to every leaf once per frontier.  A bad set is the candidates
+whose image is consistent with every decided level.  It is memoised per
+requirement under a key of all the layers plus the scan depth, so a layer of
+either bit drops the memo: every in-stage check and non-interference rescan
+filters afresh against the current selector, and only repeated calls on an
+unchanged layer list are served from the memo.
 """
 
 from __future__ import annotations
@@ -226,6 +232,10 @@ class GameState:
     # scan cache; schedule, maps and default_bit stay fixed for the state's lifetime
     _frontier_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _frontier: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+    _candidates: Dict[Requirement, List[Tuple[str, str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _bad_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _bad: Dict[Requirement, BadSet] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -242,11 +252,11 @@ class GameState:
     def frontier(self, d: int) -> Tuple[str, ...]:
         """Sorted depth-d leaves of the current tree (see the module
         docstring for when they are materialised again)."""
-        key = (tuple(self.layers), d)
+        key = (tuple(l for l in self.layers if l.bit != self.default_bit), d)
         if key != self._frontier_key:
             self._frontier = self.tree(d).materialize(d).leaves
             self._frontier_key = key
-            self._bad = {}
+            self._candidates = {}
         return self._frontier
 
 
@@ -257,22 +267,26 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     if d > state.depth:
         raise ValueError(f"scan depth {d} > working depth {state.depth}")
     leaves = state.frontier(d)
+    key = (tuple(state.layers), d)
+    if key != state._bad_key:
+        state._bad_key, state._bad = key, {}
     memo = state._bad.get(req)
     if memo is not None:
         return memo
-    apply = state.maps[req.map_index].apply
-    s = req.root
-    # the leaves extending s are contiguous in the sorted frontier
-    lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
+    candidates = state._candidates.get(req)
+    if candidates is None:
+        apply = state.maps[req.map_index].apply
+        s = req.root
+        # the leaves extending s are contiguous in the sorted frontier
+        lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
+        candidates = state._candidates[req] = [
+            (leaf, image) for leaf in leaves[lo:hi] if not compatible(image := apply(leaf), s)
+        ]
     consistent = state.selector().consistent
     decided = sorted(state.decided().intersection(state.schedule.indices))
-    bad = []
-    for leaf in leaves[lo:hi]:
-        image = apply(leaf)
-        if not compatible(image, s) and consistent(image, decided):
-            bad.append(leaf)
+    bad = tuple(leaf for leaf, image in candidates if consistent(image, decided))
     unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
-    result = BadSet(requirement=req, depth=d, leaves=tuple(bad), measure=len(bad) * unit)
+    result = BadSet(requirement=req, depth=d, leaves=bad, measure=len(bad) * unit)
     state._bad[req] = result
     return result
 
@@ -376,8 +390,12 @@ class RequirementReport:
     root: str
     initial: Fraction
     final_bound: Fraction
-    recomputed: Fraction
+    final_bad: BadSet
     stages: int
+
+    @property
+    def recomputed(self) -> Fraction:
+        return self.final_bad.measure
 
 
 @dataclass(frozen=True)
@@ -474,7 +492,7 @@ def run_game(
             root=req.root,
             initial=state.initial[key],
             final_bound=state.bounds[key],
-            recomputed=bad_set(state, req).measure,
+            final_bad=bad_set(state, req),
             stages=state.stage_counts[key],
         )
         for key, req in enumerate(requirements)
@@ -484,7 +502,7 @@ def run_game(
         layers=tuple(state.layers),
         requirements=reports,
         stages_executed=len(state.stage_log),
-        scan_depth=scan_depth,
+        scan_depth=state.scan_depth,
         stage_log=tuple(state.stage_log),
     )
     return state.tree(), certificate
@@ -516,27 +534,18 @@ def verify_escape(
     escaped: some decided forced level already disagrees with the selector;
     fixed: the image prefix is comparable with the sampled branch;
     undetermined: neither is visible at this depth.  With a certificate, an
-    undetermined sample whose divergence root is certified must lie in the
-    recomputed bad set of that requirement, else it counts as unaccounted.
+    undetermined sample whose divergence root is certified must lie, cut to
+    the certificate's scan depth, in the final bad set the game recorded for
+    that requirement, else it counts as unaccounted.
     """
     xs = tree.sample(seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
     consistent = tree.selector.consistent
 
-    cert_bad = {}
-    if certificate is not None:
-        cert_state = GameState(
-            schedule=certificate.schedule,
-            maps=list(maps),
-            requirements=[Requirement(r.map_index, r.root) for r in certificate.requirements],
-            depth=tree.depth,
-            scan_depth=certificate.scan_depth,
-            layers=list(certificate.layers),
-        )
-        for req in cert_state.requirements:
-            cert_bad[(req.map_index, req.root)] = set(
-                bad_set(cert_state, req).leaves
-            )
+    cert_bad = {
+        (r.map_index, r.root): set(r.final_bad.leaves)
+        for r in (certificate.requirements if certificate is not None else ())
+    }
 
     per_map = []
     for mi, m in enumerate(maps):

@@ -35,10 +35,12 @@ def random_bits(rng: random.Random, n: int) -> str:
     )
 
 
+_DELETE_01 = str.maketrans("", "", "01")
+
+
 def check_node(bits: str) -> str:
-    # strip() stops at the first character outside "01", so whatever is
-    # left over contains one
-    if bits.strip("01"):
+    # whatever survives deleting every "0" and "1" is a character outside them
+    if bits.translate(_DELETE_01):
         raise ValueError(f"not a binary string: {bits!r}")
     return bits
 
@@ -139,7 +141,9 @@ class ExplicitSelector(BranchSelector):
 @dataclass(frozen=True)
 class Layer:
     """One decided level: every node incomparable with the root gets `bit`,
-    nodes compatible with the root fall back to the default rule."""
+    nodes compatible with the root fall back to the default rule.  A layer
+    whose bit is the default therefore leaves the tree unchanged; it only
+    marks the level as decided."""
 
     level: int
     root: str
@@ -165,7 +169,8 @@ class GameBuiltSelector(BranchSelector):
         return self.default if node.startswith(cut) else int(bit)
 
     def constant_bit(self, level: int) -> Optional[int]:
-        return None if level in self._cuts else self.default
+        _, bit = self._cuts.get(level, ("", str(self.default)))
+        return self.default if bit == str(self.default) else None
 
     def consistent(self, node: str, levels: Sequence[int]) -> bool:
         default = str(self.default)
@@ -294,12 +299,15 @@ class SplittingTree:
         if count > budget:
             raise NodeBudgetError(count, budget)
         forced = set(self.schedule.indices)
+        constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
         level = [""]
         for n in range(d):
-            if n in forced:
-                level = [t + str(self.selector.bit(t)) for t in level]
-            else:
+            if n not in forced:
                 level = [t + b for t in level for b in ("0", "1")]
+            elif (b := constant_bit(n)) is not None:
+                level = [t + str(b) for t in level]
+            else:
+                level = [t + str(selector_bit(t)) for t in level]
         return ExplicitTree(depth=d, leaves=tuple(sorted(level)))
 
     def to_json_dict(self) -> dict:

@@ -274,6 +274,72 @@ def test_table_gauge_out_of_range_exits_2(tmp_path, maps_file, capsys, command, 
     assert not out.exists() and not csv_out.exists()
 
 
+# unreadable or malformed inputs and unwritable outputs: (input files, argv),
+# with paths relative to the run's directory
+BAD_INPUTS = {
+    "tree_without_schedule": (
+        {"tree.json": '{"selector": {"kind": "constant", "bit": 0}, "depth": 4}'},
+        ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--out", "out"],
+    ),
+    "tree_not_json": (
+        {"tree.json": "depth: 4\n"},
+        ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--out", "out"],
+    ),
+    "tree_missing": (
+        {}, ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--out", "out"],
+    ),
+    "maps_not_json": (
+        {"maps.json": "[{kind: bit_flip}]"},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    "maps_missing": (
+        {}, ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+             "--stages", 1, "--out", "out"],
+    ),
+    "maps_unknown_kind": (
+        {"maps.json": '[{"kind": "bit_flip"}, {"kind": "warp"}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    "maps_not_a_list_of_maps": (
+        {"maps.json": "[1, 2]"},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    "out_dir_missing": (
+        {}, ["schedule", "--gauge", "power:1/2", "--depth", 8, "--out", "nodir/out"],
+    ),
+    "csv_dir_missing": (
+        {}, ["schedule", "--gauge", "power:1/2", "--depth", 8, "--out", "out",
+             "--csv", "nodir/out.csv"],
+    ),
+    "plot_table_missing": (
+        {}, ["plot", "--table", "t.csv", "--x", "n", "--y", "cap", "--out", "out"],
+    ),
+    "cube_map_non_binary_bits": (
+        {}, ["transfer", "cube-map", "--bits", "0121", "--out", "out"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, name):
+    files, argv = BAD_INPUTS[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run(argv)
+    except SystemExit as e:  # argparse rejects a flag
+        code = e.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([l for l in err.splitlines() if "error:" in l]) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(files)
+
+
 @pytest.mark.parametrize("flags", [[], ["--delta-exp", 8]])
 def test_measure_depth_bound_accepted(tmp_path, flags):
     out = tmp_path / "m.json"

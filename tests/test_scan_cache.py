@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaugetree import (
     BitFlipMap,
@@ -24,11 +26,13 @@ from gaugetree import (
     SplittingTree,
     TransducerMap,
     bad_set,
+    run_game,
     sparsity_schedule,
     stage_step,
+    verify_escape,
 )
 from gaugetree.cli import parse_gauge_spec
-from gaugetree.tree import SAMPLE_BLOCK, compatible
+from gaugetree.tree import SAMPLE_BLOCK, check_node, compatible
 
 PARITY = TransducerMap(
     start=0,
@@ -205,6 +209,129 @@ def test_bad_set_memo_dropped_with_its_frontier():
                 seen.add((req, depth, got.leaves))
     # the layers change the bad sets, so a stale memo would show
     assert len(seen) > 2 * len(reqs)
+
+
+def flip_shift_parity_state():
+    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0)
+    return GameState(
+        schedule=schedule, maps=[BitFlipMap(), ShiftMap(), PARITY],
+        requirements=[Requirement(0, "0"), Requirement(1, "1"), Requirement(2, "01")],
+        depth=12, scan_depth=10,
+    )
+
+
+def test_default_bit_layer_keeps_frontier_and_drops_memo():
+    state = flip_shift_parity_state()
+    req = Requirement(0, "0")
+    before = bad_set(state, req)
+    frontier = state.frontier(state.scan_depth)
+    # the flipped images start with "1", so they reach level 4 inside the
+    # layer's root and get the default 0 there, against their own bit 1
+    state.layers.append(Layer(4, "1", 0))
+    after = bad_set(state, req)
+    assert state.frontier(state.scan_depth) is frontier
+    assert before.leaves and not after.leaves
+    assert_scans_match(state)
+
+
+def test_non_default_layer_rematerialises_frontier():
+    state = flip_shift_parity_state()
+    assert_scans_match(state)
+    frontier = state.frontier(state.scan_depth)
+    state.layers.append(Layer(6, "1", 1))  # leaves under "0" now carry 1 at level 6
+    assert state.frontier(state.scan_depth) is not frontier
+    assert state.frontier(state.scan_depth) != frontier
+    assert_scans_match(state)
+
+
+def test_constant_bit_agrees_with_bit_on_its_level():
+    rng = random.Random(5)
+    constant, varying = 0, 0
+    for _ in range(200):
+        levels = rng.sample(range(9), rng.randint(0, 5))
+        layers = [
+            Layer(n, "".join(rng.choice("01") for _ in range(rng.randint(0, 10))),
+                  rng.getrandbits(1))
+            for n in levels
+        ]
+        sel = GameBuiltSelector(layers, default=rng.getrandbits(1))
+        for n in range(9):
+            b = sel.constant_bit(n)
+            if b is None:
+                varying += 1
+                continue
+            constant += 1
+            for bits in itertools.product("01", repeat=n):
+                assert sel.bit("".join(bits)) == b
+    assert constant and varying
+
+
+@pytest.mark.parametrize("bits", [
+    "", "0", "1", "0110", "1" * 256, "2", " 01", "01 ", "01\n", "\t", "0 1", "0\x00",
+    "\u0660\u0661", "\uff10\uff11", "01\u0661", "x", "0b01",
+])
+def test_check_node_matches_strip_form(bits):
+    accepted = not bits.strip("01")
+    if accepted:
+        assert check_node(bits) is bits
+    else:
+        with pytest.raises(ValueError, match="not a binary string"):
+            check_node(bits)
+
+
+def test_run_game_reports_final_scan_depth_and_its_bad_sets():
+    schedule, maps, roots, depth, stages, scan_depth = GAMES["scan_depth_grows"]
+    tree, cert = run_game(schedule, maps, roots, depth, stages, scan_depth=scan_depth)
+    assert cert.scan_depth > scan_depth
+    state = GameState(
+        schedule=schedule, maps=list(maps),
+        requirements=[Requirement(r.map_index, r.root) for r in cert.requirements],
+        depth=depth, scan_depth=cert.scan_depth, layers=list(cert.layers),
+    )
+    for rep, req in zip(cert.requirements, state.requirements):
+        leaves, measure = reference_bad_set(state, req)
+        assert rep.final_bad.depth == cert.scan_depth
+        assert (rep.final_bad.leaves, rep.recomputed) == (leaves, measure)
+    # samples are cut to the final scan depth before the bad-set lookup
+    report = verify_escape(tree, maps, 2000, seed=4, certificate=cert)
+    certified = sum(m["undetermined"] - m["uncovered"] for m in report.per_map)
+    assert certified > 0
+    assert all(m["unaccounted"] == 0 for m in report.per_map)
+
+
+# every requirement's bad set after each hand-appended layer of either bit
+
+MAPS = {"bit_flip": BitFlipMap(), "shift": ShiftMap(), "parity": PARITY,
+        "identity": TransducerMap.identity()}
+binary = st.text(alphabet="01", max_size=4)
+
+
+@st.composite
+def games(draw):
+    depth = draw(st.integers(3, 10))
+    indices = sorted(draw(st.sets(st.integers(0, depth - 1), max_size=depth // 2 + 1)))
+    maps = [MAPS[k] for k in draw(st.lists(st.sampled_from(sorted(MAPS)), min_size=1, max_size=3))]
+    roots = draw(st.lists(binary, min_size=1, max_size=3, unique=True))
+    state = GameState(
+        schedule=BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps=maps,
+        requirements=[Requirement(i, r) for i in range(len(maps)) for r in roots],
+        depth=depth, scan_depth=draw(st.integers(1, depth)),
+        default_bit=draw(st.integers(0, 1)),
+    )
+    levels = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
+    layers = [Layer(n, draw(binary), draw(st.integers(0, 1))) for n in levels]
+    return state, layers
+
+
+@given(games())
+def test_bad_set_matches_reference_after_each_appended_layer(game):
+    state, layers = game
+    d = state.scan_depth
+    for layer in [None, *layers]:
+        if layer is not None:
+            state.layers.append(layer)
+        for depth in (d, d - 1, d):
+            assert_scans_match(state, depth)
 
 
 # -- sampler ---------------------------------------------------------------
