@@ -20,7 +20,9 @@ from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
 from .dyadic import Value, format_dyadic, format_exact, format_pair, format_rational, parse_dyadic
-from .errors import FrostmanConditionError, InfeasibleError, OutOfRangeError, UsageError
+from .errors import (
+    FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
+)
 from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
 from .hausdorff import (
     dimension_estimate,
@@ -479,7 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfRangeError, UsageError) as err:  # raised before any output is written
+    except (OutOfRangeError, UndefinedNodeError, UsageError) as err:  # before any output
         print(f"error: {err}", file=sys.stderr)
         return 2
 

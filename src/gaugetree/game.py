@@ -10,17 +10,19 @@ guarantee in the certificate is an equality, not an estimate.
 Every bad-set scan reads one cached frontier: the sorted leaves of the tree
 at the scan depth, kept on the `GameState`.  The frontier key is the tree's,
 not the layer list's: the layers whose bit differs from the default, plus the
-scan depth.  A default-bit layer leaves the tree unchanged (the selector
-reads the default on both sides of its root), so appending one keeps the
-frontier.  Beside the frontier sit the candidate lists, one per requirement:
-the (leaf, image) pairs above the root whose image is incompatible with the
-root.  They depend only on the frontier and are dropped with it, so every map
-is applied to every leaf once per frontier.  A bad set is the candidates
-whose image is consistent with every decided level.  It is memoised per
-requirement under a key of all the layers plus the scan depth, so a layer of
-either bit drops the memo: every in-stage check and non-interference rescan
-filters afresh against the current selector, and only repeated calls on an
-unchanged layer list are served from the memo.
+scan depth.  A default-bit layer leaves the tree unchanged, so appending one
+keeps the frontier.  Beside the frontier sit the candidate lists, one per
+requirement: the (leaf, image) pairs above the root whose image is
+incompatible with the root, dropped with the frontier.  A bad set is the
+candidates whose image is consistent with every decided level.  It is
+memoised per requirement under a key of all the layers plus the scan depth,
+so every in-stage check and non-interference rescan filters afresh against
+the current selector.
+
+The hot loops run over whole lists: `TreeMap.apply_all` maps a list with
+one kernel per map kind, `BranchSelector.keep_consistent` filters one
+decided level at a time, and `verify_escape` takes its samples in blocks of
+SAMPLE_BLOCK, so that only one block of images is held at a time.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ from .errors import (
 )
 from .gauge import BranchSchedule
 from .tree import (
+    SAMPLE_BLOCK,
     GameBuiltSelector,
     Layer,
     SplittingTree,
     check_node,
-    compatible,
 )
-
-# TransducerMap.apply steps through the input this many characters at a time
-TRANSDUCER_CHUNK = 8
 
 DEFAULT_SCAN_DEPTH_BUDGET = 2**12
 MAX_SCAN_LEAVES = 2**18
@@ -63,8 +62,12 @@ class TreeMap:
     kind = "abstract"
     lag = 0
 
-    def apply(self, node: str) -> str:
+    def apply_all(self, nodes: Sequence[str]) -> List[str]:
+        """Each node's image, after one `check_node` on the nodes' join."""
         raise NotImplementedError
+
+    def apply(self, node: str) -> str:
+        return self.apply_all([node])[0]
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -78,8 +81,9 @@ class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
 
-    def apply(self, node: str) -> str:
-        return check_node(node).translate(_FLIP)
+    def apply_all(self, nodes: Sequence[str]) -> List[str]:
+        check_node("".join(nodes))
+        return [node.translate(_FLIP) for node in nodes]
 
     def to_json_dict(self) -> dict:
         return {"kind": "bit_flip"}
@@ -90,8 +94,9 @@ class ShiftMap(TreeMap):
     kind = "shift"
     lag = 1
 
-    def apply(self, node: str) -> str:
-        return check_node(node)[1:]
+    def apply_all(self, nodes: Sequence[str]) -> List[str]:
+        check_node("".join(nodes))
+        return [node[1:] for node in nodes]
 
     def to_json_dict(self) -> dict:
         return {"kind": "shift"}
@@ -99,7 +104,9 @@ class ShiftMap(TreeMap):
 
 class TransducerMap(TreeMap):
     """Finite-state transducer: each input bit moves the state and emits an
-    output chunk.  `lag` must bound |len(output) - len(input)| over prefixes."""
+    output chunk.  `lag` must bound |len(output) - len(input)| over prefixes.
+    The start and every target state need a move on 0 and on 1, and every
+    output chunk must be binary, else `__init__` raises ValueError."""
 
     kind = "transducer"
 
@@ -107,32 +114,45 @@ class TransducerMap(TreeMap):
         self.start = start
         self.delta = dict(delta)
         self.lag = int(lag)
-        self._step = {(s, str(b)): move for (s, b), move in self.delta.items()}
-        # (state, chunk) -> (state, output), filled on first use; at most
-        # 2**(TRANSDUCER_CHUNK + 1) - 1 chunks per state
-        self._chunks: Dict[Tuple[object, str], Tuple[object, str]] = {}
+        states = {start, *(s2 for s2, _ in self.delta.values())}
+        for s in states:
+            if (s, 0) not in self.delta or (s, 1) not in self.delta:
+                raise ValueError(f"transducer state {s!r} lacks a move on 0 or 1")
+        check_node("".join(out for _, out in self.delta.values()))
+        step = self._step = {(s, str(b)): move for (s, b), move in self.delta.items()}
+        # the chunk table: state -> its 256 byte moves (row of the next
+        # state, output, next state), indexed by the byte read high bit first
+        self._rows = {s: [] for s in states}
+        for s, row in self._rows.items():
+            moves = [(s, "")]  # after k rounds: the moves on each k-bit string
+            for _ in range(8):
+                moves = [(t, out + e) for r, out in moves for t, e in (step[r, "0"], step[r, "1"])]
+            row.extend((self._rows[t], out, t) for t, out in moves)
 
-    def _run(self, state, chunk: str) -> Tuple[object, str]:
+    def _run(self, state, bits: str) -> Tuple[object, str]:
         step = self._step
         out = []
-        for ch in chunk:
+        for ch in bits:
             state, emitted = step[state, ch]
             out.append(emitted)
         return state, "".join(out)
 
-    def apply(self, node: str) -> str:
-        chunks = self._chunks
-        state = self.start
-        out = []
-        node = check_node(node)
-        for i in range(0, len(node), TRANSDUCER_CHUNK):
-            key = (state, node[i : i + TRANSDUCER_CHUNK])
-            move = chunks.get(key)
-            if move is None:
-                move = chunks[key] = self._run(*key)
-            state, emitted = move
-            out.append(emitted)
-        return "".join(out)
+    def apply_all(self, nodes: Sequence[str]) -> List[str]:
+        """Whole bytes of each node step through the chunk table, the tail
+        of fewer than 8 characters through `_run`."""
+        check_node("".join(nodes))
+        start, images = self._rows[self.start], []
+        for node in nodes:
+            row, state, out = start, self.start, []
+            full = len(node) - len(node) % 8
+            if full:
+                for byte in int(node[:full], 2).to_bytes(full // 8, "big"):
+                    row, emitted, state = row[byte]
+                    out.append(emitted)
+            if full < len(node):
+                out.append(self._run(state, node[full:])[1])
+            images.append("".join(out))
+        return images
 
     @staticmethod
     def identity() -> "TransducerMap":
@@ -169,11 +189,12 @@ class ExplicitNodeMap(TreeMap):
                 if b.startswith(a) and not self.entries[b].startswith(self.entries[a]):
                     raise ValueError(f"map entries not monotone at {a!r} < {b!r}")
 
-    def apply(self, node: str) -> str:
-        check_node(node)
-        if node not in self.entries:
-            raise UndefinedNodeError(f"no image recorded for node {node!r}")
-        return self.entries[node]
+    def apply_all(self, nodes: Sequence[str]) -> List[str]:
+        check_node("".join(nodes))
+        try:
+            return [self.entries[node] for node in nodes]
+        except KeyError as err:
+            raise UndefinedNodeError(f"no image recorded for node {err.args[0]!r}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,16 +296,16 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
         return memo
     candidates = state._candidates.get(req)
     if candidates is None:
-        apply = state.maps[req.map_index].apply
         s = req.root
         # the leaves extending s are contiguous in the sorted frontier
-        lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
+        above = leaves[bisect_left(leaves, s) : bisect_left(leaves, s + "2")]
+        images = state.maps[req.map_index].apply_all(above)
         candidates = state._candidates[req] = [
-            (leaf, image) for leaf in leaves[lo:hi] if not compatible(image := apply(leaf), s)
+            (leaf, image) for leaf, image in zip(above, images)
+            if not (image.startswith(s) or s.startswith(image))  # not compatible()
         ]
-    consistent = state.selector().consistent
     decided = sorted(state.decided().intersection(state.schedule.indices))
-    bad = tuple(leaf for leaf, image in candidates if consistent(image, decided))
+    bad = tuple(leaf for leaf, _ in state.selector().keep_consistent(candidates, decided))
     unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
     result = BadSet(requirement=req, depth=d, leaves=bad, measure=len(bad) * unit)
     state._bad[req] = result
@@ -339,9 +360,10 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
             raise DepthExhaustedError(req)
         if state.scan_depth != before:
             current = bad_set(state, req)
+        # the images are applied afresh, not read from the candidate lists:
+        # they are the independent side of the `after` check below
         halves = {0: [], 1: []}
-        for leaf in current.leaves:
-            image = m.apply(leaf)
+        for leaf, image in zip(current.leaves, m.apply_all(current.leaves)):
             if level >= len(image):
                 raise GameInvariantError(
                     f"image too short at level {level} for leaf {leaf!r}"
@@ -540,7 +562,6 @@ def verify_escape(
     """
     xs = tree.sample(seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
-    consistent = tree.selector.consistent
 
     cert_bad = {
         (r.map_index, r.root): set(r.final_bad.leaves)
@@ -550,19 +571,19 @@ def verify_escape(
     per_map = []
     for mi, m in enumerate(maps):
         counts = {"fixed": 0, "escaped": 0, "undetermined": 0, "unaccounted": 0, "uncovered": 0}
-        for x in xs:
-            u = m.apply(x)
-            if compatible(u, x):
-                counts["fixed"] += 1
+        for start in range(0, len(xs), SAMPLE_BLOCK):
+            block = xs[start : start + SAMPLE_BLOCK]
+            moved = [(x, u) for x, u in zip(block, m.apply_all(block))
+                     if not (u.startswith(x) or x.startswith(u))]  # not compatible()
+            kept = tree.selector.keep_consistent(moved, decided)
+            counts["fixed"] += len(block) - len(moved)
+            counts["escaped"] += len(moved) - len(kept)
+            counts["undetermined"] += len(kept)
+            if certificate is None:
                 continue
-            if not consistent(u, decided):
-                counts["escaped"] += 1
-                continue
-            counts["undetermined"] += 1
-            if certificate is not None:
+            for x, u in kept:
                 p = next(i for i in range(min(len(u), len(x))) if u[i] != x[i])
-                root = x[: p + 1]
-                key = (mi, root)
+                key = (mi, x[: p + 1])
                 if key not in cert_bad:
                     counts["uncovered"] += 1
                 elif x[: certificate.scan_depth] not in cert_bad[key]:

@@ -73,6 +73,10 @@ class BranchSelector:
                 return False
         return True
 
+    def keep_consistent(self, pairs: Sequence[Tuple[object, str]], levels: Sequence[int]) -> list:
+        """The (item, node) pairs whose node is `consistent` at `levels`."""
+        return [p for p in pairs if self.consistent(p[1], levels)]
+
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         """Forced levels whose values this selector actively pins down."""
         return schedule.indices
@@ -173,15 +177,24 @@ class GameBuiltSelector(BranchSelector):
         return self.default if bit == str(self.default) else None
 
     def consistent(self, node: str, levels: Sequence[int]) -> bool:
+        return bool(self.keep_consistent([(node, node)], levels))
+
+    def keep_consistent(self, pairs: Sequence[Tuple[object, str]], levels: Sequence[int]) -> list:
+        """One pass over the pairs per level, until none is left."""
         default = str(self.default)
-        no_layer = ("", default)
+        pairs = list(pairs)
         for n in levels:
-            if n >= len(node):
+            if not pairs:
                 break
-            cut, bit = self._cuts.get(n, no_layer)
-            if node[n] != (default if node.startswith(cut) else bit):
-                return False
-        return True
+            cut, bit = self._cuts.get(n, ("", default))
+            if bit == default:
+                pairs = [p for p in pairs if len(p[1]) <= n or p[1][n] == default]
+            else:
+                pairs = [
+                    p for p in pairs
+                    if len(p[1]) <= n or p[1][n] == (default if p[1].startswith(cut) else bit)
+                ]
+        return pairs
 
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         return tuple(l.level for l in self.layers)
@@ -271,24 +284,27 @@ class SplittingTree:
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = random.Random(seed)
-        forced = set(self.schedule.indices)
-        free = sum(n not in forced for n in range(self.depth))
+        forced, depth = set(self.schedule.indices), self.depth
+        free = sum(n not in forced for n in range(depth))
         constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
         out = []
         for start in range(0, count, SAMPLE_BLOCK):
             size = min(SAMPLE_BLOCK, count - start)
-            draws = random_bits(rng, size * free)
-            rows, columns, j = [""] * size, [], 0
-            for n in range(self.depth):
+            draws = random_bits(rng, size * free).encode()
+            # branch i is row i of the size x depth block; level n is block[n::depth]
+            block, j = bytearray(size * depth), 0
+            for n in range(depth):
                 if n not in forced:
-                    columns.append(draws[j::free])
+                    block[n::depth] = draws[j::free]
                     j += 1
                 elif (b := constant_bit(n)) is not None:
-                    columns.append(("1" if b else "0") * size)
-                else:  # the bit reads the node: bring the rows up to level n
-                    rows, columns = ["".join(t) for t in zip(rows, *columns)], []
-                    columns.append("".join("1" if selector_bit(r) else "0" for r in rows))
-            out.extend("".join(t) for t in zip(rows, *columns))
+                    block[n::depth] = (b"1" if b else b"0") * size
+                else:  # the bit reads the node: the rows are filled up to level n
+                    text = block.decode()
+                    rows = (text[i : i + n] for i in range(0, size * depth, depth))
+                    block[n::depth] = bytes(49 if selector_bit(r) else 48 for r in rows)
+            text = block.decode()
+            out.extend(text[i * depth : (i + 1) * depth] for i in range(size))
         return out
 
     def materialize(self, depth: Optional[int] = None, budget: int = NODE_BUDGET) -> ExplicitTree:

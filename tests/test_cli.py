@@ -307,6 +307,22 @@ BAD_INPUTS = {
         ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
          "--stages", 1, "--out", "out"],
     ),
+    "maps_explicit_missing_image": (
+        {"maps.json": '[{"kind": "explicit", "entries": [["0", "1"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    "transducer_missing_move": (
+        {"maps.json": '[{"kind": "transducer", "start": 0, "delta": [[0, 0, 0, "0"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    "transducer_output_not_binary": (
+        {"maps.json": '[{"kind": "transducer", "start": 0, '
+                      '"delta": [[0, 0, 0, "0"], [0, 1, 0, "2"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
     "out_dir_missing": (
         {}, ["schedule", "--gauge", "power:1/2", "--depth", 8, "--out", "nodir/out"],
     ),
@@ -402,6 +418,10 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
      "antichain_power_log_flip_shift_parity_d64.json"),
     ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}], 32,
      "antichain_power_half_flip_shift_d32.json"),
+    # 61 is odd and not a multiple of 8: the transducer's tail chunk and a
+    # partial last block of the 1 000 escape samples
+    ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY], 61,
+     "antichain_power_half_flip_shift_parity_d61.json"),
 ])
 def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, fixture):
     maps_path = tmp_path / "maps.json"

@@ -2,7 +2,11 @@
 every stage, each requirement's bad set must equal a scan that materialises
 the frontier and applies every map afresh; the block-wise sampler, the
 chunked transducer and the per-layer consistency test must match their
-per-bit, per-character and per-level definitions."""
+per-bit, per-character and per-level definitions.  The list kernels must
+match their per-element forms: `apply_all` against `apply` and a
+per-character definition of each map, `keep_consistent` against the
+per-node `consistent` filter, and the block-wise `verify_escape` against
+the per-sample loop it replaced."""
 
 import itertools
 import random
@@ -32,6 +36,8 @@ from gaugetree import (
     verify_escape,
 )
 from gaugetree.cli import parse_gauge_spec
+from gaugetree.errors import UndefinedNodeError
+from gaugetree.game import ExplicitNodeMap
 from gaugetree.tree import SAMPLE_BLOCK, check_node, compatible
 
 PARITY = TransducerMap(
@@ -450,3 +456,171 @@ def test_game_built_consistent_matches_base_loop():
             outcomes.add(expected)
     assert outcomes == {True, False}
     assert long_roots > 0
+
+
+# -- apply_all -------------------------------------------------------------
+
+STUTTER_MAP = TransducerMap(start="a", delta=STUTTER, lag=300)
+# every node up to length 6 with its prefix-parity image: monotone
+EXPLICIT = ExplicitNodeMap(
+    {n: reference_transduce(PARITY, n)
+     for k in range(7) for n in map("".join, itertools.product("01", repeat=k))},
+    lag=0,
+)
+
+REFERENCES = {
+    "bit_flip": (BitFlipMap(), lambda n: "".join("1" if c == "0" else "0" for c in n)),
+    "shift": (ShiftMap(), lambda n: n[1:]),
+    "parity": (PARITY, lambda n: reference_transduce(PARITY, n)),
+    "stutter": (STUTTER_MAP, lambda n: reference_transduce(STUTTER_MAP, n)),
+    "identity": (TransducerMap.identity(), lambda n: n),
+    "explicit": (EXPLICIT, lambda n: EXPLICIT.entries[n]),
+}
+
+
+def node_lists(explicit):
+    """The empty list, [""], every length 1-33 and lengths off the byte grid."""
+    rng = random.Random(17)
+    if explicit:
+        keys = sorted(EXPLICIT.entries)
+        return [[], [""], keys, rng.sample(keys, 40)]
+    bits = lambda k: "".join(rng.choice("01") for _ in range(k))
+    return [
+        [],
+        [""],
+        [bits(k) for k in range(1, 34)],
+        [bits(rng.choice([k for k in range(300) if k % 8])) for _ in range(60)],
+        [bits(k) for k in (8, 16, 64, 256)],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_apply_all_matches_apply_and_per_character_reference(name):
+    m, reference = REFERENCES[name]
+    for nodes in node_lists(name == "explicit"):
+        images = m.apply_all(nodes)
+        assert images == [m.apply(n) for n in nodes] == [reference(n) for n in nodes]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@pytest.mark.parametrize("bad", ["2", "0000000012", "01010101" * 3 + "x", "0" * 16 + " ", "٠١"])
+def test_apply_all_rejects_non_binary_like_apply(name, bad):
+    m, _ = REFERENCES[name]
+    m.apply_all(node_lists(name == "explicit")[-1])  # the map has been used
+    with pytest.raises(ValueError, match="not a binary string"):
+        m.apply(bad)
+    with pytest.raises(ValueError, match="not a binary string"):
+        m.apply_all(["0", bad, "1"])
+
+
+def test_explicit_apply_all_reports_the_missing_node():
+    with pytest.raises(UndefinedNodeError, match="'0000000'"):
+        EXPLICIT.apply_all(["0", "0000000", "1"])
+
+
+@pytest.mark.parametrize("delta", [
+    {(0, 0): (0, "0")},  # the start lacks a move on 1
+    {(0, 0): (1, "0"), (0, 1): (0, "1"), (1, 1): (0, "1")},  # a target lacks 0
+])
+def test_transducer_without_a_move_is_rejected(delta):
+    with pytest.raises(ValueError, match="lacks a move"):
+        TransducerMap(start=0, delta=delta, lag=0)
+
+
+def test_transducer_with_non_binary_output_is_rejected():
+    with pytest.raises(ValueError, match="not a binary string"):
+        TransducerMap(start=0, delta={(0, 0): (0, "0"), (0, 1): (0, "2")}, lag=0)
+
+
+# -- keep_consistent -------------------------------------------------------
+
+
+@st.composite
+def selector_cases(draw):
+    depth = draw(st.integers(1, 20))
+    binary = st.text(alphabet="01", max_size=depth + 3)
+    layer_levels = draw(st.lists(st.integers(0, depth - 1), unique=True, max_size=6))
+    layers = [Layer(n, draw(binary), draw(st.integers(0, 1))) for n in layer_levels]
+    sel = GameBuiltSelector(layers, default=draw(st.integers(0, 1)))
+    # layer levels, other levels and levels at or past a node's end
+    levels = sorted(draw(st.sets(st.integers(0, depth + 3))))
+    steps = st.tuples(st.integers(0, 9), st.sampled_from("01"))
+    nodes = []
+    for node_steps in draw(st.lists(st.lists(steps, max_size=depth + 2), max_size=12)):
+        # mostly obey the selector, so that nodes survive many levels
+        node = ""
+        for n, (roll, ch) in enumerate(node_steps):
+            node += str(sel.bit(node)) if n in levels and roll else ch
+        nodes.append(node)
+    return sel, levels, list(enumerate(nodes))
+
+
+@given(selector_cases())
+def test_keep_consistent_matches_per_node_filter(case):
+    sel, levels, pairs = case
+    expected = [p for p in pairs if BranchSelector.consistent(sel, p[1], levels)]
+    assert sel.keep_consistent(pairs, levels) == expected
+    assert BranchSelector.keep_consistent(sel, pairs, levels) == expected
+    assert sel.keep_consistent(tuple(pairs), levels) == expected
+
+
+# -- verify_escape ---------------------------------------------------------
+
+
+def reference_verify_escape(tree, maps, samples, seed, certificate=None):
+    """The per-sample loop: one apply, compatible and consistent per sample."""
+    xs = tree.sample(seed, samples)
+    decided = sorted(tree.selector.decided_levels(tree.schedule))
+    consistent = tree.selector.consistent
+    cert_bad = {
+        (r.map_index, r.root): set(r.final_bad.leaves)
+        for r in (certificate.requirements if certificate is not None else ())
+    }
+    per_map = []
+    for mi, m in enumerate(maps):
+        counts = {"fixed": 0, "escaped": 0, "undetermined": 0, "unaccounted": 0, "uncovered": 0}
+        for x in xs:
+            u = m.apply(x)
+            if compatible(u, x):
+                counts["fixed"] += 1
+                continue
+            if not consistent(u, decided):
+                counts["escaped"] += 1
+                continue
+            counts["undetermined"] += 1
+            if certificate is not None:
+                p = next(i for i in range(min(len(u), len(x))) if u[i] != x[i])
+                key = (mi, x[: p + 1])
+                if key not in cert_bad:
+                    counts["uncovered"] += 1
+                elif x[: certificate.scan_depth] not in cert_bad[key]:
+                    counts["unaccounted"] += 1
+        per_map.append({"map": mi, "kind": m.kind, **counts})
+    return per_map
+
+
+ESCAPE_MAPS = [BitFlipMap(), ShiftMap(), PARITY]
+
+
+def escape_cases():
+    schedule = sparsity_schedule(parse_gauge_spec("power:1/2"), 61)
+    tree, cert = run_game(schedule, ESCAPE_MAPS, ["0", "1"], 61, 3)
+    seeded = SplittingTree(BranchSchedule(depth=30, indices=tuple(range(1, 30, 3)), n0=0),
+                           SeededSelector(2), 30)
+    return {"game_d61": (tree, cert), "game_d61_no_certificate": (tree, None),
+            "seeded_d30": (seeded, None)}
+
+
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 1000])
+@pytest.mark.parametrize("name", sorted(escape_cases()))
+def test_verify_escape_matches_per_sample_loop(name, count):
+    tree, cert = escape_cases()[name]
+    report = verify_escape(tree, ESCAPE_MAPS, count, seed=5, certificate=cert)
+    expected = reference_verify_escape(tree, ESCAPE_MAPS, count, 5, cert)
+    assert list(report.per_map) == expected
+    assert all(sum(row[k] for k in ("fixed", "escaped", "undetermined")) == count
+               for row in report.per_map)
+    if name == "game_d61" and count == 1000:
+        # every branch of the check is reached
+        assert all(row["escaped"] and row["undetermined"] for row in expected[1:])
+        assert sum(row["uncovered"] for row in expected) > 0
