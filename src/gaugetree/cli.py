@@ -30,7 +30,7 @@ from .hausdorff import (
     level_dp_cost,
     measure_certificate,
 )
-from .game import map_from_json_dict, run_game, verify_escape
+from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
 from .transfer import (
     dyadic_four_cover,
     interleave_metric_check,
@@ -39,6 +39,8 @@ from .transfer import (
 from .tree import NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
+# the levels CSV forms a float level cost as 2^free·g, and 2^1024 overflows
+FLOAT_FREE_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +82,13 @@ def write_json(path: str, payload: dict, manifest: dict) -> None:
     atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: str, header: List[str], rows: Iterable[List], manifest: dict) -> None:
-    """Write str() of each field joined by commas, one line per row; a quote,
-    comma or line break inside a field raises ValueError instead."""
-    lines = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    lines.append("")
-    data = "\n".join(lines)
-    start, records = len(lines[0]) + 1, len(lines) - 2  # the header and the rows
+def write_csv(path: str, header: List[str], lines: Iterable[str], manifest: dict) -> None:
+    """Write the header and the given lines, each a row whose fields the
+    caller has already joined by commas.  A quote or line break in a line, or
+    a comma count other than (columns - 1) × lines, raises ValueError instead."""
+    out = ["# manifest: " + json.dumps(manifest, sort_keys=True), ",".join(header), *lines, ""]
+    data = "\n".join(out)
+    start, records = len(out[0]) + 1, len(out) - 2  # the header and the rows
     if (
         data.find('"', start) >= 0
         or data.find("\r", start) >= 0
@@ -200,13 +201,14 @@ def cmd_schedule(args) -> int:
         print("warning: empty schedule (full binary tree)", file=sys.stderr)
     write_json(args.out, payload, manifest)
     if args.csv:
-        rows = ([n, caps[n], int(n in schedule)] for n in range(args.depth))
-        write_csv(args.csv, ["n", "cap", "in_schedule"], rows, manifest)
+        forced = set(schedule.indices)
+        lines = (f"{n},{caps[n]},{int(n in forced)}" for n in range(args.depth))
+        write_csv(args.csv, ["n", "cap", "in_schedule"], lines, manifest)
     return 0
 
 
 def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
-    """Yield the levels CSV rows 0..depth.  The count 2^free is an exact
+    """Yield the levels CSV lines 0..depth.  The count 2^free is an exact
     Decimal doubled at each free level: rendering a large int is quadratic
     and refused beyond the interpreter's 4 300-digit limit."""
     forced = set(tree.schedule.indices)
@@ -222,10 +224,24 @@ def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
             cost = 2**free * gv
             gauge_value = format_exact(gv) if isinstance(gv, Fraction) else repr(float(gv))
             level_cost = format_exact(cost) if isinstance(cost, Fraction) else repr(float(cost))
-        yield [n, count, format_pair(1, free), gauge_value, level_cost]
+        yield f"{n},{count},{format_pair(1, free)},{gauge_value},{level_cost}"
         if n not in forced:
             count = exact.add(count, count)
             free += 1
+
+
+def _float_cost_overflow(tree: SplittingTree, values: Sequence[Value], depth: int):
+    """(level, free levels above it) of the first level whose level cost
+    2^free·g(2^-n) cannot be formed: a float value with at least
+    FLOAT_FREE_LIMIT free levels above it, as 2^1024 exceeds every float.
+    None when there is no such level."""
+    forced = set(tree.schedule.indices)
+    free = 0
+    for n in range(depth + 1):
+        if free >= FLOAT_FREE_LIMIT and isinstance(values[n], float):
+            return n, free
+        free += n not in forced
+    return None
 
 
 def cmd_measure(args) -> int:
@@ -239,6 +255,14 @@ def cmd_measure(args) -> int:
         print(f"error: --delta-exp {args.delta_exp} exceeds the depth {depth}", file=sys.stderr)
         return 2
     values = g.scale_values(depth)
+    overflow = _float_cost_overflow(tree, values, depth) if args.csv else None
+    if overflow:
+        print(
+            f"error: level {overflow[0]} has a float gauge value and {overflow[1]} free levels "
+            "above it, so its level cost overflows a float; see ROADMAP item 1 (integer "
+            "enclosures)", file=sys.stderr,
+        )
+        return 3
     cert = measure_certificate(tree, g, args.delta_exp, depth, values)
     manifest = build_manifest("measure", args, [args.tree])
     write_json(args.out, {"certificate": cert.to_json_dict()}, manifest)
@@ -258,6 +282,13 @@ def cmd_antichain(args) -> int:
         print(f"error: --delta-exp {args.delta_exp} exceeds --depth {args.depth}", file=sys.stderr)
         return 2
     maps = load_maps(args.maps)
+    for i, m in enumerate(maps):
+        # the game reads image bit n only of leaves of length n + lag + 1 or more
+        if isinstance(m, TransducerMap) and (drift := m.min_drift(args.depth)) < -m.lag:
+            raise UsageError(
+                f"map {i} in {args.maps}: an input of length <= {args.depth} loses "
+                f"{-drift} bits in its image, more than the lag {m.lag}"
+            )
     roots = args.roots
     values = g.scale_values(args.depth)
     schedule = sparsity_schedule(g, args.depth, bound_table(g, args.depth + 1, values))
@@ -307,7 +338,7 @@ def cmd_antichain(args) -> int:
 def cmd_transfer(args) -> int:
     manifest = build_manifest(f"transfer-{args.mode}", args, [])
     rng = random.Random(args.seed)
-    rows = []
+    lines = []
     if args.mode == "four-cover":
         for i in range(args.count):
             den = rng.randrange(8, 1 << 16)
@@ -323,8 +354,8 @@ def cmd_transfer(args) -> int:
                 and min(iv.index for iv in cover) * den <= lo << m
                 and (max(iv.index for iv in cover) + 1) * den >= hi << m
             )
-            rows.append([i, format_rational(a), format_rational(b), m, len(cover), int(ok)])
-        write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], rows, manifest)
+            lines.append(f"{i},{format_rational(a)},{format_rational(b)},{m},{len(cover)},{int(ok)}")
+        write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], lines, manifest)
     elif args.mode == "interleave-check":
         for i in range(args.count):
             n = rng.choice([2, 3, 4])
@@ -333,17 +364,15 @@ def cmd_transfer(args) -> int:
             while y == x:
                 y = random_bits(rng, length)
             chk = interleave_metric_check(x, y, n)
-            rows.append(
-                [i, n, chk.first_difference, format_rational(chk.expected),
-                 format_rational(chk.observed), int(chk.expected == chk.observed)]
+            lines.append(
+                f"{i},{n},{chk.first_difference},{format_rational(chk.expected)},"
+                f"{format_rational(chk.observed)},{int(chk.expected == chk.observed)}"
             )
-        write_csv(args.out, ["item", "n", "k", "expected", "observed", "pass"], rows, manifest)
+        write_csv(args.out, ["item", "n", "k", "expected", "observed", "pass"], lines, manifest)
     else:  # cube-map
         point = to_cube(args.bits, args.n)
-        rows = [
-            [i, format_rational(c)] for i, c in enumerate(point.coords)
-        ]
-        write_csv(args.out, ["coordinate", "value"], rows, manifest)
+        lines = [f"{i},{format_rational(c)}" for i, c in enumerate(point.coords)]
+        write_csv(args.out, ["coordinate", "value"], lines, manifest)
     return 0
 
 

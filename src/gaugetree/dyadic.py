@@ -6,6 +6,9 @@ is ``m.bit_length() - 1 - e``, and two pairs compare with one shift, so its
 cost does not grow with the depth of its scale as a Fraction's does.  Other
 values stay :class:`fractions.Fraction` when exact and float otherwise, with
 the documented precision; :func:`to_number` projects a pair to a Fraction.
+:func:`value_le` compares any two of these exactly without building a
+Fraction: a float enters as its ``as_integer_ratio()``, so a float against a
+pair or a Fraction is one integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -35,14 +38,25 @@ def to_number(v: Value) -> Number:
     return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
 
 
+def _ratio(v: Value) -> Tuple[int, int]:
+    """v as (numerator, positive denominator); a float's ratio is exact, and
+    inf or nan raise OverflowError or ValueError as Fraction(v) does."""
+    if type(v) is tuple:
+        m, e = v
+        return (m, 1 << e) if e >= 0 else (m << -e, 1)
+    return v.as_integer_ratio()
+
+
 def value_le(a: Value, b: Value) -> bool:
-    """Exact a <= b; two pairs compare with one shift."""
-    if type(a) is not tuple or type(b) is not tuple:
-        return to_number(a) <= to_number(b)
-    (ma, ea), (mb, eb) = a, b
-    if ea <= eb:
-        return ma << (eb - ea) <= mb
-    return ma <= mb << (ea - eb)
+    """Exact a <= b: two pairs compare with one shift, any other two values
+    with one integer cross-multiplication of their ratios."""
+    if type(a) is tuple and type(b) is tuple:
+        (ma, ea), (mb, eb) = a, b
+        if ea <= eb:
+            return ma << (eb - ea) <= mb
+        return ma <= mb << (ea - eb)
+    (pa, qa), (pb, qb) = _ratio(a), _ratio(b)
+    return pa * qb <= pb * qa
 
 
 def format_pair(m: int, e: int) -> str:

@@ -104,9 +104,10 @@ class ShiftMap(TreeMap):
 
 class TransducerMap(TreeMap):
     """Finite-state transducer: each input bit moves the state and emits an
-    output chunk.  `lag` must bound |len(output) - len(input)| over prefixes.
-    The start and every target state need a move on 0 and on 1, and every
-    output chunk must be binary, else `__init__` raises ValueError."""
+    output chunk.  `lag` must bound |len(output) - len(input)| over prefixes;
+    `__init__` does not check that (see `min_drift`).  Every move must read a
+    bit 0 or 1, the start and every target state need a move on both, and
+    every output chunk must be binary, else `__init__` raises ValueError."""
 
     kind = "transducer"
 
@@ -114,7 +115,9 @@ class TransducerMap(TreeMap):
         self.start = start
         self.delta = dict(delta)
         self.lag = int(lag)
-        states = {start, *(s2 for s2, _ in self.delta.values())}
+        if any(b not in (0, 1) for _, b in self.delta):
+            raise ValueError("a transducer move must read the bit 0 or 1")
+        states = self._states = {start, *(s2 for s2, _ in self.delta.values())}
         for s in states:
             if (s, 0) not in self.delta or (s, 1) not in self.delta:
                 raise ValueError(f"transducer state {s!r} lacks a move on 0 or 1")
@@ -153,6 +156,23 @@ class TransducerMap(TreeMap):
                 out.append(self._run(state, node[full:])[1])
             images.append("".join(out))
         return images
+
+    def min_drift(self, depth: int) -> int:
+        """min of len(image) - len(input) over the inputs of length <= depth
+        (0 for the empty input), by a per-state minimum over one more input
+        bit at a time: O(depth × moves), or less once that minimum repeats."""
+        drift = dict.fromkeys(self._states, 0)  # per state, over inputs of the current length
+        least = 0
+        for _ in range(depth):
+            longer = {
+                s: min(len(out) - 1 + drift[t] for t, out in (self.delta[s, 0], self.delta[s, 1]))
+                for s in self._states
+            }
+            if longer == drift:  # a fixed point: every longer input drifts the same
+                break
+            drift = longer
+            least = min(least, drift[self.start])
+        return least
 
     @staticmethod
     def identity() -> "TransducerMap":

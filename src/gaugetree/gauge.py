@@ -1,11 +1,13 @@
 """Gauge functions at dyadic scales, order comparison, and sparsity schedules.
 
-A gauge is only ever evaluated at scales t = 2^-n, by one evaluator,
-:meth:`Gauge.dyadic_at_scale`: an exact dyadic value comes back as the pair
-``(m, e)`` = m·2^-e of :mod:`gaugetree.dyadic`, a non-dyadic table entry as its
-Fraction, and everything else as a float with relative error well below
-2^-40; :meth:`Gauge.at_scale` projects a pair to a Fraction.  A command
-evaluates each level once (:meth:`Gauge.scale_values`) for all its consumers.
+A gauge is only ever evaluated at scales t = 2^-n: an exact dyadic value comes
+back as the pair ``(m, e)`` = m·2^-e of :mod:`gaugetree.dyadic`, a non-dyadic
+table entry as its Fraction, and everything else as a float with relative
+error well below 2^-40; :meth:`Gauge.at_scale` projects a pair to a Fraction.
+The power and power-log formulas live in one kernel, :meth:`Gauge._power_values`,
+which evaluates a whole range of levels in one comprehension: both
+:meth:`Gauge.scale_values`, with which a command evaluates each level once for
+all its consumers, and the single-level :meth:`Gauge.dyadic_at_scale` read it.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ INCONCLUSIVE = "inconclusive"
 POWER = "power"
 POWER_LOG = "power_log"
 TABLE = "table"
-
-
-def _pow2(num: int, den: int) -> Value:
-    """2**(num/den): the pair (1, -num/den) when the exponent is an integer."""
-    if num % den == 0:
-        return (1, -num // den)
-    return math.pow(2.0, num / den)
 
 
 @dataclass(frozen=True)
@@ -93,23 +88,35 @@ class Gauge:
 
     # -- evaluation ------------------------------------------------------
 
+    def _power_values(self, ns: range) -> List[Value]:
+        """The power-family kernel: g(2^-n) for every n in ns >= 0.
+
+        With s = p/q, 2^-ns is the pair (1, np/q) where q divides np and the
+        float 2.0**(-np/q) elsewhere.  A power-log gauge multiplies that by
+        n^c, normalised to a pair when both factors are exact (integer
+        c >= 0), and is 0 at n = 0.
+        """
+        p, q = self.s.numerator, self.s.denominator
+        values = [(1, n * p // q) if n * p % q == 0 else math.pow(2.0, -n * p / q) for n in ns]
+        if self.kind == POWER:
+            return values
+        c = self.c
+        if c.denominator == 1 and c >= 0:
+            c = c.numerator
+            return [
+                (0, 0) if not n else dyadic_pair(n**c, v[1]) if type(v) is tuple else v * n**c
+                for n, v in zip(ns, values)
+            ]
+        return [(0, 0) if not n else float(to_number(v)) * n ** float(c) for n, v in zip(ns, values)]
+
     def dyadic_at_scale(self, exponent: int) -> Value:
         """Value g(2^-exponent): an exact dyadic value as the pair (m, e),
         a non-dyadic table entry as it is, anything else as a float."""
         n = int(exponent)
         if n < 0:
             raise ValueError("scale exponent must be >= 0")
-        if self.kind == POWER:
-            return _pow2(-n * self.s.numerator, self.s.denominator)
-        if self.kind == POWER_LOG:
-            if n == 0:
-                return (0, 0)
-            v = _pow2(-n * self.s.numerator, self.s.denominator)
-            if self.c.denominator == 1 and self.c.numerator >= 0:
-                if type(v) is tuple:
-                    return dyadic_pair(n**self.c.numerator, v[1])
-                return v * n**self.c.numerator
-            return float(to_number(v)) * n ** float(self.c)
+        if self.kind in (POWER, POWER_LOG):
+            return self._power_values(range(n, n + 1))[0]
         if self.kind == TABLE:
             i = bisect_left([e for e, _ in self.entries], n)
             if i < len(self.entries) and self.entries[i][0] == n:
@@ -125,7 +132,10 @@ class Gauge:
         return to_number(self.dyadic_at_scale(exponent))
 
     def scale_values(self, depth: int) -> List[Value]:
-        """dyadic_at_scale at every level 0..depth."""
+        """dyadic_at_scale at every level 0..depth, a power-family gauge's
+        in one kernel call."""
+        if self.kind in (POWER, POWER_LOG):
+            return self._power_values(range(depth + 1))
         return [self.dyadic_at_scale(n) for n in range(depth + 1)]
 
     def log2_at_scale(self, exponent: int) -> float:

@@ -1,10 +1,13 @@
 """The integer (mantissa, exponent) certify numerics against their Fraction
-references in `fraction_oracles.py`: gauge values, caps, the Frostman floor,
+references in `fraction_oracles.py`: gauge values (the power-family kernel
+behind `scale_values`), exact value comparisons, caps, the Frostman floor,
 the one-pass level cover DP, measure certificates and the levels CSV rows."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fraction_oracles import (
     reference_at_scale,
@@ -27,8 +30,8 @@ from gaugetree import (
     sparsity_schedule,
 )
 from gaugetree.cli import _level_rows
-from gaugetree.dyadic import dyadic_pair, is_dyadic
-from gaugetree.errors import FrostmanConditionError
+from gaugetree.dyadic import dyadic_pair, is_dyadic, to_number, value_le
+from gaugetree.errors import FrostmanConditionError, OutOfRangeError
 from gaugetree.hausdorff import level_dp, level_dp_witness_level
 
 
@@ -91,6 +94,89 @@ def test_gauge_values_match_reference(name):
             assert v == dyadic_pair(old.numerator, old.denominator.bit_length() - 1)
         else:
             assert same_number(v, old)
+
+
+KERNEL_GAUGES = {
+    **GAUGES,
+    "power:5/7": Gauge.power(Fraction(5, 7)),
+    "power_log:3/4,2": Gauge.power_log(Fraction(3, 4), 2),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GAUGES)
+@pytest.mark.parametrize("depth", [-1, 0, 1, 300, 2001])
+def test_scale_values_match_reference(name, depth):
+    """Every level the kernel evaluates in one pass, exact or float, is the
+    Fraction reference's value: a pair exactly where the reference is a
+    dyadic Fraction, and otherwise the identical float (or table entry)."""
+    g = KERNEL_GAUGES[name]
+    if g.kind == "table" and depth > 300:
+        with pytest.raises(OutOfRangeError):
+            g.scale_values(depth)
+        return
+    values = g.scale_values(depth)
+    assert len(values) == max(depth + 1, 0)
+    for n, v in enumerate(values):
+        old = reference_at_scale(g, n)
+        if isinstance(old, Fraction) and is_dyadic(old):
+            assert v == dyadic_pair(old.numerator, old.denominator.bit_length() - 1)
+        else:
+            assert same_number(v, old)
+
+
+def pairs():
+    return st.builds(dyadic_pair, st.integers(-(2**70), 2**70), st.integers(-5000, 5000))
+
+
+def fractions():
+    return st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+
+
+def floats():
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                         2.0**-1000, 2.0**1000, -(2.0**1000), 0.5, 1.0, 1.5, 3.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+    )
+
+
+VALUES = st.one_of(pairs(), fractions(), floats())
+
+
+def ties(v):
+    """v in every form that holds it exactly: Fraction, pair and float."""
+    x = Fraction(to_number(v))
+    forms = [x]
+    if is_dyadic(x):
+        forms.append(dyadic_pair(x.numerator, x.denominator.bit_length() - 1))
+    if abs(x) < 2**1000 and float(x) == x:
+        forms.append(float(x))
+    return forms
+
+
+@given(VALUES, VALUES)
+@example((1, 1074), 5e-324)  # the least subnormal, as a pair and a float
+@example((1, -1000), 2.0**1000)
+@example((3, 1), 1.5)
+@example((0, 0), -0.0)
+@example(Fraction(1, 3), 1 / 3)
+@example((1, 1075), 5e-324)
+def test_value_le_matches_fraction_comparison(a, b):
+    assert value_le(a, b) == (to_number(a) <= to_number(b))
+    assert value_le(b, a) == (to_number(b) <= to_number(a))
+    for t in ties(a):
+        assert value_le(a, t) and value_le(t, a)
+
+
+@pytest.mark.parametrize("bad, err", [(math.inf, OverflowError), (-math.inf, OverflowError),
+                                      (math.nan, ValueError)])
+def test_value_le_refuses_inf_and_nan(bad, err):
+    for other in ((1, 3), Fraction(1, 3), 0.25):
+        with pytest.raises(err):
+            value_le(bad, other)
+        with pytest.raises(err):
+            value_le(other, bad)
 
 
 @pytest.mark.parametrize("name", GAUGES)
@@ -179,7 +265,7 @@ def test_level_rows_match_reference(name):
     for depth in DEPTHS:
         for tree in trees(g, depth):
             expected = outcome(reference_level_rows, tree, g, depth)
-            got = outcome(lambda: [[str(c) for c in row] for row in _level_rows(tree, values, depth)])
+            got = outcome(lambda: [line.split(",") for line in _level_rows(tree, values, depth)])
             if isinstance(expected, tuple):  # a non-dyadic level cost
                 assert got == expected
             else:

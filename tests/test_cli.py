@@ -274,6 +274,24 @@ def test_table_gauge_out_of_range_exits_2(tmp_path, maps_file, capsys, command, 
     assert not out.exists() and not csv_out.exists()
 
 
+# the shift map as a transducer: drops the first bit, within its lag 1
+DROP_FIRST = {
+    "kind": "transducer",
+    "start": "a",
+    "delta": [["a", 0, "b", ""], ["a", 1, "b", ""], ["b", 0, "b", "0"], ["b", 1, "b", "1"]],
+    "lag": 1,
+}
+
+
+def test_transducer_within_its_lag_is_played(tmp_path):
+    maps, out = tmp_path / "maps.json", tmp_path / "r.json"
+    maps.write_text(json.dumps([DROP_FIRST]))
+    assert run(["antichain", "--gauge", "power:1/2", "--maps", maps, "--depth", 32,
+                "--stages", 2, "--out", out]) == 0
+    requirements = json.loads(out.read_text())["game_certificate"]["requirements"]
+    assert [r["stages"] for r in requirements] == [2, 2]
+
+
 # unreadable or malformed inputs and unwritable outputs: (input files, argv),
 # with paths relative to the run's directory
 BAD_INPUTS = {
@@ -321,6 +339,25 @@ BAD_INPUTS = {
         {"maps.json": '[{"kind": "transducer", "start": 0, '
                       '"delta": [[0, 0, 0, "0"], [0, 1, 0, "2"]], "lag": 0}]'},
         ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    "transducer_shorter_than_lag": (
+        {"maps.json": '[{"kind": "transducer", "start": 0, '
+                      '"delta": [[0, 0, 0, ""], [0, 1, 0, "1"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 32,
+         "--stages", 2, "--out", "out"],
+    ),
+    "transducer_lag_1_drops_2_bits": (
+        {"maps.json": json.dumps([dict(DROP_FIRST, delta=[
+            ["a", 0, "b", ""], ["a", 1, "b", ""], ["b", 0, "c", ""], ["b", 1, "c", ""],
+            ["c", 0, "c", "0"], ["c", 1, "c", "1"]])])},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 32,
+         "--stages", 1, "--out", "out"],
+    ),
+    "transducer_move_on_bit_2": (
+        {"maps.json": '[{"kind": "transducer", "start": 0, '
+                      '"delta": [[0, 0, 0, "0"], [0, 1, 0, "1"], [0, 2, 0, "1"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 16,
          "--stages", 1, "--out", "out"],
     ),
     "out_dir_missing": (
@@ -402,6 +439,31 @@ def test_levels_csv_count_beyond_int_digit_limit(tmp_path):
     assert exact.create_decimal(rows[-1][1]) == exact.power(2, depth)
     assert rows[-1][2:] == [f"1/2^{depth}", f"1/2^{depth}", "1"]
     assert rows[1000][1:3] == [str(2**1000), "1/2^1000"]
+
+
+@pytest.mark.parametrize("depth, code", [(1023, 0), (1024, 3)])
+def test_levels_csv_refuses_a_float_level_cost_past_2_to_1024(tmp_path, capsys, depth, code):
+    """power_log:1,-1 is a float at every level n >= 1; with no forced level,
+    level n has n free levels above it and a level cost of 2^n·g(2^-n), which
+    a float holds up to n = 1023 only.  Nothing is written on exit 3."""
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({
+        "schedule": {"depth": depth, "indices": [], "n0": 0},
+        "selector": {"kind": "constant", "bit": 0},
+        "depth": depth,
+    }))
+    out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
+    argv = ["measure", "--tree", tree_file, "--gauge", "power_log:1,-1", "--out", out]
+    assert run(argv + ["--csv", csv_out]) == code
+    err = capsys.readouterr().err
+    if code:
+        (line,) = err.splitlines()
+        assert line.startswith("error: level 1024 ") and "ROADMAP item 1" in line
+        assert not out.exists() and not csv_out.exists()
+        assert run(argv) == 0  # the certificate alone is still written
+    else:
+        _, rows = read_csv_table(str(csv_out))
+        assert rows[-1][0] == "1023" and float(rows[-1][-1]) > 0
 
 
 PARITY = {
@@ -558,7 +620,7 @@ def test_write_csv_matches_csv_module(tmp_path):
             [2, "", "a b", 1e-300], [3, True, "x;y", float("inf")]]
     manifest = {"tool": "gaugetree", "inputs": ["a,b.json"], "note": 'say "hi"'}
     out = tmp_path / "t.csv"
-    write_csv(str(out), header, iter(rows), manifest)
+    write_csv(str(out), header, (",".join(map(str, row)) for row in rows), manifest)
     buf = io.StringIO()
     buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -574,8 +636,9 @@ def test_write_csv_matches_csv_module(tmp_path):
 ])
 def test_write_csv_refuses_fields_csv_would_quote(tmp_path, row):
     out = tmp_path / "t.csv"
+    lines = [",".join(map(str, r)) for r in ([0, 0], row, [2, 2])]
     with pytest.raises(ValueError):
-        write_csv(str(out), ["a", "b"], [[0, 0], row, [2, 2]], {"tool": "gaugetree"})
+        write_csv(str(out), ["a", "b"], lines, {"tool": "gaugetree"})
     assert not out.exists()
 
 

@@ -419,6 +419,27 @@ def test_chunked_transducer_matches_per_character_reference(start, delta):
         assert t.apply(node) == reference_transduce(t, node)
 
 
+SHRINK = {(0, 0): (0, ""), (0, 1): (0, "1")}  # drops every 0
+DROP_FIRST = {("a", 0): ("b", ""), ("a", 1): ("b", ""), ("b", 0): ("b", "0"), ("b", 1): ("b", "1")}
+
+
+@pytest.mark.parametrize("start, delta", [
+    ("a", STUTTER), (0, PARITY.delta), (0, SHRINK), ("a", DROP_FIRST),
+])
+def test_min_drift_matches_every_input(start, delta):
+    t = TransducerMap(start=start, delta=delta, lag=0)
+    least = 0
+    for depth in range(11):
+        for bits in itertools.product("01", repeat=depth):
+            least = min(least, len(t.apply("".join(bits))) - depth)
+        assert t.min_drift(depth) == least
+
+
+def test_transducer_refuses_a_move_on_another_bit():
+    with pytest.raises(ValueError, match="bit 0 or 1"):
+        TransducerMap(start=0, delta={**PARITY.delta, (0, 2): (0, "1")}, lag=0)
+
+
 @pytest.mark.parametrize("node", ["2", "0000000012", "01010101" * 3 + "x", "0" * 16 + " "])
 def test_chunked_transducer_rejects_non_binary(node):
     t = TransducerMap(start="a", delta=STUTTER, lag=300)
