@@ -20,9 +20,10 @@ so every in-stage check and non-interference rescan filters afresh against
 the current selector.
 
 The hot loops run over whole lists: `TreeMap.apply_all` maps a list with
-one kernel per map kind, `BranchSelector.keep_consistent` filters one
-decided level at a time, and `verify_escape` takes its samples in blocks of
-SAMPLE_BLOCK, so that only one block of images is held at a time.
+one kernel per map kind, and `BranchSelector.keep_consistent` filters one
+decided level at a time.  A fresh candidate list and `verify_escape` map
+their leaves and samples in blocks of SAMPLE_BLOCK, so that only one block
+of images is held at a time before the compatible ones are dropped.
 """
 
 from __future__ import annotations
@@ -316,14 +317,16 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
         return memo
     candidates = state._candidates.get(req)
     if candidates is None:
-        s = req.root
+        s, apply_all = req.root, state.maps[req.map_index].apply_all
         # the leaves extending s are contiguous in the sorted frontier
-        above = leaves[bisect_left(leaves, s) : bisect_left(leaves, s + "2")]
-        images = state.maps[req.map_index].apply_all(above)
-        candidates = state._candidates[req] = [
-            (leaf, image) for leaf, image in zip(above, images)
-            if not (image.startswith(s) or s.startswith(image))  # not compatible()
-        ]
+        lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
+        candidates = state._candidates[req] = []
+        for start in range(lo, hi, SAMPLE_BLOCK):
+            block = leaves[start : min(start + SAMPLE_BLOCK, hi)]
+            candidates += [
+                (leaf, image) for leaf, image in zip(block, apply_all(block))
+                if not (image.startswith(s) or s.startswith(image))  # not compatible()
+            ]
     decided = sorted(state.decided().intersection(state.schedule.indices))
     bad = tuple(leaf for leaf, _ in state.selector().keep_consistent(candidates, decided))
     unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
@@ -474,10 +477,10 @@ class AntichainCertificate:
         }
 
 
-def _pick_scan_depth(schedule: BranchSchedule, depth: int, budget: int) -> int:
+def _pick_scan_depth(schedule: BranchSchedule, depth: int) -> int:
     best = 0
     for d in range(depth + 1):
-        if 2 ** (d - schedule.count_below(d)) <= budget:
+        if 2 ** (d - schedule.count_below(d)) <= DEFAULT_SCAN_DEPTH_BUDGET:
             best = d
     return best
 
@@ -489,11 +492,11 @@ def run_game(
     depth: int,
     stages_per_requirement: int,
     scan_depth: Optional[int] = None,
-    leaf_budget: int = DEFAULT_SCAN_DEPTH_BUDGET,
 ) -> Tuple[SplittingTree, AntichainCertificate]:
     """Round-robin the halving stage over all (map, root) requirements.
 
-    Bad sets are evaluated at a scan depth bounded by the leaf budget; their
+    Bad sets are evaluated at `scan_depth`, by default the deepest level with
+    at most DEFAULT_SCAN_DEPTH_BUDGET leaves (stages may deepen it); their
     depth-d measures over-approximate the deeper bad sets, so the certified
     bounds are sound for the full working depth.
     """
@@ -502,7 +505,7 @@ def run_game(
     if stages_per_requirement < 0:
         raise ValueError(f"negative stage count {stages_per_requirement}")
     if scan_depth is None:
-        scan_depth = _pick_scan_depth(schedule, depth, leaf_budget)
+        scan_depth = _pick_scan_depth(schedule, depth)
     requirements = [
         Requirement(map_index=i, root=check_node(r))
         for i in range(len(maps))
@@ -569,24 +572,22 @@ def verify_escape(
     maps: Sequence[TreeMap],
     samples: int,
     seed: int,
-    certificate: Optional[AntichainCertificate] = None,
+    certificate: AntichainCertificate,
 ) -> EscapeReport:
     """Sample branches and classify each image prefix per adversary map.
 
     escaped: some decided forced level already disagrees with the selector;
     fixed: the image prefix is comparable with the sampled branch;
-    undetermined: neither is visible at this depth.  With a certificate, an
-    undetermined sample whose divergence root is certified must lie, cut to
-    the certificate's scan depth, in the final bad set the game recorded for
-    that requirement, else it counts as unaccounted.
+    undetermined: neither is visible at this depth.  An undetermined sample
+    whose divergence root is certified must lie, cut to the certificate's
+    scan depth, in the final bad set the game recorded for that requirement,
+    else it counts as unaccounted; one whose root is not certified counts as
+    uncovered.
     """
     xs = tree.sample(seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
 
-    cert_bad = {
-        (r.map_index, r.root): set(r.final_bad.leaves)
-        for r in (certificate.requirements if certificate is not None else ())
-    }
+    cert_bad = {(r.map_index, r.root): set(r.final_bad.leaves) for r in certificate.requirements}
 
     per_map = []
     for mi, m in enumerate(maps):
@@ -599,8 +600,6 @@ def verify_escape(
             counts["fixed"] += len(block) - len(moved)
             counts["escaped"] += len(moved) - len(kept)
             counts["undetermined"] += len(kept)
-            if certificate is None:
-                continue
             for x, u in kept:
                 p = next(i for i in range(min(len(u), len(x))) if u[i] != x[i])
                 key = (mi, x[: p + 1])

@@ -120,64 +120,45 @@ def dimension_estimate(
     tolerance: float,
     depth: Optional[int] = None,
 ) -> DimensionEstimate:
-    """Bisection bracket for the branch set's dimension at finite depth.
+    """Bracket for the branch set's dimension at finite depth N = `depth`.
 
     s is certified from below when the mass-distribution bound succeeds for
-    the power gauge t^s, and from above when the optimal cover cost at this
-    depth drops strictly below the certified mass floor 1.
+    the power gauge t^s, and from above when the optimal cover cost at depth N
+    (cut level 0) drops strictly below the certified mass floor 1.  Both are
+    bisections over s in (0, 1] that halve until the width is <= tolerance,
+    k times for the least k >= 0 with 2^-k <= tolerance, and both tests read
+    only the free-level profile free(n) = n - count_below(n) of this
+    level-homogeneous tree, so each bisection has a closed form in integers:
+
+    - A level-n cylinder has measure 2^-free(n), so it passes the t^s test
+      iff free(n) >= n·s, and `frostman_lower` fails only when level N does.
+      The bisection keeps the largest j/2^k with free(N) >= N·j/2^k:
+      s_lo = floor(2^k·free(N)/N) / 2^k, which is 1 when free(N) = N.
+    - The cut-0 cover DP costs the least level cost, min over n <= N of
+      2^(free(n) - n·s), which is 1 at n = 0; so it is below 1 iff
+      free(n) < n·s for some n >= 1.  The bisection keeps the least j/2^k
+      above min free(n)/n: s_hi = (min of floor(2^k·free(n)/n) + 1) / 2^k
+      over 1 <= n <= N, capped at its starting point 1, which it keeps when
+      free(n) = n for every n <= N.
     """
     if tolerance < 2.0**-20:
         raise ValueError("tolerance must be >= 2^-20")
     n_max = tree.depth if depth is None else int(depth)
-
-    # both bisections only probe s in (0, 1]
-    def lower_ok(s: Fraction) -> bool:
-        try:
-            frostman_lower(
-                SplittingTree(tree.schedule, tree.selector, n_max), Gauge.power(s)
-            )
-            return True
-        except FrostmanConditionError:
-            return False
-
-    def upper_ok(s: Fraction) -> bool:
-        return level_dp_cost(tree, Gauge.power(s), 0, n_max) < 1
-
-    # lower bisection: largest s with mass-distribution evidence
-    lo, hi = Fraction(0), Fraction(1)
-    if lower_ok(hi):
-        s_lo = Fraction(1)
-    else:
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2
-            if lower_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        s_lo = lo
-
-    # upper bisection: smallest s with cover-decay evidence
-    lo, hi = Fraction(0), Fraction(1)
-    if not upper_ok(hi):
-        s_hi = Fraction(1)
-    else:
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2
-            if upper_ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        s_hi = hi
-
-    profile = tuple(
-        (n - tree.schedule.count_below(n)) / n for n in range(1, n_max + 1)
-    )
+    if not 0 <= n_max <= tree.depth:
+        raise ValueError(f"need 0 <= depth {n_max} <= {tree.depth}")
+    free = [n - tree.schedule.count_below(n) for n in range(n_max + 1)]
+    k = 0
+    while 2.0**-k > tolerance:
+        k += 1
+    lo = (free[n_max] << k) // n_max if n_max else 1 << k
+    hi = min([1 << k] + [(free[n] << k) // n + 1 for n in range(1, n_max + 1)])
+    s_lo, s_hi = lo / (1 << k), hi / (1 << k)
     return DimensionEstimate(
-        s_lo=float(s_lo),
-        s_hi=float(s_hi),
+        s_lo=s_lo,
+        s_hi=s_hi,
         depth=n_max,
-        conclusive=float(s_lo) <= float(s_hi) + tolerance,
-        box_profile=profile,
+        conclusive=s_lo <= s_hi + tolerance,
+        box_profile=tuple(free[n] / n for n in range(1, n_max + 1)),
     )
 
 

@@ -5,6 +5,9 @@ These are the bodies that computed every gauge value afresh as a Fraction (or
 float) and ran the level cover DP twice.  The integer (mantissa, exponent)
 fast paths in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli`
 must agree with them exactly; `tests/test_certify_oracles.py` compares the two.
+`reference_dimension_estimate` is the bisection that bracketed the dimension
+by probing the Frostman test and the cover DP on power gauges, which
+`tests/test_hausdorff.py` compares with the closed form.
 `reference_dyadic_four_cover` is the Fraction body of the four-interval cover,
 which `tests/test_transfer.py` compares with the integer one.
 
@@ -20,8 +23,10 @@ from fractions import Fraction
 
 from gaugetree.dyadic import floor_log2, is_dyadic
 from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError
-from gaugetree.gauge import POWER, POWER_LOG, TABLE, _GUARD
+from gaugetree.gauge import POWER, POWER_LOG, TABLE, _GUARD, Gauge
+from gaugetree.hausdorff import DimensionEstimate, frostman_lower, level_dp_cost
 from gaugetree.transfer import DyadicInterval
+from gaugetree.tree import SplittingTree
 
 BRUTE_FORCE_NODE_LIMIT = 64
 
@@ -126,6 +131,62 @@ def reference_level_dp_witness_level(tree, g, delta_exponent, depth=None):
         if n == n_max or reference_at_scale(g, n) <= branching * costs[n + 1]:
             return n
     return n_max
+
+
+def reference_dimension_estimate(tree, tolerance, depth=None):
+    """The bisection bracket: each of up to 16 probes runs the Frostman test or
+    the cut-0 level cover DP on a fresh power gauge t^s."""
+    if tolerance < 2.0**-20:
+        raise ValueError("tolerance must be >= 2^-20")
+    n_max = tree.depth if depth is None else int(depth)
+
+    # both bisections only probe s in (0, 1]
+    def lower_ok(s):
+        try:
+            frostman_lower(SplittingTree(tree.schedule, tree.selector, n_max), Gauge.power(s))
+            return True
+        except FrostmanConditionError:
+            return False
+
+    def upper_ok(s):
+        return level_dp_cost(tree, Gauge.power(s), 0, n_max) < 1
+
+    # lower bisection: largest s with mass-distribution evidence
+    lo, hi = Fraction(0), Fraction(1)
+    if lower_ok(hi):
+        s_lo = Fraction(1)
+    else:
+        while hi - lo > tolerance:
+            mid = (lo + hi) / 2
+            if lower_ok(mid):
+                lo = mid
+            else:
+                hi = mid
+        s_lo = lo
+
+    # upper bisection: smallest s with cover-decay evidence
+    lo, hi = Fraction(0), Fraction(1)
+    if not upper_ok(hi):
+        s_hi = Fraction(1)
+    else:
+        while hi - lo > tolerance:
+            mid = (lo + hi) / 2
+            if upper_ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        s_hi = hi
+
+    profile = tuple(
+        (n - tree.schedule.count_below(n)) / n for n in range(1, n_max + 1)
+    )
+    return DimensionEstimate(
+        s_lo=float(s_lo),
+        s_hi=float(s_hi),
+        depth=n_max,
+        conclusive=float(s_lo) <= float(s_hi) + tolerance,
+        box_profile=profile,
+    )
 
 
 def format_exact(x):

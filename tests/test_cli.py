@@ -496,7 +496,8 @@ def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, f
     report = json.loads(out.read_text())
     del report["manifest"]  # holds the input's temporary path
     with open(os.path.join(FIXTURES, fixture)) as fh:
-        assert report == json.load(fh)
+        # text, not parsed dicts: 1 == 1.0 would hide a float turned int
+        assert json.dumps(report, sort_keys=True, indent=2) + "\n" == fh.read()
 
 
 @pytest.mark.parametrize("gauge, depth, name", [

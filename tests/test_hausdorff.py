@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import brute_force_cover_cost, optimal_cover_cost
+from fraction_oracles import brute_force_cover_cost, optimal_cover_cost, reference_dimension_estimate
+from hypothesis import example, given, settings, strategies as st
 
 from gaugetree import (
     BranchSchedule,
@@ -167,6 +168,44 @@ def test_dimension_box_profile():
 def test_dimension_tolerance_floor():
     with pytest.raises(ValueError):
         dimension_estimate(make_tree(set(), 10), 2.0**-30)
+
+
+@st.composite
+def dimension_cases(draw):
+    """A random schedule tree of depth <= 60, a working depth and a tolerance."""
+    depth = draw(st.integers(0, 60))
+    indices = draw(st.sets(st.integers(0, depth - 1))) if depth else set()
+    n_max = draw(st.integers(0, depth))
+    tolerance = draw(st.sampled_from([0.01, 2.0**-20, 2.0**-7, 0.3, 1, 1.5])
+                     | st.floats(2.0**-20, 2.0))
+    return sorted(indices), depth, n_max, tolerance
+
+
+@settings(max_examples=300)
+@given(dimension_cases())
+@example(([], 0, 0, 0.01))  # the empty working depth
+@example(([1, 3], 8, 0, 2.0**-20))
+@example(([], 60, 60, 0.01))  # a full tree
+@example(([], 60, 60, 1))
+@example((list(range(60)), 60, 60, 0.01))  # an all-forced tree
+@example((list(range(60)), 60, 60, 2.0**-20))
+@example((list(range(1, 60, 2)), 60, 60, 1.5))
+def test_dimension_closed_form_matches_bisection(case):
+    indices, depth, n_max, tolerance = case
+    tree = make_tree(indices, depth)
+    est = dimension_estimate(tree, tolerance, depth=n_max)
+    ref = reference_dimension_estimate(tree, tolerance, depth=n_max)
+    # repr tells 1 from 1.0, which == would not
+    assert (repr(est.s_lo), repr(est.s_hi)) == (repr(ref.s_lo), repr(ref.s_hi))
+    assert (est.depth, est.conclusive, est.box_profile) == (ref.depth, ref.conclusive, ref.box_profile)
+
+
+@pytest.mark.parametrize("depth", [-1, 11])
+def test_dimension_depth_out_of_range(depth):
+    tree = make_tree({3}, 10)
+    for fn in (dimension_estimate, reference_dimension_estimate):
+        with pytest.raises(ValueError):
+            fn(tree, 0.01, depth=depth)
 
 
 # -- certificates -----------------------------------------------------------

@@ -628,8 +628,12 @@ def escape_cases():
     tree, cert = run_game(schedule, ESCAPE_MAPS, ["0", "1"], 61, 3)
     seeded = SplittingTree(BranchSchedule(depth=30, indices=tuple(range(1, 30, 3)), n0=0),
                            SeededSelector(2), 30)
-    return {"game_d61": (tree, cert), "game_d61_no_certificate": (tree, None),
-            "seeded_d30": (seeded, None)}
+    # a game without roots certifies no requirement: every undetermined
+    # sample is uncovered
+    _, bare = run_game(schedule, ESCAPE_MAPS, [], 61, 3)
+    _, bare_seeded = run_game(seeded.schedule, ESCAPE_MAPS, [], 30, 0)
+    return {"game_d61": (tree, cert), "game_d61_no_certificate": (tree, bare),
+            "seeded_d30": (seeded, bare_seeded)}
 
 
 @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 1000])
@@ -641,7 +645,9 @@ def test_verify_escape_matches_per_sample_loop(name, count):
     assert list(report.per_map) == expected
     assert all(sum(row[k] for k in ("fixed", "escaped", "undetermined")) == count
                for row in report.per_map)
-    if name == "game_d61" and count == 1000:
+    if name != "game_d61":
+        assert all(row["uncovered"] == row["undetermined"] for row in report.per_map)
+    elif count == 1000:
         # every branch of the check is reached
         assert all(row["escaped"] and row["undetermined"] for row in expected[1:])
         assert sum(row["uncovered"] for row in expected) > 0
