@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_exact, format_pair, format_rational, parse_dyadic
+from .dyadic import Value, format_dyadic, format_exact, format_pair, format_ratio, format_rational, parse_dyadic
 from .errors import (
     FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
 )
@@ -31,11 +31,7 @@ from .hausdorff import (
     measure_certificate,
 )
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
-from .transfer import (
-    dyadic_four_cover,
-    interleave_metric_check,
-    to_cube,
-)
+from .transfer import four_cover_span, interleave_metric_check, to_cube
 from .tree import NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
@@ -68,7 +64,7 @@ def atomic_write(path: str, data: str) -> None:
     except OSError as err:
         raise UsageError(f"cannot write {path}: {err.strerror}") from err
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:  # the SVG declares UTF-8
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -344,17 +340,15 @@ def cmd_transfer(args) -> int:
             den = rng.randrange(8, 1 << 16)
             lo = rng.randrange(den - 1)
             hi = rng.randrange(lo + 1, den)
-            a, b = Fraction(lo, den), Fraction(hi, den)
-            cover = dyadic_four_cover(a, b)
-            m = cover[0].level
-            # [min index, max index + 1] / 2^m contains [lo, hi] / den
+            m, first, stop = four_cover_span(lo, hi, den)
+            # re-check the span: [first, stop] / 2^m contains [lo, hi] / den
             ok = (
-                len(cover) <= 4
-                and all(iv.level == m for iv in cover)
-                and min(iv.index for iv in cover) * den <= lo << m
-                and (max(iv.index for iv in cover) + 1) * den >= hi << m
+                0 <= first < stop <= 1 << m
+                and stop - first <= 4
+                and first * den <= lo << m
+                and stop * den >= hi << m
             )
-            lines.append(f"{i},{format_rational(a)},{format_rational(b)},{m},{len(cover)},{int(ok)}")
+            lines.append(f"{i},{format_ratio(lo, den)},{format_ratio(hi, den)},{m},{stop - first},{int(ok)}")
         write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], lines, manifest)
     elif args.mode == "interleave-check":
         for i in range(args.count):
@@ -365,8 +359,8 @@ def cmd_transfer(args) -> int:
                 y = random_bits(rng, length)
             chk = interleave_metric_check(x, y, n)
             lines.append(
-                f"{i},{n},{chk.first_difference},{format_rational(chk.expected)},"
-                f"{format_rational(chk.observed)},{int(chk.expected == chk.observed)}"
+                f"{i},{n},{chk.first_difference},{format_ratio(1, 1 << chk.expected_exp)},"
+                f"{format_ratio(1, 1 << chk.observed_exp)},{int(chk.expected_exp == chk.observed_exp)}"
             )
         write_csv(args.out, ["item", "n", "k", "expected", "observed", "pass"], lines, manifest)
     else:  # cube-map
@@ -404,9 +398,10 @@ def cmd_plot(args) -> int:
 
 def render_svg(xs, series, x_label, manifest) -> str:
     """Standalone SVG 1.1 line plot; byte-deterministic for fixed input."""
+    from xml.sax.saxutils import escape  # not at the top: it imports urllib.request
     width, height, pad = 640, 420, 50
     all_y = [v for _, ys in series for v in ys]
-    x0, x1 = min(xs), max(xs) or 1
+    x0, x1 = min(xs), max(xs)
     y0, y1 = min(all_y), max(all_y)
     if x1 == x0:
         x1 = x0 + 1
@@ -419,16 +414,17 @@ def render_svg(xs, series, x_label, manifest) -> str:
     def sy(v):
         return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad)
 
+    comment = json.dumps(manifest, sort_keys=True).replace("--", "-\\u002d")  # no "--" in a comment
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f"<!-- manifest: {json.dumps(manifest, sort_keys=True)} -->",
+        f"<!-- manifest: {comment} -->",
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 12}" font-size="12" text-anchor="middle">{x_label}</text>',
+        f'<text x="{width // 2}" y="{height - 12}" font-size="12" text-anchor="middle">{escape(x_label)}</text>',
     ]
     for idx, (label, ys) in enumerate(series):
         color = colors[idx % len(colors)]
@@ -442,7 +438,7 @@ def render_svg(xs, series, x_label, manifest) -> str:
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{width - pad - 64}" y="{ly + 4}" font-size="11">{label}</text>'
+            f'<text x="{width - pad - 64}" y="{ly + 4}" font-size="11">{escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

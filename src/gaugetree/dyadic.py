@@ -14,6 +14,7 @@ pair or a Fraction is one integer cross-multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Tuple, Union
 
 Number = Union[Fraction, float]
@@ -106,10 +107,14 @@ def parse_dyadic(s: str) -> Fraction:
     return Fraction(s)
 
 
+def format_ratio(p: int, q: int) -> str:
+    """p/q for q > 0, in lowest terms, as ``p/q`` (plain integer when q divides p)."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_ratio(x.numerator, x.denominator)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -2,7 +2,10 @@
 
 Bit interleaving splits one sequence into n residue-class subsequences; each
 component expands to a dyadic interval endpoint.  The four-interval covering
-construction covers any interval by at most four dyadic intervals of one level.
+construction covers any interval by at most four dyadic intervals of one level;
+:func:`four_cover_span` is its one formula, in integers, and
+:func:`dyadic_four_cover` projects the span to intervals.  The metric check
+reads each first-difference index from the bit length of an integer xor.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .dyadic import floor_log2_ratio, format_dyadic
+from .dyadic import floor_log2_ratio
 from .errors import DegenerateIntervalError
 from .tree import check_node
 
@@ -39,9 +42,6 @@ class DyadicInterval:
     def diameter(self) -> Fraction:
         return Fraction(1, 2**self.level)
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.level, "p": self.index}
-
 
 @dataclass(frozen=True)
 class CubePoint:
@@ -51,12 +51,6 @@ class CubePoint:
     def __post_init__(self):
         if any(not 0 <= c <= 1 for c in self.coords):
             raise ValueError("cube coordinates must lie in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coords": [format_dyadic(c) for c in self.coords],
-            "precision": self.precision,
-        }
 
 
 def expand(node: str) -> DyadicInterval:
@@ -77,26 +71,35 @@ def interleave(node: str, n: int) -> Tuple[str, ...]:
 @dataclass(frozen=True)
 class MetricCheck:
     first_difference: int
-    expected: Fraction
-    observed: Fraction
+    expected_exp: int
+    observed_exp: int
+
+    @property
+    def expected(self) -> Fraction:
+        return Fraction(1, 1 << self.expected_exp)
+
+    @property
+    def observed(self) -> Fraction:
+        return Fraction(1, 1 << self.observed_exp)
+
+
+def _first_difference(x: str, y: str):
+    """First index where equal-length bit strings x and y differ, or None."""
+    d = int(x, 2) ^ int(y, 2) if x else 0
+    return len(x) - d.bit_length() if d else None
 
 
 def interleave_metric_check(x: str, y: str, n: int) -> MetricCheck:
-    """Distance law under interleaving: 2^-k maps to 2^-floor(k/n)."""
+    """Distance law under interleaving: 2^-k maps to 2^-floor(k/n).  The
+    observed distance is the largest over the components, read from them."""
     xs, ys = interleave(x, n), interleave(y, n)  # validates both strings
     if x == y:
         raise DegenerateIntervalError("distance undefined for equal strings")
     if len(x) != len(y):
         raise ValueError("strings must have equal length")
-    k = next(i for i in range(len(x)) if x[i] != y[i])
-    expected = Fraction(1, 2 ** (k // n))
-    dists = []
-    for xc, yc in zip(xs, ys):
-        diff = next((i for i in range(len(xc)) if xc[i] != yc[i]), None)
-        if diff is not None:
-            dists.append(Fraction(1, 2**diff))
-    observed = max(dists)
-    return MetricCheck(first_difference=k, expected=expected, observed=observed)
+    k = _first_difference(x, y)
+    observed = min(d for d in map(_first_difference, xs, ys) if d is not None)
+    return MetricCheck(first_difference=k, expected_exp=k // n, observed_exp=observed)
 
 
 def to_cube(node: str, n: int) -> CubePoint:
@@ -109,21 +112,27 @@ def to_cube(node: str, n: int) -> CubePoint:
     )
 
 
-def dyadic_four_cover(a: Fraction, b: Fraction) -> List[DyadicInterval]:
-    """At most four level-m dyadic intervals covering [a, b], following the
-    grid-point construction; the least valid grid index keeps it total."""
-    a, b = (a, b) if type(a) is type(b) is Fraction else (Fraction(a), Fraction(b))
-    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    num, den = pb * qa - pa * qb, qa * qb
-    if not (pa >= 0 and num > 0 and pb <= qb):
-        if num <= 0:
-            raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
+def four_cover_span(lo: int, hi: int, den: int) -> Tuple[int, int, int]:
+    """(m, first, stop): the level-m dyadic intervals first..stop - 1, at most
+    four, cover [lo/den, hi/den], following the grid-point construction; the
+    least valid grid index keeps it total.  Any den > 0 will do, reduced or not."""
+    if not (0 <= lo < hi <= den):
+        if hi <= lo:
+            raise DegenerateIntervalError(f"need a < b, got [{Fraction(lo, den)}, {Fraction(hi, den)}]")
         raise ValueError("interval must lie inside [0, 1]")
+    num = hi - lo
     if 2 * num > den:
-        return [DyadicInterval(level=0, index=0)]
+        return 0, 0, 1
     # unique m with 2^-m < diam <= 2^-(m-1); diam <= 1/2, so e < 0
     e = floor_log2_ratio(num, den)
     m = -e + (num << -e == den)
-    p = (pa << m) // qa + 1
-    return [DyadicInterval(m, idx) for idx in range(max(p - 2, 0), min(p + 2, 1 << m))]
+    p = (lo << m) // den + 1
+    return m, max(p - 2, 0), min(p + 2, 1 << m)
 
+
+def dyadic_four_cover(a: Fraction, b: Fraction) -> List[DyadicInterval]:
+    """The cover of :func:`four_cover_span` as intervals."""
+    a, b = Fraction(a), Fraction(b)
+    qa, qb = a.denominator, b.denominator
+    m, first, stop = four_cover_span(a.numerator * qb, b.numerator * qa, qa * qb)
+    return [DyadicInterval(m, idx) for idx in range(first, stop)]

@@ -9,7 +9,9 @@ must agree with them exactly; `tests/test_certify_oracles.py` compares the two.
 by probing the Frostman test and the cover DP on power gauges, which
 `tests/test_hausdorff.py` compares with the closed form.
 `reference_dyadic_four_cover` is the Fraction body of the four-interval cover,
-which `tests/test_transfer.py` compares with the integer one.
+and `reference_interleave_metric_check` the Fraction body of the interleaving
+metric check, which `tests/test_transfer.py` compares with the integer
+`four_cover_span` and `interleave_metric_check`.
 
 The cover-cost oracles of the level DP live here too: `optimal_cover_cost`,
 the node DP over an explicit trie, and `brute_force_cover_cost`, which
@@ -25,7 +27,7 @@ from gaugetree.dyadic import floor_log2, is_dyadic
 from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError
 from gaugetree.gauge import POWER, POWER_LOG, TABLE, _GUARD, Gauge
 from gaugetree.hausdorff import DimensionEstimate, frostman_lower, level_dp_cost
-from gaugetree.transfer import DyadicInterval
+from gaugetree.transfer import DyadicInterval, interleave
 from gaugetree.tree import SplittingTree
 
 BRUTE_FORCE_NODE_LIMIT = 64
@@ -238,6 +240,24 @@ def reference_dyadic_four_cover(a, b):
         if 0 <= idx < scale:
             intervals.append(DyadicInterval(level=m, index=idx))
     return intervals
+
+
+def reference_interleave_metric_check(x, y, n):
+    """(k, 2^-floor(k/n), largest component distance) for the first
+    difference k of x and y, in Fractions, scanning bit by bit."""
+    xs, ys = interleave(x, n), interleave(y, n)  # validates both strings
+    if x == y:
+        raise DegenerateIntervalError("distance undefined for equal strings")
+    if len(x) != len(y):
+        raise ValueError("strings must have equal length")
+    k = next(i for i in range(len(x)) if x[i] != y[i])
+    expected = Fraction(1, 2 ** (k // n))
+    dists = []
+    for xc, yc in zip(xs, ys):
+        diff = next((i for i in range(len(xc)) if xc[i] != yc[i]), None)
+        if diff is not None:
+            dists.append(Fraction(1, 2**diff))
+    return k, expected, max(dists)
 
 
 def optimal_cover_cost(etree, g, delta_exponent):

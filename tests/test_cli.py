@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import decimal
 import importlib
@@ -8,13 +9,16 @@ import io
 import json
 import math
 import os
+import tempfile
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gaugetree
-from gaugetree.cli import main, parse_gauge_spec, read_csv_table, render_svg, write_csv
-from gaugetree.transfer import DyadicInterval, dyadic_four_cover
+from gaugetree.cli import build_manifest, main, parse_gauge_spec, read_csv_table, render_svg, write_csv
+from gaugetree.transfer import DyadicInterval, four_cover_span
 
 
 def run(argv):
@@ -575,34 +579,48 @@ def test_transfer_outputs_match_pinned_fixtures(tmp_path, argv, fixture):
 
 
 def test_four_cover_pass_column_rejects_bad_covers(tmp_path, monkeypatch):
-    """The pass column re-checks each cover; it does not trust the construction."""
+    """The pass column re-checks each span; it does not trust the construction."""
 
-    def drop_first(a, b):
-        cover = dyadic_four_cover(a, b)
-        return cover[1:] if len(cover) > 1 else cover
+    def drop_first(lo, hi, den):
+        m, first, stop = four_cover_span(lo, hi, den)
+        return m, first + (stop - first > 1), stop
 
-    def drop_last(a, b):
-        cover = dyadic_four_cover(a, b)
-        return cover[:-1] if len(cover) > 1 else cover
+    def drop_last(lo, hi, den):
+        m, first, stop = four_cover_span(lo, hi, den)
+        return m, first, stop - (stop - first > 1)
 
-    def shift_right(a, b):
-        cover = dyadic_four_cover(a, b)
-        m = cover[0].level
-        return [DyadicInterval(m, min(iv.index + 1, 2**m - 1)) for iv in cover]
+    def shift_right(lo, hi, den):
+        m, first, stop = four_cover_span(lo, hi, den)
+        return m, min(first + 1, (1 << m) - 1), min(stop + 1, 1 << m)
 
-    def mixed_levels(a, b):
-        cover = dyadic_four_cover(a, b)
-        return cover + [DyadicInterval(cover[0].level + 1, 0)]
+    def wrong_level(lo, hi, den):
+        m, first, stop = four_cover_span(lo, hi, den)
+        return m + 1, first, stop
 
-    for bad in (drop_first, drop_last, shift_right, mixed_levels):
-        monkeypatch.setattr(gaugetree.cli, "dyadic_four_cover", bad)
+    def widen(lo, hi, den):  # still covers, with up to six intervals
+        m, first, stop = four_cover_span(lo, hi, den)
+        return m, max(first - 1, 0), min(stop + 1, 1 << m)
+
+    def extend_left(lo, hi, den):  # from index -1 where first is 0
+        m, first, stop = four_cover_span(lo, hi, den)
+        return m, first - 1, stop
+
+    for bad in (drop_first, drop_last, shift_right, wrong_level, widen, extend_left):
+        monkeypatch.setattr(gaugetree.cli, "four_cover_span", bad)
         out = tmp_path / f"{bad.__name__}.csv"
         assert run(["transfer", "four-cover", "--count", 200, "--out", out]) == 0
         _, rows = read_csv_table(str(out))
         assert any(r[-1] == "0" for r in rows), bad.__name__
         for r in rows:
             a, b = Fraction(r[1]), Fraction(r[2])
-            assert r[-1] == str(int(cli_pass_reference(bad(a, b), a, b))), (bad.__name__, r)
+            qa, qb = a.denominator, b.denominator
+            m, first, stop = bad(a.numerator * qb, b.numerator * qa, qa * qb)
+            assert r[3:5] == [str(m), str(stop - first)], (bad.__name__, r)
+            if not 0 <= first < stop <= 1 << m:  # no level-m dyadic intervals
+                assert r[-1] == "0", (bad.__name__, r)
+                continue
+            cover = [DyadicInterval(m, idx) for idx in range(first, stop)]
+            assert r[-1] == str(int(cli_pass_reference(cover, a, b))), (bad.__name__, r)
 
 
 def cli_pass_reference(cover, a, b):
@@ -672,6 +690,36 @@ def test_plot_svg(tmp_path):
     assert svg.startswith('<?xml version="1.0"')
     assert "<polyline" in svg and "</svg>" in svg
     assert out1.read_bytes() == out2.read_bytes()
+
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+
+
+def svg_manifest(path):
+    """The manifest in the SVG's comment, which may not hold "--"."""
+    with open(path, encoding="utf-8") as fh:
+        comment = fh.read().splitlines()[1]
+    assert comment.startswith("<!-- manifest: ") and comment.endswith(" -->")
+    body = comment[len("<!-- manifest: "):-len(" -->")]
+    assert "--" not in body
+    return json.loads(body)
+
+
+def test_plot_escapes_labels_and_manifest(tmp_path):
+    """Markup characters in the labels and a "--" in the table's path still
+    give well-formed XML, and the comment decodes to the manifest."""
+    (tmp_path / "d--x").mkdir()
+    table, out = tmp_path / "d--x" / "t.csv", tmp_path / "p.svg"
+    table.write_text("a&b,y<1\n0,1\n1,1/2^1\n")
+    assert run(["plot", "--table", table, "--x", "a&b", "--y", "y<1", "--out", out]) == 0
+    root = ElementTree.parse(out).getroot()
+    assert [t.text for t in root.iter(SVG_TEXT)] == ["a&b", "y<1"]
+    assert svg_manifest(out) == build_manifest("plot", argparse.Namespace(), [str(table)])
+
+
+def test_plot_x_axis_spans_a_column_whose_maximum_is_zero():
+    svg = render_svg([-3.0, 0.0], [("y", [0.0, 1.0])], "x", {})
+    assert 'points="50.00,370.00 590.00,50.00"' in svg
 
 
 def _cell_value(cell):
@@ -745,3 +793,88 @@ def test_benchmark_tracer_targets_exist():
             assert any(method in vars(cls) for cls in (root, *root.__subclasses__())), attr
         else:
             assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as err:
+        return err.code
+
+
+TRANSFER_HEADERS = {
+    "four-cover": ["item", "a", "b", "level", "intervals", "pass"],
+    "interleave-check": ["item", "n", "k", "expected", "observed", "pass"],
+    "cube-map": ["coordinate", "value"],
+}
+
+
+@settings(max_examples=200)
+@given(
+    mode=st.sampled_from(sorted(TRANSFER_HEADERS)),
+    count=st.integers(1, 50),
+    length=st.integers(4, 400),
+    n=st.integers(1, 12),
+    seed=st.integers(-(1 << 70), 1 << 70),
+    bits=st.text("01", max_size=40),
+    flaw=st.sampled_from([None, None, None, "length", "n", "bits"]),
+    bad=st.data(),
+)
+def test_transfer_cli_fuzz(mode, count, length, n, seed, bits, flaw, bad):
+    """Exit 0 or 2, also with a --length or --n out of range or --bits not
+    binary; a table is absent or complete, with every law passing."""
+    if flaw == "length":
+        length = bad.draw(st.integers(-3, 3))
+    elif flaw == "n":
+        n = bad.draw(st.integers(-3, 0))
+    elif flaw == "bits":
+        bits = bad.draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=8).filter(
+            lambda b: b.strip("01")))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "t.csv")
+        code = exit_code(["transfer", mode, "--count", count, "--length", length, "--n", n,
+                          "--seed", seed, f"--bits={bits}", "--out", out])
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        header, rows = read_csv_table(out)
+    assert flaw is None
+    assert header == TRANSFER_HEADERS[mode]
+    if mode == "cube-map":
+        assert [r[0] for r in rows] == [str(i) for i in range(n)]
+    else:
+        assert len(rows) == count and all(r[-1] == "1" for r in rows)
+
+
+PRINTABLE = st.text(st.characters(exclude_categories=("Cs",)).filter(str.isprintable), max_size=8)
+CELLS = st.integers(-1000, 1000).map(str) | st.sampled_from(["1/2^3", "3/7", "-5/2^1"])
+
+
+@settings(max_examples=200)
+@given(
+    headers=st.lists(PRINTABLE, min_size=1, max_size=4),
+    rows=st.lists(st.lists(CELLS, min_size=4, max_size=4), min_size=1, max_size=5),
+    bad_cell=st.sampled_from([None, "x", "", "inf"]),
+    picks=st.lists(st.integers(0, 3), min_size=2, max_size=3),
+)
+def test_plot_cli_fuzz(headers, rows, bad_cell, picks):
+    """Exit 0 or 2 on any printable header; an SVG is absent or parses as XML
+    with the requested labels and the manifest in its comment."""
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "d--x"))
+        table, out = os.path.join(tmp, "d--x", "t.csv"), os.path.join(tmp, "p.svg")
+        if bad_cell is not None:
+            rows[-1][picks[0] % len(headers)] = bad_cell
+        with open(table, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([headers] + [r[:len(headers)] for r in rows])
+        x, *ys = [headers[i % len(headers)] for i in picks]
+        code = exit_code(["plot", "--table", table, f"--x={x}", f"--y={','.join(ys)}", "--out", out])
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        root = ElementTree.parse(out).getroot()
+        assert [t.text or "" for t in root.iter(SVG_TEXT)] == [x, *ys]
+        assert svg_manifest(out)["inputs"] == [table]

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gaugetree.dyadic import (
     dyadic_pair,
@@ -12,6 +13,7 @@ from gaugetree.dyadic import (
     format_dyadic,
     format_exact,
     format_pair,
+    format_ratio,
     format_rational,
     is_dyadic,
     parse_dyadic,
@@ -102,3 +104,23 @@ def test_dyadic_round_trip():
 def test_rational_round_trip():
     for x in [Fraction(1, 3), Fraction(0), Fraction(22, 7)]:
         assert parse_rational(format_rational(x)) == x
+
+
+@st.composite
+def ratios(draw):
+    """(p, q), q > 0, with q dividing p for a third of them."""
+    q = draw(st.integers(1, 1 << 80))
+    if draw(st.integers(0, 2)):
+        return draw(st.integers(-(1 << 80), 1 << 80)), q
+    return q * draw(st.integers(-(1 << 20), 1 << 20)), q
+
+
+@given(ratios())
+@example((0, 1))
+@example((0, 6))
+@example((12, 4))
+@example((-6, 3))
+@example((6, 4))
+def test_format_ratio_matches_fraction(pq):
+    p, q = pq
+    assert format_ratio(p, q) == format_rational(Fraction(p, q)) == str(Fraction(p, q))

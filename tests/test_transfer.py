@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import deinterleave, reference_dyadic_four_cover
+from fraction_oracles import (
+    deinterleave,
+    reference_dyadic_four_cover,
+    reference_interleave_metric_check,
+)
+from hypothesis import example, given, settings, strategies as st
 
 from gaugetree import (
     dyadic_four_cover,
@@ -14,6 +19,7 @@ from gaugetree import (
     to_cube,
 )
 from gaugetree.errors import DegenerateIntervalError
+from gaugetree.transfer import four_cover_span
 
 
 def test_expand():
@@ -62,6 +68,44 @@ def test_metric_law_random():
 def test_metric_check_rejects_equal():
     with pytest.raises(DegenerateIntervalError):
         interleave_metric_check("0101", "0101", 2)
+
+
+@st.composite
+def metric_cases(draw):
+    """(x, y, n): bit strings of one length 1-400 that differ only from a drawn
+    position on, often only in one residue class mod n (so the other
+    components never differ), and sometimes not at all."""
+    n = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 400))
+    x = draw(st.integers(0, (1 << length) - 1))
+    start = draw(st.integers(0, length - 1))  # the equal prefix
+    mask = draw(st.integers(0, (1 << length - start) - 1))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        mask &= sum(1 << length - 1 - i for i in range(r, length, n))
+    if draw(st.booleans()):  # a single differing bit at the end of the prefix
+        mask = 1 << length - 1 - start
+    return format(x, f"0{length}b"), format(x ^ mask, f"0{length}b"), n
+
+
+@settings(max_examples=400)
+@given(metric_cases())
+@example(("1", "0", 1))
+@example(("0" * 399 + "1", "0" * 400, 5))
+@example(("0" * 399 + "1", "0" * 400, 1))
+@example(("0110", "0111", 5))  # components 4 and 5 are empty
+@example(("0110", "0110", 3))
+def test_metric_check_matches_fraction_reference(case):
+    x, y, n = case
+    if x == y:
+        for check in (interleave_metric_check, reference_interleave_metric_check):
+            with pytest.raises(DegenerateIntervalError):
+                check(x, y, n)
+        return
+    chk = interleave_metric_check(x, y, n)
+    k, expected, observed = reference_interleave_metric_check(x, y, n)
+    assert (chk.first_difference, chk.expected, chk.observed) == (k, expected, observed)
+    assert (chk.expected_exp, Fraction(1, 2**chk.observed_exp)) == (k // n, observed)
 
 
 @pytest.mark.parametrize("x, y", [("0121", "0121"), ("0101", "012"), ("012", "0101")])
@@ -185,3 +229,35 @@ def test_four_cover_accepts_ints_and_floats():
     for a, b in ((0, 1), (0.25, 0.5), (0, Fraction(1, 3)), ("1/7", "2/7")):
         assert dyadic_four_cover(a, b) == reference_dyadic_four_cover(a, b)
 
+
+@st.composite
+def unreduced_intervals(draw):
+    """(lo, hi, den), den up to 2^70 and rarely in lowest terms; half of them
+    have a power-of-two diameter, on or off the grid of that level."""
+    scale = draw(st.integers(1, 1 << 10))
+    if draw(st.booleans()):
+        den = draw(st.integers(1, (1 << 70) // scale))
+        lo = draw(st.integers(0, den - 1))
+        hi = draw(st.integers(lo + 1, den))
+    else:
+        unit = draw(st.integers(1, 1 << 8))
+        den = unit << draw(st.integers(0, 52))  # the diameter unit/den is a power of 2
+        lo = draw(st.integers(0, den - unit))
+        lo = lo - lo % unit if draw(st.booleans()) else lo
+        hi = lo + unit
+    return lo * scale, hi * scale, den * scale
+
+
+@settings(max_examples=400)
+@given(unreduced_intervals())
+@example((0, 1, 1))
+@example((1, 3, 4))  # a diameter of exactly 1/2
+@example((3, 9, 12))  # the same, unreduced
+@example((0, 1, 1 << 70))
+@example(((1 << 70) - 1, 1 << 70, 1 << 70))  # grid index clipped at 2^m
+def test_four_cover_span_matches_fraction_reference(interval):
+    lo, hi, den = interval
+    m, first, stop = four_cover_span(lo, hi, den)
+    ref = reference_dyadic_four_cover(Fraction(lo, den), Fraction(hi, den))
+    assert (m, first, stop) == (ref[0].level, ref[0].index, ref[-1].index + 1)
+    assert stop - first == len(ref)
