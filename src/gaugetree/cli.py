@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import json
 import os
 import random
@@ -19,11 +18,11 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_exact, format_pair, format_ratio, format_rational, parse_dyadic
+from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_dyadic
 from .errors import (
     FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
 )
-from .gauge import GUARD_EXP, Gauge, BranchSchedule, bound_table, sparsity_schedule
+from .gauge import Gauge, BranchSchedule, bound_table, sparsity_schedule
 from .hausdorff import (
     dimension_estimate,
     frostman_lower,
@@ -35,8 +34,6 @@ from .transfer import four_cover_span, interleave_metric_check, to_cube
 from .tree import NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
-# the levels CSV forms a float level cost as 2^free·g, and 2^1024 overflows
-FLOAT_FREE_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +47,7 @@ def build_manifest(command: str, args: argparse.Namespace, inputs: Sequence[str]
         "command": command,
         "inputs": sorted(inputs),
         "seed": getattr(args, "seed", 0),
-        "config": {
-            "node_budget": NODE_BUDGET,
-            "guard_exp": GUARD_EXP,
-        },
+        "config": {"node_budget": NODE_BUDGET},
     }
 
 
@@ -96,15 +90,18 @@ def write_csv(path: str, header: List[str], lines: Iterable[str], manifest: dict
 
 
 def read_csv_table(path: str):
+    """(header, rows) of a UTF-8 CSV table; a leading ``# manifest:`` line is
+    skipped, and every other line is data."""
     try:
-        with open(path) as fh:
-            lines = [l for l in fh if not l.startswith("#")]
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err.strerror}") from err
-    reader = csv.reader(lines)
-    rows = list(reader)
-    if not rows:
-        return [], []
+    except UnicodeDecodeError as err:
+        raise UsageError(f"cannot read {path}: not UTF-8: {err.reason} at byte {err.start}") from err
+    if lines and lines[0].startswith("# manifest:"):
+        del lines[0]
+    rows = list(csv.reader(lines)) or [[]]
     return rows[0], rows[1:]
 
 
@@ -204,40 +201,17 @@ def cmd_schedule(args) -> int:
 
 
 def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
-    """Yield the levels CSV lines 0..depth.  The count 2^free is an exact
-    Decimal doubled at each free level: rendering a large int is quadratic
-    and refused beyond the interpreter's 4 300-digit limit."""
+    """Yield the levels CSV lines 0..depth: n, the free levels above n, the
+    cylinder measure 2^-free, g(2^-n) and the level cost 2^free·g(2^-n), the
+    last two from the upper end of the enclosure, written as format_pair does."""
     forced = set(tree.schedule.indices)
-    exact = decimal.Context(prec=decimal.MAX_PREC)
-    count, free = decimal.Decimal(1), 0  # free levels above level n
+    free = 0  # free levels above level n
     for n in range(depth + 1):
-        gv = values[n]
-        if type(gv) is tuple:
-            m, e = gv
-            gauge_value = format_pair(m, e)
-            level_cost = format_pair(m, e - free) if m else "0"
-        else:
-            cost = 2**free * gv
-            gauge_value = format_exact(gv) if isinstance(gv, Fraction) else repr(float(gv))
-            level_cost = format_exact(cost) if isinstance(cost, Fraction) else repr(float(cost))
-        yield f"{n},{count},{format_pair(1, free)},{gauge_value},{level_cost}"
-        if n not in forced:
-            count = exact.add(count, count)
-            free += 1
-
-
-def _float_cost_overflow(tree: SplittingTree, values: Sequence[Value], depth: int):
-    """(level, free levels above it) of the first level whose level cost
-    2^free·g(2^-n) cannot be formed: a float value with at least
-    FLOAT_FREE_LIMIT free levels above it, as 2^1024 exceeds every float.
-    None when there is no such level."""
-    forced = set(tree.schedule.indices)
-    free = 0
-    for n in range(depth + 1):
-        if free >= FLOAT_FREE_LIMIT and isinstance(values[n], float):
-            return n, free
+        _, m, e = values[n]
+        c = e - free
+        yield (f"{n},{free},{f'1/2^{free}' if free else 1},"
+               f"{f'{m}/2^{e}' if e > 0 else m << -e},{f'{m}/2^{c}' if c > 0 else m << -c}")
         free += n not in forced
-    return None
 
 
 def cmd_measure(args) -> int:
@@ -251,21 +225,13 @@ def cmd_measure(args) -> int:
         print(f"error: --delta-exp {args.delta_exp} exceeds the depth {depth}", file=sys.stderr)
         return 2
     values = g.scale_values(depth)
-    overflow = _float_cost_overflow(tree, values, depth) if args.csv else None
-    if overflow:
-        print(
-            f"error: level {overflow[0]} has a float gauge value and {overflow[1]} free levels "
-            "above it, so its level cost overflows a float; see ROADMAP item 1 (integer "
-            "enclosures)", file=sys.stderr,
-        )
-        return 3
     cert = measure_certificate(tree, g, args.delta_exp, depth, values)
     manifest = build_manifest("measure", args, [args.tree])
     write_json(args.out, {"certificate": cert.to_json_dict()}, manifest)
     if args.csv:
         write_csv(
             args.csv,
-            ["n", "count", "mu_cylinder", "gauge_value", "level_cost"],
+            ["n", "free", "mu_cylinder", "gauge_value", "level_cost"],
             _level_rows(tree, values, depth),
             manifest,
         )
@@ -317,7 +283,7 @@ def cmd_antichain(args) -> int:
         },
         "measure_certificate": {
             "frostman": frostman,
-            "upper": format_exact(upper) if isinstance(upper, Fraction) else repr(float(upper)),
+            "upper": format_dyadic(upper),
             "delta_exp": delta_used,
         },
         "dimension": {

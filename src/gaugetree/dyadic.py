@@ -3,12 +3,9 @@
 An exact dyadic value m·2^-e is the integer pair ``(m, e)`` with m odd, or
 ``(0, 0)``; e may be negative.  Doubling it is ``(m, e - 1)``, its floor(log2)
 is ``m.bit_length() - 1 - e``, and two pairs compare with one shift, so its
-cost does not grow with the depth of its scale as a Fraction's does.  Other
-values stay :class:`fractions.Fraction` when exact and float otherwise, with
-the documented precision; :func:`to_number` projects a pair to a Fraction.
-:func:`value_le` compares any two of these exactly without building a
-Fraction: a float enters as its ``as_integer_ratio()``, so a float against a
-pair or a Fraction is one integer cross-multiplication.
+cost does not grow with the depth of its scale as a Fraction's does.  A gauge
+value is the triple ``(lo, hi, e)`` enclosing it (see :mod:`gaugetree.gauge`),
+and :func:`to_number` projects a pair to a Fraction.
 """
 
 from __future__ import annotations
@@ -19,8 +16,8 @@ from typing import Tuple, Union
 
 Number = Union[Fraction, float]
 Pair = Tuple[int, int]
-# a gauge value as Gauge.dyadic_at_scale returns it
-Value = Union[Pair, Number]
+# a gauge value as Gauge.dyadic_at_scale returns it: (lo, hi, e)
+Value = Tuple[int, int, int]
 
 
 def dyadic_pair(m: int, e: int = 0) -> Pair:
@@ -31,33 +28,18 @@ def dyadic_pair(m: int, e: int = 0) -> Pair:
     return (m >> zeros, e - zeros)
 
 
-def to_number(v: Value) -> Number:
-    """A pair as the equal Fraction; any other value as it is."""
-    if type(v) is not tuple:
-        return v
+def to_number(v: Pair) -> Fraction:
+    """The pair (m, e) as the equal Fraction m·2^-e."""
     m, e = v
     return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
 
 
-def _ratio(v: Value) -> Tuple[int, int]:
-    """v as (numerator, positive denominator); a float's ratio is exact, and
-    inf or nan raise OverflowError or ValueError as Fraction(v) does."""
-    if type(v) is tuple:
-        m, e = v
-        return (m, 1 << e) if e >= 0 else (m << -e, 1)
-    return v.as_integer_ratio()
-
-
-def value_le(a: Value, b: Value) -> bool:
-    """Exact a <= b: two pairs compare with one shift, any other two values
-    with one integer cross-multiplication of their ratios."""
-    if type(a) is tuple and type(b) is tuple:
-        (ma, ea), (mb, eb) = a, b
-        if ea <= eb:
-            return ma << (eb - ea) <= mb
-        return ma <= mb << (ea - eb)
-    (pa, qa), (pb, qb) = _ratio(a), _ratio(b)
-    return pa * qb <= pb * qa
+def value_le(a: Pair, b: Pair) -> bool:
+    """Exact a <= b for two pairs, with one shift."""
+    (ma, ea), (mb, eb) = a, b
+    if ea <= eb:
+        return ma << (eb - ea) <= mb
+    return ma <= mb << (ea - eb)
 
 
 def format_pair(m: int, e: int) -> str:
@@ -91,11 +73,6 @@ def format_dyadic(x: Fraction) -> str:
     if not is_dyadic(x):
         raise ValueError(f"{x} is not dyadic")
     return format_pair(x.numerator, x.denominator.bit_length() - 1)
-
-
-def format_exact(x: Fraction) -> str:
-    """A dyadic rational as ``p/2^q``, any other as ``p/q``."""
-    return format_dyadic(x) if is_dyadic(x) else format_rational(x)
 
 
 def parse_dyadic(s: str) -> Fraction:

@@ -1,13 +1,13 @@
 """Gauge functions at dyadic scales, order comparison, and sparsity schedules.
 
-A gauge is only ever evaluated at scales t = 2^-n: an exact dyadic value comes
-back as the pair ``(m, e)`` = m·2^-e of :mod:`gaugetree.dyadic`, a non-dyadic
-table entry as its Fraction, and everything else as a float with relative
-error well below 2^-40; :meth:`Gauge.at_scale` projects a pair to a Fraction.
-The power and power-log formulas live in one kernel, :meth:`Gauge._power_values`,
-which evaluates a whole range of levels in one comprehension: both
-:meth:`Gauge.scale_values`, with which a command evaluates each level once for
-all its consumers, and the single-level :meth:`Gauge.dyadic_at_scale` read it.
+A gauge is only evaluated at scales t = 2^-n, and every value is the integer
+triple ``(lo, hi, e)`` with lo·2^-e <= g(2^-n) <= hi·2^-e and hi odd or 0.
+An exact value has lo = hi; one that is not dyadic is enclosed in integer
+arithmetic (Brent and Zimmermann, *Modern Computer Arithmetic*, §1.5) to
+about MANTISSA_BITS bits.  The caps and the Frostman test read lo, the cover
+costs read hi.  The power-family formulas live in one kernel,
+:meth:`Gauge._power_values`, which :meth:`Gauge.scale_values` (each level
+once per command) and :meth:`Gauge.dyadic_at_scale` read.
 """
 
 from __future__ import annotations
@@ -15,18 +15,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .dyadic import (
-    Number, Value, dyadic_pair, floor_log2, format_rational, is_dyadic, parse_rational, to_number
-)
+from .dyadic import Number, Value, dyadic_pair, format_rational, parse_rational, to_number
 from .errors import InsufficientDataError, OutOfRangeError
 
-# Conservative slack subtracted from floating log2 values before flooring,
-# so rounding can never inflate an integer sparsity bound.
-GUARD_EXP = 20
-_GUARD = 2.0**-GUARD_EXP
+# bits of an inexact value's mantissa, and of the fixed point it is formed in
+MANTISSA_BITS = 64
+_WORK_BITS = 128
 
 FIRST_LOWER_ORDER = "first_lower_order"
 SECOND_LOWER_ORDER = "second_lower_order"
@@ -35,6 +34,72 @@ INCONCLUSIVE = "inconclusive"
 POWER = "power"
 POWER_LOG = "power_log"
 TABLE = "table"
+
+
+def _iroot(x: int, b: int) -> int:
+    """floor(x^(1/b)) for integers x >= 1 and b >= 1: math.isqrt for b = 2,
+    else integer Newton down from a float estimate raised above the root."""
+    if b == 2:
+        return math.isqrt(x)
+    s = max(0, x.bit_length() // b - 60)  # x^(1/b) <= 2^s·((x >> sb) + 1)^(1/b)
+    r = (int(math.exp2(math.log2(x >> s * b) / b) * (1 + 2.0**-40)) + 2) << s
+    while (t := ((b - 1) * r + x // r ** (b - 1)) // b) < r:
+        r = t
+    return r
+
+
+def _enclose(p: int, q: int, b: int = 1) -> Value:
+    """The triple of (p/q)^(1/b) for integers p, q > 0: exact when dyadic, else
+    the integer b-th root of p·2^(eb)/q, e >= 0 chosen for MANTISSA_BITS bits,
+    and the next odd integer.  Only b = 1 has dyadic roots other than integers."""
+    if b == 1 and not q & (q - 1):
+        lo, e = p, q.bit_length() - 1
+    else:
+        e = max(0, MANTISSA_BITS - (p.bit_length() - q.bit_length()) // b)
+        num = p << e * b
+        lo = _iroot(num // q, b)
+        if lo**b * q != num:
+            return (lo, (lo + 1) | 1, e)
+    m, e = dyadic_pair(lo, e)
+    return (m, m, e)
+
+
+def _halvings() -> List[Tuple[int, int]]:
+    """Floor and ceiling of 2^(-2^-i)·2^W, W = _WORK_BITS, for i = 1..W."""
+    w = _WORK_BITS
+    lo = hi = 1 << (w - 1)
+    out = []
+    for _ in range(w):
+        lo, hi = math.isqrt(lo << w), 1 + math.isqrt((hi << w) - 1)  # floor, ceiling
+        out.append((lo, hi))
+    return out
+
+
+_HALVINGS = _halvings()
+
+
+@lru_cache(maxsize=1 << 12)
+def _exp2(r: int, q: int) -> Value:
+    """The triple of 2^(-r/q) for 0 <= r < q, irrational unless r = 0.
+
+    With r/q = 0.d1d2... in binary, 2^(-r/q) is the product of 2^(-2^-i) over
+    the digits di = 1, taken in W-bit fixed point with the lower end floored
+    and the upper ceiled; the digits past W cost one more factor 2^(-2^-W) on
+    the lower end.  Both ends are rounded outward; the cost does not grow with q.
+    """
+    if not r:
+        return (1, 1, 0)
+    w = _WORK_BITS
+    digits = (r << w) // q
+    lo = hi = 1 << w
+    for i, (dlo, dhi) in enumerate(_HALVINGS):
+        if digits >> (w - 1 - i) & 1:
+            lo = lo * dlo >> w
+            hi = -(-hi * dhi >> w)
+    if digits * q != r << w:
+        lo = lo * _HALVINGS[-1][0] >> w
+    shift = w - MANTISSA_BITS
+    return (lo >> shift, -(-hi >> shift) | 1, MANTISSA_BITS)
 
 
 @dataclass(frozen=True)
@@ -89,29 +154,50 @@ class Gauge:
     # -- evaluation ------------------------------------------------------
 
     def _power_values(self, ns: range) -> List[Value]:
-        """The power-family kernel: g(2^-n) for every n in ns >= 0.
+        """The power-family kernel: the triple of g(2^-n) for every n in ns >= 0.
 
-        With s = p/q, 2^-ns is the pair (1, np/q) where q divides np and the
-        float 2.0**(-np/q) elsewhere.  A power-log gauge multiplies that by
-        n^c, normalised to a pair when both factors are exact (integer
-        c >= 0), and is 0 at n = 0.
+        With s = p/q, 2^-ns = 2^-k · 2^(-r/q) for k, r = divmod(np, q).  A
+        power-log gauge with c = a/b writes n = 2^t·u, u odd, so that
+        g = 2^(tc - ns)·u^c: its power of two takes residues mod qb, an odd
+        u^a (integer c >= 0) multiplies both ends exactly, and any other u^c
+        is enclosed by an integer b-th root.  An inexact product is rounded
+        outward to MANTISSA_BITS bits, and g is (0, 0, 0) at n = 0.
         """
         p, q = self.s.numerator, self.s.denominator
-        values = [(1, n * p // q) if n * p % q == 0 else math.pow(2.0, -n * p / q) for n in ns]
+        values = []
         if self.kind == POWER:
+            roots = {r: _exp2(r, q) for r in {n * p % q for n in ns[:q]}}
+            for n in ns:
+                np = n * p
+                lo, hi, e = roots[np % q]
+                values.append((lo, hi, e + np // q))
             return values
-        c = self.c
-        if c.denominator == 1 and c >= 0:
-            c = c.numerator
-            return [
-                (0, 0) if not n else dyadic_pair(n**c, v[1]) if type(v) is tuple else v * n**c
-                for n, v in zip(ns, values)
-            ]
-        return [(0, 0) if not n else float(to_number(v)) * n ** float(c) for n, v in zip(ns, values)]
+        a, b = self.c.numerator, self.c.denominator
+        d, exact_u = q * b, b == 1 and a > 0
+        for n in ns:
+            if not n:
+                values.append((0, 0, 0))
+                continue
+            t = (n & -n).bit_length() - 1
+            u = n >> t
+            k, r = divmod(n * p * b - t * a * q, d)
+            lo, hi, e = _exp2(r, d)
+            if u > 1 and a:
+                if exact_u:
+                    f = u**a
+                    lo, hi = lo * f, hi * f
+                else:
+                    flo, fhi, fe = _enclose(u**a, 1, b) if a > 0 else _enclose(1, u**-a, b)
+                    lo, hi, e = lo * flo, hi * fhi, e + fe
+                if lo != hi:
+                    shift = max(0, hi.bit_length() - MANTISSA_BITS)
+                    lo, hi, e = lo >> shift, -(-hi >> shift) | 1, e - shift
+            values.append((lo, hi, e + k))
+        return values
 
     def dyadic_at_scale(self, exponent: int) -> Value:
-        """Value g(2^-exponent): an exact dyadic value as the pair (m, e),
-        a non-dyadic table entry as it is, anything else as a float."""
+        """The triple (lo, hi, e) of g(2^-exponent); a table entry is exact
+        when dyadic (every float is) and enclosed otherwise."""
         n = int(exponent)
         if n < 0:
             raise ValueError("scale exponent must be >= 0")
@@ -120,16 +206,14 @@ class Gauge:
         if self.kind == TABLE:
             i = bisect_left([e for e, _ in self.entries], n)
             if i < len(self.entries) and self.entries[i][0] == n:
-                v = self.entries[i][1]
-                if isinstance(v, Fraction) and is_dyadic(v):
-                    return dyadic_pair(v.numerator, v.denominator.bit_length() - 1)
-                return v
+                return _enclose(*self.entries[i][1].as_integer_ratio())
             raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
         raise ValueError(f"unknown gauge kind {self.kind!r}")
 
-    def at_scale(self, exponent: int) -> Number:
-        """Value g(2^-exponent), with an exact dyadic value as a Fraction."""
-        return to_number(self.dyadic_at_scale(exponent))
+    def at_scale(self, exponent: int) -> Fraction:
+        """g(2^-exponent) as a Fraction: the value itself when exact, else the
+        upper end of its enclosure, which is what a cover is charged."""
+        return to_number(self.dyadic_at_scale(exponent)[1:])
 
     def scale_values(self, depth: int) -> List[Value]:
         """dyadic_at_scale at every level 0..depth, a power-family gauge's
@@ -148,9 +232,7 @@ class Gauge:
                 return -math.inf
             return -n * float(self.s) + float(self.c) * math.log2(n)
         v = self.at_scale(n)
-        if isinstance(v, Fraction):
-            return math.log2(v.numerator) - math.log2(v.denominator)
-        return math.log2(v)
+        return math.log2(v.numerator) - math.log2(v.denominator)
 
     # -- serialization ---------------------------------------------------
 
@@ -265,28 +347,15 @@ def compare_order(
 
 
 def bound_table(g: Gauge, depth: int, values: Optional[Sequence[Value]] = None) -> List[int]:
-    """Per-level sparsity caps c(n) = floor(log2(g(2^-n) * 2^n)), guarded.
+    """Per-level sparsity caps c(n) = floor(log2(g(2^-n) * 2^n)), clamped at 0.
 
-    The floor is exact for an exact value; for a pair (m, e) it is
-    m.bit_length() - 1 + n - e.  On the floating path a slack of 2^-20 is
-    subtracted first so the integer bound is never overstated by rounding.
+    Read from the lower end lo·2^-e of each value as lo.bit_length() - 1 +
+    n - e: exact for an exact value, and never above the true cap otherwise.
     `values` defaults to g.scale_values(depth - 1).
     """
     if values is None:
         values = g.scale_values(depth - 1)
-    caps = []
-    for n in range(depth):
-        v = values[n]
-        if type(v) is tuple:
-            m, e = v
-            caps.append(max(0, m.bit_length() - 1 + n - e) if m else 0)
-        elif isinstance(v, Fraction):
-            x = v * 2**n
-            caps.append(max(0, floor_log2(x)) if x > 0 else 0)
-        else:
-            l = g.log2_at_scale(n) + n
-            caps.append(max(0, math.floor(l - _GUARD)))
-    return caps
+    return [max(0, lo.bit_length() - 1 + n - e) if lo else 0 for n, (lo, _, e) in zip(range(depth), values)]
 
 
 def sparsity_schedule(g: Gauge, depth: int, caps: Optional[Sequence[int]] = None) -> BranchSchedule:
@@ -299,15 +368,9 @@ def sparsity_schedule(g: Gauge, depth: int, caps: Optional[Sequence[int]] = None
     """
     if caps is None:
         caps = bound_table(g, depth + 1)
-    # suffix minima: including n requires count+1 <= c(m) for all m in (n, depth]
-    suffix_min = [0] * (depth + 2)
-    suffix_min[depth + 1] = 10**9
-    for m in range(depth, -1, -1):
-        suffix_min[m] = min(caps[m], suffix_min[m + 1])
+    # including n requires count + 1 <= c(m) for every m in (n, depth]
     indices = []
-    count = 0
-    for n in range(depth):
-        if count + 1 <= suffix_min[n + 1]:
+    for n, cap in enumerate(reversed(list(accumulate(caps[depth:0:-1], min)))):
+        if len(indices) < cap:
             indices.append(n)
-            count += 1
     return BranchSchedule(depth=depth, indices=tuple(indices), n0=0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .dyadic import Number, Value, format_dyadic, format_exact, to_number, value_le
+from .dyadic import Pair, Value, format_dyadic, to_number, value_le
 from .errors import FrostmanConditionError
 from .gauge import Gauge
 from .tree import SplittingTree
@@ -27,8 +27,8 @@ def frostman_lower(
 
     Returns (1, n0): the full branch set then has gauge measure at least its
     own total mass for covers at scales finer than 2^-n0.  The comparison is
-    non-strict, which is all the lower-bound chain needs.  `values` defaults
-    to g.scale_values(tree.depth).
+    non-strict, which is all the lower-bound chain needs, and reads the lower
+    end of each enclosure.  `values` defaults to g.scale_values(tree.depth).
     """
     if values is None:
         values = g.scale_values(tree.depth)
@@ -38,16 +38,9 @@ def frostman_lower(
     for n in range(tree.depth + 1):
         e = below - n  # a level-n cylinder has measure 2^e
         below += n in forced
-        v = values[n]
-        if type(v) is tuple:
-            ok = v[0] > 0 and e + v[1] <= v[0].bit_length() - 1
-        elif isinstance(v, Fraction):
-            ok = v > 0 and Fraction(2) ** e <= v
-        else:
-            ok = e <= g.log2_at_scale(n)
-        if not ok:
-            # an exact 0 has log2 -inf; a float that underflowed to 0.0 keeps its log2
-            excess = e - g.log2_at_scale(n) if isinstance(v, float) or to_number(v) else math.inf
+        lo, _, f = values[n]
+        if not (lo and e + f <= lo.bit_length() - 1):  # 2^e <= lo·2^-f
+            excess = e - g.log2_at_scale(n) if lo else math.inf
             last = n
             if worst is None or excess > worst[1]:
                 worst = (n, excess)
@@ -60,15 +53,16 @@ def frostman_lower(
 def level_dp(
     tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
     values: Optional[Sequence[Value]] = None,
-) -> Tuple[Value, int]:
+) -> Tuple[Pair, int]:
     """The level cover DP in one downward pass: (cost, witness level).
 
     Going up from cost(n_max) = g(2^-n_max), level n costs through(n) =
     cost(n + 1) on a forced level and 2·cost(n + 1) on a free one, or the
     cut g(2^-n) when n >= k and the cut <= through(n).  The witness level is
     the smallest n >= k at which the cut wins (ties go to the cut), else
-    n_max.  Comparisons are exact, and the cost keeps dyadic_at_scale's form.
-    `values` defaults to g.scale_values(depth).
+    n_max.  g(2^-n) is the upper end (hi, e) of its enclosure, a normal-form
+    pair, and a cover cost is monotone in the gauge values, so the cost is a
+    certified upper bound.  `values` defaults to g.scale_values(depth).
     """
     k = int(delta_exponent)
     n_max = tree.depth if depth is None else int(depth)
@@ -77,19 +71,19 @@ def level_dp(
     if values is None:
         values = g.scale_values(n_max)
     forced = set(tree.schedule.indices)
-    cost, witness = values[n_max], n_max
+    cost, witness = values[n_max][1:], n_max
     for n in range(n_max - 1, -1, -1):
         if n not in forced:  # through a free level: twice the cost below
-            cost = (cost[0], cost[1] - 1) if type(cost) is tuple else 2 * cost
-        if n >= k and value_le(values[n], cost):
-            cost, witness = values[n], n
+            cost = (cost[0], cost[1] - 1)
+        if n >= k and value_le(values[n][1:], cost):
+            cost, witness = values[n][1:], n
     return cost, witness
 
 
 def level_dp_cost(
     tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
     values: Optional[Sequence[Value]] = None,
-) -> Number:
+) -> Fraction:
     """Same value as the node DP, in O(depth), using level homogeneity."""
     return to_number(level_dp(tree, g, delta_exponent, depth, values)[0])
 
@@ -170,7 +164,7 @@ class MeasureCertificate:
     delta_exponent: int
     lower: Optional[Fraction]
     frostman_threshold: Optional[int]
-    upper: Number
+    upper: Fraction
     witness: Optional[Tuple[str, ...]]
     witness_level: int
     failure_level: Optional[int] = None
@@ -180,8 +174,7 @@ class MeasureCertificate:
             "gauge": self.gauge.to_json_dict(),
             "delta_exp": self.delta_exponent,
             "upper": {
-                "value": format_exact(self.upper)
-                if isinstance(self.upper, Fraction) else float(self.upper),
+                "value": format_dyadic(self.upper),
                 "provenance": "optimal_cover",
                 "witness_level": self.witness_level,
             },

@@ -1,10 +1,16 @@
-"""Fraction references for the certify and transfer numerics, kept as test
+"""Exact references for the certify and transfer numerics, kept as test
 oracles.
 
-These are the bodies that computed every gauge value afresh as a Fraction (or
-float) and ran the level cover DP twice.  The integer (mantissa, exponent)
-fast paths in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli`
-must agree with them exactly; `tests/test_certify_oracles.py` compares the two.
+The gauge references never round: `exact_power` gives g(2^-n)^L as an
+integer ratio P/Q, so `compare_with_gauge` decides x·2^-e <= g(2^-n) by one
+integer cross-multiplication of L-th powers (for `power:p/q`, lo^q·2^(np)
+against 2^(eq)).  `encloses` checks a kernel triple (lo, hi, e) against it,
+`reference_bound_table` and `reference_frostman_lower` take their caps and
+cylinder tests from the same comparison, and the level cover DP references
+run twice (cost, then witness level) over the upper ends as Fractions.  The
+integer (mantissa, exponent) fast paths in `gaugetree.gauge`,
+`gaugetree.hausdorff` and `gaugetree.cli` must agree with them;
+`tests/test_certify_oracles.py` compares the two.
 `reference_dimension_estimate` is the bisection that bracketed the dimension
 by probing the Frostman test and the cover DP on power gauges, which
 `tests/test_hausdorff.py` compares with the closed form.
@@ -25,7 +31,7 @@ from fractions import Fraction
 
 from gaugetree.dyadic import floor_log2, is_dyadic
 from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError
-from gaugetree.gauge import POWER, POWER_LOG, TABLE, _GUARD, Gauge
+from gaugetree.gauge import POWER, POWER_LOG, TABLE, Gauge
 from gaugetree.hausdorff import DimensionEstimate, frostman_lower, level_dp_cost
 from gaugetree.transfer import DyadicInterval, interleave
 from gaugetree.tree import SplittingTree
@@ -37,43 +43,96 @@ class EnumerationBudgetError(Exception):
     """Brute-force cover enumeration bound exceeded."""
 
 
-def reference_pow2(num, den=1):
-    """2**(num/den); exact Fraction when the exponent is an integer."""
-    if num % den == 0:
-        e = num // den
-        return Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
-    return math.pow(2.0, num / den)
-
-
-def reference_at_scale(g, n):
-    """g(2^-n) as a Fraction when exact, else as a float."""
+def exact_power(g, n):
+    """(L, P, Q) with g(2^-n)^L = P/Q exactly, for integers L >= 1, P >= 0
+    and Q > 0: L = q for t^(p/q), L = qb for t^(p/q)·log2(1/t)^(a/b)."""
+    if g.kind == TABLE:
+        i = bisect_left([e for e, _ in g.entries], n)
+        if i < len(g.entries) and g.entries[i][0] == n:
+            return (1, *Fraction(g.entries[i][1]).as_integer_ratio())
+        raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
+    p, q = g.s.numerator, g.s.denominator
     if g.kind == POWER:
-        return reference_pow2(-n * g.s.numerator, g.s.denominator)
-    if g.kind == POWER_LOG:
-        if n == 0:
-            return Fraction(0)
-        v = reference_pow2(-n * g.s.numerator, g.s.denominator)
-        if g.c.denominator == 1 and g.c >= 0:
-            return v * n**g.c.numerator
-        return float(v) * n ** float(g.c)
-    assert g.kind == TABLE
-    i = bisect_left([e for e, _ in g.entries], n)
-    if i < len(g.entries) and g.entries[i][0] == n:
-        return g.entries[i][1]
-    raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
+        return q, 1, 2 ** (n * p)
+    assert g.kind == POWER_LOG
+    a, b = g.c.numerator, g.c.denominator
+    if n == 0:
+        return q * b, 0, 1
+    if a >= 0:
+        return q * b, n ** (a * q), 2 ** (n * p * b)
+    return q * b, 1, 2 ** (n * p * b) * n ** (-a * q)
+
+
+def compare_with_gauge(g, n, x, e):
+    """The sign of x·2^-e - g(2^-n), for an integer x >= 0, exactly."""
+    L, P, Q = exact_power(g, n)
+    lhs, rhs = x**L * Q, P
+    if e >= 0:
+        rhs *= 2 ** (e * L)
+    else:
+        lhs *= 2 ** (-e * L)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _odd_part(x):
+    """x without its factors of 2, for x > 0."""
+    return x // (x & -x)
+
+
+def gauge_is_dyadic(g, n):
+    """Whether g(2^-n) is a dyadic rational: the odd part of its L-th power
+    P/Q is a perfect L-th power, and its power of two a multiple of L."""
+    L, P, Q = exact_power(g, n)
+    if P == 0:
+        return True
+    x = Fraction(P, Q)
+    odd_num, odd_den = _odd_part(x.numerator), _odd_part(x.denominator)
+    twos = (x.numerator // odd_num).bit_length() - (x.denominator // odd_den).bit_length()
+    if odd_den != 1 or twos % L:
+        return False
+    r = round(odd_num ** (1 / L))
+    return any(c > 0 and c**L == odd_num for c in (r - 1, r, r + 1))
+
+
+def encloses(g, n, value):
+    """A kernel triple (lo, hi, e) holds g(2^-n): lo·2^-e <= g <= hi·2^-e, with
+    hi odd or (hi, e) = (0, 0), lo = hi exactly when g(2^-n) is dyadic, and
+    otherwise a relative width (hi - lo)/hi of at most 2^-58."""
+    lo, hi, e = value
+    if compare_with_gauge(g, n, lo, e) > 0 or compare_with_gauge(g, n, hi, e) < 0:
+        return False
+    if not (hi % 2 == 1 or (hi, e) == (0, 0)):
+        return False
+    if gauge_is_dyadic(g, n):
+        return lo == hi
+    return lo < hi and (hi - lo) * 2**58 <= hi
+
+
+def upper_value(g, n):
+    """The upper end of the kernel's enclosure of g(2^-n), as a Fraction."""
+    _, hi, e = g.dyadic_at_scale(n)
+    return Fraction(hi) / Fraction(2) ** e
+
+
+def _floor_log2(p, q):
+    """floor(log2(p/q)) for integers p, q > 0."""
+    k = p.bit_length() - q.bit_length()
+    if p * 2 ** max(0, -k) < q * 2 ** max(0, k):
+        k -= 1
+    return k
+
+
+def reference_cap(g, n):
+    """max(0, floor(log2(g(2^-n)·2^n))) from g^L = P/Q: the floor of
+    log2(P·2^(nL)/Q) / L, since floor(floor(y)/L) = floor(y/L)."""
+    L, P, Q = exact_power(g, n)
+    if P == 0:
+        return 0
+    return max(0, _floor_log2(P * 2 ** (n * L), Q) // L)
 
 
 def reference_bound_table(g, depth):
-    caps = []
-    for n in range(depth):
-        v = reference_at_scale(g, n)
-        if isinstance(v, Fraction):
-            x = v * 2**n
-            caps.append(max(0, floor_log2(x)) if x > 0 else 0)
-        else:
-            l = g.log2_at_scale(n) + n
-            caps.append(max(0, math.floor(l - _GUARD)))
-    return caps
+    return [reference_cap(g, n) for n in range(depth)]
 
 
 def reference_frostman_lower(tree, g):
@@ -81,15 +140,11 @@ def reference_frostman_lower(tree, g):
     worst = None
     for n in range(tree.depth + 1):
         e = -n + tree.schedule.count_below(n)
-        v = reference_at_scale(g, n)
-        if isinstance(v, Fraction):
-            ok = v > 0 and Fraction(2) ** e <= v
-            excess = e - (g.log2_at_scale(n) if v > 0 else -math.inf)
-        else:
-            lg = g.log2_at_scale(n)
-            ok = e <= lg
-            excess = e - lg
+        L, P, Q = exact_power(g, n)
+        # 2^e <= g(2^-n) iff 2^(eL)·Q <= P
+        ok = P > 0 and (Q <= P * 2 ** (-e * L) if e <= 0 else Q * 2 ** (e * L) <= P)
         if not ok:
+            excess = e - g.log2_at_scale(n) if P else math.inf
             violations.append(n)
             if worst is None or excess > worst[1]:
                 worst = (n, excess)
@@ -104,12 +159,12 @@ def reference_level_dp_cost(tree, g, delta_exponent, depth=None):
     n_max = tree.depth if depth is None else int(depth)
     if not k <= n_max <= tree.depth:
         raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
-    cost = reference_at_scale(g, n_max)
+    cost = upper_value(g, n_max)
     for n in range(n_max - 1, -1, -1):
         branching = 1 if n in tree.schedule else 2
         through = branching * cost
         if n >= k:
-            cut = reference_at_scale(g, n)
+            cut = upper_value(g, n)
             cost = cut if cut <= through else through
         else:
             cost = through
@@ -120,17 +175,17 @@ def reference_level_dp_witness_level(tree, g, delta_exponent, depth=None):
     k = int(delta_exponent)
     n_max = tree.depth if depth is None else int(depth)
     costs = [None] * (n_max + 1)
-    costs[n_max] = reference_at_scale(g, n_max)
+    costs[n_max] = upper_value(g, n_max)
     for n in range(n_max - 1, -1, -1):
         branching = 1 if n in tree.schedule else 2
         through = branching * costs[n + 1]
-        if n >= k and reference_at_scale(g, n) <= through:
-            costs[n] = reference_at_scale(g, n)
+        if n >= k and upper_value(g, n) <= through:
+            costs[n] = upper_value(g, n)
         else:
             costs[n] = through
     for n in range(max(k, 0), n_max + 1):
         branching = 1 if n in tree.schedule else 2
-        if n == n_max or reference_at_scale(g, n) <= branching * costs[n + 1]:
+        if n == n_max or upper_value(g, n) <= branching * costs[n + 1]:
             return n
     return n_max
 
@@ -205,18 +260,10 @@ def reference_level_rows(tree, g, depth):
     rows = []
     for n in range(depth + 1):
         count = tree.level_count(n)
+        free = count.bit_length() - 1
         mu = Fraction(1, 2 ** (n - tree.schedule.count_below(n)))
-        gv = reference_at_scale(g, n)
-        cost = count * gv
-        rows.append(
-            [
-                n,
-                count,
-                format_exact(mu),
-                format_exact(gv) if isinstance(gv, Fraction) else repr(float(gv)),
-                format_exact(cost) if isinstance(cost, Fraction) else repr(float(cost)),
-            ]
-        )
+        gv = upper_value(g, n)
+        rows.append([n, free, format_exact(mu), format_exact(gv), format_exact(count * gv)])
     return rows
 
 

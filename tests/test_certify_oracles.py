@@ -1,21 +1,22 @@
-"""The integer (mantissa, exponent) certify numerics against their Fraction
-references in `fraction_oracles.py`: gauge values (the power-family kernel
-behind `scale_values`), exact value comparisons, caps, the Frostman floor,
-the one-pass level cover DP, measure certificates and the levels CSV rows."""
+"""The integer certify numerics against their exact references in
+`fraction_oracles.py`: gauge enclosures (the power-family kernel behind
+`scale_values`), exact pair comparisons, caps, the Frostman floor, the
+one-pass level cover DP, measure certificates and the levels CSV rows."""
 
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraction_oracles import (
-    reference_at_scale,
+    encloses,
     reference_bound_table,
+    reference_cap,
     reference_frostman_lower,
     reference_level_dp_cost,
     reference_level_dp_witness_level,
     reference_level_rows,
+    upper_value,
 )
 from gaugetree import (
     BranchSchedule,
@@ -30,7 +31,7 @@ from gaugetree import (
     sparsity_schedule,
 )
 from gaugetree.cli import _level_rows
-from gaugetree.dyadic import dyadic_pair, is_dyadic, to_number, value_le
+from gaugetree.dyadic import dyadic_pair, to_number, value_le
 from gaugetree.errors import FrostmanConditionError, OutOfRangeError
 from gaugetree.hausdorff import level_dp, level_dp_witness_level
 
@@ -51,7 +52,7 @@ GAUGES = {
     "power_log:1,1": Gauge.power_log(1, 1),
     "power_log:1,2": Gauge.power_log(1, 2),
     "power_log:1/2,1": Gauge.power_log(Fraction(1, 2), 1),
-    "power_log:1,-1": Gauge.power_log(1, -1),  # the float path
+    "power_log:1,-1": Gauge.power_log(1, -1),  # n^c enclosed per level
     "table": _table(),
 }
 DEPTHS = [*range(65), 300]
@@ -83,17 +84,15 @@ def same_number(new, old):
 
 @pytest.mark.parametrize("name", GAUGES)
 def test_gauge_values_match_reference(name):
+    """Every value encloses g(2^-n), exactly where g(2^-n) is dyadic, and
+    at_scale is the upper end as a Fraction."""
     g = GAUGES[name]
     values = g.scale_values(300)
     assert len(values) == 301
     for n, v in enumerate(values):
-        old = reference_at_scale(g, n)
         assert v == g.dyadic_at_scale(n)
-        assert same_number(g.at_scale(n), old)
-        if isinstance(old, Fraction) and is_dyadic(old):
-            assert v == dyadic_pair(old.numerator, old.denominator.bit_length() - 1)
-        else:
-            assert same_number(v, old)
+        assert encloses(g, n, v), (n, v)
+        assert same_number(g.at_scale(n), upper_value(g, n))
 
 
 KERNEL_GAUGES = {
@@ -106,9 +105,8 @@ KERNEL_GAUGES = {
 @pytest.mark.parametrize("name", KERNEL_GAUGES)
 @pytest.mark.parametrize("depth", [-1, 0, 1, 300, 2001])
 def test_scale_values_match_reference(name, depth):
-    """Every level the kernel evaluates in one pass, exact or float, is the
-    Fraction reference's value: a pair exactly where the reference is a
-    dyadic Fraction, and otherwise the identical float (or table entry)."""
+    """Every level the kernel evaluates in one pass encloses the exact
+    value, and equals the single-level evaluation."""
     g = KERNEL_GAUGES[name]
     if g.kind == "table" and depth > 300:
         with pytest.raises(OutOfRangeError):
@@ -117,66 +115,26 @@ def test_scale_values_match_reference(name, depth):
     values = g.scale_values(depth)
     assert len(values) == max(depth + 1, 0)
     for n, v in enumerate(values):
-        old = reference_at_scale(g, n)
-        if isinstance(old, Fraction) and is_dyadic(old):
-            assert v == dyadic_pair(old.numerator, old.denominator.bit_length() - 1)
-        else:
-            assert same_number(v, old)
+        assert encloses(g, n, v), (n, v)
+    if values:
+        assert values[-1] == g.dyadic_at_scale(depth)
 
 
 def pairs():
     return st.builds(dyadic_pair, st.integers(-(2**70), 2**70), st.integers(-5000, 5000))
 
 
-def fractions():
-    return st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70))
-
-
-def floats():
-    return st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
-                         2.0**-1000, 2.0**1000, -(2.0**1000), 0.5, 1.0, 1.5, 3.0]),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
-    )
-
-
-VALUES = st.one_of(pairs(), fractions(), floats())
-
-
-def ties(v):
-    """v in every form that holds it exactly: Fraction, pair and float."""
-    x = Fraction(to_number(v))
-    forms = [x]
-    if is_dyadic(x):
-        forms.append(dyadic_pair(x.numerator, x.denominator.bit_length() - 1))
-    if abs(x) < 2**1000 and float(x) == x:
-        forms.append(float(x))
-    return forms
-
-
-@given(VALUES, VALUES)
-@example((1, 1074), 5e-324)  # the least subnormal, as a pair and a float
-@example((1, -1000), 2.0**1000)
-@example((3, 1), 1.5)
-@example((0, 0), -0.0)
-@example(Fraction(1, 3), 1 / 3)
-@example((1, 1075), 5e-324)
-def test_value_le_matches_fraction_comparison(a, b):
+@given(pairs(), pairs(), st.integers(0, 3))
+@example((1, 1074), (1, 1075), 0)
+@example((0, 0), (1, 5000), 0)
+@example((-1, 2), (0, 0), 0)
+def test_value_le_matches_fraction_comparison(a, b, shift):
     assert value_le(a, b) == (to_number(a) <= to_number(b))
     assert value_le(b, a) == (to_number(b) <= to_number(a))
-    for t in ties(a):
-        assert value_le(a, t) and value_le(t, a)
-
-
-@pytest.mark.parametrize("bad, err", [(math.inf, OverflowError), (-math.inf, OverflowError),
-                                      (math.nan, ValueError)])
-def test_value_le_refuses_inf_and_nan(bad, err):
-    for other in ((1, 3), Fraction(1, 3), 0.25):
-        with pytest.raises(err):
-            value_le(bad, other)
-        with pytest.raises(err):
-            value_le(other, bad)
+    # the same number with a mantissa that is not odd
+    m, e = a
+    same = (m << shift, e + shift)
+    assert value_le(a, same) and value_le(same, a)
 
 
 @pytest.mark.parametrize("name", GAUGES)
@@ -214,13 +172,8 @@ def test_level_dp_matches_both_reference_passes(name):
                     assert got == expected
                     continue
                 cost, witness = got
-                if isinstance(expected, Fraction) and is_dyadic(expected):
-                    # normal form: odd mantissa, or (0, 0)
-                    assert cost == dyadic_pair(
-                        expected.numerator, expected.denominator.bit_length() - 1
-                    )
-                else:
-                    assert same_number(cost, expected)
+                # normal form: odd mantissa, or (0, 0)
+                assert cost == dyadic_pair(expected.numerator, expected.denominator.bit_length() - 1)
                 assert witness == reference_level_dp_witness_level(tree, g, k)
                 assert level_dp_witness_level(tree, g, k) == witness
             # a shallower DP over the same tree
@@ -270,3 +223,98 @@ def test_level_rows_match_reference(name):
                 assert got == expected
             else:
                 assert got == [[str(c) for c in row] for row in expected]
+
+
+POWER_DENOMINATORS = st.integers(1, 7)
+LOG_EXPONENTS = st.sampled_from([Fraction(c) for c in ("-1", "-1/2", "0", "1/2", "1", "3/2", "2")])
+
+
+@st.composite
+def random_gauges(draw):
+    """power:p/q with q <= 7 and power_log:s,c with c in {-1, ..., 2}."""
+    q = draw(POWER_DENOMINATORS)
+    s = Fraction(draw(st.integers(1, 2 * q)), q)
+    if draw(st.booleans()):
+        return Gauge.power(s)
+    return Gauge.power_log(s, draw(LOG_EXPONENTS))
+
+
+@settings(max_examples=25)
+@given(random_gauges(), st.integers(0, 3000), st.lists(st.integers(0, 3000), max_size=30))
+@example(Gauge.power_log(Fraction(1, 4), Fraction(1, 2)), 64, [])  # 2^(-1/2)·2^(1/2) = 1 at n = 2
+@example(Gauge.power_log(Fraction(1, 3), Fraction(1, 3)), 64, [])  # 2^-4 at n = 16
+@example(Gauge.power_log(Fraction(1, 3), Fraction(3, 2)), 3000, [1024, 2048, 2999])
+@example(Gauge.power(Fraction(1, 7)), 3000, [1, 2999])
+@example(Gauge.power_log(Fraction(2, 3), Fraction(1, 3)), 300, [])  # Newton cube roots of u
+@example(Gauge.power_log(Fraction(1, 5), Fraction(-2, 5)), 300, [])
+def test_enclosures_and_caps_are_exact(g, depth, picks):
+    """Every level's triple encloses g(2^-n), exactly when it is dyadic, and
+    the cap read from its lower end is the exact cap.  Checked at every
+    level up to 200 and at the last and the drawn levels of a deeper run."""
+    values = g.scale_values(depth)
+    caps = bound_table(g, depth + 1, values)
+    for n in sorted({*range(min(depth, 200) + 1), depth, *(n % (depth + 1) for n in picks)}):
+        assert encloses(g, n, values[n]), (n, values[n])
+        assert caps[n] == reference_cap(g, n), n
+
+
+@settings(max_examples=25)
+@given(random_gauges(), st.integers(1, 3000), st.integers(0, 64))
+@example(Gauge.power(Fraction(1, 2)), 2200, 0)
+@example(Gauge.power_log(1, Fraction(1, 2)), 3000, 3)
+@example(Gauge.power_log(1, -1), 3000, 0)
+def test_lower_never_exceeds_upper(g, depth, extra):
+    """On the gauge's own schedule tree, the certificate at any --delta-exp
+    at or past its Frostman threshold n0 has lower <= upper: a cover at
+    levels >= n0 costs at least the mass it covers."""
+    tree = SplittingTree(sparsity_schedule(g, depth), ConstantSelector(0), depth)
+    try:
+        _, n0 = frostman_lower(tree, g)
+    except FrostmanConditionError:
+        return
+    k = min(depth, n0 + extra)
+    cert = measure_certificate(tree, g, k)
+    assert cert.lower is not None and 0 < cert.lower <= cert.upper
+
+
+def test_power_half_upper_is_positive_at_depth_2200():
+    """t^(1/2) at depth 2 200 once certified upper = 0.0 against lower = 1:
+    the float 2^-1100.5 underflowed."""
+    g = Gauge.power(Fraction(1, 2))
+    tree = SplittingTree(sparsity_schedule(g, 2200), ConstantSelector(0), 2200)
+    for k in (0, 3, 8):
+        cert = measure_certificate(tree, g, k)
+        assert cert.lower == 1 and cert.frostman_threshold == 0
+        assert cert.upper > 0 and cert.lower <= cert.upper
+
+
+def test_power_log_half_does_not_underflow_at_1075():
+    """t·log2(1/t)^(1/2) once became 0.0 from n = 1 075."""
+    g = Gauge.power_log(1, Fraction(1, 2))
+    lo, hi, e = g.dyadic_at_scale(1075)
+    assert lo > 0 and encloses(g, 1075, (lo, hi, e))
+    assert all(v[0] > 0 for v in g.scale_values(4000)[1:])
+
+
+def test_power_log_half_caps_at_powers_of_four():
+    """At n = 4^k, g(2^-n)·2^n = sqrt(n) = 2^k exactly, so the cap is k; a
+    float guard once gave k - 1."""
+    g = Gauge.power_log(1, Fraction(1, 2))
+    caps = bound_table(g, 4**5 + 1)
+    assert [caps[4**k] for k in range(1, 6)] == [1, 2, 3, 4, 5]
+
+
+def test_enclosure_ends_are_read_in_the_safe_direction():
+    """A table value just below 1/2, non-dyadic so that its enclosure at 64
+    bits straddles 1/2: the cap and the Frostman test read the lower end
+    and see less than 1/2, the cover DP charges the upper end."""
+    below_half = Fraction(1, 2) - Fraction(1, 3 * 2**70)
+    g = Gauge.table([(0, Fraction(1)), (1, Fraction(1, 2)), (2, below_half)])
+    lo, hi, e = g.dyadic_at_scale(2)
+    assert lo < 2 ** (e - 1) <= hi and encloses(g, 2, (lo, hi, e))
+    assert bound_table(g, 3) == reference_bound_table(g, 3) == [0, 0, 0]
+    # one free level: level 2 has cylinders of measure 1/2 > g(2^-2)
+    tree = SplittingTree(BranchSchedule(depth=2, indices=(0,)), ConstantSelector(0), 2)
+    with pytest.raises(FrostmanConditionError):
+        frostman_lower(tree, g)
+    assert level_dp_cost(tree, g, 2) == 2 * g.at_scale(2) >= 2 * below_half

@@ -374,6 +374,10 @@ BAD_INPUTS = {
     "plot_table_missing": (
         {}, ["plot", "--table", "t.csv", "--x", "n", "--y", "cap", "--out", "out"],
     ),
+    "plot_table_not_utf8": (
+        {"t.csv": b"n,y\n0,\xff\n1,2\n"},
+        ["plot", "--table", "t.csv", "--x", "n", "--y", "y", "--out", "out"],
+    ),
     "cube_map_non_binary_bits": (
         {}, ["transfer", "cube-map", "--bits", "0121", "--out", "out"],
     ),
@@ -384,7 +388,10 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, name):
     files, argv = BAD_INPUTS[name]
     for file_name, text in files.items():
-        (tmp_path / file_name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / file_name).write_bytes(text)
+        else:
+            (tmp_path / file_name).write_text(text)
     monkeypatch.chdir(tmp_path)
     try:
         code = run(argv)
@@ -423,51 +430,71 @@ def test_measure_depth_zero_is_honoured(tmp_path):
     assert reports[8]["upper"]["value"] == "1/2^4"
 
 
-def test_levels_csv_count_beyond_int_digit_limit(tmp_path):
-    """2^14400 has 4335 digits, over the interpreter's 4300-digit limit on
-    int-to-string conversion, which the levels CSV must not depend on."""
-    depth = 14400
-    tree_file = tmp_path / "tree.json"
-    tree_file.write_text(json.dumps({
+def _full_tree(path, depth):
+    path.write_text(json.dumps({
         "schedule": {"depth": depth, "indices": [], "n0": 0},
         "selector": {"kind": "constant", "bit": 0},
         "depth": depth,
     }))
+
+
+def test_levels_csv_count_beyond_int_digit_limit(tmp_path):
+    """A level with 14 400 free levels above it has 2^14400 cylinders, a
+    count of 4 335 digits, over the interpreter's 4 300-digit limit on
+    int-to-string conversion; the levels CSV writes the exponent `free`
+    instead, so each line stays short."""
+    depth = 14400
+    tree_file = tmp_path / "tree.json"
+    _full_tree(tree_file, depth)
     out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
     assert run(["measure", "--tree", tree_file, "--gauge", "power:1",
                 "--out", out, "--csv", csv_out]) == 0
+    header, rows = read_csv_table(str(csv_out))
+    assert header == ["n", "free", "mu_cylinder", "gauge_value", "level_cost"]
+    assert len(rows) == depth + 1
+    assert rows[-1] == [str(depth), str(depth), f"1/2^{depth}", f"1/2^{depth}", "1"]
+    assert rows[1000][1:3] == ["1000", "1/2^1000"]
+    assert max(len(",".join(r)) for r in rows) < 40
+
+
+@pytest.mark.parametrize("depth", [1023, 1024])
+def test_levels_csv_writes_a_level_cost_past_2_to_1024(tmp_path, capsys, depth):
+    """power_log:1,-1 is not dyadic at most levels; with no forced level,
+    level n has n free levels above it and a level cost of 2^n·g(2^-n) = 1/n,
+    once a float that held level 1023 but not level 1024.  Both are written,
+    each cost as the upper end of its enclosure."""
+    tree_file = tmp_path / "tree.json"
+    _full_tree(tree_file, depth)
+    out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
+    assert run(["measure", "--tree", tree_file, "--gauge", "power_log:1,-1",
+                "--out", out, "--csv", csv_out]) == 0
+    assert capsys.readouterr().err == ""
     _, rows = read_csv_table(str(csv_out))
     assert len(rows) == depth + 1
-    exact = decimal.Context(prec=4400)
-    assert len(rows[-1][1]) == 4335
-    assert exact.create_decimal(rows[-1][1]) == exact.power(2, depth)
-    assert rows[-1][2:] == [f"1/2^{depth}", f"1/2^{depth}", "1"]
-    assert rows[1000][1:3] == [str(2**1000), "1/2^1000"]
+    if depth == 1024:
+        assert rows[1024] == ["1024", "1024", "1/2^1024", "1/2^1034", "1/2^10"]
+    m, e = rows[1023][-1].split("/2^")
+    cost = Fraction(int(m), 2 ** int(e))
+    assert Fraction(1, 1023) <= cost <= Fraction(1, 1023) * (1 + Fraction(1, 2**58))
 
 
-@pytest.mark.parametrize("depth, code", [(1023, 0), (1024, 3)])
-def test_levels_csv_refuses_a_float_level_cost_past_2_to_1024(tmp_path, capsys, depth, code):
-    """power_log:1,-1 is a float at every level n >= 1; with no forced level,
-    level n has n free levels above it and a level cost of 2^n·g(2^-n), which
-    a float holds up to n = 1023 only.  Nothing is written on exit 3."""
-    tree_file = tmp_path / "tree.json"
+def test_levels_csv_power_half_at_depth_8000(tmp_path):
+    """The t^(1/2) schedule tree at depth 8 000 once exited 3 from level
+    2 047 on, where a float level cost passed 2^1024."""
+    sched, tree_file = tmp_path / "s.json", tmp_path / "tree.json"
+    assert run(["schedule", "--gauge", "power:1/2", "--depth", 8000, "--out", sched]) == 0
     tree_file.write_text(json.dumps({
-        "schedule": {"depth": depth, "indices": [], "n0": 0},
-        "selector": {"kind": "constant", "bit": 0},
-        "depth": depth,
+        "schedule": json.loads(sched.read_text())["schedule"],
+        "selector": {"kind": "constant", "bit": 1},
+        "depth": 8000,
     }))
     out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
-    argv = ["measure", "--tree", tree_file, "--gauge", "power_log:1,-1", "--out", out]
-    assert run(argv + ["--csv", csv_out]) == code
-    err = capsys.readouterr().err
-    if code:
-        (line,) = err.splitlines()
-        assert line.startswith("error: level 1024 ") and "ROADMAP item 1" in line
-        assert not out.exists() and not csv_out.exists()
-        assert run(argv) == 0  # the certificate alone is still written
-    else:
-        _, rows = read_csv_table(str(csv_out))
-        assert rows[-1][0] == "1023" and float(rows[-1][-1]) > 0
+    assert run(["measure", "--tree", tree_file, "--gauge", "power:1/2", "--delta-exp", 3,
+                "--out", out, "--csv", csv_out]) == 0
+    _, rows = read_csv_table(str(csv_out))
+    assert len(rows) == 8001
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["lower"]["value"] == "1" and cert["upper"]["value"] == "1"
 
 
 PARITY = {
@@ -662,21 +689,27 @@ def test_write_csv_refuses_fields_csv_would_quote(tmp_path, row):
 
 
 def test_non_dyadic_gauge_values_are_rendered_exactly(tmp_path):
+    """A non-dyadic table entry is enclosed at 64 bits, and the levels CSV
+    and the certificates write the upper end exactly, as m/2^e."""
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps({"schedule": {"indices": [], "depth": 4},
                                 "selector": {"kind": "constant", "bit": 0}, "depth": 4}))
     cert, levels = tmp_path / "c.json", tmp_path / "l.csv"
     assert run(["measure", "--tree", tree, "--gauge", "table:0=1,1=1/3,2=1/4,3=1/8,4=1/16",
                 "--out", cert, "--csv", levels]) == 0
-    assert json.loads(cert.read_text())["certificate"]["upper"]["value"] == "2/3"
+    third = "12297829382473034411/2^65"  # ceil(2^65/3)/2^65
+    assert json.loads(cert.read_text())["certificate"]["upper"]["value"] == "12297829382473034411/2^64"
     _, rows = read_csv_table(str(levels))
-    assert rows[1] == ["1", "2", "1/2^1", "1/3", "2/3"]
+    assert rows[1] == ["1", "1", "1/2^1", third, "12297829382473034411/2^64"]
+    assert rows[2] == ["2", "2", "1/2^2", "1/2^2", "1"]
     maps = tmp_path / "maps.json"
     maps.write_text(json.dumps([{"kind": "bit_flip"}]))
     report = tmp_path / "r.json"
     assert run(["antichain", "--gauge", "table:0=1,1=1/3,2=1/5,3=1/7,4=1/9", "--maps", maps,
                 "--depth", 4, "--stages", 0, "--out", report]) == 0
-    assert json.loads(report.read_text())["measure_certificate"]["upper"] == "8/7"
+    upper = json.loads(report.read_text())["measure_certificate"]["upper"]
+    m, e = upper.split("/2^")
+    assert Fraction(8, 7) < Fraction(int(m), 2 ** int(e)) < Fraction(8, 7) * (1 + Fraction(1, 2**62))
 
 
 def test_plot_svg(tmp_path):
@@ -755,6 +788,19 @@ def test_plot_bad_cell_exits_2(tmp_path, capsys, last_row):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, x", [
+    ("#n,y\n0,1\n1,1/2^1\n", "#n"),  # a header that starts with "#" is a header
+    ('# manifest: {"tool": "gaugetree"}\nn,y\n0,1\n1,1/2^1\n', "n"),
+])
+def test_plot_skips_only_a_leading_manifest_line(tmp_path, text, x):
+    table, out = tmp_path / "t.csv", tmp_path / "p.svg"
+    table.write_text(text)
+    assert run(["plot", "--table", table, "--x", x, "--y", "y", "--out", out]) == 0
+    assert read_csv_table(str(table)) == ([x, "y"], [["0", "1"], ["1", "1/2^1"]])
+    root = ElementTree.parse(out).getroot()
+    assert [t.text for t in root.iter(SVG_TEXT)] == [x, "y"]
 
 
 def test_plot_missing_column_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gaugetree import (
     FIRST_LOWER_ORDER,
@@ -16,6 +17,7 @@ from gaugetree import (
     sparsity_schedule,
 )
 from gaugetree.errors import InsufficientDataError, OutOfRangeError
+from gaugetree.gauge import _HALVINGS, _WORK_BITS, _iroot
 
 
 def test_power_eval_exact():
@@ -24,27 +26,54 @@ def test_power_eval_exact():
     assert isinstance(g.at_scale(8), Fraction)
 
 
-def test_power_eval_nondyadic_is_float():
+def test_power_eval_nondyadic_is_enclosed():
     g = Gauge.power(Fraction(1, 2))
-    v = g.at_scale(9)
-    assert isinstance(v, float)
-    assert v == pytest.approx(2.0**-4.5, rel=2.0**-40)
+    lo, hi, e = g.dyadic_at_scale(9)
+    # lo·2^-e <= 2^-4.5 <= hi·2^-e, squared: lo^2 <= 2^(2e - 9) <= hi^2
+    assert lo**2 <= 2 ** (2 * e - 9) <= hi**2 and hi == lo + 1
+    assert g.at_scale(9) == Fraction(hi, 2**e)
+    assert float(g.at_scale(9)) == pytest.approx(2.0**-4.5, rel=2.0**-60)
 
 
 def test_dyadic_at_scale_pair_and_float():
-    assert Gauge.power(1).dyadic_at_scale(3) == (1, 3)
-    assert Gauge.power(Fraction(3, 2)).dyadic_at_scale(4) == (1, 6)
-    assert Gauge.power(Fraction(1, 2)).dyadic_at_scale(0) == (1, 0)
-    v = Gauge.power(Fraction(3, 2)).dyadic_at_scale(1)
-    assert isinstance(v, float)
-    assert v == pytest.approx(2.0**-1.5, rel=2.0**-40)
+    """Exact values, floats in a table included, are (m, m, e) with m odd."""
+    assert Gauge.power(1).dyadic_at_scale(3) == (1, 1, 3)
+    assert Gauge.power(Fraction(3, 2)).dyadic_at_scale(4) == (1, 1, 6)
+    assert Gauge.power(Fraction(1, 2)).dyadic_at_scale(0) == (1, 1, 0)
+    lo, hi, e = Gauge.power(Fraction(3, 2)).dyadic_at_scale(1)
+    assert lo**2 <= 2 ** (2 * e - 3) <= hi**2
     # n * log2(1/t)^c: the odd part of n^c stays in the mantissa
-    assert Gauge.power_log(1, 2).dyadic_at_scale(12) == (9, 8)
-    assert Gauge.power_log(1, 1).dyadic_at_scale(0) == (0, 0)
-    assert isinstance(Gauge.power_log(1, -1).dyadic_at_scale(4), float)
+    assert Gauge.power_log(1, 2).dyadic_at_scale(12) == (9, 9, 8)
+    assert Gauge.power_log(1, 1).dyadic_at_scale(0) == (0, 0, 0)
+    assert Gauge.power_log(1, -1).dyadic_at_scale(4) == (1, 1, 6)
+    lo, hi, e = Gauge.power_log(1, -1).dyadic_at_scale(3)
+    assert 3 * lo <= 2 ** (e - 3) <= 3 * hi and lo < hi
     g = Gauge.table([(0, Fraction(1)), (1, Fraction(1, 3)), (2, Fraction(1, 4)), (3, 0.1)])
-    assert g.scale_values(3) == [(1, 0), Fraction(1, 3), (1, 2), 0.1]
-    assert [g.at_scale(n) for n in range(4)] == [1, Fraction(1, 3), Fraction(1, 4), 0.1]
+    (one, third, quarter, tenth) = g.scale_values(3)
+    assert (one, quarter) == ((1, 1, 0), (1, 1, 2))
+    assert 3 * third[0] < 2 ** third[2] < 3 * third[1]
+    m, d = (0.1).as_integer_ratio()
+    assert tenth == (m, m, d.bit_length() - 1)
+    assert [g.at_scale(n) for n in (0, 2, 3)] == [1, Fraction(1, 4), Fraction(0.1)]
+
+
+@given(st.integers(1, 2**3000), st.integers(1, 40))
+@example(2**640 - 1, 10)
+@example(3**500, 100)
+@example(1, 7)
+def test_iroot_is_the_floor_root(x, b):
+    r = _iroot(x, b)
+    assert r**b <= x < (r + 1) ** b
+
+
+def test_halvings_enclose_their_roots():
+    """The fixed-point table behind every power of two: lo and hi bracket
+    2^(-2^-i)·2^W, checked by raising both to the power 2^i."""
+    w = _WORK_BITS
+    for i, (lo, hi) in enumerate(_HALVINGS[:12], start=1):
+        # (x·2^-W)^(2^i) = 1/2  <=>  2·x^(2^i) = 2^(W·2^i)
+        assert 2 * lo ** (2**i) <= 2 ** (w * 2**i) <= 2 * hi ** (2**i)
+        assert hi - lo <= 2
 
 
 def test_power_log_eval():
