@@ -61,10 +61,12 @@ class DepthExhaustedError(GaugeTreeError):
 class InfeasibleError(GaugeTreeError):
     """The schedule is too thin for the requested stage budget."""
 
-    def __init__(self, requested, feasible):
+    def __init__(self, requested, feasible, consumed, free, requirements):
+        levels = lambda ns: ", ".join(map(str, ns)) or "none"
         super().__init__(
-            f"requested {requested} stages per requirement, "
-            f"only {feasible} completed fairly"
+            f"requested {requested} stages per requirement, only {feasible} completed fairly; "
+            f"the layers of {requirements} requirements consumed forced levels {levels(consumed)}; "
+            f"forced levels still free below the working depth: {levels(free)}"
         )
         self.requested = requested
         self.feasible = feasible

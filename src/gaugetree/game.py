@@ -7,47 +7,29 @@ level, the thinner half is kept alive, and the other is killed by the level
 assignment.  All measures are exact dyadic rationals, so the halving
 guarantee in the certificate is an equality, not an estimate.
 
-Every bad-set scan reads one cached frontier: the sorted leaves of the tree
-at the scan depth, kept on the `GameState`.  The frontier key is the tree's,
-not the layer list's: the layers whose bit differs from the default, plus the
-scan depth.  A default-bit layer leaves the tree unchanged, so appending one
-keeps the frontier.  Beside the frontier sit the candidate lists, one per
-requirement: the (leaf, image) pairs above the root whose image is
-incompatible with the root, dropped with the frontier.  A bad set is the
-candidates whose image is consistent with every decided level.  It is
-memoised per requirement under a key of all the layers plus the scan depth,
-so every in-stage check and non-interference rescan filters afresh against
-the current selector.
-
-The hot loops run over whole lists: `TreeMap.apply_all` maps a list with
-one kernel per map kind, and `BranchSelector.keep_consistent` filters one
-decided level at a time.  A fresh candidate list and `verify_escape` map
-their leaves and samples in blocks of SAMPLE_BLOCK, so that only one block
-of images is held at a time before the compatible ones are dropped.
+A leaf x at the scan depth is bad for (map T, root s) when x extends s and
+y = T(x) is incompatible with s yet consistent with every decided level:
+the per-leaf predicate `_bad_pairs`.  `_count` counts bad sets by a transfer
+matrix over the product of T's transducer with the tree's automaton, in one
+pass over the levels with a count per state (x's first R bits, T's state,
+y's first R bits, |y|, y's bit at the stage level; R the longest requirement
+or layer root).  Those bits decide every cut of the selector, so x's forced
+levels follow it and each bit of y at a decided level is checked as it is
+emitted; one pass gives a count and both stage halves.  `bit_flip` and
+`shift` are 1- and 2-state transducers; an `explicit` map has no step table
+and is enumerated over the frontier.  Nothing is cached.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dyadic import format_dyadic
-from .errors import (
-    DepthExhaustedError,
-    GameInvariantError,
-    InfeasibleError,
-    UndefinedNodeError,
-)
+from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
 from .gauge import BranchSchedule
-from .tree import (
-    SAMPLE_BLOCK,
-    GameBuiltSelector,
-    Layer,
-    SplittingTree,
-    check_node,
-)
+from .tree import SAMPLE_BLOCK, GameBuiltSelector, Layer, SplittingTree, check_node, compatible
 
 DEFAULT_SCAN_DEPTH_BUDGET = 2**12
 MAX_SCAN_LEAVES = 2**18
@@ -58,13 +40,20 @@ MAX_SCAN_LEAVES = 2**18
 
 
 class TreeMap:
-    """Monotone map on finite binary strings with a bounded length lag."""
+    """Monotone map on finite binary strings with a bounded length lag.  The bad
+    sets of a map with a step table `delta`, (state, bit) -> (state, output), are counted."""
 
     kind = "abstract"
     lag = 0
+    start, delta = 0, None
 
     def apply_all(self, nodes: Sequence[str]) -> List[str]:
         """Each node's image, after one `check_node` on the nodes' join."""
+        check_node("".join(nodes))
+        return self._images(nodes)
+
+    def _images(self, nodes: Sequence[str]) -> List[str]:
+        """The per-kind kernel: each binary node's image."""
         raise NotImplementedError
 
     def apply(self, node: str) -> str:
@@ -81,9 +70,9 @@ _FLIP = str.maketrans("01", "10")
 class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
+    delta = {(0, 0): (0, "1"), (0, 1): (0, "0")}
 
-    def apply_all(self, nodes: Sequence[str]) -> List[str]:
-        check_node("".join(nodes))
+    def _images(self, nodes: Sequence[str]) -> List[str]:
         return [node.translate(_FLIP) for node in nodes]
 
     def to_json_dict(self) -> dict:
@@ -94,9 +83,9 @@ class BitFlipMap(TreeMap):
 class ShiftMap(TreeMap):
     kind = "shift"
     lag = 1
+    delta = {(0, 0): (1, ""), (0, 1): (1, ""), (1, 0): (1, "0"), (1, 1): (1, "1")}
 
-    def apply_all(self, nodes: Sequence[str]) -> List[str]:
-        check_node("".join(nodes))
+    def _images(self, nodes: Sequence[str]) -> List[str]:
         return [node[1:] for node in nodes]
 
     def to_json_dict(self) -> dict:
@@ -133,18 +122,9 @@ class TransducerMap(TreeMap):
                 moves = [(t, out + e) for r, out in moves for t, e in (step[r, "0"], step[r, "1"])]
             row.extend((self._rows[t], out, t) for t, out in moves)
 
-    def _run(self, state, bits: str) -> Tuple[object, str]:
-        step = self._step
-        out = []
-        for ch in bits:
-            state, emitted = step[state, ch]
-            out.append(emitted)
-        return state, "".join(out)
-
-    def apply_all(self, nodes: Sequence[str]) -> List[str]:
+    def _images(self, nodes: Sequence[str]) -> List[str]:
         """Whole bytes of each node step through the chunk table, the tail
-        of fewer than 8 characters through `_run`."""
-        check_node("".join(nodes))
+        of fewer than 8 characters one character at a time."""
         start, images = self._rows[self.start], []
         for node in nodes:
             row, state, out = start, self.start, []
@@ -153,8 +133,9 @@ class TransducerMap(TreeMap):
                 for byte in int(node[:full], 2).to_bytes(full // 8, "big"):
                     row, emitted, state = row[byte]
                     out.append(emitted)
-            if full < len(node):
-                out.append(self._run(state, node[full:])[1])
+            for ch in node[full:]:
+                state, emitted = self._step[state, ch]
+                out.append(emitted)
             images.append("".join(out))
         return images
 
@@ -210,8 +191,7 @@ class ExplicitNodeMap(TreeMap):
                 if b.startswith(a) and not self.entries[b].startswith(self.entries[a]):
                     raise ValueError(f"map entries not monotone at {a!r} < {b!r}")
 
-    def apply_all(self, nodes: Sequence[str]) -> List[str]:
-        check_node("".join(nodes))
+    def _images(self, nodes: Sequence[str]) -> List[str]:
         try:
             return [self.entries[node] for node in nodes]
         except KeyError as err:
@@ -250,10 +230,27 @@ class Requirement:
 
 
 @dataclass(frozen=True)
+class BadLeaves:
+    """A bad set's leaves: `len` is their count; iterating enumerates them."""
+
+    tree: SplittingTree
+    tmap: TreeMap
+    root: str
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        frontier = self.tree.materialize().leaves
+        return (x for x, _ in _bad_pairs(self.tree, self.tmap, self.root, frontier))
+
+
+@dataclass(frozen=True)
 class BadSet:
     requirement: Requirement
     depth: int
-    leaves: Tuple[str, ...]
+    leaves: BadLeaves
     measure: Fraction
 
 
@@ -271,68 +268,75 @@ class GameState:
     stage_counts: Dict[int, int] = field(default_factory=dict)
     consulted: Dict[int, int] = field(default_factory=dict)
     stage_log: List[dict] = field(default_factory=list)
-    # scan cache; schedule, maps and default_bit stay fixed for the state's lifetime
-    _frontier_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _frontier: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
-    _candidates: Dict[Requirement, List[Tuple[str, str]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _bad_key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _bad: Dict[Requirement, BadSet] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def selector(self) -> GameBuiltSelector:
         return GameBuiltSelector(self.layers, default=self.default_bit)
 
     def tree(self, depth: Optional[int] = None) -> SplittingTree:
-        return SplittingTree(self.schedule, self.selector(), depth or self.depth)
+        return SplittingTree(self.schedule, self.selector(), self.depth if depth is None else depth)
 
     def decided(self) -> set:
         return {l.level for l in self.layers}
 
-    def frontier(self, d: int) -> Tuple[str, ...]:
-        """Sorted depth-d leaves of the current tree (see the module
-        docstring for when they are materialised again)."""
-        key = (tuple(l for l in self.layers if l.bit != self.default_bit), d)
-        if key != self._frontier_key:
-            self._frontier = self.tree(d).materialize(d).leaves
-            self._frontier_key = key
-            self._candidates = {}
-        return self._frontier
+
+def _bad_pairs(tree: SplittingTree, m: TreeMap, root: str, leaves: Sequence[str]) -> list:
+    """(leaf, image) for each of the binary leaves of `tree` that extends
+    the root and whose image is incompatible with the root and consistent
+    with the decided levels: the per-leaf predicate."""
+    leaves = [x for x in leaves if x.startswith(root)]
+    pairs = [(x, y) for x, y in zip(leaves, m._images(leaves)) if not compatible(y, root)]
+    return tree.selector.keep_consistent(pairs, tree.selector.decided_levels(tree.schedule))
+
+
+def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = None) -> Dict:
+    """The bad leaves of (m, root) at the tree's depth, tallied by their image
+    bit at `level`: keys "0", "1", and None for no bit there."""
+    tally = dict.fromkeys(("0", "1", None), 0)
+    if m.delta is None:
+        for _, y in _bad_pairs(tree, m, root, tree.materialize().leaves):
+            tally[y[level] if level is not None and level < len(y) else None] += 1
+        return tally
+    rule, d = tree.selector.bit_under, tree.depth
+    r = max([len(root), *(len(l.root) for l in tree.selector.layers)])
+    forced, decided = set(tree.schedule.indices), set(tree.selector.decided_levels(tree.schedule))
+    step = {(q, str(b)): move for (q, b), move in m.delta.items()}
+    counts = {("", m.start, "", 0, None): 1} if d >= len(root) else {}
+    for i in range(d):
+        grown = {}
+        for (xh, q, yh, n0, yb), c in counts.items():
+            for b in (rule(xh, i),) if i in forced else "01":
+                if i < len(root) and b != root[i]:
+                    continue
+                q2, out = step[q, b]
+                n, head, bit = n0, yh, yb
+                for ch in out:
+                    if n in decided and ch != rule(head, n):
+                        break  # y breaks a decided level
+                    if n == level:
+                        bit = ch
+                    if n < r:
+                        head += ch
+                    n += 1
+                else:
+                    key = (xh + b if i < r else xh, q2, head, n, bit)
+                    grown[key] = grown.get(key, 0) + c
+        counts = grown
+    for (_, _, yh, _, yb), c in counts.items():
+        if not compatible(yh, root):  # y's first r bits decide it (r >= |root|)
+            tally[yb] += c
+    return tally
 
 
 def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> BadSet:
     """Depth-d leaves above the root whose image is incomparable with the
-    root yet still consistent with every decided selector level."""
+    root yet still consistent with every decided selector level, counted."""
     d = state.scan_depth if depth is None else depth
     if d > state.depth:
         raise ValueError(f"scan depth {d} > working depth {state.depth}")
-    leaves = state.frontier(d)
-    key = (tuple(state.layers), d)
-    if key != state._bad_key:
-        state._bad_key, state._bad = key, {}
-    memo = state._bad.get(req)
-    if memo is not None:
-        return memo
-    candidates = state._candidates.get(req)
-    if candidates is None:
-        s, apply_all = req.root, state.maps[req.map_index].apply_all
-        # the leaves extending s are contiguous in the sorted frontier
-        lo, hi = bisect_left(leaves, s), bisect_left(leaves, s + "2")
-        candidates = state._candidates[req] = []
-        for start in range(lo, hi, SAMPLE_BLOCK):
-            block = leaves[start : min(start + SAMPLE_BLOCK, hi)]
-            candidates += [
-                (leaf, image) for leaf, image in zip(block, apply_all(block))
-                if not (image.startswith(s) or s.startswith(image))  # not compatible()
-            ]
-    decided = sorted(state.decided().intersection(state.schedule.indices))
-    bad = tuple(leaf for leaf, _ in state.selector().keep_consistent(candidates, decided))
-    unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
-    result = BadSet(requirement=req, depth=d, leaves=bad, measure=len(bad) * unit)
-    state._bad[req] = result
-    return result
+    tree, m = state.tree(d), state.maps[req.map_index]
+    count = sum(_count(tree, m, req.root).values())
+    measure = Fraction(count, tree.level_count(d))
+    return BadSet(requirement=req, depth=d, leaves=BadLeaves(tree, m, req.root, count), measure=measure)
 
 
 def _eligible_level(state: GameState, req: Requirement, lag: int) -> Optional[int]:
@@ -342,7 +346,7 @@ def _eligible_level(state: GameState, req: Requirement, lag: int) -> Optional[in
     deeper ones, so earlier bounds remain valid upper bounds.
     """
     decided = state.decided()
-    floor = max(len(req.root), state.consulted.get(_req_key(state, req), -1) + 1)
+    floor = max(len(req.root), state.consulted.get(state.requirements.index(req), -1) + 1)
     for n in state.schedule.indices:
         if n < floor or n in decided:
             continue
@@ -358,63 +362,46 @@ def _eligible_level(state: GameState, req: Requirement, lag: int) -> Optional[in
     return None
 
 
-def _req_key(state: GameState, req: Requirement) -> int:
-    return state.requirements.index(req)
-
-
 def stage_step(state: GameState, req: Requirement) -> GameState:
     """One halving stage for a single requirement (mutates and returns state).
 
     Empty bad sets record their (vacuously halved) bound without consuming a
     schedule level.
     """
-    key = _req_key(state, req)
+    key = state.requirements.index(req)
     m = state.maps[req.map_index]
-    current = bad_set(state, req)
+    measure = bad_set(state, req).measure
     state.stage_counts[key] = state.stage_counts.get(key, 0) + 1
     state.bounds[key] = state.initial[key] / 2 ** state.stage_counts[key]
 
-    level = None
-    chosen = None
-    if current.leaves:
-        before = state.scan_depth
+    level = chosen = None
+    if measure:
         level = _eligible_level(state, req, m.lag)
         if level is None:
             raise DepthExhaustedError(req)
-        if state.scan_depth != before:
-            current = bad_set(state, req)
-        # the images are applied afresh, not read from the candidate lists:
-        # they are the independent side of the `after` check below
-        halves = {0: [], 1: []}
-        for leaf, image in zip(current.leaves, m.apply_all(current.leaves)):
-            if level >= len(image):
-                raise GameInvariantError(
-                    f"image too short at level {level} for leaf {leaf!r}"
-                )
-            halves[int(image[level])].append(leaf)
-        chosen = 0 if len(halves[0]) <= len(halves[1]) else 1
+        # one count at the scan depth, which may have grown, gives both halves
+        halves = _count(state.tree(state.scan_depth), m, req.root, level)
+        if halves[None]:
+            raise GameInvariantError(f"image too short at level {level} for {halves[None]} bad leaves")
+        chosen = 0 if halves["0"] <= halves["1"] else 1
         state.layers.append(Layer(level=level, root=req.root, bit=chosen))
         state.consulted[key] = level
 
-        after = bad_set(state, req)
-        if not set(after.leaves) <= set(halves[chosen]):
+        # a second count under the new layer: no surviving bad leaf may have
+        # an image bit other than the chosen one
+        tree = state.tree(state.scan_depth)
+        survivors = _count(tree, m, req.root, level)
+        if survivors[str(1 - chosen)] or survivors[None]:
             raise GameInvariantError("post-stage bad set escapes the chosen half")
-    else:
-        after = current
+        measure = Fraction(survivors[str(chosen)], tree.level_count(tree.depth))
 
-    if after.measure > state.bounds[key]:
-        raise GameInvariantError(
-            f"recomputed bad measure {after.measure} exceeds bound {state.bounds[key]}"
-        )
-    # non-interference: no other requirement's bad set may outgrow its bound
+    if measure > state.bounds[key]:
+        raise GameInvariantError(f"recomputed bad measure {measure} exceeds bound {state.bounds[key]}")
+    # non-interference: no other requirement's fresh count may outgrow its bound
     for other_key, other in enumerate(state.requirements):
-        if other_key == key or other_key not in state.bounds:
-            continue
-        recomputed = bad_set(state, other)
-        if recomputed.measure > state.bounds[other_key]:
-            raise GameInvariantError(
-                f"stage for {req} pushed {other} above its bound"
-            )
+        if other_key != key and other_key in state.bounds:
+            if bad_set(state, other).measure > state.bounds[other_key]:
+                raise GameInvariantError(f"stage for {req} pushed {other} above its bound")
 
     state.stage_log.append(
         {
@@ -529,7 +516,11 @@ def run_game(
             try:
                 stage_step(state, req)
             except DepthExhaustedError as err:
-                raise InfeasibleError(stages_per_requirement, round_no) from err
+                used = sorted(state.decided())
+                free = [n for n in schedule.indices if n < depth and n not in used]
+                raise InfeasibleError(
+                    stages_per_requirement, round_no, used, free, len(requirements)
+                ) from err
 
     reports = tuple(
         RequirementReport(
@@ -579,33 +570,35 @@ def verify_escape(
     escaped: some decided forced level already disagrees with the selector;
     fixed: the image prefix is comparable with the sampled branch;
     undetermined: neither is visible at this depth.  An undetermined sample
-    whose divergence root is certified must lie, cut to the certificate's
-    scan depth, in the final bad set the game recorded for that requirement,
-    else it counts as unaccounted; one whose root is not certified counts as
-    uncovered.
+    whose divergence root is certified must, cut to the certificate's scan
+    depth, satisfy the per-leaf predicate of that requirement's final bad
+    set, else it counts as unaccounted; one whose root is not certified
+    counts as uncovered.
     """
     xs = tree.sample(seed, samples)
-    decided = sorted(tree.selector.decided_levels(tree.schedule))
-
-    cert_bad = {(r.map_index, r.root): set(r.final_bad.leaves) for r in certificate.requirements}
+    check_node("".join(xs))
+    decided = tree.selector.decided_levels(tree.schedule)
+    certified = {(r.map_index, r.root) for r in certificate.requirements}
+    final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), certificate.scan_depth)
 
     per_map = []
     for mi, m in enumerate(maps):
         counts = {"fixed": 0, "escaped": 0, "undetermined": 0, "unaccounted": 0, "uncovered": 0}
-        for start in range(0, len(xs), SAMPLE_BLOCK):
-            block = xs[start : start + SAMPLE_BLOCK]
-            moved = [(x, u) for x, u in zip(block, m.apply_all(block))
-                     if not (u.startswith(x) or x.startswith(u))]  # not compatible()
+        cut = {}  # certified root -> its samples cut to the scan depth
+        for block in (xs[i : i + SAMPLE_BLOCK] for i in range(0, len(xs), SAMPLE_BLOCK)):
+            moved = [(x, u) for x, u in zip(block, m._images(block)) if not compatible(u, x)]
             kept = tree.selector.keep_consistent(moved, decided)
             counts["fixed"] += len(block) - len(moved)
             counts["escaped"] += len(moved) - len(kept)
             counts["undetermined"] += len(kept)
             for x, u in kept:
                 p = next(i for i in range(min(len(u), len(x))) if u[i] != x[i])
-                key = (mi, x[: p + 1])
-                if key not in cert_bad:
+                if (mi, x[: p + 1]) in certified:
+                    cut.setdefault(x[: p + 1], []).append(x[: final.depth])
+                else:
                     counts["uncovered"] += 1
-                elif x[: certificate.scan_depth] not in cert_bad[key]:
-                    counts["unaccounted"] += 1
+        for root, leaves in cut.items():
+            bad = {x for x, _ in _bad_pairs(final, m, root, leaves)}
+            counts["unaccounted"] += sum(x not in bad for x in leaves)
         per_map.append({"map": mi, "kind": m.kind, **counts})
     return EscapeReport(per_map=tuple(per_map), samples=samples, seed=seed)

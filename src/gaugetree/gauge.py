@@ -204,7 +204,7 @@ class Gauge:
         if self.kind in (POWER, POWER_LOG):
             return self._power_values(range(n, n + 1))[0]
         if self.kind == TABLE:
-            i = bisect_left([e for e, _ in self.entries], n)
+            i = bisect_left(self.entries, (n,))  # (n,) sorts just before (n, v)
             if i < len(self.entries) and self.entries[i][0] == n:
                 return _enclose(*self.entries[i][1].as_integer_ratio())
             raise OutOfRangeError(f"table gauge has no entry at exponent {n}")

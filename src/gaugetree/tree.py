@@ -7,7 +7,6 @@ cylinder measures are all exact; nothing is materialized unless asked.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +107,8 @@ class SeededSelector(BranchSelector):
     kind = "seeded"
 
     def bit(self, node: str) -> int:
+        import hashlib  # here, not at the top: only seeded selectors hash
+
         digest = hashlib.blake2b(
             f"{self.seed}:{node}".encode(), digest_size=8
         ).digest()
@@ -169,8 +170,12 @@ class GameBuiltSelector(BranchSelector):
             self._cuts[layer.level] = (layer.root[: layer.level], str(layer.bit))
 
     def bit(self, node: str) -> int:
-        cut, bit = self._cuts.get(len(node), ("", ""))
-        return self.default if node.startswith(cut) else int(bit)
+        return int(self.bit_under(node, len(node)))
+
+    def bit_under(self, head: str, level: int) -> str:
+        """The bit at `level` of each node that starts with `head`, if `head` covers its cut."""
+        cut, bit = self._cuts.get(level, ("", str(self.default)))
+        return str(self.default) if head.startswith(cut) else bit
 
     def constant_bit(self, level: int) -> Optional[int]:
         _, bit = self._cuts.get(level, ("", str(self.default)))
@@ -197,7 +202,7 @@ class GameBuiltSelector(BranchSelector):
         return pairs
 
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
-        return tuple(l.level for l in self.layers)
+        return tuple(l.level for l in self.layers if l.level in schedule)
 
     def to_json_dict(self) -> dict:
         return {

@@ -128,7 +128,13 @@ def test_antichain_infeasible_exits_3(tmp_path, maps_file, capsys):
         "--depth", 16, "--stages", 9, "--out", out,
     ])
     assert code == 3
-    assert "infeasible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "infeasible" in err
+    # the stages that completed, the levels their layers consumed, the forced
+    # levels left below the depth, and how many requirements shared them
+    assert "requested 9 stages per requirement, only 2 completed fairly" in err
+    assert "the layers of 4 requirements consumed forced levels 1, 3, 7;" in err
+    assert "forced levels still free below the working depth: 15\n" in err
     assert not out.exists()
 
 

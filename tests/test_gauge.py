@@ -90,6 +90,19 @@ def test_table_eval_and_range():
         g.at_scale(20)
 
 
+def test_table_scale_values_at_depth_4000_match_per_level_lookup():
+    # one entry per level: every lookup bisects the entries themselves, so
+    # the whole table costs depth log depth, not depth^2
+    g = Gauge.table([(n, Fraction(1, n + 1)) for n in range(4001)])
+    values = g.scale_values(4000)
+    assert values == [g.dyadic_at_scale(n) for n in range(4001)]
+    assert values[4000] == g.dyadic_at_scale(4000) != values[3999]
+    gap = Gauge.table([(n, Fraction(1, n + 1)) for n in range(4001) if n != 2500])
+    with pytest.raises(OutOfRangeError, match="no entry at exponent 2500"):
+        gap.scale_values(4000)
+    assert gap.scale_values(2499) == values[:2500]
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         Gauge.table([(1, Fraction(1)), (1, Fraction(1, 2))])

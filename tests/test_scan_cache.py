@@ -1,19 +1,20 @@
 """The game's fast kernels against full-recomputation references: after
-every stage, each requirement's bad set must equal a scan that materialises
-the frontier and applies every map afresh; the block-wise sampler, the
-chunked transducer and the per-layer consistency test must match their
-per-bit, per-character and per-level definitions.  The list kernels must
-match their per-element forms: `apply_all` against `apply` and a
-per-character definition of each map, `keep_consistent` against the
-per-node `consistent` filter, and the block-wise `verify_escape` against
-the per-sample loop it replaced."""
+every stage, each requirement's counted bad set, and the halves each stage
+splits it into, must equal an enumeration that materialises the frontier
+and applies every map afresh; the block-wise sampler, the chunked transducer
+and the per-layer consistency test must match their per-bit, per-character
+and per-level definitions.  The list kernels must match their per-element
+forms: `apply_all` against `apply` and a per-character definition of each
+map, `keep_consistent` against the per-node `consistent` filter, and the
+block-wise `verify_escape` against the per-sample loop it replaced."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugetree import (
@@ -35,8 +36,9 @@ from gaugetree import (
     stage_step,
     verify_escape,
 )
+from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
-from gaugetree.errors import UndefinedNodeError
+from gaugetree.errors import GameInvariantError, UndefinedNodeError
 from gaugetree.game import ExplicitNodeMap
 from gaugetree.tree import SAMPLE_BLOCK, check_node, compatible
 
@@ -76,6 +78,31 @@ def reference_bad_set(state, req, depth=None):
     return tuple(bad), len(bad) * unit
 
 
+def reference_halves(state, req, level, depth=None):
+    """The enumerated bad leaves tallied by their image bit at `level`."""
+    m = state.maps[req.map_index]
+    leaves, _ = reference_bad_set(state, req, depth)
+    tally = Counter(u[level] if level < len(u) else None for u in map(m.apply, leaves))
+    return {b: tally[b] for b in ("0", "1", None)}
+
+
+def state_of(tree, m):
+    """A game state holding `tree`'s schedule, layers and depth, and the one map m."""
+    return GameState(
+        schedule=tree.schedule, maps=[m], requirements=[], depth=tree.depth,
+        scan_depth=tree.depth, default_bit=tree.selector.default,
+        layers=list(tree.selector.layers),
+    )
+
+
+def certified_state(schedule, maps, depth, certificate):
+    """The game state a certificate ends in: its layers at its scan depth."""
+    return GameState(
+        schedule=schedule, maps=list(maps), requirements=[], depth=depth,
+        scan_depth=certificate.scan_depth, layers=list(certificate.layers),
+    )
+
+
 def reference_sample(tree, seed, count):
     rng = random.Random(seed)
     forced = set(tree.schedule.indices)
@@ -107,14 +134,25 @@ def reference_transduce(t, node):
     return "".join(out)
 
 
-# -- the cached scan through whole games ------------------------------------
+# prefix parity as a table over the nodes of length 9 and 10: a map without
+# a step table, whose bad sets are enumerated, not counted
+EXPLICIT_D10 = ExplicitNodeMap(
+    {n: reference_transduce(PARITY, n)
+     for k in (9, 10) for n in map("".join, itertools.product("01", repeat=k))},
+    lag=0,
+)
+
+
+# -- the counted bad set through whole games ---------------------------------
 
 
 def assert_scans_match(state, depth=None):
+    """Every requirement's count, its enumeration and its measure."""
     for req in state.requirements:
         got = bad_set(state, req, depth)
         leaves, measure = reference_bad_set(state, req, depth)
-        assert got.leaves == leaves
+        assert len(got.leaves) == len(leaves)
+        assert tuple(got.leaves) == leaves
         assert got.measure == measure
 
 
@@ -134,7 +172,7 @@ def play(schedule, maps, roots, depth, stages, scan_depth):
         for req in reqs:
             stage_step(state, req)
             assert_scans_match(state)
-            # a shallower scan and back: the frontier is rebuilt both times
+            # a shallower scan and back
             assert_scans_match(state, state.scan_depth - 1)
             assert_scans_match(state)
     return state
@@ -193,27 +231,30 @@ def test_frontier_follows_hand_appended_layers():
 
 def test_bad_set_memo_dropped_with_its_frontier():
     # scan depth d, then d - 1, then d again, with a layer appended between
-    # rounds: every call sees a frontier other than the previous call's
+    # rounds: every call sees a tree other than the previous call's, and
+    # nothing of an earlier tree's count may carry over to it
     schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0)
-    reqs = [Requirement(0, "0"), Requirement(0, "1"), Requirement(1, "0"), Requirement(2, "01")]
+    reqs = [Requirement(0, "0"), Requirement(0, "1"), Requirement(0, "01"),
+            Requirement(1, "0"), Requirement(2, "01"), Requirement(3, "1")]
     state = GameState(
-        schedule=schedule, maps=[BitFlipMap(), ShiftMap(), PARITY],
+        schedule=schedule, maps=[BitFlipMap(), ShiftMap(), PARITY, EXPLICIT_D10],
         requirements=reqs, depth=12, scan_depth=10,
     )
     d = state.scan_depth
     seen = set()
-    for layer in [None, Layer(4, "1", 1), Layer(2, "0", 1), Layer(8, "11", 1)]:
+    for layer in [None, Layer(4, "1", 1), Layer(2, "0", 1), Layer(8, "11", 1), Layer(6, "1", 1)]:
         if layer is not None:
             state.layers.append(layer)
         for depth in (d, d - 1, d):
+            assert_scans_match(state, depth)
             for req in reqs:
                 got = bad_set(state, req, depth)
                 assert got.depth == depth
-                assert (got.leaves, got.measure) == reference_bad_set(state, req, depth)
-                # a repeat on the unchanged tree is served from the memo
-                assert bad_set(state, req, depth) is got
-                seen.add((req, depth, got.leaves))
-    # the layers change the bad sets, so a stale memo would show
+                # a repeat on the unchanged tree counts the same bad set
+                again = bad_set(state, req, depth)
+                assert (tuple(again.leaves), again.measure) == (tuple(got.leaves), got.measure)
+                seen.add((req, depth, tuple(got.leaves)))
+    # the layers change the bad sets, so a count that missed one would show
     assert len(seen) > 2 * len(reqs)
 
 
@@ -226,27 +267,27 @@ def flip_shift_parity_state():
     )
 
 
-def test_default_bit_layer_keeps_frontier_and_drops_memo():
+def test_default_bit_layer_keeps_the_tree_and_empties_a_bad_set():
     state = flip_shift_parity_state()
     req = Requirement(0, "0")
     before = bad_set(state, req)
-    frontier = state.frontier(state.scan_depth)
+    frontier = state.tree(state.scan_depth).materialize().leaves
     # the flipped images start with "1", so they reach level 4 inside the
     # layer's root and get the default 0 there, against their own bit 1
     state.layers.append(Layer(4, "1", 0))
     after = bad_set(state, req)
-    assert state.frontier(state.scan_depth) is frontier
-    assert before.leaves and not after.leaves
+    assert state.tree(state.scan_depth).materialize().leaves == frontier
+    assert len(before.leaves) and not len(after.leaves)
+    assert list(after.leaves) == []
     assert_scans_match(state)
 
 
-def test_non_default_layer_rematerialises_frontier():
+def test_non_default_layer_changes_the_tree_the_count_reads():
     state = flip_shift_parity_state()
     assert_scans_match(state)
-    frontier = state.frontier(state.scan_depth)
+    frontier = state.tree(state.scan_depth).materialize().leaves
     state.layers.append(Layer(6, "1", 1))  # leaves under "0" now carry 1 at level 6
-    assert state.frontier(state.scan_depth) is not frontier
-    assert state.frontier(state.scan_depth) != frontier
+    assert state.tree(state.scan_depth).materialize().leaves != frontier
     assert_scans_match(state)
 
 
@@ -297,7 +338,8 @@ def test_run_game_reports_final_scan_depth_and_its_bad_sets():
     for rep, req in zip(cert.requirements, state.requirements):
         leaves, measure = reference_bad_set(state, req)
         assert rep.final_bad.depth == cert.scan_depth
-        assert (rep.final_bad.leaves, rep.recomputed) == (leaves, measure)
+        assert len(rep.final_bad.leaves) == len(leaves)
+        assert (tuple(rep.final_bad.leaves), rep.recomputed) == (leaves, measure)
     # samples are cut to the final scan depth before the bad-set lookup
     report = verify_escape(tree, maps, 2000, seed=4, certificate=cert)
     certified = sum(m["undetermined"] - m["uncovered"] for m in report.per_map)
@@ -338,6 +380,114 @@ def test_bad_set_matches_reference_after_each_appended_layer(game):
             state.layers.append(layer)
         for depth in (d, d - 1, d):
             assert_scans_match(state, depth)
+
+
+# every count the game makes on the benchmark's configurations
+
+BENCHMARK_MAPS = {"flip_shift": [BitFlipMap(), ShiftMap()],
+                  "flip_shift_parity": [BitFlipMap(), ShiftMap(), PARITY]}
+
+
+@pytest.mark.parametrize("depth", [64, 256])
+@pytest.mark.parametrize("maps", sorted(BENCHMARK_MAPS))
+@pytest.mark.parametrize("gauge", ["power_log:1,1", "power:1/2"])
+def test_count_and_halves_match_reference_at_every_benchmark_stage(monkeypatch, gauge, maps, depth):
+    """Each stage's split and post-stage count, at the scan depth the stage
+    reached, and every requirement's final bad set, against the enumeration."""
+    calls, count = [], game._count
+
+    def recording(tree, m, root, level=None):
+        tally = count(tree, m, root, level)
+        if level is not None:
+            calls.append((tree, m, root, level, dict(tally)))
+        return tally
+
+    monkeypatch.setattr(game, "_count", recording)
+    schedule = sparsity_schedule(parse_gauge_spec(gauge), depth)
+    initial = game._pick_scan_depth(schedule, depth)
+    _, cert = run_game(schedule, BENCHMARK_MAPS[maps], ["0", "1"], depth, 3)
+    staged = [entry for entry in cert.stage_log if entry["level"] is not None]
+    assert staged and len(calls) == 2 * len(staged)
+    for (tree, m, root, level, tally), entry in zip(calls, [e for e in staged for _ in (0, 1)]):
+        assert (root, level) == (entry["root"], entry["level"])
+        assert tally == reference_halves(state_of(tree, m), Requirement(0, root), level)
+    # every post-stage count holds the chosen half only
+    assert all(not tally[str(1 - e["chosen_bit"])] for (*_, tally), e in zip(calls[1::2], staged))
+    if gauge == "power_log:1,1":  # a stage deepened the scan
+        assert cert.scan_depth > initial
+        assert any(tree.depth > initial for tree, *_ in calls)
+    final = certified_state(schedule, BENCHMARK_MAPS[maps], depth, cert)
+    for rep in cert.requirements:
+        leaves, measure = reference_bad_set(final, Requirement(rep.map_index, rep.root))
+        assert (len(rep.final_bad.leaves), rep.recomputed) == (len(leaves), measure)
+
+
+@st.composite
+def transducers(draw):
+    """At most 3 states, each with an offset in 0..2: a move from q to t
+    emits 1 + offset(t) - offset(q) bits (0 to 3), so every prefix's image
+    length is within 2 of its own."""
+    size = draw(st.integers(1, 3))
+    offset = [draw(st.integers(0, 2)) for _ in range(size)]
+    delta = {}
+    for q in range(size):
+        for b in (0, 1):
+            t = draw(st.sampled_from([t for t in range(size) if offset[t] >= offset[q] - 1]))
+            width = 1 + offset[t] - offset[q]
+            delta[q, b] = (t, draw(st.text(alphabet="01", min_size=width, max_size=width)))
+    return TransducerMap(start=draw(st.integers(0, size - 1)), delta=delta, lag=2)
+
+
+@st.composite
+def counting_cases(draw):
+    depth = draw(st.integers(2, 10))
+    indices = sorted(draw(st.sets(st.integers(0, depth - 1), max_size=depth // 2 + 1)))
+    maps = [draw(transducers()), *draw(st.lists(st.sampled_from(sorted(MAPS)).map(MAPS.get), max_size=1))]
+    roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
+    levels = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
+    state = GameState(
+        schedule=BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps=maps,
+        requirements=[Requirement(i, r) for i in range(len(maps)) for r in roots],
+        depth=depth, scan_depth=draw(st.integers(depth // 2, depth)),
+        default_bit=draw(st.integers(0, 1)),
+        layers=[Layer(n, draw(st.text(alphabet="01", max_size=3)), draw(st.integers(0, 1)))
+                for n in levels],
+    )
+    return state, draw(st.integers(0, depth + 1))
+
+
+@settings(max_examples=200)
+@given(counting_cases())
+def test_count_and_halves_match_reference_on_random_transducers(case):
+    state, level = case
+    tree = state.tree(state.scan_depth)
+    for req in state.requirements:
+        m = state.maps[req.map_index]
+        assert game._count(tree, m, req.root, level) == reference_halves(state, req, level)
+    assert_scans_match(state)
+
+
+def test_post_stage_count_reading_the_other_half_is_caught(monkeypatch):
+    # the shift image's bit at the odd stage level is the free bit after it,
+    # so both halves are non-empty and the kept half survives the stage
+    schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7), n0=0)
+    state = GameState(schedule=schedule, maps=[ShiftMap()], requirements=[Requirement(0, "1")],
+                      depth=16, scan_depth=10)
+    state.initial[0] = state.bounds[0] = bad_set(state, state.requirements[0]).measure
+    counts, count = [], game._count
+
+    def other_half(tree, m, root, level=None):
+        tally = count(tree, m, root, level)
+        if level is not None:
+            counts.append(dict(tally))
+            if len(counts) == 2:  # the post-stage count
+                tally["0"], tally["1"] = tally["1"], tally["0"]
+        return tally
+
+    monkeypatch.setattr(game, "_count", other_half)
+    with pytest.raises(GameInvariantError, match="escapes the chosen half"):
+        stage_step(state, state.requirements[0])
+    assert counts[0]["0"] and counts[0]["1"] and counts[1]["0"]
 
 
 # -- sampler ---------------------------------------------------------------
@@ -593,10 +743,14 @@ def reference_verify_escape(tree, maps, samples, seed, certificate=None):
     xs = tree.sample(seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
     consistent = tree.selector.consistent
-    cert_bad = {
-        (r.map_index, r.root): set(r.final_bad.leaves)
-        for r in (certificate.requirements if certificate is not None else ())
-    }
+    cert_bad = {}
+    if certificate is not None:  # the final bad sets, enumerated
+        final = certified_state(tree.schedule, maps, tree.depth, certificate)
+        cert_bad = {
+            (r.map_index, r.root):
+                set(reference_bad_set(final, Requirement(r.map_index, r.root))[0])
+            for r in certificate.requirements
+        }
     per_map = []
     for mi, m in enumerate(maps):
         counts = {"fixed": 0, "escaped": 0, "undetermined": 0, "unaccounted": 0, "uncovered": 0}
@@ -632,8 +786,11 @@ def escape_cases():
     # sample is uncovered
     _, bare = run_game(schedule, ESCAPE_MAPS, [], 61, 3)
     _, bare_seeded = run_game(seeded.schedule, ESCAPE_MAPS, [], 30, 0)
+    # samples of the tree before any stage, against the final bad sets of
+    # the played game: images that break its layers are unaccounted
+    unplayed, _ = run_game(schedule, ESCAPE_MAPS, ["0", "1"], 61, 0)
     return {"game_d61": (tree, cert), "game_d61_no_certificate": (tree, bare),
-            "seeded_d30": (seeded, bare_seeded)}
+            "seeded_d30": (seeded, bare_seeded), "unplayed_tree_d61": (unplayed, cert)}
 
 
 @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 1000])
@@ -645,7 +802,9 @@ def test_verify_escape_matches_per_sample_loop(name, count):
     assert list(report.per_map) == expected
     assert all(sum(row[k] for k in ("fixed", "escaped", "undetermined")) == count
                for row in report.per_map)
-    if name != "game_d61":
+    if name == "unplayed_tree_d61":
+        assert sum(row["unaccounted"] for row in expected) > 0
+    elif name != "game_d61":
         assert all(row["uncovered"] == row["undetermined"] for row in report.per_map)
     elif count == 1000:
         # every branch of the check is reached
