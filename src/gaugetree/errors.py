@@ -53,23 +53,14 @@ class UndefinedNodeError(GaugeTreeError):
 class DepthExhaustedError(GaugeTreeError):
     """No eligible selector level remains for a game stage."""
 
-    def __init__(self, requirement):
-        super().__init__(f"no eligible level left for requirement {requirement}")
+    def __init__(self, requirement, why):
+        super().__init__(f"no eligible level left for requirement {requirement}: {why}")
         self.requirement = requirement
 
 
 class InfeasibleError(GaugeTreeError):
-    """The schedule is too thin for the requested stage budget."""
-
-    def __init__(self, requested, feasible, consumed, free, requirements):
-        levels = lambda ns: ", ".join(map(str, ns)) or "none"
-        super().__init__(
-            f"requested {requested} stages per requirement, only {feasible} completed fairly; "
-            f"the layers of {requirements} requirements consumed forced levels {levels(consumed)}; "
-            f"forced levels still free below the working depth: {levels(free)}"
-        )
-        self.requested = requested
-        self.feasible = feasible
+    """The game cannot be played as asked: the schedule is too thin for the stage
+    budget, or a stage's layer raises another requirement's bad set past its bound."""
 
 
 class GameInvariantError(GaugeTreeError):

@@ -18,18 +18,26 @@ levels follow it and each bit of y at a decided level is checked as it is
 emitted; one pass gives a count and both stage halves.  `bit_flip` and
 `shift` are 1- and 2-state transducers; an `explicit` map has no step table
 and is enumerated over the frontier.  Nothing is cached.
+
+The escape check runs the same product over samples instead of counts, bit
+parallel: on a game-built tree the samples are drawn as columns, one int per
+level with a bit per sample (`_Columns`), and each map with a step table
+runs once over the levels with a sample mask per state (`_escape_masks`).
+Only certified undetermined samples become strings again.  An `explicit`
+map, or a tree with another selector, takes the per-sample path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dyadic import format_dyadic
 from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
 from .gauge import BranchSchedule
-from .tree import SAMPLE_BLOCK, GameBuiltSelector, Layer, SplittingTree, check_node, compatible
+from .tree import GameBuiltSelector, Layer, SplittingTree, check_node, compatible
 
 DEFAULT_SCAN_DEPTH_BUDGET = 2**12
 MAX_SCAN_LEAVES = 2**18
@@ -58,6 +66,10 @@ class TreeMap:
 
     def apply(self, node: str) -> str:
         return self.apply_all([node])[0]
+
+    def steps(self) -> Dict[Tuple[object, str], Tuple[object, str]]:
+        """The step table keyed by (state, "0" or "1"), for a map with `delta`."""
+        return {(q, str(b)): move for (q, b), move in self.delta.items()}
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -112,29 +124,14 @@ class TransducerMap(TreeMap):
             if (s, 0) not in self.delta or (s, 1) not in self.delta:
                 raise ValueError(f"transducer state {s!r} lacks a move on 0 or 1")
         check_node("".join(out for _, out in self.delta.values()))
-        step = self._step = {(s, str(b)): move for (s, b), move in self.delta.items()}
-        # the chunk table: state -> its 256 byte moves (row of the next
-        # state, output, next state), indexed by the byte read high bit first
-        self._rows = {s: [] for s in states}
-        for s, row in self._rows.items():
-            moves = [(s, "")]  # after k rounds: the moves on each k-bit string
-            for _ in range(8):
-                moves = [(t, out + e) for r, out in moves for t, e in (step[r, "0"], step[r, "1"])]
-            row.extend((self._rows[t], out, t) for t, out in moves)
+        self._step = self.steps()
 
     def _images(self, nodes: Sequence[str]) -> List[str]:
-        """Whole bytes of each node step through the chunk table, the tail
-        of fewer than 8 characters one character at a time."""
-        start, images = self._rows[self.start], []
+        step, images = self._step, []
         for node in nodes:
-            row, state, out = start, self.start, []
-            full = len(node) - len(node) % 8
-            if full:
-                for byte in int(node[:full], 2).to_bytes(full // 8, "big"):
-                    row, emitted, state = row[byte]
-                    out.append(emitted)
-            for ch in node[full:]:
-                state, emitted = self._step[state, ch]
+            state, out = self.start, []
+            for ch in node:
+                state, emitted = step[state, ch]
                 out.append(emitted)
             images.append("".join(out))
         return images
@@ -299,7 +296,7 @@ def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = No
     rule, d = tree.selector.bit_under, tree.depth
     r = max([len(root), *(len(l.root) for l in tree.selector.layers)])
     forced, decided = set(tree.schedule.indices), set(tree.selector.decided_levels(tree.schedule))
-    step = {(q, str(b)): move for (q, b), move in m.delta.items()}
+    step = m.steps()
     counts = {("", m.start, "", 0, None): 1} if d >= len(root) else {}
     for i in range(d):
         grown = {}
@@ -339,8 +336,9 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     return BadSet(requirement=req, depth=d, leaves=BadLeaves(tree, m, req.root, count), measure=measure)
 
 
-def _eligible_level(state: GameState, req: Requirement, lag: int) -> Optional[int]:
-    """Least fresh forced level whose image bit is visible at the scan depth.
+def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
+    """Least fresh forced level whose image bit is visible at the scan depth,
+    else DepthExhaustedError naming the first fresh level and why it is out.
 
     Growing the scan depth is sound: a depth-d bad set over-approximates all
     deeper ones, so earlier bounds remain valid upper bounds.
@@ -353,13 +351,13 @@ def _eligible_level(state: GameState, req: Requirement, lag: int) -> Optional[in
         needed = n + lag + 1
         if needed <= state.scan_depth:
             return n
-        if needed <= state.depth:
-            leaves = 2 ** (needed - state.schedule.count_below(needed))
-            if leaves <= MAX_SCAN_LEAVES:
-                state.scan_depth = needed
-                return n
-        return None
-    return None
+        if needed > state.depth:
+            raise DepthExhaustedError(req, f"forced level {n}: n + lag + 1 = {needed} > --depth {state.depth}")
+        if (leaves := 2 ** (needed - state.schedule.count_below(needed))) > MAX_SCAN_LEAVES:
+            raise DepthExhaustedError(req, f"forced level {n}: {leaves} leaves at depth {needed} > MAX_SCAN_LEAVES")
+        state.scan_depth = needed
+        return n
+    raise DepthExhaustedError(req, f"no fresh forced level from level {floor} on")
 
 
 def stage_step(state: GameState, req: Requirement) -> GameState:
@@ -377,8 +375,6 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
     level = chosen = None
     if measure:
         level = _eligible_level(state, req, m.lag)
-        if level is None:
-            raise DepthExhaustedError(req)
         # one count at the scan depth, which may have grown, gives both halves
         halves = _count(state.tree(state.scan_depth), m, req.root, level)
         if halves[None]:
@@ -400,8 +396,11 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
     # non-interference: no other requirement's fresh count may outgrow its bound
     for other_key, other in enumerate(state.requirements):
         if other_key != key and other_key in state.bounds:
-            if bad_set(state, other).measure > state.bounds[other_key]:
-                raise GameInvariantError(f"stage for {req} pushed {other} above its bound")
+            if (fresh := bad_set(state, other).measure) > state.bounds[other_key]:
+                raise InfeasibleError(
+                    f"the layer at level {level} for {req} raises the bad measure of {other} "
+                    f"to {fresh}, above its bound {state.bounds[other_key]}"
+                )
 
     state.stage_log.append(
         {
@@ -518,8 +517,12 @@ def run_game(
             except DepthExhaustedError as err:
                 used = sorted(state.decided())
                 free = [n for n in schedule.indices if n < depth and n not in used]
+                levels = lambda ns: ", ".join(map(str, ns)) or "none"
                 raise InfeasibleError(
-                    stages_per_requirement, round_no, used, free, len(requirements)
+                    f"requested {stages_per_requirement} stages per requirement, only {round_no} "
+                    f"completed fairly ({err}); the layers of {len(requirements)} requirements consumed "
+                    f"forced levels {levels(used)}; forced levels still free below the working depth: "
+                    f"{levels(free)}"
                 ) from err
 
     reports = tuple(
@@ -558,6 +561,109 @@ class EscapeReport:
         return {"samples": self.samples, "seed": self.seed, "per_map": list(self.per_map)}
 
 
+class _Columns:
+    """The samples `tree.sample(seed, count)` draws, as one int per level
+    with sample 0 at the top bit, each made on first use.  A free level's
+    column is a strided slice of `free_draws`; a forced level's is read off
+    the masks of the samples' first R bits (R the longest layer root) by the
+    layer cut rule `bit_under`."""
+
+    _PICK = bytes.maketrans(b"01", b"\0\1")
+
+    def __init__(self, tree: SplittingTree, seed: int, count: int, cut: int):
+        free, self.draws = tree.free_draws(seed, count)
+        self.free = {n: j for j, n in enumerate(free)}
+        self.sel, self.count, self.cut, self.full = tree.selector, count, cut, (1 << count) - 1
+        self.r = max((len(l.root) for l in self.sel.layers), default=0)
+        self.cols, self.heads, self.text = [], {"": self.full}, None
+
+    def __getitem__(self, n: int) -> int:
+        cols, sel = self.cols, self.sel
+        while len(cols) <= n:
+            k = len(cols)
+            if k in self.free:
+                col = int(self.draws[self.free[k] :: len(self.free)], 2)
+            elif (bit := sel.constant_bit(k)) is not None:
+                col = self.full if bit else 0
+            else:
+                col = sum(mask for head, mask in self.heads.items() if sel.bit_under(head, k) == "1")
+            cols.append(col)
+            if k < self.r:
+                self.heads = {head + b: part for head, mask in self.heads.items()
+                              for b, part in (("0", mask & ~col), ("1", mask & col)) if part}
+        return cols[n]
+
+    def rows(self, mask: int) -> List[str]:
+        """The samples in `mask`, cut to `cut` levels."""
+        c, w = self.count, self.cut
+        if self.text is None:  # row i of the c x w block is sample i
+            block = bytearray(c * w)
+            for n in range(w):
+                block[n::w] = format(self[n], f"0{c}b").encode()
+            self.text = block.decode()
+        picks = format(mask, f"0{c}b").encode().translate(self._PICK)
+        return [self.text[i * w : (i + 1) * w] for i in compress(range(c), picks)]
+
+
+def _escape_masks(cols: _Columns, m: TreeMap, depth: int, decided, roots) -> Tuple[dict, dict]:
+    """m's counts and each certified root's undetermined samples as rows, by
+    one pass with a sample mask per state: m's state, |u|, u's first R bits,
+    and u's first difference from x capped at the longest root (None while u
+    agrees with x, and so obeys every decided level below the depth as x
+    does).  A moved u that breaks a decided level escapes; past the last one
+    it is undetermined for good, so the pass stops once no state is left."""
+    sel, r, cap = cols.sel, cols.r, max(map(len, roots), default=0)
+    step = m.steps()
+    last, decided = max(decided, default=-1), set(decided)
+    counts = dict.fromkeys(("fixed", "escaped", "undetermined", "unaccounted", "uncovered"), 0)
+    und, states = {}, {(m.start, 0, "", None): cols.full}  # first difference -> samples
+
+    def emit(n, h, p, part, ch):
+        """The parts of `part` after u's bit ch at n."""
+        if p is None:
+            if n >= depth:  # x is a prefix of u
+                counts["fixed"] += part.bit_count()
+                return
+            same = part & cols[n] if ch == "1" else part & ~cols[n]
+            if same:
+                yield n + 1, h + ch if n < r else h, None, same
+            part, p = part ^ same, min(n, cap)
+        if part and n in decided and ch != sel.bit_under(h, n):
+            counts["escaped"] += part.bit_count()
+        elif part:
+            yield n + 1, h + ch if n < r else h, p, part
+
+    for i in range(depth):
+        grown = {}
+        for (q, n0, h0, p0), mask in states.items():
+            one = mask & cols[i]
+            for b, part in (("0", mask ^ one), ("1", one)):
+                q2, out = step[q, b]
+                items = [(n0, h0, p0, part)] if part else []
+                for ch in out:
+                    items = [e for item in items for e in emit(*item, ch)]
+                for n, h, p, part in items:
+                    if p is not None and n > last:
+                        und[p] = und.get(p, 0) | part
+                    else:
+                        grown[q2, n, h, p] = grown.get((q2, n, h, p), 0) | part
+        if not (states := grown):
+            break
+    for (_, _, _, p), mask in states.items():  # the branch has ended
+        und[p] = und.get(p, 0) | mask
+    counts["fixed"] += und.pop(None, 0).bit_count()  # u and x are comparable
+    rows = {}
+    for root in roots:
+        mask = und.get(len(root) - 1, 0)
+        for j, ch in enumerate(root if mask else ""):
+            mask &= cols[j] if ch == "1" else ~cols[j]
+        if mask:
+            rows[root] = cols.rows(mask)
+    counts["undetermined"] = sum(mask.bit_count() for mask in und.values())
+    counts["uncovered"] = counts["undetermined"] - sum(map(len, rows.values()))
+    return counts, rows
+
+
 def verify_escape(
     tree: SplittingTree,
     maps: Sequence[TreeMap],
@@ -574,30 +680,37 @@ def verify_escape(
     depth, satisfy the per-leaf predicate of that requirement's final bad
     set, else it counts as unaccounted; one whose root is not certified
     counts as uncovered.
-    """
-    xs = tree.sample(seed, samples)
-    check_node("".join(xs))
-    decided = tree.selector.decided_levels(tree.schedule)
-    certified = {(r.map_index, r.root) for r in certificate.requirements}
-    final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), certificate.scan_depth)
 
+    On a game-built tree the samples are drawn as columns and each map with
+    a step table takes the mask pass; an `explicit` map, or a tree with
+    another selector, takes the per-sample path over `tree.sample`.
+    """
+    decided = tree.selector.decided_levels(tree.schedule)
+    final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), certificate.scan_depth)
+    cut = min(final.depth, tree.depth)
+    cols = _Columns(tree, seed, samples, cut) if isinstance(tree.selector, GameBuiltSelector) else None
+    if cols is None or any(m.delta is None for m in maps):
+        xs = tree.sample(seed, samples)
+        check_node("".join(xs))
     per_map = []
     for mi, m in enumerate(maps):
-        counts = {"fixed": 0, "escaped": 0, "undetermined": 0, "unaccounted": 0, "uncovered": 0}
-        cut = {}  # certified root -> its samples cut to the scan depth
-        for block in (xs[i : i + SAMPLE_BLOCK] for i in range(0, len(xs), SAMPLE_BLOCK)):
-            moved = [(x, u) for x, u in zip(block, m._images(block)) if not compatible(u, x)]
+        roots = {r.root for r in certificate.requirements if r.map_index == mi}
+        if cols is not None and m.delta is not None:
+            counts, rows = _escape_masks(cols, m, tree.depth, decided, roots)
+        else:  # the per-sample path
+            moved = [(x, u) for x, u in zip(xs, m._images(xs)) if not compatible(u, x)]
             kept = tree.selector.keep_consistent(moved, decided)
-            counts["fixed"] += len(block) - len(moved)
-            counts["escaped"] += len(moved) - len(kept)
-            counts["undetermined"] += len(kept)
+            counts = {"fixed": len(xs) - len(moved), "escaped": len(moved) - len(kept),
+                      "undetermined": len(kept), "unaccounted": 0, "uncovered": 0}
+            rows = {}
             for x, u in kept:
                 p = next(i for i in range(min(len(u), len(x))) if u[i] != x[i])
-                if (mi, x[: p + 1]) in certified:
-                    cut.setdefault(x[: p + 1], []).append(x[: final.depth])
+                if x[: p + 1] in roots:
+                    rows.setdefault(x[: p + 1], []).append(x[:cut])
                 else:
                     counts["uncovered"] += 1
-        for root, leaves in cut.items():
+        for root, leaves in rows.items():
+            check_node("".join(leaves))
             bad = {x for x, _ in _bad_pairs(final, m, root, leaves)}
             counts["unaccounted"] += sum(x not in bad for x in leaves)
         per_map.append({"map": mi, "kind": m.kind, **counts})

@@ -16,8 +16,6 @@ from .errors import NodeBudgetError, NotInTreeError, TruncationError
 from .gauge import BranchSchedule
 
 NODE_BUDGET = 2**22
-# samples filled per block by SplittingTree.sample
-SAMPLE_BLOCK = 256
 # byte -> "1" if its top bit is set, else "0"
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 # draws per getrandbits call in random_bits: 16 KB temporaries stay below the
@@ -277,40 +275,38 @@ class SplittingTree:
             raise TruncationError(f"level {n} > depth {self.depth}")
         return 2 ** (n - self.schedule.count_below(n))
 
-    def sample(self, seed: int, count: int) -> List[str]:
-        """Draw `count` depth-length branches distributed as the uniform
-        branch measure; deterministic per seed.
-
-        The free bits are the `random.Random(seed).getrandbits(1)` stream,
-        one draw per free level, branch after branch, which the per-bit
-        reference sampler in the tests pins.  Branches are filled column-wise
-        in blocks of SAMPLE_BLOCK, with one `random_bits` for a block's draws.
-        """
+    def free_draws(self, seed: int, count: int) -> Tuple[List[int], str]:
+        """The free levels below the depth, and the free bits of `count`
+        branches: branch i's j-th free level is draw i·free + j of the
+        `random.Random(seed).getrandbits(1)` stream.  `sample` and the escape
+        check's columns both draw by this rule, in one `random_bits` call."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        rng = random.Random(seed)
-        forced, depth = set(self.schedule.indices), self.depth
-        free = sum(n not in forced for n in range(depth))
+        forced = set(self.schedule.indices)
+        free = [n for n in range(self.depth) if n not in forced]
+        return free, random_bits(random.Random(seed), count * len(free))
+
+    def sample(self, seed: int, count: int) -> List[str]:
+        """Draw `count` depth-length branches distributed as the uniform
+        branch measure, with the free bits of `free_draws`, which the per-bit
+        reference sampler in the tests pins.  Branch i is row i of a
+        count x depth block, filled column-wise."""
+        free, draws = self.free_draws(seed, count)
+        free, f, depth, draws = set(free), len(free), self.depth, draws.encode()
         constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
-        out = []
-        for start in range(0, count, SAMPLE_BLOCK):
-            size = min(SAMPLE_BLOCK, count - start)
-            draws = random_bits(rng, size * free).encode()
-            # branch i is row i of the size x depth block; level n is block[n::depth]
-            block, j = bytearray(size * depth), 0
-            for n in range(depth):
-                if n not in forced:
-                    block[n::depth] = draws[j::free]
-                    j += 1
-                elif (b := constant_bit(n)) is not None:
-                    block[n::depth] = (b"1" if b else b"0") * size
-                else:  # the bit reads the node: the rows are filled up to level n
-                    text = block.decode()
-                    rows = (text[i : i + n] for i in range(0, size * depth, depth))
-                    block[n::depth] = bytes(49 if selector_bit(r) else 48 for r in rows)
-            text = block.decode()
-            out.extend(text[i * depth : (i + 1) * depth] for i in range(size))
-        return out
+        block, j = bytearray(count * depth), 0  # level n is block[n::depth]
+        for n in range(depth):
+            if n in free:
+                block[n::depth] = draws[j::f]
+                j += 1
+            elif (b := constant_bit(n)) is not None:
+                block[n::depth] = (b"1" if b else b"0") * count
+            else:  # the bit reads the node: the rows are filled up to level n
+                text = block.decode()
+                rows = (text[i : i + n] for i in range(0, count * depth, depth))
+                block[n::depth] = bytes(49 if selector_bit(r) else 48 for r in rows)
+        text = block.decode()
+        return [text[i * depth : (i + 1) * depth] for i in range(count)]
 
     def materialize(self, depth: Optional[int] = None, budget: int = NODE_BUDGET) -> ExplicitTree:
         d = self.depth if depth is None else depth

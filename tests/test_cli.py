@@ -135,6 +135,51 @@ def test_antichain_infeasible_exits_3(tmp_path, maps_file, capsys):
     assert "requested 9 stages per requirement, only 2 completed fairly" in err
     assert "the layers of 4 requirements consumed forced levels 1, 3, 7;" in err
     assert "forced levels still free below the working depth: 15\n" in err
+    # the requirement that ran out, its first fresh forced level and why
+    assert ("(no eligible level left for requirement Requirement(map_index=1, root='1'): "
+            "forced level 15: n + lag + 1 = 17 > --depth 16)") in err
+    assert not out.exists()
+    # at depth 64, level 31 fits the depth but not the scan budget
+    code = run([
+        "antichain", "--gauge", "power_log:1,1", "--maps", maps_file,
+        "--depth", 64, "--stages", 9, "--out", out,
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "only 3 completed fairly" in err
+    assert "forced level 31: 268435456 leaves at depth 33 > MAX_SCAN_LEAVES)" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+# a layer decides its level off its root too: there it can raise another
+# requirement's bad set above its bound, which no later stage can undo
+INTERFERENCE = {
+    "depth3": ([
+        {"kind": "transducer", "start": 0, "lag": 1, "delta": [
+            [0, 0, 2, "10"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, ""], [2, 0, 2, ""], [2, 1, 2, ""]]},
+        {"kind": "bit_flip"},
+    ], ["--depth", 3, "--stages", 1, "--roots", "0,11"],
+        "the layer at level 1 for Requirement(map_index=0, root='0') raises the bad measure "
+        "of Requirement(map_index=1, root='11') to 1/2, above its bound 0"),
+    "depth23_three_maps": ([
+        {"kind": "transducer", "start": 0, "lag": 2, "delta": [[0, 0, 0, "10"], [0, 1, 0, "10"]]},
+        {"kind": "transducer", "start": 0, "lag": 1, "delta": [[0, 0, 0, "1"], [0, 1, 0, "0"]]},
+        {"kind": "bit_flip"},
+    ], ["--depth", 23, "--stages", 2, "--roots", "0,000,111"],
+        "the layer at level 1 for Requirement(map_index=0, root='0') raises the bad measure "
+        "of Requirement(map_index=1, root='111') to 1/4, above its bound 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERFERENCE))
+def test_antichain_interference_exits_3(tmp_path, capsys, name):
+    maps, flags, message = INTERFERENCE[name]
+    path, out = tmp_path / "maps.json", tmp_path / "x.json"
+    path.write_text(json.dumps(maps))
+    code = run(["antichain", "--gauge", "power_log:1,1", "--maps", path, *flags, "--out", out])
+    assert code == 3
+    assert capsys.readouterr().err == f"infeasible: {message}\n"
     assert not out.exists()
 
 
@@ -898,6 +943,53 @@ def test_transfer_cli_fuzz(mode, count, length, n, seed, bits, flaw, bad):
         assert [r[0] for r in rows] == [str(i) for i in range(n)]
     else:
         assert len(rows) == count and all(r[-1] == "1" for r in rows)
+
+
+@st.composite
+def map_jsons(draw):
+    """A random transducer, which may break its lag, or bit_flip or shift."""
+    kind = draw(st.sampled_from(["transducer", "transducer", "bit_flip", "shift"]))
+    if kind != "transducer":
+        return {"kind": kind}
+    size = draw(st.integers(1, 3))
+    delta = [[q, b, draw(st.integers(0, size - 1)), draw(st.text("01", max_size=3))]
+             for q in range(size) for b in (0, 1)]
+    return {"kind": kind, "start": 0, "delta": delta, "lag": draw(st.integers(0, 2))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    maps=st.lists(map_jsons(), min_size=1, max_size=3),
+    gauge=st.sampled_from(["power_log:1,1", "power:1/2", "power:2/3", "power_log:1,1/2"]),
+    depth=st.integers(0, 48),
+    stages=st.integers(0, 2),
+    roots=st.lists(st.text("01", min_size=1, max_size=3), min_size=1, max_size=3, unique=True),
+    samples=st.integers(1, 300),
+    seed=st.integers(0, 2**20),
+)
+def test_antichain_cli_fuzz(maps, gauge, depth, stages, roots, samples, seed):
+    """Exit 0, 2 or 3 and never a traceback; a report is absent or complete,
+    and each map's escape classes split its samples."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "maps.json"), os.path.join(tmp, "a.json")
+        with open(path, "w") as fh:
+            json.dump(maps, fh)
+        code = exit_code(["antichain", "--gauge", gauge, "--maps", path, "--depth", depth,
+                          "--stages", stages, "--roots", ",".join(roots), "--seed", seed,
+                          "--escape-samples", samples, "--out", out])
+        assert code in (0, 2, 3)
+        if code:
+            assert not os.path.exists(out)
+            return
+        with open(out) as fh:
+            report = json.load(fh)
+    assert {"gauge", "schedule", "tree", "game_certificate", "measure_certificate",
+            "dimension", "manifest"} <= set(report)
+    escape = report["game_certificate"]["escape_report"]
+    assert escape["samples"] == samples and len(escape["per_map"]) == len(maps)
+    for row in escape["per_map"]:
+        assert row["fixed"] + row["escaped"] + row["undetermined"] == samples
+        assert row["unaccounted"] + row["uncovered"] <= row["undetermined"]
 
 
 PRINTABLE = st.text(st.characters(exclude_categories=("Cs",)).filter(str.isprintable), max_size=8)

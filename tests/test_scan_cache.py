@@ -1,12 +1,13 @@
 """The game's fast kernels against full-recomputation references: after
 every stage, each requirement's counted bad set, and the halves each stage
 splits it into, must equal an enumeration that materialises the frontier
-and applies every map afresh; the block-wise sampler, the chunked transducer
-and the per-layer consistency test must match their per-bit, per-character
-and per-level definitions.  The list kernels must match their per-element
+and applies every map afresh; the column-wise sampler, the transducer and
+the per-layer consistency test must match their per-bit, per-character and
+per-level definitions.  The list kernels must match their per-element
 forms: `apply_all` against `apply` and a per-character definition of each
-map, `keep_consistent` against the per-node `consistent` filter, and the
-block-wise `verify_escape` against the per-sample loop it replaced."""
+map, `keep_consistent` against the per-node `consistent` filter, and
+`verify_escape`, on its bit-parallel mask pass and on its per-sample path,
+against a per-sample loop."""
 
 import itertools
 import random
@@ -39,8 +40,8 @@ from gaugetree import (
 from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
 from gaugetree.errors import GameInvariantError, UndefinedNodeError
-from gaugetree.game import ExplicitNodeMap
-from gaugetree.tree import SAMPLE_BLOCK, check_node, compatible
+from gaugetree.game import AntichainCertificate, ExplicitNodeMap, RequirementReport
+from gaugetree.tree import check_node, compatible
 
 PARITY = TransducerMap(
     start=0,
@@ -528,7 +529,7 @@ def block_edge_trees():
     }
 
 
-@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 1000])
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
 @pytest.mark.parametrize("name", sorted(block_edge_trees()))
 def test_sample_matches_per_bit_reference_across_blocks(name, count):
     tree = block_edge_trees()[name]
@@ -593,7 +594,7 @@ def test_transducer_refuses_a_move_on_another_bit():
 @pytest.mark.parametrize("node", ["2", "0000000012", "01010101" * 3 + "x", "0" * 16 + " "])
 def test_chunked_transducer_rejects_non_binary(node):
     t = TransducerMap(start="a", delta=STUTTER, lag=300)
-    t.apply("0" * 32)  # fill the chunk table first
+    t.apply("0" * 32)  # a binary node maps
     with pytest.raises(ValueError):
         t.apply(node)
 
@@ -738,13 +739,31 @@ def test_keep_consistent_matches_per_node_filter(case):
 # -- verify_escape ---------------------------------------------------------
 
 
-def reference_verify_escape(tree, maps, samples, seed, certificate=None):
-    """The per-sample loop: one apply, compatible and consistent per sample."""
+def reference_verify_escape(tree, maps, samples, seed, certificate=None, predicate=False):
+    """The per-sample loop: one apply, compatible and consistent per sample.
+
+    With `predicate`, a certified sample is accounted for when its cut to
+    min(scan depth, depth) satisfies the per-leaf predicate, with the image
+    read level by level against the certificate's layers, as verify_escape
+    decides it; the certificate may then come from another game than the
+    sampled tree's, or scan deeper than its depth."""
     xs = tree.sample(seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
     consistent = tree.selector.consistent
-    cert_bad = {}
-    if certificate is not None:  # the final bad sets, enumerated
+    cert_bad, cut = {}, None if certificate is None else certificate.scan_depth
+    if predicate:  # the sampled tree's leaves that satisfy the predicate
+        cut, sel = min(cut, tree.depth), GameBuiltSelector(certificate.layers)
+        levels = sorted(sel.decided_levels(tree.schedule))
+        leaves = tree.materialize(cut).leaves
+        cert_bad = {
+            (r.map_index, r.root): {
+                x for x in leaves if x.startswith(r.root)
+                and not compatible(u := maps[r.map_index].apply(x), r.root)
+                and BranchSelector.consistent(sel, u, levels)
+            }
+            for r in certificate.requirements
+        }
+    elif certificate is not None:  # the final bad sets, enumerated
         final = certified_state(tree.schedule, maps, tree.depth, certificate)
         cert_bad = {
             (r.map_index, r.root):
@@ -768,7 +787,7 @@ def reference_verify_escape(tree, maps, samples, seed, certificate=None):
                 key = (mi, x[: p + 1])
                 if key not in cert_bad:
                     counts["uncovered"] += 1
-                elif x[: certificate.scan_depth] not in cert_bad[key]:
+                elif x[:cut] not in cert_bad[key]:
                     counts["unaccounted"] += 1
         per_map.append({"map": mi, "kind": m.kind, **counts})
     return per_map
@@ -793,7 +812,7 @@ def escape_cases():
             "seeded_d30": (seeded, bare_seeded), "unplayed_tree_d61": (unplayed, cert)}
 
 
-@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 1000])
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
 @pytest.mark.parametrize("name", sorted(escape_cases()))
 def test_verify_escape_matches_per_sample_loop(name, count):
     tree, cert = escape_cases()[name]
@@ -810,3 +829,124 @@ def test_verify_escape_matches_per_sample_loop(name, count):
         # every branch of the check is reached
         assert all(row["escaped"] and row["undetermined"] for row in expected[1:])
         assert sum(row["uncovered"] for row in expected) > 0
+
+
+# -- the mask pass against the per-sample loop ----------------------------
+
+
+def certificate_of(schedule, layers, scan_depth, certified):
+    """A certificate holding only what verify_escape reads: the layers, the
+    scan depth and the certified (map, root) requirements."""
+    reports = tuple(RequirementReport(mi, root, Fraction(0), Fraction(0), None, 0) for mi, root in certified)
+    return AntichainCertificate(schedule, tuple(layers), reports, 0, scan_depth, ())
+
+
+@st.composite
+def free_transducers(draw):
+    """At most 3 states, every move emitting 0 to 3 bits, so images may run
+    short of the sample or outrun it."""
+    size = draw(st.integers(1, 3))
+    delta = {(q, b): (draw(st.integers(0, size - 1)), draw(st.text(alphabet="01", max_size=3)))
+             for q in range(size) for b in (0, 1)}
+    return TransducerMap(start=draw(st.integers(0, size - 1)), delta=delta, lag=2)
+
+
+@st.composite
+def escape_property_cases(draw):
+    depth = draw(st.integers(1, 40))
+    indices = tuple(sorted(draw(st.sets(st.integers(0, depth - 1), max_size=depth // 2 + 1))))
+    schedule = BranchSchedule(depth=depth, indices=indices, n0=0)
+    short = st.text(alphabet="01", max_size=3)
+
+    def layers():
+        levels = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
+        return [Layer(n, draw(short), draw(st.integers(0, 1))) for n in levels]
+
+    maps = draw(st.lists(st.one_of(free_transducers(), transducers(), st.sampled_from(
+        [BitFlipMap(), ShiftMap()])), min_size=1, max_size=3))
+    tree_layers = layers()
+    tree = SplittingTree(schedule, GameBuiltSelector(tree_layers, default=draw(st.integers(0, 1))), depth)
+    # the sampled tree's own layers, or those of another game; a scan depth
+    # that may pass the tree depth, kept small for the enumerating reference
+    cert_layers = tree_layers if draw(st.booleans()) else layers()
+    forced = len(indices)
+    scan_depth = draw(st.integers(0, min(depth + 3, forced + 10)))
+    roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), max_size=4, unique=True))
+    certified = [(mi, r) for mi in range(len(maps)) for r in roots if draw(st.booleans())]
+    cert = certificate_of(schedule, cert_layers, scan_depth, certified)
+    return tree, maps, cert, draw(st.sampled_from([1, 255, 256, 257, 600])), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(escape_property_cases())
+def test_verify_escape_mask_pass_matches_per_sample_loop(case):
+    tree, maps, cert, count, seed = case
+    report = verify_escape(tree, maps, count, seed, cert)
+    assert list(report.per_map) == reference_verify_escape(tree, maps, count, seed, cert, predicate=True)
+
+
+ESCAPE_SCHEDULE = sparsity_schedule(parse_gauge_spec("power:1/2"), 24)  # forced: odd levels
+
+
+def escape_tree(depth=24):
+    layers = [Layer(1, "1", 1), Layer(5, "01", 0), Layer(9, "0", 1)]
+    return SplittingTree(ESCAPE_SCHEDULE, GameBuiltSelector(layers, default=0), depth)
+
+
+def test_identity_map_fixes_every_sample_to_the_full_depth():
+    tree = escape_tree()
+    cert = certificate_of(tree.schedule, tree.selector.layers, 12, [(0, "0"), (0, "1")])
+    maps = [TransducerMap.identity()]
+    (row,) = verify_escape(tree, maps, 300, 4, cert).per_map
+    assert row == {"map": 0, "kind": "transducer", "fixed": 300, "escaped": 0,
+                   "undetermined": 0, "unaccounted": 0, "uncovered": 0}
+    assert [row] == reference_verify_escape(tree, maps, 300, 4, cert)
+
+
+def test_doubling_map_matches_per_sample_loop():
+    # every bit twice: the image outruns the sample, and leaves it at the
+    # first bit that differs from the one before it
+    doubling = TransducerMap(start=0, delta={(0, 0): (0, "00"), (0, 1): (0, "11")}, lag=8)
+    layers = [Layer(3, "0", 1), Layer(6, "00", 1)]
+    tree = SplittingTree(BranchSchedule(depth=8, indices=(3, 6), n0=0), GameBuiltSelector(layers, default=1), 8)
+    cert = certificate_of(tree.schedule, layers, 6, [(0, "01"), (0, "10"), (0, "0110"), (0, "1001")])
+    report = verify_escape(tree, [doubling], 600, 9, cert)
+    assert list(report.per_map) == reference_verify_escape(tree, [doubling], 600, 9, cert)
+    (row,) = report.per_map
+    assert all(row[k] for k in ("fixed", "escaped", "unaccounted", "uncovered"))
+
+
+def test_a_scan_deeper_than_the_tree_cuts_samples_at_its_depth():
+    # the shift image of a depth-6 sample stops short of the decided level
+    # 5; a sample read past the depth would put a level-6 bit there
+    tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 5), n0=0),
+                         GameBuiltSelector([Layer(5, "1", 1)], default=0), 6)
+    roots = [(0, r) for r in ("0", "1", "00", "01", "10", "11")]
+    reports = [verify_escape(tree, [ShiftMap()], 300, 1, certificate_of(tree.schedule, tree.selector.layers, d, roots))
+               for d in (6, 9)]
+    assert reports[0].per_map == reports[1].per_map
+    cert = certificate_of(tree.schedule, tree.selector.layers, 9, roots)
+    assert list(reports[1].per_map) == reference_verify_escape(tree, [ShiftMap()], 300, 1, cert, predicate=True)
+    (row,) = reports[1].per_map
+    assert row["undetermined"] > row["uncovered"] > 0 and not row["unaccounted"]
+
+
+def test_explicit_map_takes_the_per_sample_path():
+    # an image for every leaf of the depth-8 tree: prefix parity as a table,
+    # next to the same map as a transducer on the mask pass
+    tree = escape_tree(8)
+    leaves = tree.materialize().leaves
+    table = ExplicitNodeMap({x: reference_transduce(PARITY, x) for x in leaves}, lag=0)
+    certified = [(mi, r) for mi in (0, 1) for r in ("0", "1", "01", "10")]
+    cert = certificate_of(tree.schedule, tree.selector.layers, 8, certified)
+    report = verify_escape(tree, [table, PARITY], 500, 2, cert)
+    assert list(report.per_map) == reference_verify_escape(tree, [table, PARITY], 500, 2, cert)
+    assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
+    assert report.per_map[0]["undetermined"]
+
+
+@pytest.mark.parametrize("tree", [escape_tree(), SplittingTree(ESCAPE_SCHEDULE, SeededSelector(3), 24)])
+def test_verify_escape_refuses_zero_samples(tree):
+    cert = certificate_of(tree.schedule, (), 12, [(0, "0")])
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        verify_escape(tree, [BitFlipMap()], 0, 0, cert)
