@@ -16,28 +16,29 @@ y's first R bits, |y|, y's bit at the stage level; R the longest requirement
 or layer root).  Those bits decide every cut of the selector, so x's forced
 levels follow it and each bit of y at a decided level is checked as it is
 emitted; one pass gives a count and both stage halves.  `bit_flip` and
-`shift` are 1- and 2-state transducers; an `explicit` map has no step table
-and is enumerated over the frontier.  Nothing is cached.
+`shift` are 1- and 2-state transducers, and every map with a step table
+computes its images from that table too; an `explicit` map has no step
+table, and its bad sets are enumerated over the tree's leaves.  Nothing is
+cached.
 
 The escape check runs the same product over samples instead of counts, bit
-parallel: on a game-built tree the samples are drawn as columns, one int per
-level with a bit per sample (`_Columns`), and each map with a step table
-runs once over the levels with a sample mask per state (`_escape_masks`).
-Only certified undetermined samples become strings again.  An `explicit`
-map, or a tree with another selector, takes the per-sample path.
+parallel: the samples are the tree's `Columns`, one int per level with a
+bit per sample, and on a game-built tree each map with a step table runs
+once over the levels with a sample mask per state (`_escape_masks`).  Only
+certified undetermined samples become strings again.  An `explicit` map, or
+a tree with another selector, takes the per-sample path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dyadic import format_dyadic
 from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
 from .gauge import BranchSchedule
-from .tree import GameBuiltSelector, Layer, SplittingTree, check_node, compatible
+from .tree import Columns, GameBuiltSelector, Layer, SplittingTree, check_node, compatible
 
 DEFAULT_SCAN_DEPTH_BUDGET = 2**12
 MAX_SCAN_LEAVES = 2**18
@@ -61,8 +62,15 @@ class TreeMap:
         return self._images(nodes)
 
     def _images(self, nodes: Sequence[str]) -> List[str]:
-        """The per-kind kernel: each binary node's image."""
-        raise NotImplementedError
+        """Each binary node's image, one step of the table per bit."""
+        step, images = self.steps(), []
+        for node in nodes:
+            state, out = self.start, []
+            for ch in node:
+                state, emitted = step[state, ch]
+                out.append(emitted)
+            images.append("".join(out))
+        return images
 
     def apply(self, node: str) -> str:
         return self.apply_all([node])[0]
@@ -75,17 +83,11 @@ class TreeMap:
         raise NotImplementedError
 
 
-_FLIP = str.maketrans("01", "10")
-
-
 @dataclass(frozen=True)
 class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
     delta = {(0, 0): (0, "1"), (0, 1): (0, "0")}
-
-    def _images(self, nodes: Sequence[str]) -> List[str]:
-        return [node.translate(_FLIP) for node in nodes]
 
     def to_json_dict(self) -> dict:
         return {"kind": "bit_flip"}
@@ -96,9 +98,6 @@ class ShiftMap(TreeMap):
     kind = "shift"
     lag = 1
     delta = {(0, 0): (1, ""), (0, 1): (1, ""), (1, 0): (1, "0"), (1, 1): (1, "1")}
-
-    def _images(self, nodes: Sequence[str]) -> List[str]:
-        return [node[1:] for node in nodes]
 
     def to_json_dict(self) -> dict:
         return {"kind": "shift"}
@@ -124,17 +123,6 @@ class TransducerMap(TreeMap):
             if (s, 0) not in self.delta or (s, 1) not in self.delta:
                 raise ValueError(f"transducer state {s!r} lacks a move on 0 or 1")
         check_node("".join(out for _, out in self.delta.values()))
-        self._step = self.steps()
-
-    def _images(self, nodes: Sequence[str]) -> List[str]:
-        step, images = self._step, []
-        for node in nodes:
-            state, out = self.start, []
-            for ch in node:
-                state, emitted = step[state, ch]
-                out.append(emitted)
-            images.append("".join(out))
-        return images
 
     def min_drift(self, depth: int) -> int:
         """min of len(image) - len(input) over the inputs of length <= depth
@@ -561,56 +549,12 @@ class EscapeReport:
         return {"samples": self.samples, "seed": self.seed, "per_map": list(self.per_map)}
 
 
-class _Columns:
-    """The samples `tree.sample(seed, count)` draws, as one int per level
-    with sample 0 at the top bit, each made on first use.  A free level's
-    column is a strided slice of `free_draws`; a forced level's is read off
-    the masks of the samples' first R bits (R the longest layer root) by the
-    layer cut rule `bit_under`."""
-
-    _PICK = bytes.maketrans(b"01", b"\0\1")
-
-    def __init__(self, tree: SplittingTree, seed: int, count: int, cut: int):
-        free, self.draws = tree.free_draws(seed, count)
-        self.free = {n: j for j, n in enumerate(free)}
-        self.sel, self.count, self.cut, self.full = tree.selector, count, cut, (1 << count) - 1
-        self.r = max((len(l.root) for l in self.sel.layers), default=0)
-        self.cols, self.heads, self.text = [], {"": self.full}, None
-
-    def __getitem__(self, n: int) -> int:
-        cols, sel = self.cols, self.sel
-        while len(cols) <= n:
-            k = len(cols)
-            if k in self.free:
-                col = int(self.draws[self.free[k] :: len(self.free)], 2)
-            elif (bit := sel.constant_bit(k)) is not None:
-                col = self.full if bit else 0
-            else:
-                col = sum(mask for head, mask in self.heads.items() if sel.bit_under(head, k) == "1")
-            cols.append(col)
-            if k < self.r:
-                self.heads = {head + b: part for head, mask in self.heads.items()
-                              for b, part in (("0", mask & ~col), ("1", mask & col)) if part}
-        return cols[n]
-
-    def rows(self, mask: int) -> List[str]:
-        """The samples in `mask`, cut to `cut` levels."""
-        c, w = self.count, self.cut
-        if self.text is None:  # row i of the c x w block is sample i
-            block = bytearray(c * w)
-            for n in range(w):
-                block[n::w] = format(self[n], f"0{c}b").encode()
-            self.text = block.decode()
-        picks = format(mask, f"0{c}b").encode().translate(self._PICK)
-        return [self.text[i * w : (i + 1) * w] for i in compress(range(c), picks)]
-
-
-def _escape_masks(cols: _Columns, m: TreeMap, depth: int, decided, roots) -> Tuple[dict, dict]:
-    """m's counts and each certified root's undetermined samples as rows, by
-    one pass with a sample mask per state: m's state, |u|, u's first R bits,
-    and u's first difference from x capped at the longest root (None while u
-    agrees with x, and so obeys every decided level below the depth as x
-    does).  A moved u that breaks a decided level escapes; past the last one
+def _escape_masks(cols: Columns, m: TreeMap, depth: int, width: int, decided, roots) -> Tuple[dict, dict]:
+    """m's counts and each certified root's undetermined samples as rows of
+    `width` levels, by one pass with a sample mask per state: m's state, |u|,
+    u's first R bits, and u's first difference from x capped at the longest
+    root (None while u agrees with x, and so obeys every decided level below
+    the depth as x does).  A moved u that breaks a decided level escapes; past the last one
     it is undetermined for good, so the pass stops once no state is left."""
     sel, r, cap = cols.sel, cols.r, max(map(len, roots), default=0)
     step = m.steps()
@@ -658,7 +602,7 @@ def _escape_masks(cols: _Columns, m: TreeMap, depth: int, decided, roots) -> Tup
         for j, ch in enumerate(root if mask else ""):
             mask &= cols[j] if ch == "1" else ~cols[j]
         if mask:
-            rows[root] = cols.rows(mask)
+            rows[root] = cols.rows(mask, width)
     counts["undetermined"] = sum(mask.bit_count() for mask in und.values())
     counts["uncovered"] = counts["undetermined"] - sum(map(len, rows.values()))
     return counts, rows
@@ -677,28 +621,31 @@ def verify_escape(
     fixed: the image prefix is comparable with the sampled branch;
     undetermined: neither is visible at this depth.  An undetermined sample
     whose divergence root is certified must, cut to the certificate's scan
-    depth, satisfy the per-leaf predicate of that requirement's final bad
-    set, else it counts as unaccounted; one whose root is not certified
-    counts as uncovered.
+    depth, be a leaf of the certificate's tree that satisfies the per-leaf
+    predicate of that requirement's final bad set, else it counts as
+    unaccounted; one whose root is not certified counts as uncovered.
 
-    On a game-built tree the samples are drawn as columns and each map with
-    a step table takes the mask pass; an `explicit` map, or a tree with
-    another selector, takes the per-sample path over `tree.sample`.
+    The samples are the tree's `Columns`.  On a game-built tree each map
+    with a step table takes the mask pass; an `explicit` map, or a tree with
+    another selector, takes the per-sample path over the same samples.
     """
     decided = tree.selector.decided_levels(tree.schedule)
     final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), certificate.scan_depth)
     cut = min(final.depth, tree.depth)
-    cols = _Columns(tree, seed, samples, cut) if isinstance(tree.selector, GameBuiltSelector) else None
-    if cols is None or any(m.delta is None for m in maps):
-        xs = tree.sample(seed, samples)
-        check_node("".join(xs))
+    # the certificate's own tree holds every row drawn from it; another
+    # tree's rows may lie outside it
+    foreign = tree.selector != final.selector
+    cols = Columns(tree, seed, samples)
+    masks = isinstance(tree.selector, GameBuiltSelector)
+    if not masks or any(m.delta is None for m in maps):
+        xs = cols.rows(cols.full, tree.depth)
     per_map = []
     for mi, m in enumerate(maps):
         roots = {r.root for r in certificate.requirements if r.map_index == mi}
-        if cols is not None and m.delta is not None:
-            counts, rows = _escape_masks(cols, m, tree.depth, decided, roots)
+        if masks and m.delta is not None:
+            counts, rows = _escape_masks(cols, m, tree.depth, cut, decided, roots)
         else:  # the per-sample path
-            moved = [(x, u) for x, u in zip(xs, m._images(xs)) if not compatible(u, x)]
+            moved = [(x, u) for x, u in zip(xs, m.apply_all(xs)) if not compatible(u, x)]
             kept = tree.selector.keep_consistent(moved, decided)
             counts = {"fixed": len(xs) - len(moved), "escaped": len(moved) - len(kept),
                       "undetermined": len(kept), "unaccounted": 0, "uncovered": 0}
@@ -710,8 +657,8 @@ def verify_escape(
                 else:
                     counts["uncovered"] += 1
         for root, leaves in rows.items():
-            check_node("".join(leaves))
-            bad = {x for x, _ in _bad_pairs(final, m, root, leaves)}
+            inside = [x for x in leaves if final.contains(x)] if foreign else leaves
+            bad = {x for x, _ in _bad_pairs(final, m, root, inside)}
             counts["unaccounted"] += sum(x not in bad for x in leaves)
         per_map.append({"map": mi, "kind": m.kind, **counts})
     return EscapeReport(per_map=tuple(per_map), samples=samples, seed=seed)

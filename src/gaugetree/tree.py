@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NodeBudgetError, NotInTreeError, TruncationError
@@ -37,9 +38,15 @@ _DELETE_01 = str.maketrans("", "", "01")
 
 def check_node(bits: str) -> str:
     # whatever survives deleting every "0" and "1" is a character outside them
-    if bits.translate(_DELETE_01):
+    if not isinstance(bits, str) or bits.translate(_DELETE_01):
         raise ValueError(f"not a binary string: {bits!r}")
     return bits
+
+
+def check_bit(bit) -> int:
+    if bit not in (0, 1):
+        raise ValueError(f"not a bit 0 or 1: {bit!r}")
+    return bit
 
 
 def compatible(a: str, b: str) -> bool:
@@ -87,6 +94,9 @@ class ConstantSelector(BranchSelector):
     value: int = 0
     kind = "constant"
 
+    def __post_init__(self):
+        check_bit(self.value)
+
     def bit(self, node: str) -> int:
         return self.value
 
@@ -120,8 +130,8 @@ class ExplicitSelector(BranchSelector):
     kind = "explicit"
 
     def __init__(self, assignments: Dict[str, int], default: int = 0):
-        self.assignments = {check_node(k): int(v) for k, v in assignments.items()}
-        self.default = int(default)
+        self.assignments = {check_node(k): check_bit(int(v)) for k, v in assignments.items()}
+        self.default = check_bit(int(default))
 
     def bit(self, node: str) -> int:
         return self.assignments.get(node, self.default)
@@ -158,46 +168,27 @@ class GameBuiltSelector(BranchSelector):
 
     def __init__(self, layers: Sequence[Layer], default: int = 0):
         self.layers = tuple(sorted(layers, key=lambda l: l.level))
-        self.default = int(default)
+        self.default = check_bit(int(default))
         # level -> (root cut to the level, layer bit): a node reaching the
-        # level is compatible with the root there iff it starts with the cut
-        self._cuts = {}
+        # level is compatible with the root there iff it starts with the cut;
+        # a level without a layer has the empty cut
+        self._cuts, self._uncut = {}, ("", str(self.default))
         for layer in self.layers:
             if layer.level in self._cuts:
                 raise ValueError(f"two layers decide level {layer.level}")
-            self._cuts[layer.level] = (layer.root[: layer.level], str(layer.bit))
+            self._cuts[layer.level] = (check_node(layer.root)[: layer.level], str(check_bit(layer.bit)))
 
     def bit(self, node: str) -> int:
         return int(self.bit_under(node, len(node)))
 
     def bit_under(self, head: str, level: int) -> str:
         """The bit at `level` of each node that starts with `head`, if `head` covers its cut."""
-        cut, bit = self._cuts.get(level, ("", str(self.default)))
-        return str(self.default) if head.startswith(cut) else bit
+        cut, bit = self._cuts.get(level, self._uncut)
+        return self._uncut[1] if head.startswith(cut) else bit
 
     def constant_bit(self, level: int) -> Optional[int]:
-        _, bit = self._cuts.get(level, ("", str(self.default)))
-        return self.default if bit == str(self.default) else None
-
-    def consistent(self, node: str, levels: Sequence[int]) -> bool:
-        return bool(self.keep_consistent([(node, node)], levels))
-
-    def keep_consistent(self, pairs: Sequence[Tuple[object, str]], levels: Sequence[int]) -> list:
-        """One pass over the pairs per level, until none is left."""
-        default = str(self.default)
-        pairs = list(pairs)
-        for n in levels:
-            if not pairs:
-                break
-            cut, bit = self._cuts.get(n, ("", default))
-            if bit == default:
-                pairs = [p for p in pairs if len(p[1]) <= n or p[1][n] == default]
-            else:
-                pairs = [
-                    p for p in pairs
-                    if len(p[1]) <= n or p[1][n] == (default if p[1].startswith(cut) else bit)
-                ]
-        return pairs
+        _, bit = self._cuts.get(level, self._uncut)
+        return self.default if bit == self._uncut[1] else None
 
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         return tuple(l.level for l in self.layers if l.level in schedule)
@@ -215,6 +206,62 @@ class GameBuiltSelector(BranchSelector):
             and self.layers == other.layers
             and self.default == other.default
         )
+
+
+class Columns:
+    """`count` branches of a tree as one int per level with branch 0 at the
+    top bit, each column made on first use.  Branch i's j-th free level is
+    draw i·free + j of the `random.Random(seed).getrandbits(1)` stream, so a
+    free level's column is a strided slice of one `random_bits` call.  A
+    forced level's column is read off the masks of the branches' first R
+    bits: R is the longest layer root under the layer cut rule `bit_under`
+    of a game-built selector; any other selector's `bit` reads the whole
+    prefix, up to its last level whose bit is not constant."""
+
+    _PICK = bytes.maketrans(b"01", b"\0\1")
+
+    def __init__(self, tree: SplittingTree, seed: int, count: int):
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        forced = set(tree.schedule.indices)
+        free = [n for n in range(tree.depth) if n not in forced]
+        self.draws = random_bits(random.Random(seed), count * len(free))
+        self.free = {n: j for j, n in enumerate(free)}
+        self.sel, self.count, self.full = tree.selector, count, (1 << count) - 1
+        if isinstance(self.sel, GameBuiltSelector):
+            self.r, self.rule = max((len(l.root) for l in self.sel.layers), default=0), self.sel.bit_under
+        else:
+            self.r = max((n for n in forced if self.sel.constant_bit(n) is None), default=0)
+            self.rule = lambda head, n: str(self.sel.bit(head))
+        self.cols, self.heads, self.texts = [], {"": self.full}, {}
+
+    def __getitem__(self, n: int) -> int:
+        cols, sel = self.cols, self.sel
+        while len(cols) <= n:
+            k = len(cols)
+            if k in self.free:
+                col = int(self.draws[self.free[k] :: len(self.free)], 2)
+            elif (bit := sel.constant_bit(k)) is not None:
+                col = self.full if bit else 0
+            else:
+                col = sum(mask for head, mask in self.heads.items() if self.rule(head, k) == "1")
+            cols.append(col)
+            if k < self.r:
+                self.heads = {head + b: part for head, mask in self.heads.items()
+                              for b, part in (("0", mask & ~col), ("1", mask & col)) if part}
+        return cols[n]
+
+    def rows(self, mask: int, width: int) -> List[str]:
+        """The branches in `mask`, cut to their first `width` levels."""
+        c = self.count
+        if width not in self.texts:  # row i of the c x width block is branch i
+            block = bytearray(c * width)
+            for n in range(width):
+                block[n::width] = format(self[n], f"0{c}b").encode()
+            self.texts[width] = block.decode()
+        text = self.texts[width]
+        picks = format(mask, f"0{c}b").encode().translate(self._PICK)
+        return [text[i * width : (i + 1) * width] for i in compress(range(c), picks)]
 
 
 def selector_from_json_dict(d: dict) -> BranchSelector:
@@ -275,38 +322,12 @@ class SplittingTree:
             raise TruncationError(f"level {n} > depth {self.depth}")
         return 2 ** (n - self.schedule.count_below(n))
 
-    def free_draws(self, seed: int, count: int) -> Tuple[List[int], str]:
-        """The free levels below the depth, and the free bits of `count`
-        branches: branch i's j-th free level is draw i·free + j of the
-        `random.Random(seed).getrandbits(1)` stream.  `sample` and the escape
-        check's columns both draw by this rule, in one `random_bits` call."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        forced = set(self.schedule.indices)
-        free = [n for n in range(self.depth) if n not in forced]
-        return free, random_bits(random.Random(seed), count * len(free))
-
     def sample(self, seed: int, count: int) -> List[str]:
         """Draw `count` depth-length branches distributed as the uniform
-        branch measure, with the free bits of `free_draws`, which the per-bit
-        reference sampler in the tests pins.  Branch i is row i of a
-        count x depth block, filled column-wise."""
-        free, draws = self.free_draws(seed, count)
-        free, f, depth, draws = set(free), len(free), self.depth, draws.encode()
-        constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
-        block, j = bytearray(count * depth), 0  # level n is block[n::depth]
-        for n in range(depth):
-            if n in free:
-                block[n::depth] = draws[j::f]
-                j += 1
-            elif (b := constant_bit(n)) is not None:
-                block[n::depth] = (b"1" if b else b"0") * count
-            else:  # the bit reads the node: the rows are filled up to level n
-                text = block.decode()
-                rows = (text[i : i + n] for i in range(0, count * depth, depth))
-                block[n::depth] = bytes(49 if selector_bit(r) else 48 for r in rows)
-        text = block.decode()
-        return [text[i * depth : (i + 1) * depth] for i in range(count)]
+        branch measure: the rows of the `Columns` sampler, which the per-bit
+        reference sampler in the tests pins."""
+        cols = Columns(self, seed, count)
+        return cols.rows(cols.full, self.depth)
 
     def materialize(self, depth: Optional[int] = None, budget: int = NODE_BUDGET) -> ExplicitTree:
         d = self.depth if depth is None else depth

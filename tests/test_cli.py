@@ -415,6 +415,27 @@ BAD_INPUTS = {
         ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 16,
          "--stages", 1, "--out", "out"],
     ),
+    **{
+        f"selector_{name}": (
+            {"tree.json": json.dumps({"schedule": {"depth": 6, "indices": [1, 3], "n0": 0},
+                                      "selector": selector, "depth": 6})},
+            ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--delta-exp", 4,
+             "--out", "out"],
+        )
+        for name, selector in {
+            "constant_bit_2": {"kind": "constant", "bit": 2},
+            "game_built_default_3": {"kind": "game_built", "default": 3, "layers": []},
+            "game_built_root_not_binary": {"kind": "game_built", "layers": [[1, "2", 1]]},
+            "game_built_root_not_a_string": {"kind": "game_built", "layers": [[1, 2, 1]]},
+            "explicit_bit_5": {"kind": "explicit", "assignments": [["0", 5]]},
+            "explicit_node_not_a_string": {"kind": "explicit", "assignments": [[0, 1]]},
+        }.items()
+    },
+    "maps_explicit_node_not_a_string": (
+        {"maps.json": '[{"kind": "explicit", "entries": [[0, "1"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
     "out_dir_missing": (
         {}, ["schedule", "--gauge", "power:1/2", "--depth", 8, "--out", "nodir/out"],
     ),

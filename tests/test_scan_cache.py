@@ -2,12 +2,12 @@
 every stage, each requirement's counted bad set, and the halves each stage
 splits it into, must equal an enumeration that materialises the frontier
 and applies every map afresh; the column-wise sampler, the transducer and
-the per-layer consistency test must match their per-bit, per-character and
-per-level definitions.  The list kernels must match their per-element
-forms: `apply_all` against `apply` and a per-character definition of each
-map, `keep_consistent` against the per-node `consistent` filter, and
-`verify_escape`, on its bit-parallel mask pass and on its per-sample path,
-against a per-sample loop."""
+the game-built selector's consistency test must match their per-bit,
+per-character and per-layer definitions.  The list kernels must match
+their per-element forms: `apply_all` against `apply` and a per-character
+definition of each map, `keep_consistent` against the per-layer
+definition, and `verify_escape`, on its bit-parallel mask pass and on its
+per-sample path, against a per-sample loop."""
 
 import itertools
 import random
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from gaugetree import (
     BitFlipMap,
     BranchSchedule,
-    BranchSelector,
     ConstantSelector,
+    ExplicitSelector,
     GameBuiltSelector,
     GameState,
     Layer,
@@ -115,6 +115,24 @@ def reference_sample(tree, seed, count):
             prefix += str(b)
         out.append(prefix)
     return out
+
+
+def reference_consistent(sel, node, levels):
+    """`node` obeys the game-built selector `sel` at each of the `levels`
+    shorter than it, read off `Layer`'s definition: at a layer's level a
+    node incomparable with the layer's root gets the layer's bit; a node
+    compatible with the root, or at a level without a layer, gets the
+    default."""
+    layers = {l.level: l for l in sel.layers}
+    for n in levels:
+        if n >= len(node):
+            break
+        head, layer = node[:n], layers.get(n)
+        incomparable = layer is not None and not (
+            layer.root.startswith(head) or head.startswith(layer.root))
+        if int(node[n]) != (layer.bit if incomparable else sel.default):
+            return False
+    return True
 
 
 def reference_leaves(tree, d):
@@ -501,10 +519,14 @@ def sample_trees():
         SplittingTree(schedule, SeededSelector(5), 48),
         SplittingTree(schedule, GameBuiltSelector(layers, default=0), 48),
         SplittingTree(BranchSchedule(depth=40, indices=(), n0=0), SeededSelector(1), 40),
+        # whole prefixes decide the bit: five nodes the forced levels 1, 3
+        # and 7 reach get 0, every other node the default 1
+        SplittingTree(schedule, ExplicitSelector(
+            {"0": 0, "000": 0, "111": 0, "0011010": 0, "1110110": 0}, default=1), 48),
     ]
 
 
-@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("index", range(4))
 @pytest.mark.parametrize("seed", [0, 11])
 def test_sample_matches_per_bit_reference(index, seed):
     tree = sample_trees()[index]
@@ -602,7 +624,7 @@ def test_chunked_transducer_rejects_non_binary(node):
 # -- selector consistency --------------------------------------------------
 
 
-def test_game_built_consistent_matches_base_loop():
+def test_game_built_consistent_matches_layer_definition():
     rng = random.Random(21)
     outcomes, long_roots = set(), 0
     for _ in range(300):
@@ -623,7 +645,7 @@ def test_game_built_consistent_matches_base_loop():
             for n in range(rng.randint(0, depth + 2)):
                 obey = n in levels and rng.random() < 0.9
                 node += str(sel.bit(node)) if obey else rng.choice("01")
-            expected = BranchSelector.consistent(sel, node, levels)
+            expected = reference_consistent(sel, node, levels)
             assert sel.consistent(node, levels) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
@@ -640,6 +662,8 @@ EXPLICIT = ExplicitNodeMap(
     lag=0,
 )
 
+# every map but `explicit` computes its images from its step table, so the
+# per-character definitions of bit_flip and shift pin those tables
 REFERENCES = {
     "bit_flip": (BitFlipMap(), lambda n: "".join("1" if c == "0" else "0" for c in n)),
     "shift": (ShiftMap(), lambda n: n[1:]),
@@ -730,9 +754,8 @@ def selector_cases(draw):
 @given(selector_cases())
 def test_keep_consistent_matches_per_node_filter(case):
     sel, levels, pairs = case
-    expected = [p for p in pairs if BranchSelector.consistent(sel, p[1], levels)]
+    expected = [p for p in pairs if reference_consistent(sel, p[1], levels)]
     assert sel.keep_consistent(pairs, levels) == expected
-    assert BranchSelector.keep_consistent(sel, pairs, levels) == expected
     assert sel.keep_consistent(tuple(pairs), levels) == expected
 
 
@@ -743,23 +766,25 @@ def reference_verify_escape(tree, maps, samples, seed, certificate=None, predica
     """The per-sample loop: one apply, compatible and consistent per sample.
 
     With `predicate`, a certified sample is accounted for when its cut to
-    min(scan depth, depth) satisfies the per-leaf predicate, with the image
-    read level by level against the certificate's layers, as verify_escape
-    decides it; the certificate may then come from another game than the
-    sampled tree's, or scan deeper than its depth."""
-    xs = tree.sample(seed, samples)
+    min(scan depth, depth) is a leaf of the certificate's tree there and
+    satisfies the per-leaf predicate, with the image read level by level
+    against the certificate's layers; the certificate may then come from
+    another game than the sampled tree's, or scan deeper than its depth."""
+    xs = reference_sample(tree, seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
     consistent = tree.selector.consistent
+    if isinstance(tree.selector, GameBuiltSelector):
+        consistent = lambda u, levels: reference_consistent(tree.selector, u, levels)
     cert_bad, cut = {}, None if certificate is None else certificate.scan_depth
-    if predicate:  # the sampled tree's leaves that satisfy the predicate
+    if predicate:  # the certificate's tree's leaves that satisfy the predicate
         cut, sel = min(cut, tree.depth), GameBuiltSelector(certificate.layers)
         levels = sorted(sel.decided_levels(tree.schedule))
-        leaves = tree.materialize(cut).leaves
+        leaves = SplittingTree(tree.schedule, sel, cut).materialize().leaves
         cert_bad = {
             (r.map_index, r.root): {
                 x for x in leaves if x.startswith(r.root)
                 and not compatible(u := maps[r.map_index].apply(x), r.root)
-                and BranchSelector.consistent(sel, u, levels)
+                and reference_consistent(sel, u, levels)
             }
             for r in certificate.requirements
         }
@@ -943,6 +968,18 @@ def test_explicit_map_takes_the_per_sample_path():
     assert list(report.per_map) == reference_verify_escape(tree, [table, PARITY], 500, 2, cert)
     assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
     assert report.per_map[0]["undetermined"]
+
+
+def test_a_row_outside_the_certificates_tree_is_unaccounted():
+    # the sampled tree keeps 1 at the forced level 0, where the certificate's
+    # tree (no layers, default 0) keeps 0: each sample's root "1" is
+    # certified, yet no cut row is a leaf of the certificate's tree
+    tree = SplittingTree(BranchSchedule(depth=8, indices=(0, 1, 2, 3, 4), n0=0),
+                         GameBuiltSelector([Layer(1, "0", 0)], default=1), 8)
+    cert = certificate_of(tree.schedule, (), 1, [(0, "1")])
+    report = verify_escape(tree, [BitFlipMap()], 5, 0, cert)
+    assert report.per_map[0]["undetermined"] == report.per_map[0]["unaccounted"] == 5
+    assert list(report.per_map) == reference_verify_escape(tree, [BitFlipMap()], 5, 0, cert, predicate=True)
 
 
 @pytest.mark.parametrize("tree", [escape_tree(), SplittingTree(ESCAPE_SCHEDULE, SeededSelector(3), 24)])
