@@ -22,11 +22,11 @@ table, and its bad sets are enumerated over the tree's leaves.  Nothing is
 cached.
 
 The escape check runs the same product over samples instead of counts, bit
-parallel: the samples are the tree's `Columns`, one int per level with a
-bit per sample, and on a game-built tree each map with a step table runs
-once over the levels with a sample mask per state (`_escape_masks`).  Only
-certified undetermined samples become strings again.  An `explicit` map, or
-a tree with another selector, takes the per-sample path.
+parallel: the samples are a tree's `Columns`, one int per level with a bit
+per sample, and each map with a step table runs once over the levels with a
+sample mask per state (`_escape_masks`); an `explicit` map is classified
+sample by sample.  Run again on the certificate's tree to its scan depth,
+the same classifier decides which samples lie in their final bad sets.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dyadic import format_dyadic
 from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
 from .gauge import BranchSchedule
-from .tree import Columns, GameBuiltSelector, Layer, SplittingTree, check_node, compatible
+from .tree import Columns, GameBuiltSelector, Layer, SplittingTree, check_bit, check_int, check_node, compatible
 
 DEFAULT_SCAN_DEPTH_BUDGET = 2**12
 MAX_SCAN_LEAVES = 2**18
@@ -115,9 +115,9 @@ class TransducerMap(TreeMap):
     def __init__(self, start, delta: Dict[Tuple[object, int], Tuple[object, str]], lag: int):
         self.start = start
         self.delta = dict(delta)
-        self.lag = int(lag)
-        if any(b not in (0, 1) for _, b in self.delta):
-            raise ValueError("a transducer move must read the bit 0 or 1")
+        self.lag = check_int(lag, 0)
+        for _, b in self.delta:
+            check_bit(b)
         states = self._states = {start, *(s2 for s2, _ in self.delta.values())}
         for s in states:
             if (s, 0) not in self.delta or (s, 1) not in self.delta:
@@ -169,7 +169,7 @@ class ExplicitNodeMap(TreeMap):
 
     def __init__(self, entries: Dict[str, str], lag: int):
         self.entries = {check_node(k): check_node(v) for k, v in entries.items()}
-        self.lag = int(lag)
+        self.lag = check_int(lag, 0)
         keys = sorted(self.entries, key=len)
         for i, a in enumerate(keys):
             for b in keys[i + 1:]:
@@ -197,10 +197,10 @@ def map_from_json_dict(d: dict) -> TreeMap:
     if kind == "shift":
         return ShiftMap()
     if kind == "transducer":
-        delta = {(s, int(b)): (s2, out) for s, b, s2, out in d["delta"]}
-        return TransducerMap(start=d["start"], delta=delta, lag=int(d["lag"]))
+        delta = {(s, b): (s2, out) for s, b, s2, out in d["delta"]}
+        return TransducerMap(start=d["start"], delta=delta, lag=d["lag"])
     if kind == "explicit":
-        return ExplicitNodeMap({k: v for k, v in d["entries"]}, int(d["lag"]))
+        return ExplicitNodeMap({k: v for k, v in d["entries"]}, d["lag"])
     raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -269,8 +269,8 @@ def _bad_pairs(tree: SplittingTree, m: TreeMap, root: str, leaves: Sequence[str]
     the root and whose image is incompatible with the root and consistent
     with the decided levels: the per-leaf predicate."""
     leaves = [x for x in leaves if x.startswith(root)]
-    pairs = [(x, y) for x, y in zip(leaves, m._images(leaves)) if not compatible(y, root)]
-    return tree.selector.keep_consistent(pairs, tree.selector.decided_levels(tree.schedule))
+    levels, consistent = tree.selector.decided_levels(tree.schedule), tree.selector.consistent
+    return [(x, y) for x, y in zip(leaves, m._images(leaves)) if not compatible(y, root) and consistent(y, levels)]
 
 
 def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = None) -> Dict:
@@ -549,18 +549,18 @@ class EscapeReport:
         return {"samples": self.samples, "seed": self.seed, "per_map": list(self.per_map)}
 
 
-def _escape_masks(cols: Columns, m: TreeMap, depth: int, width: int, decided, roots) -> Tuple[dict, dict]:
-    """m's counts and each certified root's undetermined samples as rows of
-    `width` levels, by one pass with a sample mask per state: m's state, |u|,
-    u's first R bits, and u's first difference from x capped at the longest
-    root (None while u agrees with x, and so obeys every decided level below
-    the depth as x does).  A moved u that breaks a decided level escapes; past the last one
-    it is undetermined for good, so the pass stops once no state is left."""
-    sel, r, cap = cols.sel, cols.r, max(map(len, roots), default=0)
-    step = m.steps()
+def _escape_masks(cols: Columns, m: TreeMap, depth: int, decided, cap: int, start: int) -> Tuple[dict, dict]:
+    """The samples in `start` classified under m to `depth`, by one pass with
+    a sample mask per state: m's state, |u|, u's first R bits, and u's first
+    difference from x capped at `cap` (None while u agrees with x, and so
+    obeys every decided level below the depth as x does).  A moved u that
+    breaks a decided level escapes; past the last one it is undetermined for
+    good, so the pass stops once no state is left.  Returns the counts and
+    the undetermined samples as masks keyed by first difference."""
+    r, rule, step = cols.r, cols.rule, m.steps()
     last, decided = max(decided, default=-1), set(decided)
-    counts = dict.fromkeys(("fixed", "escaped", "undetermined", "unaccounted", "uncovered"), 0)
-    und, states = {}, {(m.start, 0, "", None): cols.full}  # first difference -> samples
+    counts = dict.fromkeys(("fixed", "escaped", "undetermined"), 0)
+    und, states = {}, {(m.start, 0, "", None): start}  # first difference -> samples
 
     def emit(n, h, p, part, ch):
         """The parts of `part` after u's bit ch at n."""
@@ -572,7 +572,7 @@ def _escape_masks(cols: Columns, m: TreeMap, depth: int, width: int, decided, ro
             if same:
                 yield n + 1, h + ch if n < r else h, None, same
             part, p = part ^ same, min(n, cap)
-        if part and n in decided and ch != sel.bit_under(h, n):
+        if part and n in decided and ch != rule(h, n):
             counts["escaped"] += part.bit_count()
         elif part:
             yield n + 1, h + ch if n < r else h, p, part
@@ -596,16 +596,25 @@ def _escape_masks(cols: Columns, m: TreeMap, depth: int, width: int, decided, ro
     for (_, _, _, p), mask in states.items():  # the branch has ended
         und[p] = und.get(p, 0) | mask
     counts["fixed"] += und.pop(None, 0).bit_count()  # u and x are comparable
-    rows = {}
-    for root in roots:
-        mask = und.get(len(root) - 1, 0)
-        for j, ch in enumerate(root if mask else ""):
-            mask &= cols[j] if ch == "1" else ~cols[j]
-        if mask:
-            rows[root] = cols.rows(mask, width)
     counts["undetermined"] = sum(mask.bit_count() for mask in und.values())
-    counts["uncovered"] = counts["undetermined"] - sum(map(len, rows.values()))
-    return counts, rows
+    return counts, und
+
+
+def _escape_rows(cols: Columns, m: TreeMap, depth: int, decided, cap: int, start: int) -> Tuple[dict, dict]:
+    """`_escape_masks` for a map without a step table, one sample at a time."""
+    counts, und = dict.fromkeys(("fixed", "escaped", "undetermined"), 0), {}
+    bits = [1 << k for k in reversed(range(cols.count))]  # sample 0 is the top bit
+    picked = [(bit, x) for bit, x in zip(bits, cols.rows(depth)) if start & bit]
+    for (bit, x), u in zip(picked, m.apply_all([x for _, x in picked])):
+        if compatible(u, x):
+            counts["fixed"] += 1
+        elif not cols.sel.consistent(u, decided):
+            counts["escaped"] += 1
+        else:
+            counts["undetermined"] += 1
+            p = min(next(i for i, (a, b) in enumerate(zip(u, x)) if a != b), cap)
+            und[p] = und.get(p, 0) | bit
+    return counts, und
 
 
 def verify_escape(
@@ -625,40 +634,34 @@ def verify_escape(
     predicate of that requirement's final bad set, else it counts as
     unaccounted; one whose root is not certified counts as uncovered.
 
-    The samples are the tree's `Columns`.  On a game-built tree each map
-    with a step table takes the mask pass; an `explicit` map, or a tree with
-    another selector, takes the per-sample path over the same samples.
-    """
-    decided = tree.selector.decided_levels(tree.schedule)
+    Each map's classifier runs on the tree's `Columns` to its depth, then on
+    the certificate's tree's `Columns` to the cut, over the certified
+    samples inside that tree: their forced columns below the cut agree in
+    both, as every free column does.  m(x cut) is a prefix of m(x), so a cut
+    sample is in its root's bad set iff the second run finds the same first
+    difference and no broken layer."""
     final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), certificate.scan_depth)
     cut = min(final.depth, tree.depth)
-    # the certificate's own tree holds every row drawn from it; another
-    # tree's rows may lie outside it
-    foreign = tree.selector != final.selector
-    cols = Columns(tree, seed, samples)
-    masks = isinstance(tree.selector, GameBuiltSelector)
-    if not masks or any(m.delta is None for m in maps):
-        xs = cols.rows(cols.full, tree.depth)
+    cols, cut_cols = Columns(tree, seed, samples), Columns(final, seed, samples)
+    inside = cols.full
+    for n in tree.schedule.indices[: tree.schedule.count_below(cut)]:
+        inside &= ~(cols[n] ^ cut_cols[n])
+    decided = tree.selector.decided_levels(tree.schedule)
     per_map = []
     for mi, m in enumerate(maps):
+        classify = _escape_masks if m.delta is not None else _escape_rows
         roots = {r.root for r in certificate.requirements if r.map_index == mi}
-        if masks and m.delta is not None:
-            counts, rows = _escape_masks(cols, m, tree.depth, cut, decided, roots)
-        else:  # the per-sample path
-            moved = [(x, u) for x, u in zip(xs, m.apply_all(xs)) if not compatible(u, x)]
-            kept = tree.selector.keep_consistent(moved, decided)
-            counts = {"fixed": len(xs) - len(moved), "escaped": len(moved) - len(kept),
-                      "undetermined": len(kept), "unaccounted": 0, "uncovered": 0}
-            rows = {}
-            for x, u in kept:
-                p = next(i for i in range(min(len(u), len(x))) if u[i] != x[i])
-                if x[: p + 1] in roots:
-                    rows.setdefault(x[: p + 1], []).append(x[:cut])
-                else:
-                    counts["uncovered"] += 1
-        for root, leaves in rows.items():
-            inside = [x for x in leaves if final.contains(x)] if foreign else leaves
-            bad = {x for x, _ in _bad_pairs(final, m, root, inside)}
-            counts["unaccounted"] += sum(x not in bad for x in leaves)
+        cap = max(map(len, roots), default=0)
+        counts, und = classify(cols, m, tree.depth, decided, cap, cols.full)
+        by_root = {}  # root -> its certified samples
+        for root in roots:
+            mask = und.get(len(root) - 1, 0)
+            for j, ch in enumerate(root if mask else ""):
+                mask &= cols[j] if ch == "1" else ~cols[j]
+            by_root[root] = mask
+        certified = sum(by_root.values())  # the masks are disjoint
+        _, bad = classify(cut_cols, m, cut, final.selector.decided_levels(tree.schedule), cap, certified & inside)
+        counts["unaccounted"] = sum((mask & ~bad.get(len(root) - 1, 0)).bit_count() for root, mask in by_root.items())
+        counts["uncovered"] = counts["undetermined"] - certified.bit_count()
         per_map.append({"map": mi, "kind": m.kind, **counts})
     return EscapeReport(per_map=tuple(per_map), samples=samples, seed=seed)

@@ -303,10 +303,12 @@ class BranchSchedule:
 
     @staticmethod
     def from_json_dict(d: dict) -> "BranchSchedule":
+        from .tree import check_int  # here, not at the top: tree imports this module
+
         return BranchSchedule(
-            depth=int(d["depth"]),
-            indices=tuple(int(i) for i in d["indices"]),
-            n0=int(d.get("n0", 0)),
+            depth=check_int(d["depth"], 0),
+            indices=tuple(map(check_int, d["indices"])),
+            n0=check_int(d.get("n0", 0)),
         )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NodeBudgetError, NotInTreeError, TruncationError
@@ -43,8 +42,17 @@ def check_node(bits: str) -> str:
     return bits
 
 
+def check_int(value, least: Optional[int] = None) -> int:
+    """`value` when it is an int, not a bool, and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"not an integer >= {least}: {value!r}")
+    return value
+
+
 def check_bit(bit) -> int:
-    if bit not in (0, 1):
+    if check_int(bit) not in (0, 1):
         raise ValueError(f"not a bit 0 or 1: {bit!r}")
     return bit
 
@@ -76,10 +84,6 @@ class BranchSelector:
             if int(node[n]) != self.bit(node[:n]):
                 return False
         return True
-
-    def keep_consistent(self, pairs: Sequence[Tuple[object, str]], levels: Sequence[int]) -> list:
-        """The (item, node) pairs whose node is `consistent` at `levels`."""
-        return [p for p in pairs if self.consistent(p[1], levels)]
 
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         """Forced levels whose values this selector actively pins down."""
@@ -130,8 +134,8 @@ class ExplicitSelector(BranchSelector):
     kind = "explicit"
 
     def __init__(self, assignments: Dict[str, int], default: int = 0):
-        self.assignments = {check_node(k): check_bit(int(v)) for k, v in assignments.items()}
-        self.default = check_bit(int(default))
+        self.assignments = {check_node(k): check_bit(v) for k, v in assignments.items()}
+        self.default = check_bit(default)
 
     def bit(self, node: str) -> int:
         return self.assignments.get(node, self.default)
@@ -168,7 +172,7 @@ class GameBuiltSelector(BranchSelector):
 
     def __init__(self, layers: Sequence[Layer], default: int = 0):
         self.layers = tuple(sorted(layers, key=lambda l: l.level))
-        self.default = check_bit(int(default))
+        self.default = check_bit(default)
         # level -> (root cut to the level, layer bit): a node reaching the
         # level is compatible with the root there iff it starts with the cut;
         # a level without a layer has the empty cut
@@ -210,37 +214,33 @@ class GameBuiltSelector(BranchSelector):
 
 class Columns:
     """`count` branches of a tree as one int per level with branch 0 at the
-    top bit, each column made on first use.  Branch i's j-th free level is
-    draw i·free + j of the `random.Random(seed).getrandbits(1)` stream, so a
-    free level's column is a strided slice of one `random_bits` call.  A
-    forced level's column is read off the masks of the branches' first R
-    bits: R is the longest layer root under the layer cut rule `bit_under`
-    of a game-built selector; any other selector's `bit` reads the whole
-    prefix, up to its last level whose bit is not constant."""
-
-    _PICK = bytes.maketrans(b"01", b"\0\1")
+    top bit, each column made on first use, in level order.  A free level's
+    column is the next `random.Random(seed).getrandbits(count)`, so two
+    `Columns` on one schedule and seed share every free column, whatever
+    their selector or depth.  A forced level's column is read off the masks
+    of the branches' first R bits by `rule`: R is the longest layer root
+    under the layer cut rule `bit_under` of a game-built selector; any other
+    selector's `bit` reads the whole prefix, up to its last level whose bit
+    is not constant."""
 
     def __init__(self, tree: SplittingTree, seed: int, count: int):
         if count < 1:
             raise ValueError("count must be >= 1")
-        forced = set(tree.schedule.indices)
-        free = [n for n in range(tree.depth) if n not in forced]
-        self.draws = random_bits(random.Random(seed), count * len(free))
-        self.free = {n: j for j, n in enumerate(free)}
+        self.forced, self.rng = set(tree.schedule.indices), random.Random(seed)
         self.sel, self.count, self.full = tree.selector, count, (1 << count) - 1
         if isinstance(self.sel, GameBuiltSelector):
             self.r, self.rule = max((len(l.root) for l in self.sel.layers), default=0), self.sel.bit_under
         else:
-            self.r = max((n for n in forced if self.sel.constant_bit(n) is None), default=0)
+            self.r = max((n for n in self.forced if self.sel.constant_bit(n) is None), default=0)
             self.rule = lambda head, n: str(self.sel.bit(head))
-        self.cols, self.heads, self.texts = [], {"": self.full}, {}
+        self.cols, self.heads = [], {"": self.full}
 
     def __getitem__(self, n: int) -> int:
         cols, sel = self.cols, self.sel
         while len(cols) <= n:
             k = len(cols)
-            if k in self.free:
-                col = int(self.draws[self.free[k] :: len(self.free)], 2)
+            if k not in self.forced:
+                col = self.rng.getrandbits(self.count)
             elif (bit := sel.constant_bit(k)) is not None:
                 col = self.full if bit else 0
             else:
@@ -251,33 +251,26 @@ class Columns:
                               for b, part in (("0", mask & ~col), ("1", mask & col)) if part}
         return cols[n]
 
-    def rows(self, mask: int, width: int) -> List[str]:
-        """The branches in `mask`, cut to their first `width` levels."""
-        c = self.count
-        if width not in self.texts:  # row i of the c x width block is branch i
-            block = bytearray(c * width)
-            for n in range(width):
-                block[n::width] = format(self[n], f"0{c}b").encode()
-            self.texts[width] = block.decode()
-        text = self.texts[width]
-        picks = format(mask, f"0{c}b").encode().translate(self._PICK)
-        return [text[i * width : (i + 1) * width] for i in compress(range(c), picks)]
+    def rows(self, width: int) -> List[str]:
+        """Every branch cut to its first `width` levels, branch 0 first."""
+        c, block = self.count, bytearray(self.count * width)
+        for n in range(width):  # row i of the c x width block is branch i
+            block[n::width] = format(self[n], f"0{c}b").encode()
+        text = block.decode()
+        return [text[i * width : (i + 1) * width] for i in range(c)]
 
 
 def selector_from_json_dict(d: dict) -> BranchSelector:
     kind = d["kind"]
     if kind == "constant":
-        return ConstantSelector(int(d["bit"]))
+        return ConstantSelector(d["bit"])
     if kind == "seeded":
-        return SeededSelector(int(d["seed"]))
+        return SeededSelector(check_int(d["seed"]))
     if kind == "explicit":
-        return ExplicitSelector(
-            {k: v for k, v in d.get("assignments", [])}, int(d.get("default", 0))
-        )
+        return ExplicitSelector({k: v for k, v in d.get("assignments", [])}, d.get("default", 0))
     if kind == "game_built":
         return GameBuiltSelector(
-            [Layer(int(n), r, int(b)) for n, r, b in d.get("layers", [])],
-            int(d.get("default", 0)),
+            [Layer(check_int(n), r, b) for n, r, b in d.get("layers", [])], d.get("default", 0)
         )
     raise ValueError(f"unknown selector kind {kind!r}")
 
@@ -326,8 +319,7 @@ class SplittingTree:
         """Draw `count` depth-length branches distributed as the uniform
         branch measure: the rows of the `Columns` sampler, which the per-bit
         reference sampler in the tests pins."""
-        cols = Columns(self, seed, count)
-        return cols.rows(cols.full, self.depth)
+        return Columns(self, seed, count).rows(self.depth)
 
     def materialize(self, depth: Optional[int] = None, budget: int = NODE_BUDGET) -> ExplicitTree:
         d = self.depth if depth is None else depth
@@ -360,5 +352,5 @@ class SplittingTree:
         return SplittingTree(
             schedule=BranchSchedule.from_json_dict(d["schedule"]),
             selector=selector_from_json_dict(d["selector"]),
-            depth=int(d["depth"]),
+            depth=check_int(d["depth"], 0),
         )

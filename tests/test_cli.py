@@ -429,7 +429,43 @@ BAD_INPUTS = {
             "game_built_root_not_a_string": {"kind": "game_built", "layers": [[1, 2, 1]]},
             "explicit_bit_5": {"kind": "explicit", "assignments": [["0", 5]]},
             "explicit_node_not_a_string": {"kind": "explicit", "assignments": [[0, 1]]},
+            # JSON integers are checked, not truncated by int()
+            "constant_bit_1_5": {"kind": "constant", "bit": 1.5},
+            "constant_bit_true": {"kind": "constant", "bit": True},
+            "constant_bit_string": {"kind": "constant", "bit": "1"},
+            "explicit_default_1_0": {"kind": "explicit", "default": 1.0, "assignments": []},
+            "seeded_seed_string": {"kind": "seeded", "seed": "5"},
+            "game_built_level_1_5": {"kind": "game_built", "layers": [[1.5, "0", 1]]},
         }.items()
+    },
+    **{
+        f"tree_{name}": (
+            {"tree.json": json.dumps({"schedule": {"depth": 6, "indices": [1, 3], "n0": 0, **schedule},
+                                      "selector": {"kind": "constant", "bit": 0}, "depth": depth})},
+            ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--out", "out"],
+        )
+        for name, schedule, depth in [
+            ("schedule_index_1_5", {"indices": [1.5, 3]}, 6),
+            ("schedule_depth_negative", {"depth": -1, "indices": []}, 6),
+            ("schedule_n0_string", {"n0": "0"}, 6),
+            ("depth_negative", {}, -1),
+            ("depth_6_0", {}, 6.0),
+        ]
+    },
+    **{
+        f"transducer_{name}": (
+            {"maps.json": json.dumps([dict(DROP_FIRST, **fields)])},
+            ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 16,
+             "--stages", 1, "--out", "out"],
+        )
+        for name, fields in [
+            ("move_on_bit_1_5", {"delta": [["a", 0, "b", ""], ["a", 1.5, "b", ""],
+                                           ["b", 0, "b", "0"], ["b", 1, "b", "1"]]}),
+            ("move_on_bit_true", {"delta": [["a", 0, "b", ""], ["a", True, "b", ""],
+                                            ["b", 0, "b", "0"], ["b", 1, "b", "1"]]}),
+            ("lag_1_5", {"lag": 1.5}),
+            ("lag_negative", {"lag": -3}),
+        ]
     },
     "maps_explicit_node_not_a_string": (
         {"maps.json": '[{"kind": "explicit", "entries": [[0, "1"]], "lag": 0}]'},

@@ -74,6 +74,14 @@ def test_map_json_round_trips():
             assert back.apply("0101") == m.apply("0101")
 
 
+@pytest.mark.parametrize("lag", [0.5, 1.0, True, "1", -3])
+@pytest.mark.parametrize("kind", ["transducer", "explicit"])
+def test_map_lag_must_be_a_non_negative_integer(kind, lag):
+    m = TransducerMap.identity() if kind == "transducer" else ExplicitNodeMap({"0": "1"}, lag=0)
+    with pytest.raises(ValueError, match="not an integer"):
+        map_from_json_dict({**m.to_json_dict(), "lag": lag})
+
+
 # -- bad sets ---------------------------------------------------------------
 
 

@@ -3,11 +3,12 @@ every stage, each requirement's counted bad set, and the halves each stage
 splits it into, must equal an enumeration that materialises the frontier
 and applies every map afresh; the column-wise sampler, the transducer and
 the game-built selector's consistency test must match their per-bit,
-per-character and per-layer definitions.  The list kernels must match
-their per-element forms: `apply_all` against `apply` and a per-character
-definition of each map, `keep_consistent` against the per-layer
-definition, and `verify_escape`, on its bit-parallel mask pass and on its
-per-sample path, against a per-sample loop."""
+per-character and per-layer definitions, and samplers of one schedule and
+seed must share every free column.  The list kernels must match their
+per-element forms: `apply_all` against `apply` and a per-character
+definition of each map, and `verify_escape`, on its bit-parallel mask pass
+and on its per-sample loop for `explicit` maps, against a per-sample loop
+whose `unaccounted` reads the certificate's tree leaf by leaf."""
 
 import itertools
 import random
@@ -41,7 +42,7 @@ from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
 from gaugetree.errors import GameInvariantError, UndefinedNodeError
 from gaugetree.game import AntichainCertificate, ExplicitNodeMap, RequirementReport
-from gaugetree.tree import check_node, compatible
+from gaugetree.tree import Columns, check_node, compatible
 
 PARITY = TransducerMap(
     start=0,
@@ -105,13 +106,17 @@ def certified_state(schedule, maps, depth, certificate):
 
 
 def reference_sample(tree, seed, count):
+    """Each free level, in level order, draws one `getrandbits(count)`, whose
+    bit count - 1 - i is branch i's bit there; each branch is then built bit
+    by bit, its forced bits from the selector's `bit` of its prefix."""
     rng = random.Random(seed)
     forced = set(tree.schedule.indices)
+    draws = {n: rng.getrandbits(count) for n in range(tree.depth) if n not in forced}
     out = []
-    for _ in range(count):
+    for i in range(count):
         prefix = ""
         for n in range(tree.depth):
-            b = tree.selector.bit(prefix) if n in forced else rng.getrandbits(1)
+            b = tree.selector.bit(prefix) if n in forced else draws[n] >> (count - 1 - i) & 1
             prefix += str(b)
         out.append(prefix)
     return out
@@ -561,6 +566,27 @@ def test_sample_matches_per_bit_reference_across_blocks(name, count):
         assert {x[7] for x in got} == {"0", "1"}
 
 
+@pytest.mark.parametrize("seed", [0, 11])
+def test_columns_share_every_free_column_across_selectors_and_depths(seed):
+    # the escape check compares two trees' samples column by column: a
+    # sample inside both differs in no free column
+    schedule = sparsity_schedule(parse_gauge_spec("power:1/2"), 48)
+    selectors = [
+        GameBuiltSelector([Layer(n, "01"[i % 2], i % 2) for i, n in enumerate(schedule.indices[1:8])]),
+        GameBuiltSelector([Layer(schedule.indices[2], "1" * 9, 1)], default=1),
+        SeededSelector(5),
+        ConstantSelector(1),
+    ]
+    free = [n for n in range(48) if n not in schedule]
+    first = Columns(SplittingTree(schedule, selectors[0], 48), seed, 300)
+    for sel in selectors:
+        for depth in (20, 48):
+            cols = Columns(SplittingTree(schedule, sel, depth), seed, 300)
+            below = [n for n in free if n < depth]
+            # a column read first still draws every level below it first
+            assert [cols[n] for n in reversed(below)] == [first[n] for n in reversed(below)]
+
+
 @pytest.mark.parametrize("name", sorted(block_edge_trees()))
 def test_materialize_matches_per_bit_reference(name):
     tree = block_edge_trees()[name]
@@ -728,7 +754,7 @@ def test_transducer_with_non_binary_output_is_rejected():
         TransducerMap(start=0, delta={(0, 0): (0, "0"), (0, 1): (0, "2")}, lag=0)
 
 
-# -- keep_consistent -------------------------------------------------------
+# -- consistent ------------------------------------------------------------
 
 
 @st.composite
@@ -752,11 +778,10 @@ def selector_cases(draw):
 
 
 @given(selector_cases())
-def test_keep_consistent_matches_per_node_filter(case):
+def test_consistent_matches_per_node_definition(case):
     sel, levels, pairs = case
-    expected = [p for p in pairs if reference_consistent(sel, p[1], levels)]
-    assert sel.keep_consistent(pairs, levels) == expected
-    assert sel.keep_consistent(tuple(pairs), levels) == expected
+    for _, node in pairs:
+        assert sel.consistent(node, levels) == reference_consistent(sel, node, levels)
 
 
 # -- verify_escape ---------------------------------------------------------
@@ -854,6 +879,23 @@ def test_verify_escape_matches_per_sample_loop(name, count):
         # every branch of the check is reached
         assert all(row["escaped"] and row["undetermined"] for row in expected[1:])
         assert sum(row["uncovered"] for row in expected) > 0
+
+
+@pytest.mark.parametrize("selector", [
+    SeededSelector(2), ConstantSelector(0), ExplicitSelector({"0": 1, "01": 0, "1011": 1}, default=0),
+])
+def test_mask_pass_reads_any_selector_through_its_rule(selector):
+    # the tree is not game-built: its forced columns and decided levels come
+    # from `bit`, and only its samples inside the certificate's tree can be
+    # accounted for
+    schedule = BranchSchedule(depth=16, indices=(1, 5, 9), n0=0)
+    tree = SplittingTree(schedule, selector, 16)
+    roots = [(mi, r) for mi in range(3) for r in ("0", "1", "00", "01", "10", "11")]
+    cert = certificate_of(schedule, [Layer(5, "1", 0)], 12, roots)
+    report = verify_escape(tree, ESCAPE_MAPS, 600, 3, cert)
+    assert list(report.per_map) == reference_verify_escape(tree, ESCAPE_MAPS, 600, 3, cert, predicate=True)
+    shift = report.per_map[1]
+    assert shift["undetermined"] > shift["uncovered"]  # some samples are certified
 
 
 # -- the mask pass against the per-sample loop ----------------------------
