@@ -194,8 +194,7 @@ def cmd_schedule(args) -> int:
         print("warning: empty schedule (full binary tree)", file=sys.stderr)
     write_json(args.out, payload, manifest)
     if args.csv:
-        forced = set(schedule.indices)
-        lines = (f"{n},{caps[n]},{int(n in forced)}" for n in range(args.depth))
+        lines = (f"{n},{caps[n]},{int(n in schedule.forced)}" for n in range(args.depth))
         write_csv(args.csv, ["n", "cap", "in_schedule"], lines, manifest)
     return 0
 
@@ -204,7 +203,7 @@ def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
     """Yield the levels CSV lines 0..depth: n, the free levels above n, the
     cylinder measure 2^-free, g(2^-n) and the level cost 2^free·g(2^-n), the
     last two from the upper end of the enclosure, written as format_pair does."""
-    forced = set(tree.schedule.indices)
+    forced = tree.schedule.forced
     free = 0  # free levels above level n
     for n in range(depth + 1):
         _, m, e = values[n]

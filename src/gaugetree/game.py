@@ -18,8 +18,10 @@ levels follow it and each bit of y at a decided level is checked as it is
 emitted; one pass gives a count and both stage halves.  `bit_flip` and
 `shift` are 1- and 2-state transducers, and every map with a step table
 computes its images from that table too; an `explicit` map has no step
-table, and its bad sets are enumerated over the tree's leaves.  Nothing is
-cached.
+table, and its bad sets are enumerated over the tree's leaves.  `bad_set`
+counts each (requirement, scan depth, layers) once per game, in a memo on
+the `GameState`: the schedule, the maps and the default bit never change in
+a game, so the key decides the tree and a hit is the count it replaces.
 
 The escape check runs the same product over samples instead of counts, bit
 parallel: the samples are a tree's `Columns`, one int per level with a bit
@@ -253,6 +255,9 @@ class GameState:
     stage_counts: Dict[int, int] = field(default_factory=dict)
     consulted: Dict[int, int] = field(default_factory=dict)
     stage_log: List[dict] = field(default_factory=list)
+    # (requirement, scan depth, layers) -> its BadSet: schedule, maps and
+    # default_bit never change, so the key decides the tree and the count
+    counted: Dict[tuple, BadSet] = field(default_factory=dict, compare=False, repr=False)
 
     def selector(self) -> GameBuiltSelector:
         return GameBuiltSelector(self.layers, default=self.default_bit)
@@ -283,7 +288,7 @@ def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = No
         return tally
     rule, d = tree.selector.bit_under, tree.depth
     r = max([len(root), *(len(l.root) for l in tree.selector.layers)])
-    forced, decided = set(tree.schedule.indices), set(tree.selector.decided_levels(tree.schedule))
+    forced, decided = tree.schedule.forced, set(tree.selector.decided_levels(tree.schedule))
     step = m.steps()
     counts = {("", m.start, "", 0, None): 1} if d >= len(root) else {}
     for i in range(d):
@@ -318,10 +323,13 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     d = state.scan_depth if depth is None else depth
     if d > state.depth:
         raise ValueError(f"scan depth {d} > working depth {state.depth}")
+    if (key := (req, d, tuple(state.layers))) in state.counted:
+        return state.counted[key]
     tree, m = state.tree(d), state.maps[req.map_index]
     count = sum(_count(tree, m, req.root).values())
     measure = Fraction(count, tree.level_count(d))
-    return BadSet(requirement=req, depth=d, leaves=BadLeaves(tree, m, req.root, count), measure=measure)
+    state.counted[key] = BadSet(requirement=req, depth=d, leaves=BadLeaves(tree, m, req.root, count), measure=measure)
+    return state.counted[key]
 
 
 def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
@@ -345,7 +353,9 @@ def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
             raise DepthExhaustedError(req, f"forced level {n}: {leaves} leaves at depth {needed} > MAX_SCAN_LEAVES")
         state.scan_depth = needed
         return n
-    raise DepthExhaustedError(req, f"no fresh forced level from level {floor} on")
+    raise DepthExhaustedError(
+        req, f"no fresh forced level from level {floor} on, and a forced level holds at most one layer"
+    )
 
 
 def stage_step(state: GameState, req: Requirement) -> GameState:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -287,13 +287,17 @@ class BranchSchedule:
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("schedule indices must be strictly increasing")
 
+    @cached_property
+    def forced(self) -> frozenset:
+        """The forced levels as a set, built on first use."""
+        return frozenset(self.indices)
+
     def count_below(self, n: int) -> int:
         """|A ∩ n|: how many forced levels lie strictly below n."""
         return bisect_left(self.indices, n)
 
     def __contains__(self, n: int) -> bool:
-        i = bisect_left(self.indices, n)
-        return i < len(self.indices) and self.indices[i] == n
+        return n in self.forced
 
     def to_json_dict(self, gauge: Optional[Gauge] = None) -> dict:
         d = {"depth": self.depth, "indices": list(self.indices), "n0": self.n0}

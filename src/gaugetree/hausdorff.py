@@ -32,7 +32,7 @@ def frostman_lower(
     """
     if values is None:
         values = g.scale_values(tree.depth)
-    forced = set(tree.schedule.indices)
+    forced = tree.schedule.forced
     last = worst = None
     below = 0  # forced levels above level n
     for n in range(tree.depth + 1):
@@ -70,7 +70,7 @@ def level_dp(
         raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
     if values is None:
         values = g.scale_values(n_max)
-    forced = set(tree.schedule.indices)
+    forced = tree.schedule.forced
     cost, witness = values[n_max][1:], n_max
     for n in range(n_max - 1, -1, -1):
         if n not in forced:  # through a free level: twice the cost below

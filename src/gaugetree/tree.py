@@ -226,7 +226,7 @@ class Columns:
     def __init__(self, tree: SplittingTree, seed: int, count: int):
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.forced, self.rng = set(tree.schedule.indices), random.Random(seed)
+        self.forced, self.rng = tree.schedule.forced, random.Random(seed)
         self.sel, self.count, self.full = tree.selector, count, (1 << count) - 1
         if isinstance(self.sel, GameBuiltSelector):
             self.r, self.rule = max((len(l.root) for l in self.sel.layers), default=0), self.sel.bit_under
@@ -328,7 +328,7 @@ class SplittingTree:
         count = self.level_count(d)
         if count > budget:
             raise NodeBudgetError(count, budget)
-        forced = set(self.schedule.indices)
+        forced = self.schedule.forced
         constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
         level = [""]
         for n in range(d):

@@ -139,6 +139,19 @@ def test_antichain_infeasible_exits_3(tmp_path, maps_file, capsys):
     assert ("(no eligible level left for requirement Requirement(map_index=1, root='1'): "
             "forced level 15: n + lag + 1 = 17 > --depth 16)") in err
     assert not out.exists()
+    # at depth 17 the layers have used every forced level, one layer each
+    code = run([
+        "antichain", "--gauge", "power_log:1,1", "--maps", maps_file,
+        "--depth", 17, "--stages", 9, "--out", out,
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "the layers of 4 requirements consumed forced levels 1, 3, 7, 15;" in err
+    assert ("(no eligible level left for requirement Requirement(map_index=1, root='1'): "
+            "no fresh forced level from level 16 on, and a forced level holds at most one layer)") in err
+    assert "forced levels still free below the working depth: none\n" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
     # at depth 64, level 31 fits the depth but not the scan budget
     code = run([
         "antichain", "--gauge", "power_log:1,1", "--maps", maps_file,
@@ -1047,6 +1060,114 @@ def test_antichain_cli_fuzz(maps, gauge, depth, stages, roots, samples, seed):
     for row in escape["per_map"]:
         assert row["fixed"] + row["escaped"] + row["undetermined"] == samples
         assert row["unaccounted"] + row["uncovered"] <= row["undetermined"]
+
+
+RATIONALS = st.sampled_from(
+    ["1", "1/2", "2/3", "1/3", "3/2", "2", "5/2", "0.5", "-1/2", "-1", "-3/2", "0", "x", "", "1/0"])
+
+
+@st.composite
+def gauge_specs(draw):
+    """A power, power_log or table spec, well formed or not: a negative or
+    fractional log exponent, a table with gaps, or a stray separator."""
+    kind = draw(st.sampled_from(["power", "power_log", "table", "junk"]))
+    if kind == "power":
+        return f"power:{draw(RATIONALS)}"
+    if kind == "power_log":
+        return f"power_log:{draw(RATIONALS)},{draw(RATIONALS)}"
+    if kind == "table":
+        if draw(st.booleans()):  # every level up to a last one, like power:1/2
+            return "table:" + ",".join(f"{n}=1/{2 ** (n // 2)}" for n in range(draw(st.integers(0, 40)) + 1))
+        levels = draw(st.lists(st.integers(-1, 40), min_size=1, max_size=8))
+        return "table:" + ",".join(f"{n}={draw(RATIONALS)}" for n in levels)
+    return draw(st.sampled_from(["power", "power:", "power_log:1", "table:", "table:1", "nope:1", ":"]))
+
+
+JUNK = st.sampled_from([-1, 2, 1.5, "1", "01", None, True, [], {}, [[0, "1", 1]], [["0", 1]]])
+SELECTORS = st.sampled_from([
+    {"kind": "constant", "bit": 0}, {"kind": "constant", "bit": 1}, {"kind": "seeded", "seed": 7},
+    {"kind": "explicit", "default": 1, "assignments": [["0", 0], ["01", 1]]},
+    {"kind": "game_built", "layers": [[1, "0", 1], [3, "", 0]]}, {"kind": "game_built"},
+    {"kind": "nope"}, {},
+])
+
+
+@st.composite
+def tree_jsons(draw):
+    """Tree JSON text: a schedule, a selector and a depth, with one field
+    replaced by junk or dropped, or a document that is not a tree at all."""
+    depth = draw(st.integers(0, 40))
+    indices = sorted(draw(st.sets(st.integers(0, max(depth - 1, 0)), max_size=depth // 2)))
+    tree = {"schedule": {"depth": depth, "indices": indices, "n0": 0},
+            "selector": dict(draw(SELECTORS)), "depth": draw(st.integers(0, depth + 2))}
+    flaw = draw(st.sampled_from([None, None, "junk", "drop", "indices", "document"]))
+    if flaw in ("junk", "drop"):
+        part = draw(st.sampled_from([tree, tree["schedule"], tree["selector"]]))
+        key = draw(st.sampled_from(sorted(part) or ["depth"]))
+        if flaw == "junk":
+            part[key] = draw(JUNK)
+        else:
+            part.pop(key, None)
+    elif flaw == "indices":
+        tree["schedule"]["indices"] = draw(st.lists(st.integers(-2, depth + 2), max_size=4))
+    elif flaw == "document":
+        return draw(st.sampled_from(["", "{", "[]", "3", "null", '"tree"', "{}"]))
+    return json.dumps(tree)
+
+
+def output_complete(path, kind):
+    """True when the file at `path` is absent or holds a whole output."""
+    if not os.path.exists(path):
+        return True
+    if kind == "json":
+        with open(path) as fh:
+            return "manifest" in json.load(fh)
+    header, rows = read_csv_table(path)
+    return bool(header) and all(len(r) == len(header) for r in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gauge=gauge_specs(), depth=st.integers(-2, 120), csv_out=st.booleans())
+def test_schedule_cli_fuzz(gauge, depth, csv_out):
+    """Exit 0, 2 or 3 on any gauge spec and depth; the JSON and the CSV are
+    each absent or complete, and a 0 exit writes a CSV row per level."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, table = os.path.join(tmp, "s.json"), os.path.join(tmp, "s.csv")
+        code = exit_code(["schedule", f"--gauge={gauge}", f"--depth={depth}", "--out", out,
+                          *(["--csv", table] if csv_out else [])])
+        assert code in (0, 2, 3)
+        assert output_complete(out, "json") and output_complete(table, "csv")
+        if code == 0:
+            assert os.path.exists(out) and os.path.exists(table) == csv_out
+            if csv_out:
+                assert len(read_csv_table(table)[1]) == depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=tree_jsons(),
+    gauge=gauge_specs(),
+    delta_exp=st.none() | st.integers(-1, 45),
+    depth=st.none() | st.integers(-1, 45),
+    csv_out=st.booleans(),
+)
+def test_measure_cli_fuzz(tree, gauge, delta_exp, depth, csv_out):
+    """Exit 0, 2 or 3 on any tree JSON, gauge spec, --delta-exp and --depth;
+    the certificate and the levels CSV are each absent or complete."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, table = (os.path.join(tmp, name) for name in ("t.json", "m.json", "m.csv"))
+        with open(path, "w") as fh:
+            fh.write(tree)
+        argv = ["measure", "--tree", path, f"--gauge={gauge}", "--out", out]
+        argv += [f"--delta-exp={delta_exp}"] if delta_exp is not None else []
+        argv += [f"--depth={depth}"] if depth is not None else []
+        code = exit_code(argv + (["--csv", table] if csv_out else []))
+        assert code in (0, 2, 3)
+        assert output_complete(out, "json") and output_complete(table, "csv")
+        if code == 0:
+            with open(out) as fh:
+                assert "certificate" in json.load(fh)
+            assert os.path.exists(table) == csv_out
 
 
 PRINTABLE = st.text(st.characters(exclude_categories=("Cs",)).filter(str.isprintable), max_size=8)

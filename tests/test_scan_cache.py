@@ -446,6 +446,44 @@ def test_count_and_halves_match_reference_at_every_benchmark_stage(monkeypatch, 
         assert (len(rep.final_bad.leaves), rep.recomputed) == (len(leaves), measure)
 
 
+# counts per benchmark game with roots 0 and 1; without the memo they were 64 and 128
+COUNTS_PER_GAME = {"flip_shift": 28, "flip_shift_parity": 38}
+
+
+@pytest.mark.parametrize("depth", [64, 256])
+@pytest.mark.parametrize("maps", sorted(BENCHMARK_MAPS))
+@pytest.mark.parametrize("gauge", ["power_log:1,1", "power:1/2"])
+def test_each_count_runs_once_per_game(monkeypatch, gauge, maps, depth):
+    """No two counts of one game share their inputs (map, root, scan depth,
+    layers, tally level): a stage's opening count, its rescans on a tree it
+    left unchanged and the final counts read the game's memo instead."""
+    inputs, count = [], game._count
+
+    def recording(tree, m, root, level=None):
+        inputs.append((id(m), root, tree.depth, tuple(tree.selector.layers), level))
+        return count(tree, m, root, level)
+
+    monkeypatch.setattr(game, "_count", recording)
+    schedule = sparsity_schedule(parse_gauge_spec(gauge), depth)
+    run_game(schedule, BENCHMARK_MAPS[maps], ["0", "1"], depth, 3)
+    assert len(set(inputs)) == len(inputs)
+    assert len(inputs) == COUNTS_PER_GAME[maps]
+
+
+@pytest.mark.parametrize("indices, maps", [((2, 4, 6), [ShiftMap()]), ((1, 3), [BitFlipMap()])])
+def test_count_memo_belongs_to_its_game(indices, maps):
+    """Two games with one requirement, scan depth and empty layer list, but
+    another schedule or another map, each count their own bad set."""
+    req = Requirement(0, "0")
+    first = GameState(schedule=BranchSchedule(depth=10, indices=(1, 3), n0=0), maps=[ShiftMap()],
+                      requirements=[req], depth=10, scan_depth=8)
+    second = GameState(schedule=BranchSchedule(depth=10, indices=indices, n0=0), maps=maps,
+                       requirements=[req], depth=10, scan_depth=8)
+    measures = [bad_set(state, req).measure for state in (first, second)]
+    assert measures == [reference_bad_set(state, req)[1] for state in (first, second)]
+    assert measures[0] != measures[1]
+
+
 @st.composite
 def transducers(draw):
     """At most 3 states, each with an offset in 0..2: a move from q to t
