@@ -8,27 +8,33 @@ assignment.  All measures are exact dyadic rationals, so the halving
 guarantee in the certificate is an equality, not an estimate.
 
 A leaf x at the scan depth is bad for (map T, root s) when x extends s and
-y = T(x) is incompatible with s yet consistent with every decided level:
-the per-leaf predicate `_bad_pairs`.  `_count` counts bad sets by a transfer
-matrix over the product of T's transducer with the tree's automaton, in one
-pass over the levels with a count per state (x's first R bits, T's state,
-y's first R bits, |y|, y's bit at the stage level; R the longest requirement
-or layer root).  Those bits decide every cut of the selector, so x's forced
-levels follow it and each bit of y at a decided level is checked as it is
-emitted; one pass gives a count and both stage halves.  `bit_flip` and
-`shift` are 1- and 2-state transducers, and every map with a step table
-computes its images from that table too; an `explicit` map has no step
-table, and its bad sets are enumerated over the tree's leaves.  `bad_set`
-counts each (requirement, scan depth, layers) once per game, in a memo on
-the `GameState`: the schedule, the maps and the default bit never change in
-a game, so the key decides the tree and a hit is the count it replaces.
+y = T(x) is incompatible with s yet consistent with every decided level.
+Every map is a sequential transducer with a step table (state, bit) ->
+(state, output): `bit_flip` and `shift` have 1 and 2 states, and an
+`explicit` map's table is compiled into the trie of its keys.  `_count`
+counts bad sets by a transfer matrix over the product of T's step table
+with the tree's automaton, in one pass over the levels with a count per
+state (x's first R bits, T's state, y's first R bits, |y|, y's bit at the
+stage level; R the longest requirement or layer root).  Those bits decide
+every cut of the selector, so x's forced levels follow it and each bit of y
+at a decided level is checked as it is emitted; one pass gives a count and
+both stage halves.  `bad_set` counts each (requirement, scan depth, layers)
+once per game, in a memo on the `GameState`: the schedule, the maps and the
+default bit never change in a game, so the key decides the tree and a hit
+is the count it replaces.
+
+A game starts at the scan depth min(working depth, longest root + largest
+lag + 1).  From there on every image is at least as long as its root, so a
+bad leaf's image stays incompatible with the root below it, and a count
+over-approximates the bad set at every deeper level: each certified bound
+holds at every depth from the scan depth to the working depth.
 
 The escape check runs the same product over samples instead of counts, bit
 parallel: the samples are a tree's `Columns`, one int per level with a bit
-per sample, and each map with a step table runs once over the levels with a
-sample mask per state (`_escape_masks`); an `explicit` map is classified
-sample by sample.  Run again on the certificate's tree to its scan depth,
-the same classifier decides which samples lie in their final bad sets.
+per sample, and each map runs once over the levels with a sample mask per
+state (`_escape_masks`).  Run again on the certificate's tree to its scan
+depth, the same classifier decides which samples lie in their final bad
+sets.
 """
 
 from __future__ import annotations
@@ -42,21 +48,18 @@ from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, Un
 from .gauge import BranchSchedule
 from .tree import Columns, GameBuiltSelector, Layer, SplittingTree, check_bit, check_int, check_node, compatible
 
-DEFAULT_SCAN_DEPTH_BUDGET = 2**12
-MAX_SCAN_LEAVES = 2**18
-
 
 # ---------------------------------------------------------------------------
 # adversary maps
 
 
 class TreeMap:
-    """Monotone map on finite binary strings with a bounded length lag.  The bad
-    sets of a map with a step table `delta`, (state, bit) -> (state, output), are counted."""
+    """Monotone map on finite binary strings with a bounded length lag, read
+    through its step table (state, "0" or "1") -> (state, output)."""
 
     kind = "abstract"
     lag = 0
-    start, delta = 0, None
+    start = 0
 
     def apply_all(self, nodes: Sequence[str]) -> List[str]:
         """Each node's image, after one `check_node` on the nodes' join."""
@@ -71,6 +74,7 @@ class TreeMap:
             for ch in node:
                 state, emitted = step[state, ch]
                 out.append(emitted)
+            self.check_end(state)
             images.append("".join(out))
         return images
 
@@ -78,8 +82,12 @@ class TreeMap:
         return self.apply_all([node])[0]
 
     def steps(self) -> Dict[Tuple[object, str], Tuple[object, str]]:
-        """The step table keyed by (state, "0" or "1"), for a map with `delta`."""
+        """The step table keyed by (state, "0" or "1"), from `delta`."""
         return {(q, str(b)): move for (q, b), move in self.delta.items()}
+
+    def check_end(self, state) -> None:
+        """The end test of every walk: raise UndefinedNodeError when no image
+        ends in `state`.  A transducer's images end in every state."""
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -166,23 +174,53 @@ class TransducerMap(TreeMap):
         )
 
 
+class _TrieSteps(dict):
+    """An explicit map's step table: a move that leaves the trie has no image."""
+
+    def __missing__(self, move):
+        node, bit = move
+        raise UndefinedNodeError(f"no image recorded for node {node + bit!r}")
+
+
 class ExplicitNodeMap(TreeMap):
+    """A table of nodes and their images, compiled once into a step table over
+    the trie of its keys.  A state is the node read so far; a move to σb
+    exists iff some key extends σb, and it emits the new part of σb's image
+    when σb is a key, else nothing.  Leaving the trie, or ending a walk on a
+    node that is not a key, raises UndefinedNodeError.  A step table emits
+    nothing before the first bit, so a non-empty image of the empty node is
+    refused with ValueError, as are images that are not monotone along the
+    keys or shorter than their node by more than the lag."""
+
     kind = "explicit"
+    start = ""
 
     def __init__(self, entries: Dict[str, str], lag: int):
         self.entries = {check_node(k): check_node(v) for k, v in entries.items()}
         self.lag = check_int(lag, 0)
-        keys = sorted(self.entries, key=len)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                if b.startswith(a) and not self.entries[b].startswith(self.entries[a]):
-                    raise ValueError(f"map entries not monotone at {a!r} < {b!r}")
+        if self.entries.get(""):
+            raise ValueError(f"the empty node has the non-empty image {self.entries['']!r}")
+        # trie node -> (its longest key prefix, that key's image)
+        reached, self._steps = {"": ("", "")}, _TrieSteps()
+        for node in sorted({k[:i] for k in self.entries for i in range(1, len(k) + 1)}):
+            key, image = reached[node[:-1]]  # a prefix sorts before its extensions
+            out = ""
+            if (new := self.entries.get(node)) is not None:
+                if not new.startswith(image):
+                    raise ValueError(f"map entries not monotone at {key!r} < {node!r}")
+                # the game reads image bit n only of nodes of length n + lag + 1 or more
+                if len(new) < len(node) - self.lag:
+                    raise ValueError(f"the image of {node!r} is shorter than it by more than the lag {self.lag}")
+                key, image, out = node, new, new[len(image):]
+            reached[node] = key, image
+            self._steps[node[:-1], node[-1]] = node, out
 
-    def _images(self, nodes: Sequence[str]) -> List[str]:
-        try:
-            return [self.entries[node] for node in nodes]
-        except KeyError as err:
-            raise UndefinedNodeError(f"no image recorded for node {err.args[0]!r}") from None
+    def steps(self) -> Dict[Tuple[str, str], Tuple[str, str]]:
+        return self._steps
+
+    def check_end(self, state: str) -> None:
+        if state not in self.entries:
+            raise UndefinedNodeError(f"no image recorded for node {state!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,19 +256,12 @@ class Requirement:
 
 @dataclass(frozen=True)
 class BadLeaves:
-    """A bad set's leaves: `len` is their count; iterating enumerates them."""
+    """A bad set's leaves, counted: `len` is their count."""
 
-    tree: SplittingTree
-    tmap: TreeMap
-    root: str
     count: int
 
     def __len__(self) -> int:
         return self.count
-
-    def __iter__(self):
-        frontier = self.tree.materialize().leaves
-        return (x for x, _ in _bad_pairs(self.tree, self.tmap, self.root, frontier))
 
 
 @dataclass(frozen=True)
@@ -269,23 +300,10 @@ class GameState:
         return {l.level for l in self.layers}
 
 
-def _bad_pairs(tree: SplittingTree, m: TreeMap, root: str, leaves: Sequence[str]) -> list:
-    """(leaf, image) for each of the binary leaves of `tree` that extends
-    the root and whose image is incompatible with the root and consistent
-    with the decided levels: the per-leaf predicate."""
-    leaves = [x for x in leaves if x.startswith(root)]
-    levels, consistent = tree.selector.decided_levels(tree.schedule), tree.selector.consistent
-    return [(x, y) for x, y in zip(leaves, m._images(leaves)) if not compatible(y, root) and consistent(y, levels)]
-
-
 def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = None) -> Dict:
     """The bad leaves of (m, root) at the tree's depth, tallied by their image
     bit at `level`: keys "0", "1", and None for no bit there."""
     tally = dict.fromkeys(("0", "1", None), 0)
-    if m.delta is None:
-        for _, y in _bad_pairs(tree, m, root, tree.materialize().leaves):
-            tally[y[level] if level is not None and level < len(y) else None] += 1
-        return tally
     rule, d = tree.selector.bit_under, tree.depth
     r = max([len(root), *(len(l.root) for l in tree.selector.layers)])
     forced, decided = tree.schedule.forced, set(tree.selector.decided_levels(tree.schedule))
@@ -311,7 +329,8 @@ def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = No
                     key = (xh + b if i < r else xh, q2, head, n, bit)
                     grown[key] = grown.get(key, 0) + c
         counts = grown
-    for (_, _, yh, _, yb), c in counts.items():
+    for (_, q, yh, _, yb), c in counts.items():
+        m.check_end(q)
         if not compatible(yh, root):  # y's first r bits decide it (r >= |root|)
             tally[yb] += c
     return tally
@@ -328,13 +347,15 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     tree, m = state.tree(d), state.maps[req.map_index]
     count = sum(_count(tree, m, req.root).values())
     measure = Fraction(count, tree.level_count(d))
-    state.counted[key] = BadSet(requirement=req, depth=d, leaves=BadLeaves(tree, m, req.root, count), measure=measure)
+    state.counted[key] = BadSet(requirement=req, depth=d, leaves=BadLeaves(count), measure=measure)
     return state.counted[key]
 
 
 def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
-    """Least fresh forced level whose image bit is visible at the scan depth,
-    else DepthExhaustedError naming the first fresh level and why it is out.
+    """Least fresh forced level n whose image bit is visible at the scan
+    depth, which grows to n + lag + 1 when needed, else DepthExhaustedError
+    naming the first fresh level and why it is out: n + lag + 1 is past the
+    working depth, or no forced level is fresh.
 
     Growing the scan depth is sound: a depth-d bad set over-approximates all
     deeper ones, so earlier bounds remain valid upper bounds.
@@ -349,8 +370,6 @@ def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
             return n
         if needed > state.depth:
             raise DepthExhaustedError(req, f"forced level {n}: n + lag + 1 = {needed} > --depth {state.depth}")
-        if (leaves := 2 ** (needed - state.schedule.count_below(needed))) > MAX_SCAN_LEAVES:
-            raise DepthExhaustedError(req, f"forced level {n}: {leaves} leaves at depth {needed} > MAX_SCAN_LEAVES")
         state.scan_depth = needed
         return n
     raise DepthExhaustedError(
@@ -437,7 +456,8 @@ class AntichainCertificate:
     stage_log: Tuple[dict, ...]
     measure_note: str = (
         "bad-set measures are taken with respect to the tree's own uniform "
-        "branch measure at the scan depth"
+        "branch measure at the scan depth, and every bound holds at each depth "
+        "from scan_depth to the working depth"
     )
 
     def to_json_dict(self) -> dict:
@@ -461,14 +481,6 @@ class AntichainCertificate:
         }
 
 
-def _pick_scan_depth(schedule: BranchSchedule, depth: int) -> int:
-    best = 0
-    for d in range(depth + 1):
-        if 2 ** (d - schedule.count_below(d)) <= DEFAULT_SCAN_DEPTH_BUDGET:
-            best = d
-    return best
-
-
 def run_game(
     schedule: BranchSchedule,
     maps: Sequence[TreeMap],
@@ -479,17 +491,18 @@ def run_game(
 ) -> Tuple[SplittingTree, AntichainCertificate]:
     """Round-robin the halving stage over all (map, root) requirements.
 
-    Bad sets are evaluated at `scan_depth`, by default the deepest level with
-    at most DEFAULT_SCAN_DEPTH_BUDGET leaves (stages may deepen it); their
-    depth-d measures over-approximate the deeper bad sets, so the certified
-    bounds are sound for the full working depth.
+    Bad sets are evaluated at the scan depth, which starts at min(depth,
+    longest root + largest lag + 1) and which stages may deepen; the
+    certified bounds hold at every depth from the final scan depth to
+    `depth` (see the module docstring).  `scan_depth` replaces the starting
+    depth, for tests.
     """
     if len(set(roots)) != len(roots):
         raise ValueError(f"duplicate roots in {list(roots)!r}")
     if stages_per_requirement < 0:
         raise ValueError(f"negative stage count {stages_per_requirement}")
     if scan_depth is None:
-        scan_depth = _pick_scan_depth(schedule, depth)
+        scan_depth = min(depth, max(map(len, roots), default=0) + max((m.lag for m in maps), default=0) + 1)
     requirements = [
         Requirement(map_index=i, root=check_node(r))
         for i in range(len(maps))
@@ -592,8 +605,10 @@ def _escape_masks(cols: Columns, m: TreeMap, depth: int, decided, cap: int, star
         for (q, n0, h0, p0), mask in states.items():
             one = mask & cols[i]
             for b, part in (("0", mask ^ one), ("1", one)):
+                if not part:
+                    continue
                 q2, out = step[q, b]
-                items = [(n0, h0, p0, part)] if part else []
+                items = [(n0, h0, p0, part)]
                 for ch in out:
                     items = [e for item in items for e in emit(*item, ch)]
                 for n, h, p, part in items:
@@ -603,27 +618,11 @@ def _escape_masks(cols: Columns, m: TreeMap, depth: int, decided, cap: int, star
                         grown[q2, n, h, p] = grown.get((q2, n, h, p), 0) | part
         if not (states := grown):
             break
-    for (_, _, _, p), mask in states.items():  # the branch has ended
+    for (q, _, _, p), mask in states.items():  # the branch has ended
+        m.check_end(q)
         und[p] = und.get(p, 0) | mask
     counts["fixed"] += und.pop(None, 0).bit_count()  # u and x are comparable
     counts["undetermined"] = sum(mask.bit_count() for mask in und.values())
-    return counts, und
-
-
-def _escape_rows(cols: Columns, m: TreeMap, depth: int, decided, cap: int, start: int) -> Tuple[dict, dict]:
-    """`_escape_masks` for a map without a step table, one sample at a time."""
-    counts, und = dict.fromkeys(("fixed", "escaped", "undetermined"), 0), {}
-    bits = [1 << k for k in reversed(range(cols.count))]  # sample 0 is the top bit
-    picked = [(bit, x) for bit, x in zip(bits, cols.rows(depth)) if start & bit]
-    for (bit, x), u in zip(picked, m.apply_all([x for _, x in picked])):
-        if compatible(u, x):
-            counts["fixed"] += 1
-        elif not cols.sel.consistent(u, decided):
-            counts["escaped"] += 1
-        else:
-            counts["undetermined"] += 1
-            p = min(next(i for i, (a, b) in enumerate(zip(u, x)) if a != b), cap)
-            und[p] = und.get(p, 0) | bit
     return counts, und
 
 
@@ -659,10 +658,9 @@ def verify_escape(
     decided = tree.selector.decided_levels(tree.schedule)
     per_map = []
     for mi, m in enumerate(maps):
-        classify = _escape_masks if m.delta is not None else _escape_rows
         roots = {r.root for r in certificate.requirements if r.map_index == mi}
         cap = max(map(len, roots), default=0)
-        counts, und = classify(cols, m, tree.depth, decided, cap, cols.full)
+        counts, und = _escape_masks(cols, m, tree.depth, decided, cap, cols.full)
         by_root = {}  # root -> its certified samples
         for root in roots:
             mask = und.get(len(root) - 1, 0)
@@ -670,7 +668,7 @@ def verify_escape(
                 mask &= cols[j] if ch == "1" else ~cols[j]
             by_root[root] = mask
         certified = sum(by_root.values())  # the masks are disjoint
-        _, bad = classify(cut_cols, m, cut, final.selector.decided_levels(tree.schedule), cap, certified & inside)
+        _, bad = _escape_masks(cut_cols, m, cut, final.selector.decided_levels(tree.schedule), cap, certified & inside)
         counts["unaccounted"] = sum((mask & ~bad.get(len(root) - 1, 0)).bit_count() for root, mask in by_root.items())
         counts["uncovered"] = counts["undetermined"] - certified.bit_count()
         per_map.append({"map": mi, "kind": m.kind, **counts})

@@ -6,6 +6,7 @@ import decimal
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import gaugetree
 from gaugetree.cli import build_manifest, main, parse_gauge_spec, read_csv_table, render_svg, write_csv
+from gaugetree.game import map_from_json_dict
 from gaugetree.transfer import DyadicInterval, four_cover_span
 
 
@@ -152,16 +154,34 @@ def test_antichain_infeasible_exits_3(tmp_path, maps_file, capsys):
     assert "forced levels still free below the working depth: none\n" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
-    # at depth 64, level 31 fits the depth but not the scan budget
+    # at depth 64 the scan deepens to 33 for level 31; level 63 needs 65
     code = run([
         "antichain", "--gauge", "power_log:1,1", "--maps", maps_file,
         "--depth", 64, "--stages", 9, "--out", out,
     ])
     assert code == 3
     err = capsys.readouterr().err
-    assert "only 3 completed fairly" in err
-    assert "forced level 31: 268435456 leaves at depth 33 > MAX_SCAN_LEAVES)" in err
+    assert "only 4 completed fairly" in err
+    assert "forced level 63: n + lag + 1 = 65 > --depth 64)" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_antichain_counts_a_long_root_past_its_length(tmp_path, maps_file, capsys):
+    # 19 zeros: at depth 16 every image is shorter than the root, so a count
+    # there finds no bad leaf; the game starts at 19 + shift's lag 1 + 1 = 21
+    root, out = "0" * 19, tmp_path / "x.json"
+    argv = ["antichain", "--gauge", "power_log:1,1", "--maps", maps_file, "--stages", 1,
+            "--roots", root, "--out", out]
+    assert run([*argv, "--depth", 128]) == 0
+    game = json.loads(out.read_text())["game_certificate"]
+    assert [r["initial"] for r in game["requirements"]] == ["1/2^15", "1/2^16"]
+    assert game["layers"] == [[31, root, 0], [63, root, 0]]
+    out.unlink()
+    # the shift requirement needs level 63, and so a scan to depth 65
+    assert run([*argv, "--depth", 64]) == 3
+    err = capsys.readouterr().err
+    assert "forced level 63: n + lag + 1 = 65 > --depth 64)" in err
     assert not out.exists()
 
 
@@ -182,6 +202,13 @@ INTERFERENCE = {
     ], ["--depth", 23, "--stages", 2, "--roots", "0,000,111"],
         "the layer at level 1 for Requirement(map_index=0, root='0') raises the bad measure "
         "of Requirement(map_index=1, root='111') to 1/4, above its bound 0"),
+    # a bound that a stage has halved: 3/16 is above 1/8 and below twice it
+    "depth6_halved_bound": ([
+        {"kind": "transducer", "start": 0, "lag": 2, "delta": [
+            [0, 0, 1, ""], [0, 1, 1, ""], [1, 0, 2, ""], [1, 1, 2, ""], [2, 0, 1, "10"], [2, 1, 2, "0"]]},
+    ], ["--depth", 6, "--stages", 1, "--roots", "1,0"],
+        "the layer at level 3 for Requirement(map_index=0, root='0') raises the bad measure "
+        "of Requirement(map_index=0, root='1') to 3/16, above its bound 1/8"),
 }
 
 
@@ -480,6 +507,19 @@ BAD_INPUTS = {
             ("lag_negative", {"lag": -3}),
         ]
     },
+    # a step table emits nothing before the first bit
+    "maps_explicit_empty_node_image": (
+        {"maps.json": '[{"kind": "explicit", "entries": [["", "1"], ["0", "1"], ["1", "1"]], "lag": 0}]'},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
+    # the shift map as a table that declares lag 0
+    "maps_explicit_image_shorter_than_lag": (
+        {"maps.json": json.dumps([{"kind": "explicit", "lag": 0, "entries": [
+            [x, x[1:]] for k in range(9) for x in map("".join, itertools.product("01", repeat=k))]}])},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
+         "--stages", 1, "--out", "out"],
+    ),
     "maps_explicit_node_not_a_string": (
         {"maps.json": '[{"kind": "explicit", "entries": [[0, "1"]], "lag": 0}]'},
         ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8,
@@ -1015,16 +1055,39 @@ def test_transfer_cli_fuzz(mode, count, length, n, seed, bits, flaw, bad):
         assert len(rows) == count and all(r[-1] == "1" for r in rows)
 
 
+MAP_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text("01x", max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "entries", "lag", "start", "delta"]), inner, max_size=4),
+    max_leaves=10,
+)
+
+
 @st.composite
 def map_jsons(draw):
-    """A random transducer, which may break its lag, or bit_flip or shift."""
-    kind = draw(st.sampled_from(["transducer", "transducer", "bit_flip", "shift"]))
-    if kind != "transducer":
+    """A random transducer, which may break its lag; bit_flip or shift; an
+    explicit table of a random transducer's images on every node up to a
+    random length, complete or with images missing; or malformed map JSON:
+    a known kind with junk fields, or any small JSON value."""
+    kind = draw(st.sampled_from(["transducer", "transducer", "bit_flip", "shift", "explicit", "malformed"]))
+    if kind in ("bit_flip", "shift"):
         return {"kind": kind}
+    if kind == "malformed":
+        if draw(st.booleans()):
+            return {"kind": draw(st.sampled_from(["transducer", "explicit", "bit_flip", "warp"])),
+                    **draw(st.dictionaries(st.sampled_from(["entries", "lag", "start", "delta"]), MAP_JUNK))}
+        return draw(MAP_JUNK)
     size = draw(st.integers(1, 3))
     delta = [[q, b, draw(st.integers(0, size - 1)), draw(st.text("01", max_size=3))]
              for q in range(size) for b in (0, 1)]
-    return {"kind": kind, "start": 0, "delta": delta, "lag": draw(st.integers(0, 2))}
+    transducer = {"kind": "transducer", "start": 0, "delta": delta, "lag": draw(st.integers(0, 2))}
+    if kind == "transducer":
+        return transducer
+    nodes = ["".join(bits) for k in range(draw(st.integers(0, 6)) + 1) for bits in itertools.product("01", repeat=k)]
+    missing = draw(st.sets(st.sampled_from(nodes), max_size=3)) if draw(st.booleans()) else set()
+    images = map_from_json_dict(transducer).apply_all(nodes)
+    return {"kind": "explicit", "entries": [[x, u] for x, u in zip(nodes, images) if x not in missing],
+            "lag": transducer["lag"]}
 
 
 @settings(max_examples=80, deadline=None)

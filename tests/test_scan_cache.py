@@ -6,9 +6,9 @@ the game-built selector's consistency test must match their per-bit,
 per-character and per-layer definitions, and samplers of one schedule and
 seed must share every free column.  The list kernels must match their
 per-element forms: `apply_all` against `apply` and a per-character
-definition of each map, and `verify_escape`, on its bit-parallel mask pass
-and on its per-sample loop for `explicit` maps, against a per-sample loop
-whose `unaccounted` reads the certificate's tree leaf by leaf."""
+definition of each map, and `verify_escape`'s bit-parallel mask pass, for
+transducers and `explicit` tables alike, against a per-sample loop whose
+`unaccounted` reads the certificate's tree leaf by leaf."""
 
 import itertools
 import random
@@ -40,7 +40,7 @@ from gaugetree import (
 )
 from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
-from gaugetree.errors import GameInvariantError, UndefinedNodeError
+from gaugetree.errors import GameInvariantError, InfeasibleError, UndefinedNodeError
 from gaugetree.game import AntichainCertificate, ExplicitNodeMap, RequirementReport
 from gaugetree.tree import Columns, check_node, compatible
 
@@ -158,8 +158,8 @@ def reference_transduce(t, node):
     return "".join(out)
 
 
-# prefix parity as a table over the nodes of length 9 and 10: a map without
-# a step table, whose bad sets are enumerated, not counted
+# prefix parity as a table over the nodes of length 9 and 10: a trie whose
+# walks may end at depth 9 or 10 only
 EXPLICIT_D10 = ExplicitNodeMap(
     {n: reference_transduce(PARITY, n)
      for k in (9, 10) for n in map("".join, itertools.product("01", repeat=k))},
@@ -176,7 +176,6 @@ def assert_scans_match(state, depth=None):
         got = bad_set(state, req, depth)
         leaves, measure = reference_bad_set(state, req, depth)
         assert len(got.leaves) == len(leaves)
-        assert tuple(got.leaves) == leaves
         assert got.measure == measure
 
 
@@ -276,8 +275,8 @@ def test_bad_set_memo_dropped_with_its_frontier():
                 assert got.depth == depth
                 # a repeat on the unchanged tree counts the same bad set
                 again = bad_set(state, req, depth)
-                assert (tuple(again.leaves), again.measure) == (tuple(got.leaves), got.measure)
-                seen.add((req, depth, tuple(got.leaves)))
+                assert (len(again.leaves), again.measure) == (len(got.leaves), got.measure)
+                seen.add((req, depth, reference_bad_set(state, req, depth)[0]))
     # the layers change the bad sets, so a count that missed one would show
     assert len(seen) > 2 * len(reqs)
 
@@ -302,7 +301,6 @@ def test_default_bit_layer_keeps_the_tree_and_empties_a_bad_set():
     after = bad_set(state, req)
     assert state.tree(state.scan_depth).materialize().leaves == frontier
     assert len(before.leaves) and not len(after.leaves)
-    assert list(after.leaves) == []
     assert_scans_match(state)
 
 
@@ -362,8 +360,7 @@ def test_run_game_reports_final_scan_depth_and_its_bad_sets():
     for rep, req in zip(cert.requirements, state.requirements):
         leaves, measure = reference_bad_set(state, req)
         assert rep.final_bad.depth == cert.scan_depth
-        assert len(rep.final_bad.leaves) == len(leaves)
-        assert (tuple(rep.final_bad.leaves), rep.recomputed) == (leaves, measure)
+        assert (len(rep.final_bad.leaves), rep.recomputed) == (len(leaves), measure)
     # samples are cut to the final scan depth before the bad-set lookup
     report = verify_escape(tree, maps, 2000, seed=4, certificate=cert)
     certified = sum(m["undetermined"] - m["uncovered"] for m in report.per_map)
@@ -418,18 +415,21 @@ BENCHMARK_MAPS = {"flip_shift": [BitFlipMap(), ShiftMap()],
 def test_count_and_halves_match_reference_at_every_benchmark_stage(monkeypatch, gauge, maps, depth):
     """Each stage's split and post-stage count, at the scan depth the stage
     reached, and every requirement's final bad set, against the enumeration."""
-    calls, count = [], game._count
+    calls, depths, count = [], [], game._count
 
     def recording(tree, m, root, level=None):
         tally = count(tree, m, root, level)
+        depths.append(tree.depth)
         if level is not None:
             calls.append((tree, m, root, level, dict(tally)))
         return tally
 
     monkeypatch.setattr(game, "_count", recording)
     schedule = sparsity_schedule(parse_gauge_spec(gauge), depth)
-    initial = game._pick_scan_depth(schedule, depth)
     _, cert = run_game(schedule, BENCHMARK_MAPS[maps], ["0", "1"], depth, 3)
+    # the game starts at the longest root + the largest lag (shift's 1) + 1
+    initial = depths[0]
+    assert initial == 3
     staged = [entry for entry in cert.stage_log if entry["level"] is not None]
     assert staged and len(calls) == 2 * len(staged)
     for (tree, m, root, level, tally), entry in zip(calls, [e for e in staged for _ in (0, 1)]):
@@ -437,9 +437,9 @@ def test_count_and_halves_match_reference_at_every_benchmark_stage(monkeypatch, 
         assert tally == reference_halves(state_of(tree, m), Requirement(0, root), level)
     # every post-stage count holds the chosen half only
     assert all(not tally[str(1 - e["chosen_bit"])] for (*_, tally), e in zip(calls[1::2], staged))
-    if gauge == "power_log:1,1":  # a stage deepened the scan
-        assert cert.scan_depth > initial
-        assert any(tree.depth > initial for tree, *_ in calls)
+    # a stage deepened the scan
+    assert cert.scan_depth > initial
+    assert any(tree.depth > initial for tree, *_ in calls)
     final = certified_state(schedule, BENCHMARK_MAPS[maps], depth, cert)
     for rep in cert.requirements:
         leaves, measure = reference_bad_set(final, Requirement(rep.map_index, rep.root))
@@ -527,6 +527,87 @@ def test_count_and_halves_match_reference_on_random_transducers(case):
         m = state.maps[req.map_index]
         assert game._count(tree, m, req.root, level) == reference_halves(state, req, level)
     assert_scans_match(state)
+
+
+@st.composite
+def played_games(draw):
+    """A random small schedule, a random transducer with lag 2 and maybe a
+    fixed map, roots up to length 6 and up to 2 stages each."""
+    depth = draw(st.integers(4, 16))
+    indices = sorted(draw(st.sets(st.integers(0, depth - 1), min_size=1, max_size=depth // 2 + 1)))
+    maps = [draw(transducers()), *draw(st.lists(st.sampled_from(sorted(MAPS)).map(MAPS.get), max_size=1))]
+    roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=6), min_size=1, max_size=3, unique=True))
+    return BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps, roots, depth, draw(st.integers(1, 2))
+
+
+@settings(max_examples=150)
+@given(played_games())
+def test_bounds_hold_from_the_scan_depth_to_the_working_depth(case):
+    """On the game's final state each requirement's bad measure at the scan
+    depth is at least the one at the working depth, and equal once the scan
+    depth is past the last decided level + 1 + the map's lag; counted at
+    both depths, and enumerated where the tree is small."""
+    schedule, maps, roots, depth, stages = case
+    try:
+        _, cert = run_game(schedule, maps, roots, depth, stages)
+    except InfeasibleError:
+        return
+    final = certified_state(schedule, maps, depth, cert)
+    bare = certified_state(schedule, maps, depth, certificate_of(schedule, (), cert.scan_depth, ()))
+    last = max((l.level for l in cert.layers), default=-1)
+    for rep in cert.requirements:
+        req = Requirement(rep.map_index, rep.root)
+        at_scan, at_depth = (bad_set(final, req, d).measure for d in (cert.scan_depth, depth))
+        assert at_depth <= at_scan == rep.recomputed <= rep.final_bound
+        assert bad_set(bare, req, depth).measure <= rep.initial
+        if cert.scan_depth >= last + 1 + maps[rep.map_index].lag:
+            assert at_depth == at_scan
+        for d in (cert.scan_depth, depth):
+            if final.tree(d).level_count(d) <= 2**10:
+                assert bad_set(final, req, d).measure == reference_bad_set(final, req, d)[1]
+
+
+def test_long_root_bounds_hold_at_the_working_depth():
+    # 19 zeros: every depth-16 image is shorter than the root, so a game
+    # that counted there would certify 0; from depth 20 on the bad sets of
+    # bit_flip and shift measure 1/2^15 and 1/2^16
+    schedule, root = sparsity_schedule(parse_gauge_spec("power_log:1,1"), 128), "0" * 19
+    maps = [BitFlipMap(), ShiftMap()]
+    _, cert = run_game(schedule, maps, [root], 128, 1)
+    assert cert.scan_depth == 65
+    bare = certified_state(schedule, maps, 128, certificate_of(schedule, (), 0, ()))
+    final = certified_state(schedule, maps, 128, cert)
+    initial = [Fraction(1, 2**15), Fraction(1, 2**16)]
+    for rep, measure in zip(cert.requirements, initial):
+        req = Requirement(rep.map_index, rep.root)
+        assert [bad_set(bare, req, d).measure for d in (16, 21, 128)] == [0, measure, measure]
+        assert rep.initial == measure
+        assert bad_set(final, req, 128).measure <= rep.recomputed <= rep.final_bound == measure / 2
+
+
+def test_post_stage_count_over_the_bound_is_caught(monkeypatch):
+    # the post-stage count is made to hold the whole opening bad set in the
+    # chosen half: twice the halved bound, so the bound check must fire
+    schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7), n0=0)
+    state = GameState(schedule=schedule, maps=[ShiftMap()], requirements=[Requirement(0, "1")],
+                      depth=16, scan_depth=10)
+    state.initial[0] = state.bounds[0] = bad_set(state, state.requirements[0]).measure
+    opening, count = [], game._count
+
+    def all_survive(tree, m, root, level=None):
+        tally = count(tree, m, root, level)
+        if level is not None:
+            if not opening:
+                opening.append(dict(tally))
+            else:  # the post-stage count
+                chosen = "0" if opening[0]["0"] <= opening[0]["1"] else "1"
+                tally = {**dict.fromkeys(tally, 0), chosen: opening[0]["0"] + opening[0]["1"]}
+        return tally
+
+    monkeypatch.setattr(game, "_count", all_survive)
+    with pytest.raises(GameInvariantError, match=r"recomputed bad measure 1/\d+ exceeds bound"):
+        stage_step(state, state.requirements[0])
+    assert opening[0]["0"] and opening[0]["1"]
 
 
 def test_post_stage_count_reading_the_other_half_is_caught(monkeypatch):
@@ -726,8 +807,9 @@ EXPLICIT = ExplicitNodeMap(
     lag=0,
 )
 
-# every map but `explicit` computes its images from its step table, so the
-# per-character definitions of bit_flip and shift pin those tables
+# every map computes its images from its step table, so the per-character
+# definitions of bit_flip and shift pin those tables, and the table lookup
+# pins the trie an `explicit` map is compiled into
 REFERENCES = {
     "bit_flip": (BitFlipMap(), lambda n: "".join("1" if c == "0" else "0" for c in n)),
     "shift": (ShiftMap(), lambda n: n[1:]),
@@ -776,6 +858,88 @@ def test_apply_all_rejects_non_binary_like_apply(name, bad):
 def test_explicit_apply_all_reports_the_missing_node():
     with pytest.raises(UndefinedNodeError, match="'0000000'"):
         EXPLICIT.apply_all(["0", "0000000", "1"])
+
+
+@st.composite
+def monotone_tables(draw):
+    """Random keys up to length 8, the empty node among them or not: each
+    image extends that of the longest key below it by 0 to 3 bits, and the
+    empty node's image is empty."""
+    table = {}
+    for key in sorted(draw(st.sets(st.text(alphabet="01", max_size=8), max_size=30))):
+        below = max((k for k in table if key.startswith(k)), key=len, default=None)
+        table[key] = ("" if below is None else table[below]) + (draw(st.text(alphabet="01", max_size=3)) if key else "")
+    return table
+
+
+@given(monotone_tables())
+def test_explicit_trie_images_equal_the_table(table):
+    m = ExplicitNodeMap(table, lag=8)
+    keys = sorted(table)
+    assert m.apply_all(keys) == [table[k] for k in keys]
+    for node in {k[:i] for k in keys for i in range(len(k))} - set(table):  # inside the trie
+        with pytest.raises(UndefinedNodeError, match=f"no image recorded for node '{node}'"):
+            m.apply(node)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"": "1"}, "the empty node has the non-empty image '1'"),  # a step table emits nothing before its first bit
+    ({"0": "", "00": "0"}, "the image of '0' is shorter than it by more than the lag 0"),
+])
+def test_explicit_table_refuses_an_image_before_the_first_bit_or_past_the_lag(entries, message):
+    with pytest.raises(ValueError, match=message):
+        ExplicitNodeMap(entries, lag=0)
+
+
+def test_explicit_walk_ending_between_keys_or_past_them_has_no_image():
+    # keys at lengths 9 and 10 only: a count at depth 8 ends on a node that
+    # is not a key, one at depth 11 leaves the trie
+    state = GameState(schedule=BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0),
+                      maps=[EXPLICIT_D10], requirements=[], depth=12, scan_depth=8)
+    for depth in (8, 11):
+        with pytest.raises(UndefinedNodeError, match=f"no image recorded for node '[01]{{{depth}}}'"):
+            bad_set(state, Requirement(0, "0"), depth)
+    assert bad_set(state, Requirement(0, "0"), 9).measure == reference_bad_set(state, Requirement(0, "0"), 9)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(counting_cases(), st.integers(0, 2**16))
+def test_explicit_table_of_a_transducer_counts_and_classifies_like_it(case, seed):
+    """A random transducer's images on the leaves of a tree, as a table:
+    every count and halves tally at the tree's depth, and every escape row,
+    equal the transducer's own."""
+    state, level = case
+    t, tree = state.maps[0], state.tree(state.scan_depth)
+    table = ExplicitNodeMap({x: t.apply(x) for x in tree.materialize().leaves}, lag=t.lag)
+    for root in {req.root for req in state.requirements}:
+        assert game._count(tree, table, root, level) == game._count(tree, t, root, level)
+    cert = certificate_of(tree.schedule, state.layers, tree.depth,
+                          [(mi, req.root) for mi in (0, 1) for req in state.requirements if req.map_index == 0])
+    report = verify_escape(tree, [table, t], 300, seed, cert)
+    assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
+
+
+def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
+    # prefix parity on every node of the depth-8 tree; the second table drops
+    # every node below one whose image already breaks a decided level, which
+    # no count on this tree and no escape pass reads
+    tree = escape_tree(8)
+    levels = tree.selector.decided_levels(tree.schedule)
+    nodes = [x for k in range(9) for x in tree.materialize(k).leaves]
+    broken = [x for x in nodes if not tree.selector.consistent(reference_transduce(PARITY, x), levels)]
+    full = {x: reference_transduce(PARITY, x) for x in nodes}
+    pruned = {x: u for x, u in full.items() if not any(x.startswith(b) and x != b for b in broken)}
+    assert len(pruned) < len(full)
+    maps = [ExplicitNodeMap(table, lag=0) for table in (full, pruned)]
+    roots = ("0", "1", "01", "10")
+    for root in roots:
+        assert game._count(tree, maps[0], root) == game._count(tree, maps[1], root)
+    cert = certificate_of(tree.schedule, tree.selector.layers, 8, [(0, r) for r in roots])
+    reports = [verify_escape(tree, [m], 500, 2, cert).per_map for m in maps]
+    assert reports[0] == reports[1]
+    assert reports[0][0]["escaped"] and reports[0][0]["undetermined"]
+    with pytest.raises(UndefinedNodeError):  # a lookup leaf by leaf still needs the dropped images
+        maps[1].apply_all(tree.materialize().leaves)
 
 
 @pytest.mark.parametrize("delta", [
@@ -1036,9 +1200,9 @@ def test_a_scan_deeper_than_the_tree_cuts_samples_at_its_depth():
     assert row["undetermined"] > row["uncovered"] > 0 and not row["unaccounted"]
 
 
-def test_explicit_map_takes_the_per_sample_path():
+def test_explicit_table_of_a_transducer_classifies_like_it():
     # an image for every leaf of the depth-8 tree: prefix parity as a table,
-    # next to the same map as a transducer on the mask pass
+    # next to the same map as a transducer, both on the mask pass
     tree = escape_tree(8)
     leaves = tree.materialize().leaves
     table = ExplicitNodeMap({x: reference_transduce(PARITY, x) for x in leaves}, lag=0)
