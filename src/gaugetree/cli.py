@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_dyadic
+from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float
 from .errors import (
     FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
 )
@@ -347,11 +347,11 @@ def cmd_plot(args) -> int:
             return 2
     xi = header.index(args.x)
     try:
-        xs = [float(parse_dyadic(r[xi])) for r in rows]
+        xs = [parse_float(r[xi]) for r in rows]
         series = []
         for col in y_cols:
             yi = header.index(col)
-            series.append((col, [float(parse_dyadic(r[yi])) for r in rows]))
+            series.append((col, [parse_float(r[yi]) for r in rows]))
     except (ValueError, ZeroDivisionError, OverflowError, IndexError) as err:
         # IndexError: a row shorter than the header
         print(f"error: bad cell in {args.table}: {err}", file=sys.stderr)

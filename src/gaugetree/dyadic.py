@@ -11,7 +11,7 @@ and :func:`to_number` projects a pair to a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Tuple, Union
 
 Number = Union[Fraction, float]
@@ -82,6 +82,22 @@ def parse_dyadic(s: str) -> Fraction:
         p, q = s.split("/2^")
         return Fraction(int(p), 2 ** int(q))
     return Fraction(s)
+
+
+def parse_float(s: str) -> float:
+    """float(parse_dyadic(s)) in time and memory linear in len(s): a ``p/2^q``
+    has its q capped where |p|/2^q rounds to 0 anyway, and a decimal goes
+    through float; q < 0 or a result that is not finite raises ValueError."""
+    if "/2^" in s:
+        p, q = s.split("/2^")
+        m, k = int(p), int(q)
+        if k < 0:
+            raise ValueError(f"negative power of two in {s!r}")
+        return float(Fraction(m, 1 << min(k, m.bit_length() + 1100)))  # below 2^-1100
+    x = float(Fraction(s) if "/" in s else s)
+    if not isfinite(x):
+        raise ValueError(f"{s!r} is not a finite number")
+    return x
 
 
 def format_ratio(p: int, q: int) -> str:

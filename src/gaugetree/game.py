@@ -18,10 +18,10 @@ state (x's first R bits, T's state, y's first R bits, |y|, y's bit at the
 stage level; R the longest requirement or layer root).  Those bits decide
 every cut of the selector, so x's forced levels follow it and each bit of y
 at a decided level is checked as it is emitted; one pass gives a count and
-both stage halves.  `bad_set` counts each (requirement, scan depth, layers)
-once per game, in a memo on the `GameState`: the schedule, the maps and the
-default bit never change in a game, so the key decides the tree and a hit
-is the count it replaces.
+both stage halves.  `bad_set` counts each (requirement, scan depth, number
+of layers) once per game, in a memo on the `GameState`: the schedule, the
+maps and the default bit never change in a game, and layers only ever
+append, so the key decides the tree and a hit is the count it replaces.
 
 A game starts at the scan depth min(working depth, longest root + largest
 lag + 1).  From there on every image is at least as long as its root, so a
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import format_dyadic
 from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
@@ -93,7 +93,6 @@ class TreeMap:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
@@ -103,7 +102,6 @@ class BitFlipMap(TreeMap):
         return {"kind": "bit_flip"}
 
 
-@dataclass(frozen=True)
 class ShiftMap(TreeMap):
     kind = "shift"
     lag = 1
@@ -248,14 +246,12 @@ def map_from_json_dict(d: dict) -> TreeMap:
 # requirements, bad sets, game state
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     map_index: int
     root: str
 
 
-@dataclass(frozen=True)
-class BadLeaves:
+class BadLeaves(NamedTuple):
     """A bad set's leaves, counted: `len` is their count."""
 
     count: int
@@ -264,8 +260,7 @@ class BadLeaves:
         return self.count
 
 
-@dataclass(frozen=True)
-class BadSet:
+class BadSet(NamedTuple):
     requirement: Requirement
     depth: int
     leaves: BadLeaves
@@ -286,8 +281,7 @@ class GameState:
     stage_counts: Dict[int, int] = field(default_factory=dict)
     consulted: Dict[int, int] = field(default_factory=dict)
     stage_log: List[dict] = field(default_factory=list)
-    # (requirement, scan depth, layers) -> its BadSet: schedule, maps and
-    # default_bit never change, so the key decides the tree and the count
+    # (requirement, scan depth, number of layers) -> its BadSet; see the module docstring
     counted: Dict[tuple, BadSet] = field(default_factory=dict, compare=False, repr=False)
 
     def selector(self) -> GameBuiltSelector:
@@ -342,7 +336,8 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     d = state.scan_depth if depth is None else depth
     if d > state.depth:
         raise ValueError(f"scan depth {d} > working depth {state.depth}")
-    if (key := (req, d, tuple(state.layers))) in state.counted:
+    # sound: the memo lives on one game, whose layers only append, so their number names them
+    if (key := (req, d, len(state.layers))) in state.counted:
         return state.counted[key]
     tree, m = state.tree(d), state.maps[req.map_index]
     count = sum(_count(tree, m, req.root).values())
@@ -432,8 +427,7 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
     return state
 
 
-@dataclass(frozen=True)
-class RequirementReport:
+class RequirementReport(NamedTuple):
     map_index: int
     root: str
     initial: Fraction
@@ -446,8 +440,7 @@ class RequirementReport:
         return self.final_bad.measure
 
 
-@dataclass(frozen=True)
-class AntichainCertificate:
+class AntichainCertificate(NamedTuple):
     schedule: BranchSchedule
     layers: Tuple[Layer, ...]
     requirements: Tuple[RequirementReport, ...]
@@ -562,8 +555,7 @@ def run_game(
 # escape verification
 
 
-@dataclass(frozen=True)
-class EscapeReport:
+class EscapeReport(NamedTuple):
     per_map: Tuple[dict, ...]
     samples: int
     seed: int

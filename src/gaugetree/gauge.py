@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import Number, Value, dyadic_pair, format_rational, parse_rational, to_number
 from .errors import InsufficientDataError, OutOfRangeError
@@ -102,8 +102,7 @@ def _exp2(r: int, q: int) -> Value:
     return (lo >> shift, -(-hi >> shift) | 1, MANTISSA_BITS)
 
 
-@dataclass(frozen=True)
-class Gauge:
+class Gauge(NamedTuple):
     """An evaluable gauge function, represented at dyadic scales only.
 
     Kinds:
@@ -265,8 +264,7 @@ class Gauge:
         raise ValueError(f"unknown gauge kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(NamedTuple):
     """Outcome of the numerical order comparison, with its audit trace."""
 
     relation: str

@@ -8,9 +8,8 @@ loses nothing and reduces the cover infimum to a tree DP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import Pair, Value, format_dyadic, to_number, value_le
 from .errors import FrostmanConditionError
@@ -96,8 +95,7 @@ def level_dp_witness_level(
     return level_dp(tree, g, delta_exponent, depth)[1]
 
 
-@dataclass(frozen=True)
-class DimensionEstimate:
+class DimensionEstimate(NamedTuple):
     s_lo: float
     s_hi: float
     depth: int
@@ -156,8 +154,7 @@ def dimension_estimate(
     )
 
 
-@dataclass(frozen=True)
-class MeasureCertificate:
+class MeasureCertificate(NamedTuple):
     """Finite-depth sandwich for the gauge measure of a tree's branch set."""
 
     gauge: Gauge

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .dyadic import floor_log2_ratio
 from .errors import DegenerateIntervalError
@@ -68,8 +68,7 @@ def interleave(node: str, n: int) -> Tuple[str, ...]:
     return tuple(node[i::n] for i in range(n))
 
 
-@dataclass(frozen=True)
-class MetricCheck:
+class MetricCheck(NamedTuple):
     first_difference: int
     expected_exp: int
     observed_exp: int

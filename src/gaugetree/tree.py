@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NodeBudgetError, NotInTreeError, TruncationError
 from .gauge import BranchSchedule
@@ -155,8 +155,7 @@ class ExplicitSelector(BranchSelector):
         )
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     """One decided level: every node incomparable with the root gets `bit`,
     nodes compatible with the root fall back to the default rule.  A layer
     whose bit is the default therefore leaves the tree unchanged; it only
@@ -289,8 +288,7 @@ class ExplicitTree:
             raise ValueError("all leaves must have the tree depth")
 
 
-@dataclass(frozen=True)
-class SplittingTree:
+class SplittingTree(NamedTuple):
     """Tree with forced levels from the schedule and free (splitting) levels
     elsewhere; carries its uniform branch measure."""
 

@@ -2,14 +2,20 @@
 
 import argparse
 import csv
+import dataclasses
 import decimal
 import importlib
 import importlib.util
+import inspect
 import io
 import itertools
 import json
 import math
 import os
+import pkgutil
+import resource
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from xml.etree import ElementTree
@@ -940,7 +946,7 @@ def test_plot_reads_exact_columns(tmp_path, name):
     assert out.read_text().splitlines()[2:] == render_svg(xs, series, "n", {}).splitlines()[2:]
 
 
-@pytest.mark.parametrize("last_row", ["2,x", "2,1/0", "2,1/2^x", "2,1e999", "2,", "2,inf", "2"])
+@pytest.mark.parametrize("last_row", ["2,x", "2,1/0", "2,1/2^x", "2,1/2^-5", "2,1e999", "2,", "2,inf", "2"])
 def test_plot_bad_cell_exits_2(tmp_path, capsys, last_row):
     table = tmp_path / "t.csv"
     table.write_text(f"n,y\n0,1/2^1\n1,3/7\n{last_row}\n")
@@ -949,6 +955,30 @@ def test_plot_bad_cell_exits_2(tmp_path, capsys, last_row):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("cell, code", [
+    ("1/2^99999999999", 0),  # 2^(10^11) has 10^11 bits; the value rounds to 0.0
+    ("1e-999999999", 0),
+    ("1e999999999", 2),  # Fraction would build 10^999999999
+])
+def test_plot_reads_a_huge_cell_in_linear_time(tmp_path, cell, code):
+    """A cell whose exact value is huge is read in time and memory linear in
+    its length, in a child capped at 1 GiB and 20 s."""
+    table, out = tmp_path / "t.csv", tmp_path / "p.svg"
+    table.write_text(f"n,y\n0,1/2^1\n1,{cell}\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gaugetree.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaugetree.cli", "plot", "--table", table, "--x", "n", "--y", "y", "--out", out],
+        capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_memory,
+    )
+    assert proc.returncode == code, proc.stderr
+    err = proc.stderr.splitlines()
+    assert out.exists() if code == 0 else len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("text, x", [
@@ -1000,6 +1030,47 @@ def test_benchmark_tracer_targets_exist():
             assert any(method in vars(cls) for cls in (root, *root.__subclasses__())), attr
         else:
             assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+# the classes with invariants checked in __post_init__, mutable state, or a
+# base class a NamedTuple cannot have
+KEPT_DATACLASSES = {"GameState", "BranchSchedule", "ExplicitTree", "DyadicInterval", "CubePoint",
+                    "ConstantSelector", "SeededSelector"}
+RECORDS = {
+    "game": ("Requirement", "BadLeaves", "BadSet", "RequirementReport", "AntichainCertificate", "EscapeReport"),
+    "gauge": ("Gauge", "OrderVerdict"),
+    "hausdorff": ("DimensionEstimate", "MeasureCertificate"),
+    "transfer": ("MetricCheck",),
+    "tree": ("Layer", "SplittingTree"),
+}
+
+
+def test_only_the_kept_classes_are_dataclasses():
+    """Every CLI process builds gaugetree's classes at import; a frozen
+    dataclass compiles each generated method by its own exec."""
+    found = set()
+    for info in pkgutil.iter_modules(gaugetree.__path__):
+        module = importlib.import_module(f"gaugetree.{info.name}")
+        found |= {cls.__name__ for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
+    assert found == KEPT_DATACLASSES, (
+        "each frozen dataclass costs ~0.6 ms of every CLI start; make a value record a NamedTuple"
+    )
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in RECORDS.items() for n in names])
+def test_records_compare_and_hash_by_their_fields(module, name):
+    """Records with equal fields are equal and hash equal (the count memo keys
+    on Requirement), differ when a field does, and refuse assignment."""
+    cls = getattr(importlib.import_module(f"gaugetree.{module}"), name)
+    fields = list(inspect.signature(cls).parameters)
+    values = [f"field {i}" for i in range(len(fields))]
+    a, b = cls(*values), cls(*values)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != cls(*values[:-1], "another")
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
 
 
 def exit_code(argv):

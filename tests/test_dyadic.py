@@ -1,5 +1,6 @@
 """Exact dyadic helpers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from gaugetree.dyadic import (
     format_rational,
     is_dyadic,
     parse_dyadic,
+    parse_float,
     parse_rational,
     to_number,
     value_le,
@@ -98,6 +100,20 @@ def test_dyadic_round_trip():
     assert parse_dyadic(format_exact(Fraction(-8, 7))) == Fraction(-8, 7)
     assert float(parse_dyadic(repr(2.0**-0.5))) == 2.0**-0.5
     assert float(parse_dyadic("1e-310")) == 1e-310
+
+
+def test_parse_float_matches_the_exact_parse():
+    """parse_float is float(parse_dyadic(s)), also where the value underflows
+    past the power of two it caps, and refuses what parse_dyadic cannot read."""
+    big = (1 << 5000) + 1
+    cells = ["0", "-3", "5/8", "-8/7", "1/2^1", "-7/2^4", "1e-310", repr(2.0**-0.5), "1/2^1074",
+             "1/2^1075", "3/2^1076", "-1/2^1200", f"{big}/2^6074", f"{big}/2^6200", f"{big}/2^4990"]
+    for cell in cells:
+        x = parse_float(cell)
+        assert x == float(parse_dyadic(cell)) and math.copysign(1, x) == math.copysign(1, float(parse_dyadic(cell)))
+    for cell in ["1/2^-5", "1e999", "inf", "nan", "1/0", "x", "1/2^x", f"{big}/2^1"]:
+        with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
+            parse_float(cell)
 
 
 def test_rational_round_trip():
