@@ -14,11 +14,10 @@ import os
 import random
 import sys
 import tempfile
-from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float
+from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float, parse_rational
 from .errors import (
     FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
 )
@@ -113,13 +112,13 @@ def parse_gauge_spec(spec: str) -> Gauge:
     try:
         kind, _, rest = spec.partition(":")
         if kind == "power":
-            return Gauge.power(Fraction(rest))
+            return Gauge.power(parse_rational(rest))
         if kind == "power_log":
             s, c = rest.split(",")
-            return Gauge.power_log(Fraction(s), Fraction(c))
+            return Gauge.power_log(parse_rational(s), parse_rational(c))
         if kind == "table":
             entries = [tuple(pair.split("=")) for pair in rest.split(",")]
-            return Gauge.table([(int(n), Fraction(v)) for n, v in entries])
+            return Gauge.table([(int(n), parse_rational(v)) for n, v in entries])
         raise ValueError(f"unknown gauge kind {kind!r}")
     except (ValueError, ZeroDivisionError, ArithmeticError) as err:
         raise argparse.ArgumentTypeError(f"bad gauge spec {spec!r}: {err}") from err

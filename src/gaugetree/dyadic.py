@@ -10,6 +10,7 @@ and :func:`to_number` projects a pair to a Fraction.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isfinite
 from typing import Tuple, Union
@@ -18,6 +19,9 @@ Number = Union[Fraction, float]
 Pair = Tuple[int, int]
 # a gauge value as Gauge.dyadic_at_scale returns it: (lo, hi, e)
 Value = Tuple[int, int, int]
+# the largest |decimal exponent| parse_rational reads: the interpreter's own
+# limit on the digits of an int read from text
+MAX_EXPONENT = sys.int_info.default_max_str_digits
 
 
 def dyadic_pair(m: int, e: int = 0) -> Pair:
@@ -75,19 +79,11 @@ def format_dyadic(x: Fraction) -> str:
     return format_pair(x.numerator, x.denominator.bit_length() - 1)
 
 
-def parse_dyadic(s: str) -> Fraction:
-    """Parse ``p/2^q``; anything else (an integer, ``p/q``, a float repr)
-    goes to Fraction."""
-    if "/2^" in s:
-        p, q = s.split("/2^")
-        return Fraction(int(p), 2 ** int(q))
-    return Fraction(s)
-
-
 def parse_float(s: str) -> float:
-    """float(parse_dyadic(s)) in time and memory linear in len(s): a ``p/2^q``
-    has its q capped where |p|/2^q rounds to 0 anyway, and a decimal goes
-    through float; q < 0 or a result that is not finite raises ValueError."""
+    """The float nearest to the exact value of a ``p/2^q`` or Fraction
+    string, in time and memory linear in len(s): q is capped where |p|/2^q
+    rounds to 0 anyway, and a decimal goes through float; q < 0 or a result
+    that is not finite raises ValueError."""
     if "/2^" in s:
         p, q = s.split("/2^")
         m, k = int(p), int(q)
@@ -111,4 +107,11 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    """Fraction(s) in time linear in len(s): a decimal exponent beyond
+    MAX_EXPONENT, for which Fraction would build 10^|exponent|, raises
+    ValueError."""
+    _, e, exponent = s.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "")
+    if e and digits.isdecimal() and int(digits) > MAX_EXPONENT:  # int refuses > 4300 digits at once
+        raise ValueError(f"the exponent of {s!r} exceeds {MAX_EXPONENT} in absolute value")
     return Fraction(s)

@@ -21,10 +21,6 @@ class TruncationError(GaugeTreeError):
     """A node is longer than the tree's working depth."""
 
 
-class NotInTreeError(GaugeTreeError):
-    """Cylinder measure requested for a node outside the tree."""
-
-
 class NodeBudgetError(GaugeTreeError):
     """Materialization would exceed the explicit node budget."""
 

@@ -61,25 +61,14 @@ class TreeMap:
     lag = 0
     start = 0
 
-    def apply_all(self, nodes: Sequence[str]) -> List[str]:
-        """Each node's image, after one `check_node` on the nodes' join."""
-        check_node("".join(nodes))
-        return self._images(nodes)
-
-    def _images(self, nodes: Sequence[str]) -> List[str]:
-        """Each binary node's image, one step of the table per bit."""
-        step, images = self.steps(), []
-        for node in nodes:
-            state, out = self.start, []
-            for ch in node:
-                state, emitted = step[state, ch]
-                out.append(emitted)
-            self.check_end(state)
-            images.append("".join(out))
-        return images
-
     def apply(self, node: str) -> str:
-        return self.apply_all([node])[0]
+        """The binary node's image, one step of the table per bit."""
+        step, state, out = self.steps(), self.start, []
+        for ch in check_node(node):
+            state, emitted = step[state, ch]
+            out.append(emitted)
+        self.check_end(state)
+        return "".join(out)
 
     def steps(self) -> Dict[Tuple[object, str], Tuple[object, str]]:
         """The step table keyed by (state, "0" or "1"), from `delta`."""
@@ -89,26 +78,17 @@ class TreeMap:
         """The end test of every walk: raise UndefinedNodeError when no image
         ends in `state`.  A transducer's images end in every state."""
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
     delta = {(0, 0): (0, "1"), (0, 1): (0, "0")}
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "bit_flip"}
-
 
 class ShiftMap(TreeMap):
     kind = "shift"
     lag = 1
     delta = {(0, 0): (1, ""), (0, 1): (1, ""), (1, 0): (1, "0"), (1, 1): (1, "1")}
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "shift"}
 
 
 class TransducerMap(TreeMap):
@@ -148,28 +128,6 @@ class TransducerMap(TreeMap):
             drift = longer
             least = min(least, drift[self.start])
         return least
-
-    @staticmethod
-    def identity() -> "TransducerMap":
-        return TransducerMap(start=0, delta={(0, 0): (0, "0"), (0, 1): (0, "1")}, lag=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "transducer",
-            "start": self.start,
-            "delta": [[s, b, s2, out] for (s, b), (s2, out) in sorted(
-                self.delta.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
-            )],
-            "lag": self.lag,
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TransducerMap)
-            and self.start == other.start
-            and self.delta == other.delta
-            and self.lag == other.lag
-        )
 
 
 class _TrieSteps(dict):
@@ -220,15 +178,9 @@ class ExplicitNodeMap(TreeMap):
         if state not in self.entries:
             raise UndefinedNodeError(f"no image recorded for node {state!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "explicit",
-            "entries": sorted([k, v] for k, v in self.entries.items()),
-            "lag": self.lag,
-        }
-
 
 def map_from_json_dict(d: dict) -> TreeMap:
+    """A map from its `--maps` entry; maps are only read, never written."""
     kind = d["kind"]
     if kind == "bit_flip":
         return BitFlipMap()

@@ -26,6 +26,11 @@ from .errors import InsufficientDataError, OutOfRangeError
 # bits of an inexact value's mantissa, and of the fixed point it is formed in
 MANTISSA_BITS = 64
 _WORK_BITS = 128
+# the bound on a gauge's exponents, so that every level's value stays in
+# reach: s <= MAX_TERM, for the cover DP compares g(2^-m) with g(2^-n) by a
+# shift of about |n - m|·s bits; and c = a/b with |a|, b <= MAX_TERM, for
+# each level's u^c is an integer b-th root of a (MANTISSA_BITS·b + |a|·log2 u)-bit number
+MAX_TERM = 64
 
 FIRST_LOWER_ORDER = "first_lower_order"
 SECOND_LOWER_ORDER = "second_lower_order"
@@ -106,8 +111,9 @@ class Gauge(NamedTuple):
     """An evaluable gauge function, represented at dyadic scales only.
 
     Kinds:
-      power      t^s for rational s > 0
-      power_log  t^s * log2(1/t)^c for t < 1, value 0 at t = 1
+      power      t^s for rational 0 < s <= MAX_TERM
+      power_log  t^s * log2(1/t)^c for t < 1, value 0 at t = 1, with
+                 c = a/b and |a|, b <= MAX_TERM
       table      finite list of (exponent, value) pairs
     """
 
@@ -120,15 +126,20 @@ class Gauge(NamedTuple):
     @staticmethod
     def power(s) -> "Gauge":
         s = Fraction(s)
-        if s <= 0:
-            raise ValueError("power gauge needs s > 0")
+        if not 0 < s <= MAX_TERM:
+            raise ValueError(f"power gauge needs 0 < s <= {MAX_TERM}")
         return Gauge(kind=POWER, s=s, description=f"t^{format_rational(s)}")
 
     @staticmethod
     def power_log(s, c) -> "Gauge":
         s, c = Fraction(s), Fraction(c)
-        if s <= 0:
-            raise ValueError("power_log gauge needs s > 0")
+        if not 0 < s <= MAX_TERM:
+            raise ValueError(f"power_log gauge needs 0 < s <= {MAX_TERM}")
+        if max(abs(c.numerator), c.denominator) > MAX_TERM:
+            raise ValueError(
+                f"power_log gauge needs c = a/b with |a|, b <= {MAX_TERM}: each level n = 2^t*u, "
+                f"u odd, takes a b-th root of a ({MANTISSA_BITS}*b + |a|*log2(u))-bit number"
+            )
         return Gauge(
             kind=POWER_LOG,
             s=s,

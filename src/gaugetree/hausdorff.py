@@ -100,11 +100,6 @@ class DimensionEstimate(NamedTuple):
     s_hi: float
     depth: int
     conclusive: bool
-    box_profile: Tuple[float, ...]
-
-    @property
-    def width(self) -> float:
-        return self.s_hi - self.s_lo
 
 
 def dimension_estimate(
@@ -150,7 +145,6 @@ def dimension_estimate(
         s_hi=s_hi,
         depth=n_max,
         conclusive=s_lo <= s_hi + tolerance,
-        box_profile=tuple(free[n] / n for n in range(1, n_max + 1)),
     )
 
 

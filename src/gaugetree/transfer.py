@@ -34,14 +34,6 @@ class DyadicInterval:
     def left(self) -> Fraction:
         return Fraction(self.index, 2**self.level)
 
-    @property
-    def right(self) -> Fraction:
-        return Fraction(self.index + 1, 2**self.level)
-
-    @property
-    def diameter(self) -> Fraction:
-        return Fraction(1, 2**self.level)
-
 
 @dataclass(frozen=True)
 class CubePoint:
@@ -72,14 +64,6 @@ class MetricCheck(NamedTuple):
     first_difference: int
     expected_exp: int
     observed_exp: int
-
-    @property
-    def expected(self) -> Fraction:
-        return Fraction(1, 1 << self.expected_exp)
-
-    @property
-    def observed(self) -> Fraction:
-        return Fraction(1, 1 << self.observed_exp)
 
 
 def _first_difference(x: str, y: str):

@@ -1,18 +1,17 @@
 """Splitting trees on binary strings and their uniform cylinder measures.
 
 A tree is determined by a schedule of forced levels and a selector picking
-the surviving bit at each forced node.  Membership, level counts, and
-cylinder measures are all exact; nothing is materialized unless asked.
+the surviving bit at each forced node.  Level counts are exact; nothing is
+materialized unless asked.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import NodeBudgetError, NotInTreeError, TruncationError
+from .errors import NodeBudgetError, TruncationError
 from .gauge import BranchSchedule
 
 NODE_BUDGET = 2**22
@@ -65,8 +64,6 @@ def compatible(a: str, b: str) -> bool:
 class BranchSelector:
     """Total assignment of a surviving bit to every finite binary string."""
 
-    kind = "abstract"
-
     def bit(self, node: str) -> int:
         raise NotImplementedError
 
@@ -75,28 +72,14 @@ class BranchSelector:
         node, else None."""
         return None
 
-    def consistent(self, node: str, levels: Sequence[int]) -> bool:
-        """True when `node` obeys the selector at each of the ascending
-        `levels` shorter than it."""
-        for n in levels:
-            if n >= len(node):
-                break
-            if int(node[n]) != self.bit(node[:n]):
-                return False
-        return True
-
     def decided_levels(self, schedule: BranchSchedule) -> Tuple[int, ...]:
         """Forced levels whose values this selector actively pins down."""
         return schedule.indices
-
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class ConstantSelector(BranchSelector):
     value: int = 0
-    kind = "constant"
 
     def __post_init__(self):
         check_bit(self.value)
@@ -107,16 +90,12 @@ class ConstantSelector(BranchSelector):
     def constant_bit(self, level: int) -> Optional[int]:
         return self.value
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "constant", "bit": self.value}
-
 
 @dataclass(frozen=True)
 class SeededSelector(BranchSelector):
     """Deterministic pseudo-random selector keyed by (seed, node)."""
 
     seed: int = 0
-    kind = "seeded"
 
     def bit(self, node: str) -> int:
         import hashlib  # here, not at the top: only seeded selectors hash
@@ -126,33 +105,14 @@ class SeededSelector(BranchSelector):
         ).digest()
         return digest[-1] & 1
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "seeded", "seed": self.seed}
-
 
 class ExplicitSelector(BranchSelector):
-    kind = "explicit"
-
     def __init__(self, assignments: Dict[str, int], default: int = 0):
         self.assignments = {check_node(k): check_bit(v) for k, v in assignments.items()}
         self.default = check_bit(default)
 
     def bit(self, node: str) -> int:
         return self.assignments.get(node, self.default)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "explicit",
-            "default": self.default,
-            "assignments": sorted([k, v] for k, v in self.assignments.items()),
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExplicitSelector)
-            and self.assignments == other.assignments
-            and self.default == other.default
-        )
 
 
 class Layer(NamedTuple):
@@ -167,8 +127,6 @@ class Layer(NamedTuple):
 
 
 class GameBuiltSelector(BranchSelector):
-    kind = "game_built"
-
     def __init__(self, layers: Sequence[Layer], default: int = 0):
         self.layers = tuple(sorted(layers, key=lambda l: l.level))
         self.default = check_bit(default)
@@ -202,13 +160,6 @@ class GameBuiltSelector(BranchSelector):
             "default": self.default,
             "layers": [[l.level, l.root, l.bit] for l in self.layers],
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GameBuiltSelector)
-            and self.layers == other.layers
-            and self.default == other.default
-        )
 
 
 class Columns:
@@ -296,18 +247,6 @@ class SplittingTree(NamedTuple):
     selector: BranchSelector
     depth: int
 
-    def contains(self, node: str) -> bool:
-        check_node(node)
-        if len(node) > self.depth:
-            raise TruncationError(f"node length {len(node)} > depth {self.depth}")
-        return self.selector.consistent(node, self.schedule.indices)
-
-    def cylinder_measure(self, node: str) -> Fraction:
-        if not self.contains(node):
-            raise NotInTreeError(f"node {node!r} is not in the tree")
-        n = len(node)
-        return Fraction(1, 2 ** (n - self.schedule.count_below(n)))
-
     def level_count(self, n: int) -> int:
         if n > self.depth:
             raise TruncationError(f"level {n} > depth {self.depth}")
@@ -339,6 +278,8 @@ class SplittingTree(NamedTuple):
         return ExplicitTree(depth=d, leaves=tuple(sorted(level)))
 
     def to_json_dict(self) -> dict:
+        """The tree as `measure --tree` reads it; only the game-built trees
+        that `antichain` reports are written."""
         return {
             "schedule": self.schedule.to_json_dict(),
             "selector": self.selector.to_json_dict(),

@@ -22,19 +22,30 @@ metric check, which `tests/test_transfer.py` compares with the integer
 The cover-cost oracles of the level DP live here too: `optimal_cover_cost`,
 the node DP over an explicit trie, and `brute_force_cover_cost`, which
 enumerates every covering antichain; `deinterleave` is the inverse of
-`gaugetree.transfer.interleave`.
+`gaugetree.transfer.interleave`, and `right_end` the right end of a dyadic
+interval.  `parse_dyadic` is the exact parse of a ``p/2^q`` cell, which
+`gaugetree.dyadic.parse_float` must round.
+
+Tree membership is read off the definitions: `reference_consistent` checks
+a node against a selector level by level, a game-built selector by its
+`Layer`s and any other by its `bit`; `reference_contains` is membership in
+a tree, and `reference_leaves` the members of one length.  `IDENTITY` is
+the identity transducer.
 """
+
+import itertools
 
 import math
 from bisect import bisect_left
 from fractions import Fraction
 
 from gaugetree.dyadic import floor_log2, is_dyadic
-from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError
+from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError, TruncationError
+from gaugetree.game import TransducerMap
 from gaugetree.gauge import POWER, POWER_LOG, TABLE, Gauge
 from gaugetree.hausdorff import DimensionEstimate, frostman_lower, level_dp_cost
 from gaugetree.transfer import DyadicInterval, interleave
-from gaugetree.tree import SplittingTree
+from gaugetree.tree import GameBuiltSelector, SplittingTree, check_node
 
 BRUTE_FORCE_NODE_LIMIT = 64
 
@@ -234,16 +245,21 @@ def reference_dimension_estimate(tree, tolerance, depth=None):
                 lo = mid
         s_hi = hi
 
-    profile = tuple(
-        (n - tree.schedule.count_below(n)) / n for n in range(1, n_max + 1)
-    )
     return DimensionEstimate(
         s_lo=float(s_lo),
         s_hi=float(s_hi),
         depth=n_max,
         conclusive=float(s_lo) <= float(s_hi) + tolerance,
-        box_profile=profile,
     )
+
+
+def parse_dyadic(s):
+    """Parse ``p/2^q``; anything else (an integer, ``p/q``, a float repr)
+    goes to Fraction."""
+    if "/2^" in s:
+        p, q = s.split("/2^")
+        return Fraction(int(p), 2 ** int(q))
+    return Fraction(s)
 
 
 def format_exact(x):
@@ -392,3 +408,48 @@ def deinterleave(components, n=None):
             if j < len(components[i]):
                 out.append(components[i][j])
     return "".join(out)
+
+
+def right_end(iv):
+    """The right end (index + 1)/2^level of a dyadic interval."""
+    return Fraction(iv.index + 1, 2**iv.level)
+
+
+# -- tree membership --------------------------------------------------------
+
+IDENTITY = TransducerMap(start=0, delta={(0, 0): (0, "0"), (0, 1): (0, "1")}, lag=0)
+
+
+def reference_consistent(sel, node, levels):
+    """`node` obeys the selector `sel` at each of the `levels` shorter than
+    it.  A game-built selector is read off `Layer`'s definition: at a layer's
+    level a node incomparable with the layer's root gets the layer's bit; a
+    node compatible with the root, or at a level without a layer, gets the
+    default.  Any other selector's `bit` is its definition."""
+    layers = {l.level: l for l in sel.layers} if isinstance(sel, GameBuiltSelector) else None
+    for n in levels:
+        if n >= len(node):
+            break
+        head = node[:n]
+        if layers is None:
+            bit = sel.bit(head)
+        else:
+            layer = layers.get(n)
+            incomparable = layer is not None and not (layer.root.startswith(head) or head.startswith(layer.root))
+            bit = layer.bit if incomparable else sel.default
+        if int(node[n]) != bit:
+            return False
+    return True
+
+
+def reference_contains(tree, node):
+    """`node` is a node of `tree`: binary, no longer than its depth, and
+    obeying its selector at every forced level."""
+    if len(check_node(node)) > tree.depth:
+        raise TruncationError(f"node length {len(node)} > depth {tree.depth}")
+    return reference_consistent(tree.selector, node, tree.schedule.indices)
+
+
+def reference_leaves(tree, d):
+    """The depth-d nodes of `tree`, in order."""
+    return tuple(node for node in map("".join, itertools.product("01", repeat=d)) if reference_contains(tree, node))

@@ -1,0 +1,146 @@
+"""Mutation check: every certificate check must fail some test.
+
+Each mutant replaces one piece of text in a file of a temporary copy of the
+repository, runs its named tests there with ``pytest -x``, and is killed when
+they fail.  A mutant whose tests pass is a survivor; unless it is listed in
+EQUIVALENT with the reason it cannot change a result, the script exits 1.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py memo bound   # mutants whose name contains a word
+
+Stdlib only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("pyproject.toml", "src", "tests", "perfbench")
+TIMEOUT = 900  # seconds per mutant
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    reason: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "stage_bound_doubled", "src/gaugetree/game.py",
+        "if measure > state.bounds[key]:", "if measure > 2 * state.bounds[key]:",
+        "stage_step lets a post-stage count exceed its halved bound",
+        ("tests/test_scan_cache.py::test_post_stage_count_over_the_bound_is_caught",),
+    ),
+    Mutant(
+        "interference_bound_doubled", "src/gaugetree/game.py",
+        "> state.bounds[other_key]:", "> 2 * state.bounds[other_key]:",
+        "the non-interference check lets another requirement's count double",
+        ("tests/test_cli.py::test_antichain_interference_exits_3",),
+    ),
+    Mutant(
+        "memo_keyed_by_req_and_depth", "src/gaugetree/game.py",
+        "(key := (req, d, len(state.layers)))", "(key := (req, d))",
+        "the count memo returns a bad set counted before the latest layer",
+        ("tests/test_scan_cache.py",),
+    ),
+    Mutant(
+        "bit_under_takes_every_layer_bit", "src/gaugetree/tree.py",
+        "return self._uncut[1] if head.startswith(cut) else bit", "return bit",
+        "a node under the layer's root gets the layer's bit, not the default",
+        ("tests/test_scan_cache.py::test_game_built_consistent_matches_layer_definition",
+         "tests/test_scan_cache.py::test_consistent_matches_per_node_definition"),
+    ),
+    Mutant(
+        "bit_under_takes_no_layer_bit", "src/gaugetree/tree.py",
+        "return self._uncut[1] if head.startswith(cut) else bit", "return self._uncut[1]",
+        "every node gets the default bit, as if no layer were cut",
+        ("tests/test_scan_cache.py::test_game_built_consistent_matches_layer_definition",
+         "tests/test_scan_cache.py::test_consistent_matches_per_node_definition"),
+    ),
+    Mutant(
+        "parse_float_reads_a_negative_power", "src/gaugetree/dyadic.py",
+        "        if k < 0:\n            raise ValueError(f\"negative power of two in {s!r}\")\n", "",
+        "a p/2^-k cell is refused only by the shift's 'negative shift count', which names no cell",
+        ("tests/test_dyadic.py", "tests/test_cli.py::test_plot_bad_cell_exits_2"),
+    ),
+    Mutant(
+        "exponent_unbounded", "src/gaugetree/dyadic.py",
+        "if e and digits.isdecimal() and", "if False and",
+        "a gauge number like 1e999999999 makes Fraction build 10^999999999",
+        ("tests/test_dyadic.py", "tests/test_gauge.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
+    ),
+    Mutant(
+        "power_log_c_unbounded", "src/gaugetree/gauge.py",
+        "if max(abs(c.numerator), c.denominator) > MAX_TERM:", "if False:",
+        "power_log:1,1/1000000000 takes a 10^9-th root of a 6.4·10^10-bit number at every level",
+        ("tests/test_gauge.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
+    ),
+)
+
+# name -> why the mutant cannot change any result; such a mutant may survive
+EQUIVALENT = {}
+
+
+def copy_repo(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work")
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name), ignore=ignore)
+        else:
+            shutil.copy2(src, dest)
+
+
+def apply(dest: str, m: Mutant) -> None:
+    path = os.path.join(dest, m.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(m.old) != 1:
+        raise SystemExit(f"mutant {m.name}: {m.old!r} occurs {text.count(m.old)} times in {m.path}, not once")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(m.old, m.new))
+
+
+def run(m: Mutant) -> str:
+    """'killed', 'survived' or 'timeout'."""
+    with tempfile.TemporaryDirectory(prefix="gaugetree-mutant-") as dest:
+        copy_repo(dest)
+        apply(dest, m)
+        env = {**os.environ, "PYTHONPATH": os.path.join(dest, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests]
+        try:
+            proc = subprocess.run(argv, cwd=dest, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+    if proc.returncode not in (0, 1):  # 1: tests failed; anything else: pytest itself stopped
+        raise SystemExit(f"mutant {m.name}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    return "survived" if proc.returncode == 0 else "killed"
+
+
+def main(words) -> int:
+    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+    survivors = []
+    for m in chosen:
+        t0 = time.perf_counter()
+        verdict = run(m)
+        note = f" (equivalent: {EQUIVALENT[m.name]})" if verdict == "survived" and m.name in EQUIVALENT else ""
+        print(f"{verdict:8} {time.perf_counter() - t0:6.1f}s  {m.name}: {m.reason}{note}", flush=True)
+        if verdict == "survived" and m.name not in EQUIVALENT:
+            survivors.append(m.name)
+    print(f"{len(chosen)} mutants, {len(chosen) - len(survivors)} killed or equivalent, survivors: {survivors or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -21,6 +21,7 @@ from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
+from fraction_oracles import right_end
 from hypothesis import given, settings, strategies as st
 
 import gaugetree
@@ -59,6 +60,22 @@ def test_bad_gauge_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         run(["schedule", "--gauge", "power:x", "--depth", 8, "--out", tmp_path / "o.json"])
     assert e.value.code == 2
+    # a number past its bound is refused before any work, in a child capped
+    # at 1 GiB and 20 s: Fraction would build 10^999999999, and _enclose a
+    # 10^9-th root, at every level
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gaugetree.__file__))}
+    for spec in ["power:1e999999999", "table:0=1,1=1e-999999999", "power_log:1,1/1000000000",
+                 "power:1e4000", "power_log:1,1e4000"]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaugetree.cli", "schedule", "--gauge", spec, "--depth", "8",
+             "--out", tmp_path / "o.json"],
+            capture_output=True, text=True, timeout=20, env=env, preexec_fn=_cap_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error" in line.lower()]
+        assert errors == [proc.stderr.splitlines()[-1]], proc.stderr
+        assert errors[0].startswith(f"gaugetree schedule: error: argument --gauge: bad gauge spec {spec!r}: ")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_schedule_outputs(tmp_path):
@@ -822,7 +839,7 @@ def cli_pass_reference(cover, a, b):
     return (
         len(cover) <= 4
         and min(iv.left for iv in cover) <= a
-        and max(iv.right for iv in cover) >= b
+        and max(map(right_end, cover)) >= b
         and len({iv.level for iv in cover}) == 1
     )
 
@@ -1156,7 +1173,7 @@ def map_jsons(draw):
         return transducer
     nodes = ["".join(bits) for k in range(draw(st.integers(0, 6)) + 1) for bits in itertools.product("01", repeat=k)]
     missing = draw(st.sets(st.sampled_from(nodes), max_size=3)) if draw(st.booleans()) else set()
-    images = map_from_json_dict(transducer).apply_all(nodes)
+    images = map(map_from_json_dict(transducer).apply, nodes)
     return {"kind": "explicit", "entries": [[x, u] for x, u in zip(nodes, images) if x not in missing],
             "lag": transducer["lag"]}
 

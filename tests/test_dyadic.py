@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import format_exact
+from fraction_oracles import format_exact, parse_dyadic
 from hypothesis import example, given, strategies as st
 
 from gaugetree.dyadic import (
+    MAX_EXPONENT,
     dyadic_pair,
     floor_log2,
     floor_log2_ratio,
@@ -17,7 +18,6 @@ from gaugetree.dyadic import (
     format_ratio,
     format_rational,
     is_dyadic,
-    parse_dyadic,
     parse_float,
     parse_rational,
     to_number,
@@ -114,6 +114,22 @@ def test_parse_float_matches_the_exact_parse():
     for cell in ["1/2^-5", "1e999", "inf", "nan", "1/0", "x", "1/2^x", f"{big}/2^1"]:
         with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
             parse_float(cell)
+    with pytest.raises(ValueError, match=r"negative power of two in '1/2\^-5'"):  # not "negative shift count"
+        parse_float("1/2^-5")
+
+
+def test_parse_rational_refuses_only_an_exponent_past_the_bound():
+    """parse_rational is Fraction(s) up to |exponent| = MAX_EXPONENT, and
+    refuses a larger one before Fraction would build 10^|exponent|."""
+    assert MAX_EXPONENT == 4300
+    for cell in ["1/3", "0.5", "-2.5e3", "1E-4300", "7e+0004300", " 1e1_0 ", "1e0", "\u0661e\u0662"]:
+        assert parse_rational(cell) == Fraction(cell)
+    for cell in ["1e4301", "1E-4301", "2.5e999999999", "1e+00000004301", "1e1_000_000_000"]:
+        with pytest.raises(ValueError, match="exceeds 4300 in absolute value"):
+            parse_rational(cell)
+    for cell in ["e5", "1e", "x", "1/2e5", "1e1_0_"]:
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_rational(cell)
 
 
 def test_rational_round_trip():

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from fraction_oracles import IDENTITY, reference_contains
 
 from gaugetree import (
     BitFlipMap,
@@ -45,7 +46,7 @@ def make_state(indices, depth, maps, roots, scan_depth):
 def test_map_basics():
     assert BitFlipMap().apply("0110") == "1001"
     assert ShiftMap().apply("0110") == "110"
-    assert TransducerMap.identity().apply("0110") == "0110"
+    assert IDENTITY.apply("0110") == "0110"
 
 
 def test_transducer_custom():
@@ -60,26 +61,36 @@ def test_explicit_map_monotone_validation():
         ExplicitNodeMap({"0": "1", "01": "01"}, lag=0)
 
 
+# each kind as a `--maps` file holds it; maps are only read
+MAP_JSON = {
+    "bit_flip": {"kind": "bit_flip"},
+    "shift": {"kind": "shift"},
+    "transducer": {"kind": "transducer", "start": 0, "delta": [[0, 0, 0, "0"], [0, 1, 0, "1"]], "lag": 0},
+    "explicit": {"kind": "explicit", "entries": [["0", "1"], ["01", "10"]], "lag": 0},
+}
+
+
 def test_map_json_round_trips():
-    for m in [
-        BitFlipMap(),
-        ShiftMap(),
-        TransducerMap.identity(),
-        ExplicitNodeMap({"0": "1"}, lag=0),
+    """Each kind reads back as the map it names."""
+    for kind, m in [
+        ("bit_flip", BitFlipMap()),
+        ("shift", ShiftMap()),
+        ("transducer", IDENTITY),
+        ("explicit", ExplicitNodeMap({"0": "1", "01": "10"}, lag=0)),
     ]:
-        back = map_from_json_dict(json.loads(json.dumps(m.to_json_dict())))
-        assert back.kind == m.kind
-        assert back.lag == m.lag
-        if m.kind != "explicit":
-            assert back.apply("0101") == m.apply("0101")
+        back = map_from_json_dict(json.loads(json.dumps(MAP_JSON[kind])))
+        assert (type(back), back.kind, back.lag) == (type(m), m.kind, m.lag)
+        node = "01" if kind == "explicit" else "0101"
+        assert back.apply(node) == m.apply(node)
+    with pytest.raises(ValueError, match="unknown map kind"):
+        map_from_json_dict({"kind": "warp"})
 
 
 @pytest.mark.parametrize("lag", [0.5, 1.0, True, "1", -3])
 @pytest.mark.parametrize("kind", ["transducer", "explicit"])
 def test_map_lag_must_be_a_non_negative_integer(kind, lag):
-    m = TransducerMap.identity() if kind == "transducer" else ExplicitNodeMap({"0": "1"}, lag=0)
     with pytest.raises(ValueError, match="not an integer"):
-        map_from_json_dict({**m.to_json_dict(), "lag": lag})
+        map_from_json_dict({**MAP_JSON[kind], "lag": lag})
 
 
 # -- bad sets ---------------------------------------------------------------
@@ -112,7 +123,7 @@ def bad_set_oracle(state, req, d):
 
 
 def test_bad_set_matches_oracle():
-    maps = [BitFlipMap(), ShiftMap(), TransducerMap.identity()]
+    maps = [BitFlipMap(), ShiftMap(), IDENTITY]
     for indices in [set(), {1, 3}, {0, 2, 4}, {2}]:
         state = make_state(indices, 8, maps, ["0", "1", "01"], scan_depth=6)
         for req in state.requirements:
@@ -123,7 +134,7 @@ def test_bad_set_matches_oracle():
 
 
 def test_bad_set_identity_map_empty():
-    state = make_state({1, 3}, 8, [TransducerMap.identity()], ["0"], 6)
+    state = make_state({1, 3}, 8, [IDENTITY], ["0"], 6)
     b = bad_set(state, state.requirements[0])
     assert len(b.leaves) == 0
     assert b.measure == 0
@@ -141,7 +152,7 @@ def test_stage_halves_exactly():
 
 
 def test_stage_noop_consumes_no_level():
-    state = make_state({1, 3}, 8, [TransducerMap.identity()], ["0"], 6)
+    state = make_state({1, 3}, 8, [IDENTITY], ["0"], 6)
     stage_step(state, state.requirements[0])
     assert state.layers == []
     assert state.bounds[0] == 0
@@ -199,8 +210,8 @@ def test_run_game_deterministic():
 
 def test_verify_escape_identity_all_fixed():
     sched = BranchSchedule(depth=16, indices=(1, 3), n0=0)
-    tree, cert = run_game(sched, [TransducerMap.identity()], ["0"], 16, 2)
-    rep = verify_escape(tree, [TransducerMap.identity()], 200, seed=0, certificate=cert)
+    tree, cert = run_game(sched, [IDENTITY], ["0"], 16, 2)
+    rep = verify_escape(tree, [IDENTITY], 200, seed=0, certificate=cert)
     assert rep.per_map[0]["fixed"] == 200
     assert rep.per_map[0]["unaccounted"] == 0
 
@@ -225,7 +236,7 @@ def test_verify_escape_sampled_images_really_escape():
     for x in tree.sample(3, 100):
         u = m.apply(x)
         if not compatible(u, x):
-            in_tree_prefix = tree.contains(u)
+            in_tree_prefix = reference_contains(tree, u)
             decided = set(tree.selector.decided_levels(tree.schedule))
             escaped = any(
                 n < len(u) and int(u[n]) != tree.selector.bit(u[:n]) for n in decided

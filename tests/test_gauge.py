@@ -1,6 +1,7 @@
 """Gauge evaluation, order comparison, caps, and schedule tests."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,29 @@ def test_gauge_json_round_trip():
         back = Gauge.from_json_dict(json.loads(blob))
         for n in range(1, 12):
             assert float(back.at_scale(n)) == pytest.approx(float(g.at_scale(n)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Gauge.power(Fraction(129, 2)), "0 < s <= 64"),
+    (lambda: Gauge.power_log(65, 1), "0 < s <= 64"),
+    (lambda: Gauge.power_log(1, Fraction(1, 65)), "c = a/b with |a|, b <= 64"),
+    (lambda: Gauge.power_log(1, -65), "c = a/b with |a|, b <= 64"),
+    (lambda: Gauge.from_json_dict({"kind": "power_log", "s": "1", "c": "1/1000000000"}), "b <= 64"),
+    (lambda: Gauge.from_json_dict({"kind": "power", "s": "1e-999999999"}), "exceeds 4300"),
+    (lambda: Gauge.from_json_dict({"kind": "table", "entries": [[0, "1"], [1, "1e-4301"]]}), "exceeds 4300"),
+])
+def test_gauge_numbers_past_their_bound_are_refused(make, message):
+    """The cover DP shifts by about s bits a level, a power-log level takes a
+    b-th root of a (64·b + |a|·log2 u)-bit number, and Fraction builds
+    10^|exponent|: each bound keeps every level's work in reach."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_gauge_numbers_at_their_bound_are_read():
+    for g in [Gauge.power(64), Gauge.power_log(64, -64), Gauge.power_log(Fraction(1, 3), Fraction(-63, 64)),
+              Gauge.from_json_dict({"kind": "power", "s": "1e-4299"})]:
+        assert len(g.scale_values(300)) == 301
 
 
 def test_schedule_json_round_trip():

@@ -147,19 +147,13 @@ def test_dimension_odds_half():
     assert abs(est.s_lo - 0.5) <= 0.01
     assert abs(est.s_hi - 0.5) <= 0.01
     assert est.conclusive
-    assert est.width <= 0.02
+    assert est.s_hi - est.s_lo <= 0.02
 
 
 def test_dimension_all_forced_zero():
     est = dimension_estimate(make_tree(range(60), 60), 0.01)
     assert est.s_lo == 0.0
     assert est.s_hi <= 0.01
-
-
-def test_dimension_box_profile():
-    est = dimension_estimate(make_tree(range(1, 20, 2), 20), 0.01, depth=20)
-    assert len(est.box_profile) == 20
-    assert est.box_profile[0] == 1.0
 
 
 def test_dimension_tolerance_floor():
@@ -194,7 +188,7 @@ def test_dimension_closed_form_matches_bisection(case):
     ref = reference_dimension_estimate(tree, tolerance, depth=n_max)
     # repr tells 1 from 1.0, which == would not
     assert (repr(est.s_lo), repr(est.s_hi)) == (repr(ref.s_lo), repr(ref.s_hi))
-    assert (est.depth, est.conclusive, est.box_profile) == (ref.depth, ref.conclusive, ref.box_profile)
+    assert (est.depth, est.conclusive) == (ref.depth, ref.conclusive)
 
 
 @pytest.mark.parametrize("depth", [-1, 11])

@@ -2,12 +2,11 @@
 every stage, each requirement's counted bad set, and the halves each stage
 splits it into, must equal an enumeration that materialises the frontier
 and applies every map afresh; the column-wise sampler, the transducer and
-the game-built selector's consistency test must match their per-bit,
-per-character and per-layer definitions, and samplers of one schedule and
-seed must share every free column.  The list kernels must match their
-per-element forms: `apply_all` against `apply` and a per-character
-definition of each map, and `verify_escape`'s bit-parallel mask pass, for
-transducers and `explicit` tables alike, against a per-sample loop whose
+the game-built selector's bits must match their per-bit, per-character and
+per-layer definitions, and samplers of one schedule and seed must share
+every free column.  Each map's `apply` must match a per-character
+definition of the map, and `verify_escape`'s bit-parallel mask pass, for
+transducers and `explicit` tables alike, must match a per-sample loop whose
 `unaccounted` reads the certificate's tree leaf by leaf."""
 
 import itertools
@@ -16,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from fraction_oracles import IDENTITY, reference_consistent, reference_leaves
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,34 +120,6 @@ def reference_sample(tree, seed, count):
             prefix += str(b)
         out.append(prefix)
     return out
-
-
-def reference_consistent(sel, node, levels):
-    """`node` obeys the game-built selector `sel` at each of the `levels`
-    shorter than it, read off `Layer`'s definition: at a layer's level a
-    node incomparable with the layer's root gets the layer's bit; a node
-    compatible with the root, or at a level without a layer, gets the
-    default."""
-    layers = {l.level: l for l in sel.layers}
-    for n in levels:
-        if n >= len(node):
-            break
-        head, layer = node[:n], layers.get(n)
-        incomparable = layer is not None and not (
-            layer.root.startswith(head) or head.startswith(layer.root))
-        if int(node[n]) != (layer.bit if incomparable else sel.default):
-            return False
-    return True
-
-
-def reference_leaves(tree, d):
-    """Depth-d strings that obey the selector at every forced level."""
-    forced = set(tree.schedule.indices)
-    return tuple(
-        node
-        for node in ("".join(bits) for bits in itertools.product("01", repeat=d))
-        if all(int(node[n]) == tree.selector.bit(node[:n]) for n in range(d) if n in forced)
-    )
 
 
 def reference_transduce(t, node):
@@ -371,7 +343,7 @@ def test_run_game_reports_final_scan_depth_and_its_bad_sets():
 # every requirement's bad set after each hand-appended layer of either bit
 
 MAPS = {"bit_flip": BitFlipMap(), "shift": ShiftMap(), "parity": PARITY,
-        "identity": TransducerMap.identity()}
+        "identity": IDENTITY}
 binary = st.text(alphabet="01", max_size=4)
 
 
@@ -769,6 +741,11 @@ def test_chunked_transducer_rejects_non_binary(node):
 # -- selector consistency --------------------------------------------------
 
 
+def obeys(sel, node, levels):
+    """`node` agrees with `sel.bit` of its prefix at each of the `levels` shorter than it."""
+    return all(int(node[n]) == sel.bit(node[:n]) for n in levels if n < len(node))
+
+
 def test_game_built_consistent_matches_layer_definition():
     rng = random.Random(21)
     outcomes, long_roots = set(), 0
@@ -791,13 +768,13 @@ def test_game_built_consistent_matches_layer_definition():
                 obey = n in levels and rng.random() < 0.9
                 node += str(sel.bit(node)) if obey else rng.choice("01")
             expected = reference_consistent(sel, node, levels)
-            assert sel.consistent(node, levels) == expected
+            assert obeys(sel, node, levels) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
     assert long_roots > 0
 
 
-# -- apply_all -------------------------------------------------------------
+# -- apply -----------------------------------------------------------------
 
 STUTTER_MAP = TransducerMap(start="a", delta=STUTTER, lag=300)
 # every node up to length 6 with its prefix-parity image: monotone
@@ -815,7 +792,7 @@ REFERENCES = {
     "shift": (ShiftMap(), lambda n: n[1:]),
     "parity": (PARITY, lambda n: reference_transduce(PARITY, n)),
     "stutter": (STUTTER_MAP, lambda n: reference_transduce(STUTTER_MAP, n)),
-    "identity": (TransducerMap.identity(), lambda n: n),
+    "identity": (IDENTITY, lambda n: n),
     "explicit": (EXPLICIT, lambda n: EXPLICIT.entries[n]),
 }
 
@@ -840,24 +817,23 @@ def node_lists(explicit):
 def test_apply_all_matches_apply_and_per_character_reference(name):
     m, reference = REFERENCES[name]
     for nodes in node_lists(name == "explicit"):
-        images = m.apply_all(nodes)
-        assert images == [m.apply(n) for n in nodes] == [reference(n) for n in nodes]
+        assert [m.apply(n) for n in nodes] == [reference(n) for n in nodes]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 @pytest.mark.parametrize("bad", ["2", "0000000012", "01010101" * 3 + "x", "0" * 16 + " ", "٠١"])
 def test_apply_all_rejects_non_binary_like_apply(name, bad):
     m, _ = REFERENCES[name]
-    m.apply_all(node_lists(name == "explicit")[-1])  # the map has been used
+    for node in node_lists(name == "explicit")[-1]:  # the map has been used
+        m.apply(node)
     with pytest.raises(ValueError, match="not a binary string"):
         m.apply(bad)
-    with pytest.raises(ValueError, match="not a binary string"):
-        m.apply_all(["0", bad, "1"])
 
 
 def test_explicit_apply_all_reports_the_missing_node():
+    assert EXPLICIT.apply("0") == "0"
     with pytest.raises(UndefinedNodeError, match="'0000000'"):
-        EXPLICIT.apply_all(["0", "0000000", "1"])
+        EXPLICIT.apply("0000000")
 
 
 @st.composite
@@ -876,7 +852,7 @@ def monotone_tables(draw):
 def test_explicit_trie_images_equal_the_table(table):
     m = ExplicitNodeMap(table, lag=8)
     keys = sorted(table)
-    assert m.apply_all(keys) == [table[k] for k in keys]
+    assert [m.apply(k) for k in keys] == [table[k] for k in keys]
     for node in {k[:i] for k in keys for i in range(len(k))} - set(table):  # inside the trie
         with pytest.raises(UndefinedNodeError, match=f"no image recorded for node '{node}'"):
             m.apply(node)
@@ -926,7 +902,7 @@ def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
     tree = escape_tree(8)
     levels = tree.selector.decided_levels(tree.schedule)
     nodes = [x for k in range(9) for x in tree.materialize(k).leaves]
-    broken = [x for x in nodes if not tree.selector.consistent(reference_transduce(PARITY, x), levels)]
+    broken = [x for x in nodes if not reference_consistent(tree.selector, reference_transduce(PARITY, x), levels)]
     full = {x: reference_transduce(PARITY, x) for x in nodes}
     pruned = {x: u for x, u in full.items() if not any(x.startswith(b) and x != b for b in broken)}
     assert len(pruned) < len(full)
@@ -939,7 +915,8 @@ def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
     assert reports[0] == reports[1]
     assert reports[0][0]["escaped"] and reports[0][0]["undetermined"]
     with pytest.raises(UndefinedNodeError):  # a lookup leaf by leaf still needs the dropped images
-        maps[1].apply_all(tree.materialize().leaves)
+        for x in tree.materialize().leaves:
+            maps[1].apply(x)
 
 
 @pytest.mark.parametrize("delta", [
@@ -956,7 +933,7 @@ def test_transducer_with_non_binary_output_is_rejected():
         TransducerMap(start=0, delta={(0, 0): (0, "0"), (0, 1): (0, "2")}, lag=0)
 
 
-# -- consistent ------------------------------------------------------------
+# -- selector bits ---------------------------------------------------------
 
 
 @st.composite
@@ -983,7 +960,7 @@ def selector_cases(draw):
 def test_consistent_matches_per_node_definition(case):
     sel, levels, pairs = case
     for _, node in pairs:
-        assert sel.consistent(node, levels) == reference_consistent(sel, node, levels)
+        assert obeys(sel, node, levels) == reference_consistent(sel, node, levels)
 
 
 # -- verify_escape ---------------------------------------------------------
@@ -999,9 +976,6 @@ def reference_verify_escape(tree, maps, samples, seed, certificate=None, predica
     another game than the sampled tree's, or scan deeper than its depth."""
     xs = reference_sample(tree, seed, samples)
     decided = sorted(tree.selector.decided_levels(tree.schedule))
-    consistent = tree.selector.consistent
-    if isinstance(tree.selector, GameBuiltSelector):
-        consistent = lambda u, levels: reference_consistent(tree.selector, u, levels)
     cert_bad, cut = {}, None if certificate is None else certificate.scan_depth
     if predicate:  # the certificate's tree's leaves that satisfy the predicate
         cut, sel = min(cut, tree.depth), GameBuiltSelector(certificate.layers)
@@ -1030,7 +1004,7 @@ def reference_verify_escape(tree, maps, samples, seed, certificate=None, predica
             if compatible(u, x):
                 counts["fixed"] += 1
                 continue
-            if not consistent(u, decided):
+            if not reference_consistent(tree.selector, u, decided):
                 counts["escaped"] += 1
                 continue
             counts["undetermined"] += 1
@@ -1165,7 +1139,7 @@ def escape_tree(depth=24):
 def test_identity_map_fixes_every_sample_to_the_full_depth():
     tree = escape_tree()
     cert = certificate_of(tree.schedule, tree.selector.layers, 12, [(0, "0"), (0, "1")])
-    maps = [TransducerMap.identity()]
+    maps = [IDENTITY]
     (row,) = verify_escape(tree, maps, 300, 4, cert).per_map
     assert row == {"map": 0, "kind": "transducer", "fixed": 300, "escaped": 0,
                    "undetermined": 0, "unaccounted": 0, "uncovered": 0}

@@ -8,6 +8,7 @@ from fraction_oracles import (
     deinterleave,
     reference_dyadic_four_cover,
     reference_interleave_metric_check,
+    right_end,
 )
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,8 +26,8 @@ from gaugetree.transfer import four_cover_span
 def test_expand():
     iv = expand("101")
     assert iv.left == Fraction(5, 8)
-    assert iv.right == Fraction(6, 8)
-    assert iv.diameter == Fraction(1, 8)
+    assert (iv.level, iv.index) == (3, 5)
+    assert right_end(iv) == Fraction(6, 8)
     assert expand("").left == 0
 
 
@@ -62,7 +63,7 @@ def test_metric_law_random():
         chk = interleave_metric_check(x, y, n)
         # components differ first at floor(k/n) or later, with equality for
         # the component owning position k
-        assert chk.observed == chk.expected
+        assert chk.observed_exp == chk.expected_exp
 
 
 def test_metric_check_rejects_equal():
@@ -104,7 +105,8 @@ def test_metric_check_matches_fraction_reference(case):
         return
     chk = interleave_metric_check(x, y, n)
     k, expected, observed = reference_interleave_metric_check(x, y, n)
-    assert (chk.first_difference, chk.expected, chk.observed) == (k, expected, observed)
+    assert (chk.first_difference, Fraction(1, 1 << chk.expected_exp), Fraction(1, 1 << chk.observed_exp)) == (
+        k, expected, observed)
     assert (chk.expected_exp, Fraction(1, 2**chk.observed_exp)) == (k // n, observed)
 
 
@@ -135,7 +137,7 @@ def cover_is_valid(a, b, intervals):
     # consecutive grid intervals whose union contains [a, b]
     if any(y.index - x.index != 1 for x, y in zip(ivs, ivs[1:])):
         return False
-    return ivs[0].left <= a and b <= ivs[-1].right
+    return ivs[0].left <= a and b <= right_end(ivs[-1])
 
 
 def test_four_cover_worked_example():

@@ -1,10 +1,11 @@
-"""Splitting-tree membership, measures, materialization, and sampling."""
+"""Splitting-tree membership, level counts, materialization, and sampling."""
 
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from fraction_oracles import reference_contains
 
 from gaugetree import (
     BranchSchedule,
@@ -15,7 +16,7 @@ from gaugetree import (
     SeededSelector,
     SplittingTree,
 )
-from gaugetree.errors import NodeBudgetError, NotInTreeError, TruncationError
+from gaugetree.errors import NodeBudgetError, TruncationError
 from gaugetree.tree import BITS_CHUNK, check_node, compatible, random_bits, selector_from_json_dict
 
 
@@ -44,30 +45,32 @@ def test_check_node_accepts_binary(bits):
 
 def test_membership_forced_levels():
     tree = make_tree({1, 3}, 6)
-    assert tree.contains("0")
-    assert tree.contains("00")
-    assert not tree.contains("01")
-    assert tree.contains("0000")
-    assert not tree.contains("0001")
+    assert reference_contains(tree, "0")
+    assert reference_contains(tree, "00")
+    assert not reference_contains(tree, "01")
+    assert reference_contains(tree, "0000")
+    assert not reference_contains(tree, "0001")
+    assert tree.materialize(4).leaves == ("0000", "0010", "1000", "1010")
     with pytest.raises(TruncationError):
-        tree.contains("0" * 7)
+        tree.level_count(7)
 
 
 def test_membership_explicit_selector():
     sel = ExplicitSelector({"0": 1, "1": 0}, default=0)
     tree = make_tree({1}, 4, sel)
-    assert tree.contains("01")
-    assert not tree.contains("00")
-    assert tree.contains("10")
-    assert not tree.contains("11")
+    assert reference_contains(tree, "01")
+    assert not reference_contains(tree, "00")
+    assert reference_contains(tree, "10")
+    assert not reference_contains(tree, "11")
+    assert tree.materialize(2).leaves == ("01", "10")
 
 
 def test_cylinder_measure_example():
+    """A member's cylinder has measure 1/level_count of its length."""
     tree = make_tree({1, 3}, 8)
-    assert tree.cylinder_measure("0000") == Fraction(1, 4)
-    assert tree.cylinder_measure("") == Fraction(1)
-    with pytest.raises(NotInTreeError):
-        tree.cylinder_measure("0100")
+    assert reference_contains(tree, "0000") and Fraction(1, tree.level_count(4)) == Fraction(1, 4)
+    assert reference_contains(tree, "") and Fraction(1, tree.level_count(0)) == Fraction(1)
+    assert not reference_contains(tree, "0100")
 
 
 def test_level_counts_match_materialization():
@@ -82,8 +85,8 @@ def test_materialized_leaves_are_members_with_equal_measure():
     etree = tree.materialize()
     total = Fraction(0)
     for leaf in etree.leaves:
-        assert tree.contains(leaf)
-        total += tree.cylinder_measure(leaf)
+        assert reference_contains(tree, leaf)
+        total += Fraction(1, tree.level_count(len(leaf)))
     assert total == Fraction(1)
 
 
@@ -97,7 +100,7 @@ def test_sampling_deterministic_and_in_tree():
     tree = make_tree({1, 3}, 12, SeededSelector(5))
     xs = tree.sample(99, 50)
     assert xs == tree.sample(99, 50)
-    assert all(tree.contains(x) for x in xs)
+    assert all(reference_contains(tree, x) for x in xs)
 
 
 def test_sampling_frequencies_match_measure():
@@ -124,21 +127,28 @@ def test_game_built_selector_layering():
 
 
 def test_selector_json_round_trips():
-    for sel in [
-        ConstantSelector(1),
-        SeededSelector(42),
-        ExplicitSelector({"01": 1, "": 0}, default=1),
-        GameBuiltSelector([Layer(1, "0", 1), Layer(3, "01", 0)], default=0),
+    """Every kind is read; only the game-built selector, which `antichain`
+    reports, is written too."""
+    for data, sel in [
+        ({"kind": "constant", "bit": 1}, ConstantSelector(1)),
+        ({"kind": "seeded", "seed": 42}, SeededSelector(42)),
+        ({"kind": "explicit", "default": 1, "assignments": [["", 0], ["01", 1]]},
+         ExplicitSelector({"01": 1, "": 0}, default=1)),
+        ({"kind": "game_built", "default": 0, "layers": [[1, "0", 1], [3, "01", 0]]},
+         GameBuiltSelector([Layer(1, "0", 1), Layer(3, "01", 0)], default=0)),
     ]:
-        back = selector_from_json_dict(json.loads(json.dumps(sel.to_json_dict())))
+        back = selector_from_json_dict(json.loads(json.dumps(data)))
         for node in ["", "0", "01", "110", "0101"]:
             assert back.bit(node) == sel.bit(node)
+    assert sel.to_json_dict() == data
 
 
 def test_tree_json_round_trip():
-    tree = make_tree({1, 3, 7}, 10, SeededSelector(2))
+    sel = GameBuiltSelector([Layer(1, "0", 1), Layer(3, "011", 0), Layer(7, "1", 1)], default=0)
+    tree = make_tree({1, 3, 7}, 10, sel)
     back = SplittingTree.from_json_dict(json.loads(json.dumps(tree.to_json_dict())))
     assert back.materialize().leaves == tree.materialize().leaves
+    assert back.to_json_dict() == tree.to_json_dict()
 
 
 @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 300, BITS_CHUNK, BITS_CHUNK + 1, 3 * BITS_CHUNK - 7])
