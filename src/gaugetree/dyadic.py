@@ -10,9 +10,10 @@ and :func:`to_number` projects a pair to a Fraction.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, log2
 from typing import Tuple, Union
 
 Number = Union[Fraction, float]
@@ -22,6 +23,8 @@ Value = Tuple[int, int, int]
 # the largest |decimal exponent| parse_rational reads: the interpreter's own
 # limit on the digits of an int read from text
 MAX_EXPONENT = sys.int_info.default_max_str_digits
+# an int of at most MAX_BITS bits has at most MAX_EXPONENT digits
+MAX_BITS = int(MAX_EXPONENT * log2(10))
 
 
 def dyadic_pair(m: int, e: int = 0) -> Pair:
@@ -107,11 +110,17 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Fraction(s) in time linear in len(s): a decimal exponent beyond
-    MAX_EXPONENT, for which Fraction would build 10^|exponent|, raises
-    ValueError."""
+    """Fraction(s) in time linear in len(s).  ValueError refuses a run of
+    more than MAX_EXPONENT digits in s, which no int reads, a decimal exponent
+    past MAX_EXPONENT, for which Fraction would build 10^|exponent|, and a
+    value whose numerator or denominator has more than MAX_BITS bits."""
+    if max(map(len, re.findall(r"\d+", s.replace("_", ""))), default=0) > MAX_EXPONENT:
+        raise ValueError(f"{s!r} has a run of more than {MAX_EXPONENT} digits")
     _, e, exponent = s.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "")
-    if e and digits.isdecimal() and int(digits) > MAX_EXPONENT:  # int refuses > 4300 digits at once
+    if e and digits.isdecimal() and int(digits) > MAX_EXPONENT:
         raise ValueError(f"the exponent of {s!r} exceeds {MAX_EXPONENT} in absolute value")
-    return Fraction(s)
+    x = Fraction(s)
+    if max(abs(x.numerator), x.denominator).bit_length() > MAX_BITS:
+        raise ValueError(f"the numerator or denominator of {s!r} has more than {MAX_BITS} bits")
+    return x

@@ -29,12 +29,12 @@ bad leaf's image stays incompatible with the root below it, and a count
 over-approximates the bad set at every deeper level: each certified bound
 holds at every depth from the scan depth to the working depth.
 
-The escape check runs the same product over samples instead of counts, bit
-parallel: the samples are a tree's `Columns`, one int per level with a bit
-per sample, and each map runs once over the levels with a sample mask per
-state (`_escape_masks`).  Run again on the certificate's tree to its scan
-depth, the same classifier decides which samples lie in their final bad
-sets.
+The escape check samples a tree's `Columns`, one int per level with a bit
+per sample, and classifies them bit parallel: each map runs once over the
+levels with a sample mask per state (`_escape_masks`).  Which certified
+samples lie in their final bad sets `_count` decides on the certificate's
+tree, with a mask of rows in place of each count: the bad-set predicate has
+one implementation, for counts and for samples.
 """
 
 from __future__ import annotations
@@ -246,20 +246,25 @@ class GameState:
         return {l.level for l in self.layers}
 
 
-def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = None) -> Dict:
+def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = None,
+           samples: Optional[Tuple[Columns, int]] = None) -> Dict:
     """The bad leaves of (m, root) at the tree's depth, tallied by their image
-    bit at `level`: keys "0", "1", and None for no bit there."""
+    bit at `level`: keys "0", "1", and None for no bit there.  With `samples`,
+    another tree's `Columns` and a mask of its rows, each weight is a mask in
+    place of a count: the rows, cut to the depth, that are such a leaf.  A
+    row's bit at a forced level other than the tree's drops it."""
     tally = dict.fromkeys(("0", "1", None), 0)
     rule, d = tree.selector.bit_under, tree.depth
     r = max([len(root), *(len(l.root) for l in tree.selector.layers)])
     forced, decided = tree.schedule.forced, set(tree.selector.decided_levels(tree.schedule))
-    step = m.steps()
-    counts = {("", m.start, "", 0, None): 1} if d >= len(root) else {}
+    step, (cols, start) = m.steps(), samples or (None, 1)
+    counts = {("", m.start, "", 0, None): start} if d >= len(root) else {}
     for i in range(d):
-        grown = {}
+        grown, one = {}, cols and cols[i]
         for (xh, q, yh, n0, yb), c in counts.items():
             for b in (rule(xh, i),) if i in forced else "01":
-                if i < len(root) and b != root[i]:
+                w = c if cols is None else c & one if b == "1" else c & ~one
+                if not w or i < len(root) and b != root[i]:
                     continue
                 q2, out = step[q, b]
                 n, head, bit = n0, yh, yb
@@ -273,7 +278,7 @@ def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = No
                     n += 1
                 else:
                     key = (xh + b if i < r else xh, q2, head, n, bit)
-                    grown[key] = grown.get(key, 0) + c
+                    grown[key] = grown.get(key, 0) + w
         counts = grown
     for (_, q, yh, _, yb), c in counts.items():
         m.check_end(q)
@@ -392,18 +397,19 @@ class RequirementReport(NamedTuple):
         return self.final_bad.measure
 
 
+MEASURE_NOTE = (
+    "bad-set measures are taken with respect to the tree's own uniform "
+    "branch measure at the scan depth, and every bound holds at each depth "
+    "from scan_depth to the working depth"
+)
+
+
 class AntichainCertificate(NamedTuple):
-    schedule: BranchSchedule
     layers: Tuple[Layer, ...]
     requirements: Tuple[RequirementReport, ...]
     stages_executed: int
     scan_depth: int
     stage_log: Tuple[dict, ...]
-    measure_note: str = (
-        "bad-set measures are taken with respect to the tree's own uniform "
-        "branch measure at the scan depth, and every bound holds at each depth "
-        "from scan_depth to the working depth"
-    )
 
     def to_json_dict(self) -> dict:
         return {
@@ -421,7 +427,7 @@ class AntichainCertificate(NamedTuple):
             "layers": [[l.level, l.root, l.bit] for l in self.layers],
             "stages_executed": self.stages_executed,
             "scan_depth": self.scan_depth,
-            "measure_note": self.measure_note,
+            "measure_note": MEASURE_NOTE,
             "stage_log": list(self.stage_log),
         }
 
@@ -493,7 +499,6 @@ def run_game(
         for key, req in enumerate(requirements)
     )
     certificate = AntichainCertificate(
-        schedule=schedule,
         layers=tuple(state.layers),
         requirements=reports,
         stages_executed=len(state.stage_log),
@@ -516,9 +521,9 @@ class EscapeReport(NamedTuple):
         return {"samples": self.samples, "seed": self.seed, "per_map": list(self.per_map)}
 
 
-def _escape_masks(cols: Columns, m: TreeMap, depth: int, decided, cap: int, start: int) -> Tuple[dict, dict]:
-    """The samples in `start` classified under m to `depth`, by one pass with
-    a sample mask per state: m's state, |u|, u's first R bits, and u's first
+def _escape_masks(cols: Columns, m: TreeMap, depth: int, decided, cap: int) -> Tuple[dict, dict]:
+    """Every sample classified under m to `depth`, by one pass with a sample
+    mask per state: m's state, |u|, u's first R bits, and u's first
     difference from x capped at `cap` (None while u agrees with x, and so
     obeys every decided level below the depth as x does).  A moved u that
     breaks a decided level escapes; past the last one it is undetermined for
@@ -527,7 +532,7 @@ def _escape_masks(cols: Columns, m: TreeMap, depth: int, decided, cap: int, star
     r, rule, step = cols.r, cols.rule, m.steps()
     last, decided = max(decided, default=-1), set(decided)
     counts = dict.fromkeys(("fixed", "escaped", "undetermined"), 0)
-    und, states = {}, {(m.start, 0, "", None): start}  # first difference -> samples
+    und, states = {}, {(m.start, 0, "", None): cols.full}  # first difference -> samples
 
     def emit(n, h, p, part, ch):
         """The parts of `part` after u's bit ch at n."""
@@ -587,33 +592,25 @@ def verify_escape(
     predicate of that requirement's final bad set, else it counts as
     unaccounted; one whose root is not certified counts as uncovered.
 
-    Each map's classifier runs on the tree's `Columns` to its depth, then on
-    the certificate's tree's `Columns` to the cut, over the certified
-    samples inside that tree: their forced columns below the cut agree in
-    both, as every free column does.  m(x cut) is a prefix of m(x), so a cut
-    sample is in its root's bad set iff the second run finds the same first
-    difference and no broken layer."""
-    final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), certificate.scan_depth)
-    cut = min(final.depth, tree.depth)
-    cols, cut_cols = Columns(tree, seed, samples), Columns(final, seed, samples)
-    inside = cols.full
-    for n in tree.schedule.indices[: tree.schedule.count_below(cut)]:
-        inside &= ~(cols[n] ^ cut_cols[n])
+    Each map's classifier runs once, on the tree's `Columns` to its depth.
+    The bad-set predicate is `_count`'s, weighing the certified samples of
+    each root as a mask over the certificate's tree to the cut."""
+    final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), min(certificate.scan_depth, tree.depth))
+    cols = Columns(tree, seed, samples)
     decided = tree.selector.decided_levels(tree.schedule)
     per_map = []
     for mi, m in enumerate(maps):
         roots = {r.root for r in certificate.requirements if r.map_index == mi}
-        cap = max(map(len, roots), default=0)
-        counts, und = _escape_masks(cols, m, tree.depth, decided, cap, cols.full)
-        by_root = {}  # root -> its certified samples
+        counts, und = _escape_masks(cols, m, tree.depth, decided, max(map(len, roots), default=0))
+        certified = counts["unaccounted"] = 0
         for root in roots:
             mask = und.get(len(root) - 1, 0)
             for j, ch in enumerate(root if mask else ""):
                 mask &= cols[j] if ch == "1" else ~cols[j]
-            by_root[root] = mask
-        certified = sum(by_root.values())  # the masks are disjoint
-        _, bad = _escape_masks(cut_cols, m, cut, final.selector.decided_levels(tree.schedule), cap, certified & inside)
-        counts["unaccounted"] = sum((mask & ~bad.get(len(root) - 1, 0)).bit_count() for root, mask in by_root.items())
+            if mask:
+                certified |= mask
+                bad = sum(_count(final, m, root, samples=(cols, mask)).values())
+                counts["unaccounted"] += (mask & ~bad).bit_count()
         counts["uncovered"] = counts["undetermined"] - certified.bit_count()
         per_map.append({"map": mi, "kind": m.kind, **counts})
     return EscapeReport(per_map=tuple(per_map), samples=samples, seed=seed)

@@ -121,14 +121,13 @@ class Gauge(NamedTuple):
     s: Optional[Fraction] = None
     c: Optional[Fraction] = None
     entries: Optional[Tuple[Tuple[int, Number], ...]] = None
-    description: str = ""
 
     @staticmethod
     def power(s) -> "Gauge":
         s = Fraction(s)
         if not 0 < s <= MAX_TERM:
             raise ValueError(f"power gauge needs 0 < s <= {MAX_TERM}")
-        return Gauge(kind=POWER, s=s, description=f"t^{format_rational(s)}")
+        return Gauge(kind=POWER, s=s)
 
     @staticmethod
     def power_log(s, c) -> "Gauge":
@@ -140,15 +139,10 @@ class Gauge(NamedTuple):
                 f"power_log gauge needs c = a/b with |a|, b <= {MAX_TERM}: each level n = 2^t*u, "
                 f"u odd, takes a b-th root of a ({MANTISSA_BITS}*b + |a|*log2(u))-bit number"
             )
-        return Gauge(
-            kind=POWER_LOG,
-            s=s,
-            c=c,
-            description=f"t^{format_rational(s)}*log2(1/t)^{format_rational(c)}",
-        )
+        return Gauge(kind=POWER_LOG, s=s, c=c)
 
     @staticmethod
-    def table(entries: Sequence[Tuple[int, Number]], description: str = "table") -> "Gauge":
+    def table(entries: Sequence[Tuple[int, Number]]) -> "Gauge":
         ents = tuple((int(n), v) for n, v in entries)
         if not ents:
             raise ValueError("table gauge needs at least one entry")
@@ -159,7 +153,7 @@ class Gauge(NamedTuple):
                 raise ValueError("table values must be non-increasing in the exponent")
         if any(v <= 0 for _, v in ents):
             raise ValueError("table values must be positive")
-        return Gauge(kind=TABLE, entries=ents, description=description)
+        return Gauge(kind=TABLE, entries=ents)
 
     # -- evaluation ------------------------------------------------------
 

@@ -81,10 +81,50 @@ MUTANTS = (
         ("tests/test_dyadic.py", "tests/test_gauge.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
     ),
     Mutant(
+        "value_bits_unbounded", "src/gaugetree/dyadic.py",
+        "if max(abs(x.numerator), x.denominator).bit_length() > MAX_BITS:", "if False:",
+        "table:0=1e4300 is read, and its 4 301-digit value fails only when the JSON is written",
+        ("tests/test_dyadic.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
+    ),
+    Mutant(
+        "digit_run_unbounded", "src/gaugetree/dyadic.py",
+        "default=0) > MAX_EXPONENT:", "default=0) > 10 * MAX_EXPONENT:",
+        "a 4 401-digit decimal is refused by the interpreter's int limit, whose message names no spec",
+        ("tests/test_dyadic.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
+    ),
+    Mutant(
         "power_log_c_unbounded", "src/gaugetree/gauge.py",
         "if max(abs(c.numerator), c.denominator) > MAX_TERM:", "if False:",
         "power_log:1,1/1000000000 takes a 10^9-th root of a 6.4·10^10-bit number at every level",
         ("tests/test_gauge.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
+    ),
+    Mutant(
+        "count_mask_kept_whole_at_a_forced_level", "src/gaugetree/game.py",
+        "w = c if cols is None else", "w = c if cols is None or i in forced else",
+        "a sampled row whose forced bit differs from the certificate's tree stays in its bad set",
+        ("tests/test_scan_cache.py::test_count_weighs_sample_masks_like_the_enumerated_bad_set",
+         "tests/test_scan_cache.py::test_a_row_outside_the_certificates_tree_is_unaccounted"),
+    ),
+    Mutant(
+        "count_mask_halves_swapped", "src/gaugetree/game.py",
+        'c & one if b == "1" else c & ~one', 'c & ~one if b == "1" else c & one',
+        "each sampled row follows the bit it does not have",
+        ("tests/test_scan_cache.py::test_count_weighs_sample_masks_like_the_enumerated_bad_set",
+         "tests/test_scan_cache.py::test_verify_escape_mask_pass_matches_per_sample_loop"),
+    ),
+    Mutant(
+        "escape_first_difference_capped_short", "src/gaugetree/game.py",
+        "part, p = part ^ same, min(n, cap)", "part, p = part ^ same, min(n, cap - 1)",
+        "a sample whose image leaves it at its longest root's last bit is filed under the level before",
+        ("tests/test_scan_cache.py::test_verify_escape_matches_per_sample_loop",
+         "tests/test_scan_cache.py::test_verify_escape_mask_pass_matches_per_sample_loop"),
+    ),
+    Mutant(
+        "certified_mask_skips_the_root_filter", "src/gaugetree/game.py",
+        'for j, ch in enumerate(root if mask else ""):', 'for j, ch in enumerate(""):',
+        "a root certifies every sample whose first difference has its length, under any root",
+        ("tests/test_scan_cache.py::test_verify_escape_matches_per_sample_loop",
+         "tests/test_scan_cache.py::test_verify_escape_mask_pass_matches_per_sample_loop"),
     ),
 )
 

@@ -62,10 +62,12 @@ def test_bad_gauge_exits_2(tmp_path, capsys):
     assert e.value.code == 2
     # a number past its bound is refused before any work, in a child capped
     # at 1 GiB and 20 s: Fraction would build 10^999999999, and _enclose a
-    # 10^9-th root, at every level
+    # 10^9-th root, at every level; a number no int reads or writes as text
+    # is refused as the spec's, not with the interpreter's own limit
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gaugetree.__file__))}
     for spec in ["power:1e999999999", "table:0=1,1=1e-999999999", "power_log:1,1/1000000000",
-                 "power:1e4000", "power_log:1,1e4000"]:
+                 "power:1e4000", "power_log:1,1e4000", "table:0=1,1=1e-4300", "table:0=1e4300",
+                 "table:0=12345e4299", "power:1e-4300", "power_log:1e-4300,1", "power:0." + "0" * 4399 + "1"]:
         proc = subprocess.run(
             [sys.executable, "-m", "gaugetree.cli", "schedule", "--gauge", spec, "--depth", "8",
              "--out", tmp_path / "o.json"],

@@ -9,6 +9,7 @@ from fraction_oracles import format_exact, parse_dyadic
 from hypothesis import example, given, strategies as st
 
 from gaugetree.dyadic import (
+    MAX_BITS,
     MAX_EXPONENT,
     dyadic_pair,
     floor_log2,
@@ -120,13 +121,25 @@ def test_parse_float_matches_the_exact_parse():
 
 def test_parse_rational_refuses_only_an_exponent_past_the_bound():
     """parse_rational is Fraction(s) up to |exponent| = MAX_EXPONENT, and
-    refuses a larger one before Fraction would build 10^|exponent|."""
+    refuses a larger one before Fraction would build 10^|exponent|; in its own
+    words it refuses a literal with a run of digits no int reads, and a value
+    with a numerator or denominator past MAX_BITS bits, which every int
+    within MAX_EXPONENT digits may write as text."""
     assert MAX_EXPONENT == 4300
-    for cell in ["1/3", "0.5", "-2.5e3", "1E-4300", "7e+0004300", " 1e1_0 ", "1e0", "\u0661e\u0662"]:
+    for cell in ["1/3", "0.5", "-2.5e3", "1E-4299", "7e+0004299", " 1e1_0 ", "1e0", "\u0661e\u0662"]:
         assert parse_rational(cell) == Fraction(cell)
     for cell in ["1e4301", "1E-4301", "2.5e999999999", "1e+00000004301", "1e1_000_000_000"]:
         with pytest.raises(ValueError, match="exceeds 4300 in absolute value"):
             parse_rational(cell)
+    assert MAX_BITS == 14284 and len(str((1 << MAX_BITS) - 1)) == 4300
+    for cell in ["1E-4300", "7e+0004300", "12345e4299", f"1/{1 << MAX_BITS}", f"-{1 << MAX_BITS}.0"]:
+        with pytest.raises(ValueError, match="numerator or denominator of .* has more than 14284 bits"):
+            parse_rational(cell)
+    for cell in ["0." + "0" * 4400 + "1", "1" * 4301, "1_" * 4300 + "1", "1e" + "0" * 4300 + "1"]:
+        with pytest.raises(ValueError, match="has a run of more than 4300 digits"):
+            parse_rational(cell)
+    big = (1 << MAX_BITS) - 1
+    assert parse_rational(f"1/{big}") == Fraction(1, big) and parse_rational("1_" * 4299 + "1") == int("1" * 4300)
     for cell in ["e5", "1e", "x", "1/2e5", "1e1_0_"]:
         with pytest.raises(ValueError, match="Invalid literal for Fraction"):
             parse_rational(cell)

@@ -7,7 +7,8 @@ per-layer definitions, and samplers of one schedule and seed must share
 every free column.  Each map's `apply` must match a per-character
 definition of the map, and `verify_escape`'s bit-parallel mask pass, for
 transducers and `explicit` tables alike, must match a per-sample loop whose
-`unaccounted` reads the certificate's tree leaf by leaf."""
+`unaccounted` reads the certificate's tree leaf by leaf; `_count`, weighing
+sample masks, must keep exactly the rows whose cut is an enumerated bad leaf."""
 
 import itertools
 import random
@@ -525,7 +526,7 @@ def test_bounds_hold_from_the_scan_depth_to_the_working_depth(case):
     except InfeasibleError:
         return
     final = certified_state(schedule, maps, depth, cert)
-    bare = certified_state(schedule, maps, depth, certificate_of(schedule, (), cert.scan_depth, ()))
+    bare = certified_state(schedule, maps, depth, certificate_of((), cert.scan_depth, ()))
     last = max((l.level for l in cert.layers), default=-1)
     for rep in cert.requirements:
         req = Requirement(rep.map_index, rep.root)
@@ -547,7 +548,7 @@ def test_long_root_bounds_hold_at_the_working_depth():
     maps = [BitFlipMap(), ShiftMap()]
     _, cert = run_game(schedule, maps, [root], 128, 1)
     assert cert.scan_depth == 65
-    bare = certified_state(schedule, maps, 128, certificate_of(schedule, (), 0, ()))
+    bare = certified_state(schedule, maps, 128, certificate_of((), 0, ()))
     final = certified_state(schedule, maps, 128, cert)
     initial = [Fraction(1, 2**15), Fraction(1, 2**16)]
     for rep, measure in zip(cert.requirements, initial):
@@ -659,8 +660,8 @@ def test_sample_matches_per_bit_reference_across_blocks(name, count):
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_columns_share_every_free_column_across_selectors_and_depths(seed):
-    # the escape check compares two trees' samples column by column: a
-    # sample inside both differs in no free column
+    # a sample's free bits depend on the schedule and seed only, not on the
+    # selector, the depth or the order in which the columns are read
     schedule = sparsity_schedule(parse_gauge_spec("power:1/2"), 48)
     selectors = [
         GameBuiltSelector([Layer(n, "01"[i % 2], i % 2) for i, n in enumerate(schedule.indices[1:8])]),
@@ -889,7 +890,7 @@ def test_explicit_table_of_a_transducer_counts_and_classifies_like_it(case, seed
     table = ExplicitNodeMap({x: t.apply(x) for x in tree.materialize().leaves}, lag=t.lag)
     for root in {req.root for req in state.requirements}:
         assert game._count(tree, table, root, level) == game._count(tree, t, root, level)
-    cert = certificate_of(tree.schedule, state.layers, tree.depth,
+    cert = certificate_of(state.layers, tree.depth,
                           [(mi, req.root) for mi in (0, 1) for req in state.requirements if req.map_index == 0])
     report = verify_escape(tree, [table, t], 300, seed, cert)
     assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
@@ -910,7 +911,7 @@ def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
     roots = ("0", "1", "01", "10")
     for root in roots:
         assert game._count(tree, maps[0], root) == game._count(tree, maps[1], root)
-    cert = certificate_of(tree.schedule, tree.selector.layers, 8, [(0, r) for r in roots])
+    cert = certificate_of(tree.selector.layers, 8, [(0, r) for r in roots])
     reports = [verify_escape(tree, [m], 500, 2, cert).per_map for m in maps]
     assert reports[0] == reports[1]
     assert reports[0][0]["escaped"] and reports[0][0]["undetermined"]
@@ -1067,7 +1068,7 @@ def test_mask_pass_reads_any_selector_through_its_rule(selector):
     schedule = BranchSchedule(depth=16, indices=(1, 5, 9), n0=0)
     tree = SplittingTree(schedule, selector, 16)
     roots = [(mi, r) for mi in range(3) for r in ("0", "1", "00", "01", "10", "11")]
-    cert = certificate_of(schedule, [Layer(5, "1", 0)], 12, roots)
+    cert = certificate_of([Layer(5, "1", 0)], 12, roots)
     report = verify_escape(tree, ESCAPE_MAPS, 600, 3, cert)
     assert list(report.per_map) == reference_verify_escape(tree, ESCAPE_MAPS, 600, 3, cert, predicate=True)
     shift = report.per_map[1]
@@ -1077,11 +1078,11 @@ def test_mask_pass_reads_any_selector_through_its_rule(selector):
 # -- the mask pass against the per-sample loop ----------------------------
 
 
-def certificate_of(schedule, layers, scan_depth, certified):
+def certificate_of(layers, scan_depth, certified):
     """A certificate holding only what verify_escape reads: the layers, the
     scan depth and the certified (map, root) requirements."""
     reports = tuple(RequirementReport(mi, root, Fraction(0), Fraction(0), None, 0) for mi, root in certified)
-    return AntichainCertificate(schedule, tuple(layers), reports, 0, scan_depth, ())
+    return AntichainCertificate(tuple(layers), reports, 0, scan_depth, ())
 
 
 @st.composite
@@ -1116,7 +1117,7 @@ def escape_property_cases(draw):
     scan_depth = draw(st.integers(0, min(depth + 3, forced + 10)))
     roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), max_size=4, unique=True))
     certified = [(mi, r) for mi in range(len(maps)) for r in roots if draw(st.booleans())]
-    cert = certificate_of(schedule, cert_layers, scan_depth, certified)
+    cert = certificate_of(cert_layers, scan_depth, certified)
     return tree, maps, cert, draw(st.sampled_from([1, 255, 256, 257, 600])), draw(st.integers(0, 2**16))
 
 
@@ -1126,6 +1127,30 @@ def test_verify_escape_mask_pass_matches_per_sample_loop(case):
     tree, maps, cert, count, seed = case
     report = verify_escape(tree, maps, count, seed, cert)
     assert list(report.per_map) == reference_verify_escape(tree, maps, count, seed, cert, predicate=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(escape_property_cases(), st.integers(0, 42))
+def test_count_weighs_sample_masks_like_the_enumerated_bad_set(case, level):
+    """Weighed by a mask of the sampled rows, `_count` on the certificate's
+    tree keeps exactly the rows whose cut to the scan depth is a leaf of the
+    enumerated bad set, split by their image bit at `level`: a row outside
+    that tree, whose certificate may come from another game, drops out."""
+    tree, maps, cert, count, seed = case
+    cut = min(cert.scan_depth, tree.depth)
+    final = certified_state(tree.schedule, maps, tree.depth, cert)
+    cols, rows = Columns(tree, seed, count), reference_sample(tree, seed, count)
+    for start in (cols.full, random.Random(seed).getrandbits(count)):
+        for rep in cert.requirements:
+            m = maps[rep.map_index]
+            leaves = set(reference_bad_set(final, Requirement(rep.map_index, rep.root), cut)[0])
+            expected = dict.fromkeys(("0", "1", None), 0)
+            for i, x in enumerate(rows):
+                bit = 1 << (count - 1 - i)
+                if start & bit and x[:cut] in leaves:
+                    u = m.apply(x[:cut])
+                    expected[u[level] if level < len(u) else None] |= bit
+            assert game._count(final.tree(cut), m, rep.root, level, (cols, start)) == expected
 
 
 ESCAPE_SCHEDULE = sparsity_schedule(parse_gauge_spec("power:1/2"), 24)  # forced: odd levels
@@ -1138,7 +1163,7 @@ def escape_tree(depth=24):
 
 def test_identity_map_fixes_every_sample_to_the_full_depth():
     tree = escape_tree()
-    cert = certificate_of(tree.schedule, tree.selector.layers, 12, [(0, "0"), (0, "1")])
+    cert = certificate_of(tree.selector.layers, 12, [(0, "0"), (0, "1")])
     maps = [IDENTITY]
     (row,) = verify_escape(tree, maps, 300, 4, cert).per_map
     assert row == {"map": 0, "kind": "transducer", "fixed": 300, "escaped": 0,
@@ -1152,7 +1177,7 @@ def test_doubling_map_matches_per_sample_loop():
     doubling = TransducerMap(start=0, delta={(0, 0): (0, "00"), (0, 1): (0, "11")}, lag=8)
     layers = [Layer(3, "0", 1), Layer(6, "00", 1)]
     tree = SplittingTree(BranchSchedule(depth=8, indices=(3, 6), n0=0), GameBuiltSelector(layers, default=1), 8)
-    cert = certificate_of(tree.schedule, layers, 6, [(0, "01"), (0, "10"), (0, "0110"), (0, "1001")])
+    cert = certificate_of(layers, 6, [(0, "01"), (0, "10"), (0, "0110"), (0, "1001")])
     report = verify_escape(tree, [doubling], 600, 9, cert)
     assert list(report.per_map) == reference_verify_escape(tree, [doubling], 600, 9, cert)
     (row,) = report.per_map
@@ -1165,10 +1190,10 @@ def test_a_scan_deeper_than_the_tree_cuts_samples_at_its_depth():
     tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 5), n0=0),
                          GameBuiltSelector([Layer(5, "1", 1)], default=0), 6)
     roots = [(0, r) for r in ("0", "1", "00", "01", "10", "11")]
-    reports = [verify_escape(tree, [ShiftMap()], 300, 1, certificate_of(tree.schedule, tree.selector.layers, d, roots))
+    reports = [verify_escape(tree, [ShiftMap()], 300, 1, certificate_of(tree.selector.layers, d, roots))
                for d in (6, 9)]
     assert reports[0].per_map == reports[1].per_map
-    cert = certificate_of(tree.schedule, tree.selector.layers, 9, roots)
+    cert = certificate_of(tree.selector.layers, 9, roots)
     assert list(reports[1].per_map) == reference_verify_escape(tree, [ShiftMap()], 300, 1, cert, predicate=True)
     (row,) = reports[1].per_map
     assert row["undetermined"] > row["uncovered"] > 0 and not row["unaccounted"]
@@ -1181,7 +1206,7 @@ def test_explicit_table_of_a_transducer_classifies_like_it():
     leaves = tree.materialize().leaves
     table = ExplicitNodeMap({x: reference_transduce(PARITY, x) for x in leaves}, lag=0)
     certified = [(mi, r) for mi in (0, 1) for r in ("0", "1", "01", "10")]
-    cert = certificate_of(tree.schedule, tree.selector.layers, 8, certified)
+    cert = certificate_of(tree.selector.layers, 8, certified)
     report = verify_escape(tree, [table, PARITY], 500, 2, cert)
     assert list(report.per_map) == reference_verify_escape(tree, [table, PARITY], 500, 2, cert)
     assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
@@ -1194,14 +1219,22 @@ def test_a_row_outside_the_certificates_tree_is_unaccounted():
     # certified, yet no cut row is a leaf of the certificate's tree
     tree = SplittingTree(BranchSchedule(depth=8, indices=(0, 1, 2, 3, 4), n0=0),
                          GameBuiltSelector([Layer(1, "0", 0)], default=1), 8)
-    cert = certificate_of(tree.schedule, (), 1, [(0, "1")])
+    cert = certificate_of((), 1, [(0, "1")])
     report = verify_escape(tree, [BitFlipMap()], 5, 0, cert)
     assert report.per_map[0]["undetermined"] == report.per_map[0]["unaccounted"] == 5
     assert list(report.per_map) == reference_verify_escape(tree, [BitFlipMap()], 5, 0, cert, predicate=True)
+    # with level 0 free, the roots "0" and "1" pass, but every row keeps 1 at
+    # the forced level 2 where the certificate's tree keeps 0: no row cut to
+    # depth 3 is a leaf there, though with 0 at level 2 it would be a bad one
+    tree = SplittingTree(BranchSchedule(depth=8, indices=(1, 2, 3, 4), n0=0), tree.selector, 8)
+    cert = certificate_of((), 3, [(0, "0"), (0, "1")])
+    report = verify_escape(tree, [BitFlipMap()], 50, 0, cert)
+    assert report.per_map[0]["undetermined"] == report.per_map[0]["unaccounted"] == 50
+    assert list(report.per_map) == reference_verify_escape(tree, [BitFlipMap()], 50, 0, cert, predicate=True)
 
 
 @pytest.mark.parametrize("tree", [escape_tree(), SplittingTree(ESCAPE_SCHEDULE, SeededSelector(3), 24)])
 def test_verify_escape_refuses_zero_samples(tree):
-    cert = certificate_of(tree.schedule, (), 12, [(0, "0")])
+    cert = certificate_of((), 12, [(0, "0")])
     with pytest.raises(ValueError, match="count must be >= 1"):
         verify_escape(tree, [BitFlipMap()], 0, 0, cert)
