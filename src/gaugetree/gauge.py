@@ -27,8 +27,8 @@ from .errors import InsufficientDataError, OutOfRangeError
 MANTISSA_BITS = 64
 _WORK_BITS = 128
 # the bound on a gauge's exponents, so that every level's value stays in
-# reach: s <= MAX_TERM, for the cover DP compares g(2^-m) with g(2^-n) by a
-# shift of about |n - m|·s bits; and c = a/b with |a|, b <= MAX_TERM, for
+# reach: s <= MAX_TERM, for the level costs 2^free·g of levels m and n compare
+# by a shift of about |n - m|·s bits; and c = a/b with |a|, b <= MAX_TERM, for
 # each level's u^c is an integer b-th root of a (MANTISSA_BITS·b + |a|·log2 u)-bit number
 MAX_TERM = 64
 

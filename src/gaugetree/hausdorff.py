@@ -1,8 +1,8 @@
 """Certified gauge-measure bounds for tree-represented sets.
 
-Lower bounds come from the mass-distribution inequality; upper bounds from an
-exact optimal-cover computation over cylinder covers, which on binary strings
-loses nothing and reduces the cover infimum to a tree DP.
+Lower bounds come from the mass-distribution inequality, upper bounds from
+the optimal cylinder cover, lossless on binary strings; both read the level
+cost 2^free(n)·g(2^-n).  `values` defaults to g.scale_values(depth).
 """
 
 from __future__ import annotations
@@ -25,26 +25,27 @@ def frostman_lower(
     """Least threshold from which every cylinder measure is below the gauge.
 
     Returns (1, n0): the full branch set then has gauge measure at least its
-    own total mass for covers at scales finer than 2^-n0.  The comparison is
-    non-strict, which is all the lower-bound chain needs, and reads the lower
-    end of each enclosure.  `values` defaults to g.scale_values(tree.depth).
+    own total mass for covers at scales finer than 2^-n0.  Level n passes when
+    its lower level cost 2^free(n)·lo·2^-f, the pair (lo, f - free(n)), is at
+    least 1, a non-strict test, which is all the lower-bound chain needs; a
+    failure names the first level of least lower level cost.
     """
     if values is None:
         values = g.scale_values(tree.depth)
     forced = tree.schedule.forced
     last = worst = None
-    below = 0  # forced levels above level n
+    free = 0  # free levels above level n
     for n in range(tree.depth + 1):
-        e = below - n  # a level-n cylinder has measure 2^e
-        below += n in forced
         lo, _, f = values[n]
-        if not (lo and e + f <= lo.bit_length() - 1):  # 2^e <= lo·2^-f
-            excess = e - g.log2_at_scale(n) if lo else math.inf
+        c = f - free
+        if not lo or c > lo.bit_length() - 1:  # lo·2^-c < 1
             last = n
-            if worst is None or excess > worst[1]:
-                worst = (n, excess)
+            if worst is None or not value_le(worst[1], (lo, c)):
+                worst = (n, (lo, c))
+        free += n not in forced
     if last == tree.depth:
-        raise FrostmanConditionError(worst[0], worst[1])
+        n, (lo, c) = worst
+        raise FrostmanConditionError(n, c - math.log2(lo) if lo else math.inf)
     n0 = last + 1 if last is not None else 0
     return Fraction(1), n0
 
@@ -53,30 +54,30 @@ def level_dp(
     tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
     values: Optional[Sequence[Value]] = None,
 ) -> Tuple[Pair, int]:
-    """The level cover DP in one downward pass: (cost, witness level).
+    """The least level cost 2^free(n)·g(2^-n) over k <= n <= n_max and the
+    first n reaching it: (cost, witness level).
 
-    Going up from cost(n_max) = g(2^-n_max), level n costs through(n) =
-    cost(n + 1) on a forced level and 2·cost(n + 1) on a free one, or the
-    cut g(2^-n) when n >= k and the cut <= through(n).  The witness level is
-    the smallest n >= k at which the cut wins (ties go to the cut), else
-    n_max.  g(2^-n) is the upper end (hi, e) of its enclosure, a normal-form
-    pair, and a cover cost is monotone in the gauge values, so the cost is a
-    certified upper bound.  `values` defaults to g.scale_values(depth).
+    Cutting at level n covers the set by its 2^free(n) cylinders, and the
+    cover DP cost(n) = min(g(2^-n), through(n)) unrolls to this minimum; its
+    cut wins first at the witness (ties go to the cut).  g(2^-n) is the upper
+    end (hi, e) of its enclosure, a normal-form pair, and a cover cost is
+    monotone in the gauge values, so the cost is a certified upper bound.
     """
-    k = int(delta_exponent)
+    k = max(int(delta_exponent), 0)  # a negative one cuts from the root on
     n_max = tree.depth if depth is None else int(depth)
     if not k <= n_max <= tree.depth:
         raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
     if values is None:
         values = g.scale_values(n_max)
     forced = tree.schedule.forced
-    cost, witness = values[n_max][1:], n_max
-    for n in range(n_max - 1, -1, -1):
-        if n not in forced:  # through a free level: twice the cost below
-            cost = (cost[0], cost[1] - 1)
-        if n >= k and value_le(values[n][1:], cost):
-            cost, witness = values[n][1:], n
-    return cost, witness
+    free = k - tree.schedule.count_below(k)
+    least = witness = None
+    for n in range(k, n_max + 1):
+        _, hi, e = values[n]
+        if least is None or not value_le(least, (hi, e - free)):
+            least, witness = (hi, e - free), n
+        free += n not in forced
+    return least, witness
 
 
 def level_dp_cost(
@@ -121,7 +122,7 @@ def dimension_estimate(
       iff free(n) >= n·s, and `frostman_lower` fails only when level N does.
       The bisection keeps the largest j/2^k with free(N) >= N·j/2^k:
       s_lo = floor(2^k·free(N)/N) / 2^k, which is 1 when free(N) = N.
-    - The cut-0 cover DP costs the least level cost, min over n <= N of
+    - The cut-0 `level_dp` costs the least level cost, min over n <= N of
       2^(free(n) - n·s), which is 1 at n = 0; so it is below 1 iff
       free(n) < n·s for some n >= 1.  The bisection keeps the least j/2^k
       above min free(n)/n: s_hi = (min of floor(2^k·free(n)/n) + 1) / 2^k
@@ -187,8 +188,7 @@ def measure_certificate(
     tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
     values: Optional[Sequence[Value]] = None,
 ) -> MeasureCertificate:
-    """Bundle the Frostman floor and the optimal-cover ceiling at one scale;
-    `values` defaults to g.scale_values(depth)."""
+    """Bundle the Frostman floor and the optimal-cover ceiling at one scale."""
     n_max = tree.depth if depth is None else int(depth)
     if values is None:
         values = g.scale_values(n_max)

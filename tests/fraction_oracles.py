@@ -6,11 +6,12 @@ integer ratio P/Q, so `compare_with_gauge` decides x·2^-e <= g(2^-n) by one
 integer cross-multiplication of L-th powers (for `power:p/q`, lo^q·2^(np)
 against 2^(eq)).  `encloses` checks a kernel triple (lo, hi, e) against it,
 `reference_bound_table` and `reference_frostman_lower` take their caps and
-cylinder tests from the same comparison, and the level cover DP references
-run twice (cost, then witness level) over the upper ends as Fractions.  The
-integer (mantissa, exponent) fast paths in `gaugetree.gauge`,
-`gaugetree.hausdorff` and `gaugetree.cli` must agree with them;
-`tests/test_certify_oracles.py` compares the two.
+cylinder tests from the same comparison (the latter names the first least
+lower level cost among its failing levels), and the references of
+`level_dp` run the downward cover DP twice (cost, then witness level) over
+the upper ends as Fractions.  The integer (mantissa, exponent) fast paths
+in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli` must agree
+with them; `tests/test_certify_oracles.py` compares the two.
 `reference_dimension_estimate` is the bisection that bracketed the dimension
 by probing the Frostman test and the cover DP on power gauges, which
 `tests/test_hausdorff.py` compares with the closed form.
@@ -155,12 +156,15 @@ def reference_frostman_lower(tree, g):
         # 2^e <= g(2^-n) iff 2^(eL)·Q <= P
         ok = P > 0 and (Q <= P * 2 ** (-e * L) if e <= 0 else Q * 2 ** (e * L) <= P)
         if not ok:
-            excess = e - g.log2_at_scale(n) if P else math.inf
+            # the worst level: the first least lower level cost 2^-e·lo·2^-f
+            lo, _, f = g.dyadic_at_scale(n)
+            cost = Fraction(lo) / Fraction(2) ** (f + e)
             violations.append(n)
-            if worst is None or excess > worst[1]:
-                worst = (n, excess)
+            if worst is None or cost < worst[1]:
+                worst = (n, cost, lo, f + e)
     if violations and violations[-1] == tree.depth:
-        raise FrostmanConditionError(worst[0], worst[1])
+        n, _, lo, c = worst
+        raise FrostmanConditionError(n, c - math.log2(lo) if lo else math.inf)
     n0 = violations[-1] + 1 if violations else 0
     return Fraction(1), n0
 

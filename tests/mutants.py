@@ -126,6 +126,40 @@ MUTANTS = (
         ("tests/test_scan_cache.py::test_verify_escape_matches_per_sample_loop",
          "tests/test_scan_cache.py::test_verify_escape_mask_pass_matches_per_sample_loop"),
     ),
+    Mutant(
+        "level_dp_keeps_the_last_least_cost", "src/gaugetree/hausdorff.py",
+        "if least is None or not value_le(least, (hi, e - free)):",
+        "if least is None or value_le((hi, e - free), least):",
+        "a tie of level costs names the deeper level as the witness",
+        ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
+         "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_upper_bound"),
+    ),
+    Mutant(
+        "level_dp_starts_past_the_cut_level", "src/gaugetree/hausdorff.py",
+        "free = k - tree.schedule.count_below(k)\n    least = witness = None\n    for n in range(k, n_max + 1):",
+        "free = k + 1 - tree.schedule.count_below(k + 1)\n    least = witness = None\n"
+        "    for n in range(k + 1, n_max + 1):",
+        "the cover never cuts at level k itself, so a cheapest cut there is missed",
+        ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
+         "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_upper_bound"),
+    ),
+    Mutant(
+        "frostman_worst_keeps_the_last_least_cost", "src/gaugetree/hausdorff.py",
+        "if worst is None or not value_le(worst[1], (lo, c)):",
+        "if worst is None or value_le((lo, c), worst[1]):",
+        "a tie of failing level costs names the deeper level",
+        ("tests/test_certify_oracles.py::test_frostman_lower_matches_reference",
+         "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
+    ),
+    Mutant(
+        "frostman_counts_its_own_level_free", "src/gaugetree/hausdorff.py",
+        "        lo, _, f = values[n]\n        c = f - free\n",
+        "        free += n not in forced\n        lo, _, f = values[n]\n        c = f - free\n"
+        "        free -= n not in forced\n",
+        "a level's cylinders are weighed as if the level itself had split",
+        ("tests/test_certify_oracles.py::test_frostman_lower_matches_reference",
+         "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
+    ),
 )
 
 # name -> why the mutant cannot change any result; such a mutant may survive

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import pkgutil
 import resource
 import subprocess
@@ -21,7 +22,7 @@ from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
-from fraction_oracles import right_end
+from fraction_oracles import parse_dyadic, right_end
 from hypothesis import given, settings, strategies as st
 
 import gaugetree
@@ -747,6 +748,76 @@ def test_certify_outputs_match_pinned_fixtures(tmp_path, gauge, depth, name):
         assert manifest.startswith("# manifest: ")
         with open(os.path.join(FIXTURES, fixture)) as fh:
             assert body == fh.read()
+
+
+def measure_with_levels(tmp_path, tree, gauge, delta_exp):
+    """The certificate and the levels CSV rows of `measure --csv` on a tree dict."""
+    tree_file, out, levels = tmp_path / "t.json", tmp_path / "m.json", tmp_path / "m.csv"
+    tree_file.write_text(json.dumps(tree))
+    assert run(["measure", "--tree", tree_file, "--gauge", gauge, "--delta-exp", delta_exp,
+                "--out", out, "--csv", levels]) == 0
+    return json.loads(out.read_text())["certificate"], read_csv_table(str(levels))[1]
+
+
+def assert_upper_is_the_first_least_level_cost(cert, rows):
+    """`upper` is, byte for byte, the level_cost cell of row witness_level,
+    and that row is the first least level_cost from row delta_exp on."""
+    k, w = cert["delta_exp"], cert["upper"]["witness_level"]
+    assert cert["upper"]["value"] == rows[w][4]
+    costs = [parse_dyadic(row[4]) for row in rows[k:]]
+    assert k + costs.index(min(costs)) == w
+
+
+@pytest.mark.parametrize("gauge, depth, selector", [
+    ("power_log:1,1", 300, {"kind": "constant", "bit": 0}),
+    ("power:1/2", 301, {"kind": "seeded", "seed": 7}),
+])
+def test_levels_csv_is_the_evidence_of_the_pinned_upper_bounds(tmp_path, gauge, depth, selector):
+    """The inputs of the pinned measure fixtures: the ceiling 1 is the level
+    cost of level 4, the first least from --delta-exp 3."""
+    tree_file = write_tree(tmp_path, gauge, depth, selector)
+    cert, rows = measure_with_levels(tmp_path, json.loads(tree_file.read_text()), gauge, 3)
+    assert (cert["delta_exp"], cert["upper"]["witness_level"], cert["upper"]["value"]) == (3, 4, "1")
+    assert_upper_is_the_first_least_level_cost(cert, rows)
+
+
+# level n has value (n + 1)/2^n, except a non-dyadic 1/7 at level 5
+LEVEL_TABLE = "table:" + ",".join(f"{n}={'1/7' if n == 5 else f'{n + 1}/{2 ** n}'}" for n in range(121))
+
+
+@st.composite
+def forced_trees(draw):
+    """A tree dict of depth <= 120 with a random forced set and a constant
+    or seeded selector, and a --delta-exp at most its depth."""
+    depth = draw(st.integers(0, 120))
+    indices = sorted(draw(st.sets(st.integers(0, depth - 1)))) if depth else []
+    selector = draw(st.sampled_from([{"kind": "constant", "bit": 0}, {"kind": "constant", "bit": 1}])
+                    | st.integers(0, 2**31).map(lambda seed: {"kind": "seeded", "seed": seed}))
+    tree = {"schedule": {"depth": depth, "indices": indices, "n0": 0}, "selector": selector, "depth": depth}
+    return tree, draw(st.integers(0, depth))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=forced_trees(), gauge=st.sampled_from(["power:1/2", "power_log:1,1", "power:1", LEVEL_TABLE]))
+def test_levels_csv_is_the_evidence_of_the_upper_bound(case, gauge):
+    tree, delta_exp = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cert, rows = measure_with_levels(pathlib.Path(tmp), tree, gauge, delta_exp)
+    assert len(rows) == tree["depth"] + 1
+    assert_upper_is_the_first_least_level_cost(cert, rows)
+
+
+def test_frostman_failure_names_the_first_least_level_cost(tmp_path):
+    """Under power:4/5 levels 1 and 6 of this tree tie exactly at the least
+    level cost, below 1; the failure names level 1, the first.  Their float
+    excesses, 0.8 and 6·0.8 - 4, differ, since -6·0.8 rounds to
+    -4.800000000000001, so only an exact comparison finds the tie."""
+    tree = {"schedule": {"depth": 6, "indices": [0, 5], "n0": 0},
+            "selector": {"kind": "constant", "bit": 0}, "depth": 6}
+    cert, rows = measure_with_levels(tmp_path, tree, "power:4/5", 0)
+    assert cert["lower"] == {"value": None, "violating_level": 1}
+    assert rows[1][4] == rows[6][4] == "10594872286260733111/2^64"
+    assert min(parse_dyadic(row[4]) for row in rows) == parse_dyadic(rows[1][4]) < 1
 
 
 def test_transfer_four_cover(tmp_path):

@@ -252,8 +252,8 @@ def test_gauge_json_round_trip():
     (lambda: Gauge.from_json_dict({"kind": "table", "entries": [[0, "1"], [1, "1e-4301"]]}), "exceeds 4300"),
 ])
 def test_gauge_numbers_past_their_bound_are_refused(make, message):
-    """The cover DP shifts by about s bits a level, a power-log level takes a
-    b-th root of a (64·b + |a|·log2 u)-bit number, and Fraction builds
+    """Two level costs compare by a shift of about s bits a level, a power-log
+    level takes a b-th root of a (64·b + |a|·log2 u)-bit number, and Fraction builds
     10^|exponent|: each bound keeps every level's work in reach."""
     with pytest.raises(ValueError, match=re.escape(message)):
         make()

@@ -1,0 +1,20 @@
+"""The README's library tour runs, and gives the values its comments state."""
+
+import os
+import re
+from fractions import Fraction
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_library_tour_runs_as_its_comments_say():
+    with open(README, encoding="utf-8") as fh:
+        (tour,) = re.findall(r"## Library tour\n\n```python\n(.*?)```", fh.read(), re.S)
+    ns = {}
+    exec(compile(tour, "README.md", "exec"), ns)
+    assert ns["sched"].indices == (1, 3, 7, 15, 31, 63)
+    assert ns["tree"].level_count(4) == 4
+    assert ns["mass"] == 1
+    cover = ns["dyadic_four_cover"](Fraction(3, 10), Fraction(9, 20))
+    assert len(cover) == 4 and all(interval.level == 3 for interval in cover)
+    assert ns["to_cube"]("011011", 2).coords == (Fraction(3, 8), Fraction(5, 8))
