@@ -1,7 +1,6 @@
 """Splitting trees, gauge measures, antichain games, and cube transfer maps."""
 
 from .gauge import (
-    BranchSchedule,
     Gauge,
     OrderVerdict,
     FIRST_LOWER_ORDER,
@@ -12,6 +11,7 @@ from .gauge import (
     sparsity_schedule,
 )
 from .tree import (
+    BranchSchedule,
     BranchSelector,
     ConstantSelector,
     ExplicitSelector,

@@ -21,7 +21,7 @@ from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_f
 from .errors import (
     FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
 )
-from .gauge import Gauge, BranchSchedule, bound_table, sparsity_schedule
+from .gauge import Gauge, bound_table, sparsity_schedule
 from .hausdorff import (
     dimension_estimate,
     frostman_lower,
@@ -29,8 +29,8 @@ from .hausdorff import (
     measure_certificate,
 )
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
-from .transfer import four_cover_span, interleave_metric_check, to_cube
-from .tree import NODE_BUDGET, SplittingTree, check_node, random_bits
+from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
+from .tree import MAX_DEPTH, MAX_SAMPLES, NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
 
@@ -149,13 +149,15 @@ def output_path(path: str) -> str:
     return path
 
 
-def int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def int_at_least(low: int, most: Optional[int] = None):
+    """argparse type: an integer no smaller than `low`, and no larger than `most`."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
@@ -187,7 +189,7 @@ def cmd_schedule(args) -> int:
     caps = bound_table(g, args.depth + 1)
     schedule = sparsity_schedule(g, args.depth, caps)
     manifest = build_manifest("schedule", args, [])
-    payload = {"schedule": schedule.to_json_dict(gauge=g)}
+    payload = {"schedule": {**schedule.to_json_dict(), "gauge": g.to_json_dict()}}
     if not schedule.indices:
         payload["warning"] = "empty schedule: the caps are zero on the whole range"
         print("warning: empty schedule (full binary tree)", file=sys.stderr)
@@ -198,18 +200,15 @@ def cmd_schedule(args) -> int:
     return 0
 
 
-def _level_rows(tree: SplittingTree, values: Sequence[Value], depth: int):
-    """Yield the levels CSV lines 0..depth: n, the free levels above n, the
-    cylinder measure 2^-free, g(2^-n) and the level cost 2^free·g(2^-n), the
-    last two from the upper end of the enclosure, written as format_pair does."""
-    forced = tree.schedule.forced
-    free = 0  # free levels above level n
-    for n in range(depth + 1):
+def _level_rows(tree: SplittingTree, values: Sequence[Value]):
+    """Yield the levels CSV lines 0..the tree's depth: n, the free levels above
+    n, the cylinder measure 2^-free, g(2^-n) and the level cost 2^free·g(2^-n),
+    the last two from the upper end of the enclosure, written as format_pair does."""
+    for n, free in enumerate(tree.schedule.free_levels(tree.depth)):
         _, m, e = values[n]
         c = e - free
         yield (f"{n},{free},{f'1/2^{free}' if free else 1},"
                f"{f'{m}/2^{e}' if e > 0 else m << -e},{f'{m}/2^{c}' if c > 0 else m << -c}")
-        free += n not in forced
 
 
 def cmd_measure(args) -> int:
@@ -222,15 +221,16 @@ def cmd_measure(args) -> int:
     if args.delta_exp > depth:
         print(f"error: --delta-exp {args.delta_exp} exceeds the depth {depth}", file=sys.stderr)
         return 2
+    tree = tree._replace(depth=depth)
     values = g.scale_values(depth)
-    cert = measure_certificate(tree, g, args.delta_exp, depth, values)
+    cert = measure_certificate(tree, g, args.delta_exp, values)
     manifest = build_manifest("measure", args, [args.tree])
     write_json(args.out, {"certificate": cert.to_json_dict()}, manifest)
     if args.csv:
         write_csv(
             args.csv,
             ["n", "free", "mu_cylinder", "gauge_value", "level_cost"],
-            _level_rows(tree, values, depth),
+            _level_rows(tree, values),
             manifest,
         )
     return 0
@@ -268,8 +268,8 @@ def cmd_antichain(args) -> int:
         frostman = {"lower": None, "violating_level": err.worst_level}
     # the lower bound only constrains covers finer than 2^-n0
     delta_used = max(args.delta_exp, n0)
-    upper = level_dp_cost(tree, g, delta_used, min(args.depth, tree.depth), values)
-    dim = dimension_estimate(tree, tolerance=0.01, depth=min(args.depth, 60))
+    upper = level_dp_cost(tree, g, delta_used, values)
+    dim = dimension_estimate(tree._replace(depth=min(args.depth, 60)), tolerance=0.01)
     manifest = build_manifest("antichain", args, [args.maps])
     report = {
         "gauge": g.to_json_dict(),
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="compute a sparsity schedule for a gauge")
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
-    p.add_argument("--depth", type=int_at_least(0), required=True)
+    p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH), required=True)
     p.add_argument("--out", type=output_path, required=True)
     p.add_argument("--csv", type=output_path)
     p.set_defaults(func=cmd_schedule)
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
     p.add_argument("--delta-exp", type=int_at_least(0), default=0)
-    p.add_argument("--depth", type=int_at_least(0))
+    p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH))
     p.add_argument("--out", type=output_path, required=True)
     p.add_argument("--csv", type=output_path)
     p.set_defaults(func=cmd_measure)
@@ -435,22 +435,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("antichain", help="run the full antichain pipeline")
     p.add_argument("--gauge", type=parse_gauge_spec, required=True)
     p.add_argument("--maps", required=True)
-    p.add_argument("--depth", type=int_at_least(0), required=True)
+    p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH), required=True)
     p.add_argument("--stages", type=int_at_least(0), required=True)
     p.add_argument("--roots", type=parse_roots, default="0,1")
     p.add_argument("--delta-exp", type=int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--escape-samples", type=int_at_least(1), default=1000)
+    p.add_argument("--escape-samples", type=int_at_least(1, MAX_SAMPLES), default=1000)
     p.add_argument("--out", type=output_path, required=True)
     p.set_defaults(func=cmd_antichain)
 
     p = sub.add_parser("transfer", help="batch-check the transfer laws")
     p.add_argument("mode", choices=["four-cover", "interleave-check", "cube-map"])
-    p.add_argument("--count", type=int_at_least(1), default=1000)
+    p.add_argument("--count", type=int_at_least(1, MAX_SAMPLES), default=1000)
     # every n in {2, 3, 4} leaves a nonempty string of length - length % n
-    p.add_argument("--length", type=int_at_least(4), default=60)
+    p.add_argument("--length", type=int_at_least(4, MAX_DEPTH), default=60)
     p.add_argument("--bits", type=parse_bits, default="")
-    p.add_argument("--n", type=int_at_least(1), default=2)
+    p.add_argument("--n", type=int_at_least(1, MAX_DIMENSION), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=output_path, required=True)
     p.set_defaults(func=cmd_transfer)

@@ -45,8 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import format_dyadic
 from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
-from .gauge import BranchSchedule
-from .tree import Columns, GameBuiltSelector, Layer, SplittingTree, check_bit, check_int, check_node, compatible
+from .tree import BranchSchedule, Columns, GameBuiltSelector, Layer, SplittingTree, check_bit, check_int, check_node, compatible
 
 
 # ---------------------------------------------------------------------------

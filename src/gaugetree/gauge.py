@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import Number, Value, dyadic_pair, format_rational, parse_rational, to_number
 from .errors import InsufficientDataError, OutOfRangeError
+from .tree import BranchSchedule
 
 # bits of an inexact value's mantissa, and of the fixed point it is formed in
 MANTISSA_BITS = 64
@@ -274,49 +274,6 @@ class OrderVerdict(NamedTuple):
 
     relation: str
     ratio_trace: Tuple[Tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class BranchSchedule:
-    """The set of forced (non-splitting) levels of a splitting tree."""
-
-    depth: int
-    indices: Tuple[int, ...]
-    n0: int = 0
-
-    def __post_init__(self):
-        if any(i >= self.depth or i < 0 for i in self.indices):
-            raise ValueError("every schedule index must lie in [0, depth)")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("schedule indices must be strictly increasing")
-
-    @cached_property
-    def forced(self) -> frozenset:
-        """The forced levels as a set, built on first use."""
-        return frozenset(self.indices)
-
-    def count_below(self, n: int) -> int:
-        """|A ∩ n|: how many forced levels lie strictly below n."""
-        return bisect_left(self.indices, n)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.forced
-
-    def to_json_dict(self, gauge: Optional[Gauge] = None) -> dict:
-        d = {"depth": self.depth, "indices": list(self.indices), "n0": self.n0}
-        if gauge is not None:
-            d["gauge"] = gauge.to_json_dict()
-        return d
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "BranchSchedule":
-        from .tree import check_int  # here, not at the top: tree imports this module
-
-        return BranchSchedule(
-            depth=check_int(d["depth"], 0),
-            indices=tuple(map(check_int, d["indices"])),
-            n0=check_int(d.get("n0", 0)),
-        )
 
 
 def compare_order(

@@ -2,7 +2,7 @@
 
 Lower bounds come from the mass-distribution inequality, upper bounds from
 the optimal cylinder cover, lossless on binary strings; both read the level
-cost 2^free(n)·g(2^-n).  `values` defaults to g.scale_values(depth).
+cost 2^free(n)·g(2^-n) at every level up to the tree's depth.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ def frostman_lower(
     """
     if values is None:
         values = g.scale_values(tree.depth)
-    forced = tree.schedule.forced
     last = worst = None
-    free = 0  # free levels above level n
-    for n in range(tree.depth + 1):
+    for n, free in enumerate(tree.schedule.free_levels(tree.depth)):
         lo, _, f = values[n]
         c = f - free
         if not lo or c > lo.bit_length() - 1:  # lo·2^-c < 1
             last = n
             if worst is None or not value_le(worst[1], (lo, c)):
                 worst = (n, (lo, c))
-        free += n not in forced
     if last == tree.depth:
         n, (lo, c) = worst
         raise FrostmanConditionError(n, c - math.log2(lo) if lo else math.inf)
@@ -51,11 +48,10 @@ def frostman_lower(
 
 
 def level_dp(
-    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
-    values: Optional[Sequence[Value]] = None,
+    tree: SplittingTree, g: Gauge, delta_exponent: int, values: Optional[Sequence[Value]] = None
 ) -> Tuple[Pair, int]:
-    """The least level cost 2^free(n)·g(2^-n) over k <= n <= n_max and the
-    first n reaching it: (cost, witness level).
+    """The least level cost 2^free(n)·g(2^-n) over k <= n <= the tree's depth
+    and the first n reaching it: (cost, witness level).
 
     Cutting at level n covers the set by its 2^free(n) cylinders, and the
     cover DP cost(n) = min(g(2^-n), through(n)) unrolls to this minimum; its
@@ -64,36 +60,30 @@ def level_dp(
     monotone in the gauge values, so the cost is a certified upper bound.
     """
     k = max(int(delta_exponent), 0)  # a negative one cuts from the root on
-    n_max = tree.depth if depth is None else int(depth)
-    if not k <= n_max <= tree.depth:
-        raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
+    if k > tree.depth:
+        raise ValueError(f"need delta exponent {k} <= depth {tree.depth}")
     if values is None:
-        values = g.scale_values(n_max)
-    forced = tree.schedule.forced
-    free = k - tree.schedule.count_below(k)
+        values = g.scale_values(tree.depth)
+    free = tree.schedule.free_levels(tree.depth)
     least = witness = None
-    for n in range(k, n_max + 1):
+    for n in range(k, tree.depth + 1):
         _, hi, e = values[n]
-        if least is None or not value_le(least, (hi, e - free)):
-            least, witness = (hi, e - free), n
-        free += n not in forced
+        if least is None or not value_le(least, (hi, e - free[n])):
+            least, witness = (hi, e - free[n]), n
     return least, witness
 
 
 def level_dp_cost(
-    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
-    values: Optional[Sequence[Value]] = None,
+    tree: SplittingTree, g: Gauge, delta_exponent: int, values: Optional[Sequence[Value]] = None
 ) -> Fraction:
     """Same value as the node DP, in O(depth), using level homogeneity."""
-    return to_number(level_dp(tree, g, delta_exponent, depth, values)[0])
+    return to_number(level_dp(tree, g, delta_exponent, values)[0])
 
 
-def level_dp_witness_level(
-    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None
-) -> int:
+def level_dp_witness_level(tree: SplittingTree, g: Gauge, delta_exponent: int) -> int:
     """Shallowest level at which the level DP cuts; the witness cover is the
     full set of tree nodes at that level."""
-    return level_dp(tree, g, delta_exponent, depth)[1]
+    return level_dp(tree, g, delta_exponent)[1]
 
 
 class DimensionEstimate(NamedTuple):
@@ -103,19 +93,15 @@ class DimensionEstimate(NamedTuple):
     conclusive: bool
 
 
-def dimension_estimate(
-    tree: SplittingTree,
-    tolerance: float,
-    depth: Optional[int] = None,
-) -> DimensionEstimate:
-    """Bracket for the branch set's dimension at finite depth N = `depth`.
+def dimension_estimate(tree: SplittingTree, tolerance: float) -> DimensionEstimate:
+    """Bracket for the branch set's dimension at the tree's depth N.
 
     s is certified from below when the mass-distribution bound succeeds for
     the power gauge t^s, and from above when the optimal cover cost at depth N
     (cut level 0) drops strictly below the certified mass floor 1.  Both are
     bisections over s in (0, 1] that halve until the width is <= tolerance,
     k times for the least k >= 0 with 2^-k <= tolerance, and both tests read
-    only the free-level profile free(n) = n - count_below(n) of this
+    only the free-level profile free(n) = n - |A ∩ n| of this
     level-homogeneous tree, so each bisection has a closed form in integers:
 
     - A level-n cylinder has measure 2^-free(n), so it passes the t^s test
@@ -131,20 +117,17 @@ def dimension_estimate(
     """
     if tolerance < 2.0**-20:
         raise ValueError("tolerance must be >= 2^-20")
-    n_max = tree.depth if depth is None else int(depth)
-    if not 0 <= n_max <= tree.depth:
-        raise ValueError(f"need 0 <= depth {n_max} <= {tree.depth}")
-    free = [n - tree.schedule.count_below(n) for n in range(n_max + 1)]
+    free = tree.schedule.free_levels(tree.depth)
     k = 0
     while 2.0**-k > tolerance:
         k += 1
-    lo = (free[n_max] << k) // n_max if n_max else 1 << k
-    hi = min([1 << k] + [(free[n] << k) // n + 1 for n in range(1, n_max + 1)])
+    lo = (free[-1] << k) // tree.depth if tree.depth else 1 << k
+    hi = min([1 << k] + [(free[n] << k) // n + 1 for n in range(1, tree.depth + 1)])
     s_lo, s_hi = lo / (1 << k), hi / (1 << k)
     return DimensionEstimate(
         s_lo=s_lo,
         s_hi=s_hi,
-        depth=n_max,
+        depth=tree.depth,
         conclusive=s_lo <= s_hi + tolerance,
     )
 
@@ -185,23 +168,21 @@ class MeasureCertificate(NamedTuple):
 
 
 def measure_certificate(
-    tree: SplittingTree, g: Gauge, delta_exponent: int, depth: Optional[int] = None,
-    values: Optional[Sequence[Value]] = None,
+    tree: SplittingTree, g: Gauge, delta_exponent: int, values: Optional[Sequence[Value]] = None
 ) -> MeasureCertificate:
-    """Bundle the Frostman floor and the optimal-cover ceiling at one scale."""
-    n_max = tree.depth if depth is None else int(depth)
+    """Bundle the Frostman floor and the optimal-cover ceiling at the tree's depth."""
     if values is None:
-        values = g.scale_values(n_max)
+        values = g.scale_values(tree.depth)
     try:
-        lower, n0 = frostman_lower(SplittingTree(tree.schedule, tree.selector, n_max), g, values)
+        lower, n0 = frostman_lower(tree, g, values)
         failure = None
     except FrostmanConditionError as err:
         lower, n0 = None, None
         failure = err.worst_level
-    upper, w_level = level_dp(tree, g, delta_exponent, n_max, values)
+    upper, w_level = level_dp(tree, g, delta_exponent, values)
     witness = None
     if tree.level_count(w_level) <= WITNESS_NODE_LIMIT:
-        witness = tree.materialize(w_level).leaves if w_level > 0 else ("",)
+        witness = tree._replace(depth=w_level).materialize().leaves if w_level > 0 else ("",)
     return MeasureCertificate(
         gauge=g,
         delta_exponent=delta_exponent,

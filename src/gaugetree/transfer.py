@@ -18,6 +18,9 @@ from .dyadic import floor_log2_ratio
 from .errors import DegenerateIntervalError
 from .tree import check_node
 
+# to_cube makes one coordinate per component: 2^20 keep cube-map to seconds and tens of MB
+MAX_DIMENSION = 2**20
+
 
 @dataclass(frozen=True)
 class DyadicInterval:

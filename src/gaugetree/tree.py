@@ -1,20 +1,28 @@
 """Splitting trees on binary strings and their uniform cylinder measures.
 
 A tree is determined by a schedule of forced levels and a selector picking
-the surviving bit at each forced node.  Level counts are exact; nothing is
-materialized unless asked.
+the surviving bit at each forced node.  A pass works at the tree's depth, so
+a shallower one reads `tree._replace(depth=n)`.  Level counts and the free-level
+profile are exact; nothing is materialized unless asked.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NodeBudgetError, TruncationError
-from .gauge import BranchSchedule
 
 NODE_BUDGET = 2**22
+# a level pass keeps a few ints per level: `schedule` to 2^20 levels takes 3 s and 210 MB
+MAX_DEPTH = 2**20
+# a sample is one bit of each column `Columns` builds, or one row of a transfer batch:
+# 2^20 keep a column at 128 KiB and a batch's rows at tens of MB
+MAX_SAMPLES = 2**20
 # byte -> "1" if its top bit is set, else "0"
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 # draws per getrandbits call in random_bits: 16 KB temporaries stay below the
@@ -41,12 +49,14 @@ def check_node(bits: str) -> str:
     return bits
 
 
-def check_int(value, least: Optional[int] = None) -> int:
-    """`value` when it is an int, not a bool, and at least `least`."""
+def check_int(value, least: Optional[int] = None, most: Optional[int] = None, what: str = "an integer") -> int:
+    """`value` when it is an int, not a bool, and in [least, most]; the error names it `what`."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"not an integer: {value!r}")
+        raise ValueError(f"not {what}: {value!r}")
     if least is not None and value < least:
-        raise ValueError(f"not an integer >= {least}: {value!r}")
+        raise ValueError(f"not {what} >= {least}: {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"not {what} <= {most}: {value!r}")
     return value
 
 
@@ -59,6 +69,51 @@ def check_bit(bit) -> int:
 def compatible(a: str, b: str) -> bool:
     """True when one string is a prefix of the other."""
     return a.startswith(b) or b.startswith(a)
+
+
+@dataclass(frozen=True)
+class BranchSchedule:
+    """The set of forced (non-splitting) levels of a splitting tree."""
+
+    depth: int
+    indices: Tuple[int, ...]
+    n0: int = 0
+
+    def __post_init__(self):
+        if any(i >= self.depth or i < 0 for i in self.indices):
+            raise ValueError("every schedule index must lie in [0, depth)")
+        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
+            raise ValueError("schedule indices must be strictly increasing")
+
+    @cached_property
+    def forced(self) -> frozenset:
+        """The forced levels as a set, built on first use."""
+        return frozenset(self.indices)
+
+    def count_below(self, n: int) -> int:
+        """|A ∩ n|: how many forced levels lie strictly below n."""
+        return bisect_left(self.indices, n)
+
+    def free_levels(self, depth: int) -> List[int]:
+        """free(n) = n - |A ∩ n|, the free levels above level n, for n = 0..depth."""
+        steps = [1] * depth  # level n's step to free(n + 1)
+        for i in self.indices[: self.count_below(depth)]:
+            steps[i] = 0
+        return list(accumulate(steps, initial=0))
+
+    def __contains__(self, n: int) -> bool:
+        return n in self.forced
+
+    def to_json_dict(self) -> dict:
+        return {"depth": self.depth, "indices": list(self.indices), "n0": self.n0}
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "BranchSchedule":
+        return BranchSchedule(
+            depth=check_int(d["depth"], 0, MAX_DEPTH, "a depth"),
+            indices=tuple(map(check_int, d["indices"])),
+            n0=check_int(d.get("n0", 0)),
+        )
 
 
 class BranchSelector:
@@ -258,24 +313,21 @@ class SplittingTree(NamedTuple):
         reference sampler in the tests pins."""
         return Columns(self, seed, count).rows(self.depth)
 
-    def materialize(self, depth: Optional[int] = None, budget: int = NODE_BUDGET) -> ExplicitTree:
-        d = self.depth if depth is None else depth
-        if d > self.depth:
-            raise TruncationError(f"materialize depth {d} > tree depth {self.depth}")
-        count = self.level_count(d)
+    def materialize(self, *, budget: int = NODE_BUDGET) -> ExplicitTree:
+        count = self.level_count(self.depth)
         if count > budget:
             raise NodeBudgetError(count, budget)
         forced = self.schedule.forced
         constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
         level = [""]
-        for n in range(d):
+        for n in range(self.depth):
             if n not in forced:
                 level = [t + b for t in level for b in ("0", "1")]
             elif (b := constant_bit(n)) is not None:
                 level = [t + str(b) for t in level]
             else:
                 level = [t + str(selector_bit(t)) for t in level]
-        return ExplicitTree(depth=d, leaves=tuple(sorted(level)))
+        return ExplicitTree(depth=self.depth, leaves=tuple(sorted(level)))
 
     def to_json_dict(self) -> dict:
         """The tree as `measure --tree` reads it; only the game-built trees
@@ -291,5 +343,5 @@ class SplittingTree(NamedTuple):
         return SplittingTree(
             schedule=BranchSchedule.from_json_dict(d["schedule"]),
             selector=selector_from_json_dict(d["selector"]),
-            depth=check_int(d["depth"], 0),
+            depth=check_int(d["depth"], 0, MAX_DEPTH, "a depth"),
         )

@@ -46,7 +46,7 @@ from gaugetree.game import TransducerMap
 from gaugetree.gauge import POWER, POWER_LOG, TABLE, Gauge
 from gaugetree.hausdorff import DimensionEstimate, frostman_lower, level_dp_cost
 from gaugetree.transfer import DyadicInterval, interleave
-from gaugetree.tree import GameBuiltSelector, SplittingTree, check_node
+from gaugetree.tree import GameBuiltSelector, check_node
 
 BRUTE_FORCE_NODE_LIMIT = 64
 
@@ -172,8 +172,10 @@ def reference_frostman_lower(tree, g):
 def reference_level_dp_cost(tree, g, delta_exponent, depth=None):
     k = int(delta_exponent)
     n_max = tree.depth if depth is None else int(depth)
-    if not k <= n_max <= tree.depth:
-        raise ValueError(f"need delta exponent {k} <= depth {n_max} <= {tree.depth}")
+    if n_max > tree.depth:
+        raise ValueError(f"depth {n_max} > tree depth {tree.depth}")
+    if k > n_max:
+        raise ValueError(f"need delta exponent {k} <= depth {n_max}")
     cost = upper_value(g, n_max)
     for n in range(n_max - 1, -1, -1):
         branching = 1 if n in tree.schedule else 2
@@ -211,17 +213,20 @@ def reference_dimension_estimate(tree, tolerance, depth=None):
     if tolerance < 2.0**-20:
         raise ValueError("tolerance must be >= 2^-20")
     n_max = tree.depth if depth is None else int(depth)
+    if not 0 <= n_max <= tree.depth:
+        raise ValueError(f"need 0 <= depth {n_max} <= {tree.depth}")
+    cut = tree._replace(depth=n_max)
 
     # both bisections only probe s in (0, 1]
     def lower_ok(s):
         try:
-            frostman_lower(SplittingTree(tree.schedule, tree.selector, n_max), Gauge.power(s))
+            frostman_lower(cut, Gauge.power(s))
             return True
         except FrostmanConditionError:
             return False
 
     def upper_ok(s):
-        return level_dp_cost(tree, Gauge.power(s), 0, n_max) < 1
+        return level_dp_cost(cut, Gauge.power(s), 0) < 1
 
     # lower bisection: largest s with mass-distribution evidence
     lo, hi = Fraction(0), Fraction(1)

@@ -128,17 +128,16 @@ MUTANTS = (
     ),
     Mutant(
         "level_dp_keeps_the_last_least_cost", "src/gaugetree/hausdorff.py",
-        "if least is None or not value_le(least, (hi, e - free)):",
-        "if least is None or value_le((hi, e - free), least):",
+        "if least is None or not value_le(least, (hi, e - free[n])):",
+        "if least is None or value_le((hi, e - free[n]), least):",
         "a tie of level costs names the deeper level as the witness",
         ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
          "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_upper_bound"),
     ),
     Mutant(
         "level_dp_starts_past_the_cut_level", "src/gaugetree/hausdorff.py",
-        "free = k - tree.schedule.count_below(k)\n    least = witness = None\n    for n in range(k, n_max + 1):",
-        "free = k + 1 - tree.schedule.count_below(k + 1)\n    least = witness = None\n"
-        "    for n in range(k + 1, n_max + 1):",
+        "for n in range(k, tree.depth + 1):",
+        "for n in range(k + 1, tree.depth + 1):",
         "the cover never cuts at level k itself, so a cheapest cut there is missed",
         ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
          "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_upper_bound"),
@@ -152,13 +151,19 @@ MUTANTS = (
          "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
     ),
     Mutant(
-        "frostman_counts_its_own_level_free", "src/gaugetree/hausdorff.py",
-        "        lo, _, f = values[n]\n        c = f - free\n",
-        "        free += n not in forced\n        lo, _, f = values[n]\n        c = f - free\n"
-        "        free -= n not in forced\n",
-        "a level's cylinders are weighed as if the level itself had split",
-        ("tests/test_certify_oracles.py::test_frostman_lower_matches_reference",
+        "free_levels_counts_level_n_itself", "src/gaugetree/tree.py",
+        "return list(accumulate(steps, initial=0))",
+        "return list(accumulate(steps + [1]))",
+        "every level pass weighs a level's cylinders as if the level itself had split",
+        ("tests/test_tree.py::test_free_levels_count_the_free_levels_above_each_level",
+         "tests/test_certify_oracles.py::test_frostman_lower_matches_reference",
          "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
+    ),
+    Mutant(
+        "measure_does_not_cut_to_depth", "src/gaugetree/cli.py",
+        "    tree = tree._replace(depth=depth)\n", "",
+        "measure --depth below the tree's depth certifies, or fails on, levels it was not asked for",
+        ("tests/test_cli.py::test_measure_depth_zero_is_honoured",),
     ),
 )
 

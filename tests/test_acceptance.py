@@ -147,7 +147,7 @@ def test_criterion_4_sharp_certificate():
         tree = make_tree(range(1, depth, 2), depth)
         mass, n0 = frostman_lower(tree, g)
         assert (mass, n0) == (Fraction(1), 0)
-        assert level_dp_cost(tree, g, k, depth) == Fraction(1)
+        assert level_dp_cost(tree, g, k) == Fraction(1)
 
 
 @criterion(5, "sparsity criterion holds from a small threshold at depth 4096")

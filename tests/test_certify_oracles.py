@@ -171,7 +171,7 @@ def test_level_dp_matches_both_reference_passes(name):
         for tree in trees(g, depth):
             for k in DELTAS:
                 expected = outcome(reference_level_dp_cost, tree, g, k)
-                got = outcome(level_dp, tree, g, k, None, values)
+                got = outcome(level_dp, tree, g, k, values)
                 assert same_number(outcome(level_dp_cost, tree, g, k), expected)
                 if isinstance(expected, tuple):  # k > depth
                     assert got == expected
@@ -181,16 +181,13 @@ def test_level_dp_matches_both_reference_passes(name):
                 assert cost == dyadic_pair(expected.numerator, expected.denominator.bit_length() - 1)
                 assert witness == reference_level_dp_witness_level(tree, g, k)
                 assert level_dp_witness_level(tree, g, k) == witness
-            # a shallower DP over the same tree
-            if depth >= 8:
-                half = depth // 2
-                assert same_number(
-                    level_dp_cost(tree, g, 3, half, values),
-                    reference_level_dp_cost(tree, g, 3, half),
-                )
-                assert level_dp_witness_level(tree, g, 3, half) == (
-                    reference_level_dp_witness_level(tree, g, 3, half)
-                )
+            # the tree cut to depth n is the reference DP to depth n
+            for n in {64: range(65), 300: range(0, 301, 20)}.get(depth, ()):
+                cut = tree._replace(depth=n)
+                expected = outcome(reference_level_dp_cost, tree, g, 3, n)
+                assert same_number(outcome(level_dp_cost, cut, g, 3, values), expected)
+                if not isinstance(expected, tuple):  # 3 <= n
+                    assert level_dp_witness_level(cut, g, 3) == reference_level_dp_witness_level(tree, g, 3, n)
 
 
 @pytest.mark.parametrize("name", GAUGES)
@@ -223,7 +220,7 @@ def test_level_rows_match_reference(name):
     for depth in DEPTHS:
         for tree in trees(g, depth):
             expected = outcome(reference_level_rows, tree, g, depth)
-            got = outcome(lambda: [line.split(",") for line in _level_rows(tree, values, depth)])
+            got = outcome(lambda: [line.split(",") for line in _level_rows(tree, values)])
             if isinstance(expected, tuple):  # a non-dyadic level cost
                 assert got == expected
             else:

@@ -26,9 +26,12 @@ from fraction_oracles import parse_dyadic, right_end
 from hypothesis import given, settings, strategies as st
 
 import gaugetree
-from gaugetree.cli import build_manifest, main, parse_gauge_spec, read_csv_table, render_svg, write_csv
+from gaugetree.cli import (
+    build_manifest, build_parser, int_at_least, main, parse_gauge_spec, read_csv_table, render_svg, write_csv,
+)
 from gaugetree.game import map_from_json_dict
-from gaugetree.transfer import DyadicInterval, four_cover_span
+from gaugetree.transfer import MAX_DIMENSION, DyadicInterval, four_cover_span
+from gaugetree.tree import MAX_DEPTH, MAX_SAMPLES
 
 
 def run(argv):
@@ -285,6 +288,19 @@ BAD_INT_FLAGS = [
     ("transfer", "--count", "-5"),
     ("four-cover", "--count", "-5"),
     ("four-cover", "--count", "0"),
+    # past its bound a size would exhaust memory before the command could fail
+    ("schedule", "--depth", "100000000"),
+    ("schedule", "--depth", str(MAX_DEPTH + 1)),
+    ("measure", "--depth", str(MAX_DEPTH + 1)),
+    ("antichain", "--depth", "100000000"),
+    ("antichain", "--escape-samples", "100000000000"),
+    ("antichain", "--escape-samples", str(MAX_SAMPLES + 1)),
+    ("transfer", "--length", "10000000000"),
+    ("transfer", "--length", str(MAX_DEPTH + 1)),
+    ("cube-map", "--n", "100000000000"),
+    ("cube-map", "--n", str(MAX_DIMENSION + 1)),
+    ("four-cover", "--count", "100000000000"),
+    ("transfer", "--count", str(MAX_SAMPLES + 1)),
 ]
 
 
@@ -337,6 +353,44 @@ def test_smallest_integer_flag_accepted(tmp_path, maps_file, command, flag, valu
         assert report["game_certificate"]["escape_report"]["samples"] == (
             1 if flag == "--escape-samples" else 10
         )
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("schedule", "--depth", MAX_DEPTH),
+    ("measure", "--depth", MAX_DEPTH),
+    ("antichain", "--depth", MAX_DEPTH),
+    ("antichain", "--escape-samples", MAX_SAMPLES),
+    ("transfer", "--length", MAX_DEPTH),
+    ("cube-map", "--n", MAX_DIMENSION),
+    ("four-cover", "--count", MAX_SAMPLES),
+])
+def test_largest_integer_flag_is_parsed(tmp_path, maps_file, command, flag, value):
+    """Each size flag takes its bound; parsed only, so that nothing is allocated."""
+    argv, _ = int_flag_argv(tmp_path, command, maps_file)
+    args = build_parser().parse_args([str(a) for a in argv + [flag, value]])
+    assert getattr(args, flag[2:].replace("-", "_")) == value
+
+
+def test_int_at_least_takes_its_bounds():
+    parse = int_at_least(4, MAX_DEPTH)
+    assert parse("4") == 4 and parse(str(MAX_DEPTH)) == MAX_DEPTH
+    for text in ("3", str(MAX_DEPTH + 1)):
+        with pytest.raises(argparse.ArgumentTypeError, match=text):
+            parse(text)
+    assert int_at_least(0)(str(10**30)) == 10**30
+
+
+@pytest.mark.parametrize("schedule, depth", [({}, 100000000), ({"depth": 100000000}, 6)])
+def test_tree_depth_past_the_bound_exits_2_naming_it(tmp_path, capsys, schedule, depth):
+    """A tree or schedule `depth` past MAX_DEPTH is refused as it is read,
+    before any level is computed."""
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({"schedule": {"depth": 6, "indices": [1, 3], "n0": 0, **schedule},
+                                     "selector": {"kind": "constant", "bit": 0}, "depth": depth}))
+    assert run(["measure", "--tree", tree_file, "--gauge", "power:1/2", "--out", tmp_path / "m.json"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and f"not a depth <= {MAX_DEPTH}: 100000000" in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.json"]
 
 
 def write_tree(tmp_path, gauge, depth, selector=None):

@@ -267,6 +267,6 @@ def test_gauge_numbers_at_their_bound_are_read():
 
 def test_schedule_json_round_trip():
     sched = sparsity_schedule(Gauge.power_log(1, 1), 64)
-    blob = json.dumps(sched.to_json_dict(gauge=Gauge.power_log(1, 1)))
+    blob = json.dumps(sched.to_json_dict())
     back = BranchSchedule.from_json_dict(json.loads(blob))
     assert back == sched

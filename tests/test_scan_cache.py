@@ -62,7 +62,7 @@ def reference_bad_set(state, req, depth=None):
     selector = state.selector()
     decided = state.decided()
     bad = []
-    for leaf in state.tree(d).materialize(d).leaves:
+    for leaf in state.tree(d).materialize().leaves:
         if not leaf.startswith(s):
             continue
         image = m.apply(leaf)
@@ -683,7 +683,7 @@ def test_columns_share_every_free_column_across_selectors_and_depths(seed):
 def test_materialize_matches_per_bit_reference(name):
     tree = block_edge_trees()[name]
     for d in (0, 9, 12):
-        assert tree.materialize(d).leaves == reference_leaves(tree, d)
+        assert tree._replace(depth=d).materialize().leaves == reference_leaves(tree, d)
 
 
 # -- transducer ------------------------------------------------------------
@@ -902,7 +902,7 @@ def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
     # no count on this tree and no escape pass reads
     tree = escape_tree(8)
     levels = tree.selector.decided_levels(tree.schedule)
-    nodes = [x for k in range(9) for x in tree.materialize(k).leaves]
+    nodes = [x for k in range(9) for x in tree._replace(depth=k).materialize().leaves]
     broken = [x for x in nodes if not reference_consistent(tree.selector, reference_transduce(PARITY, x), levels)]
     full = {x: reference_transduce(PARITY, x) for x in nodes}
     pruned = {x: u for x, u in full.items() if not any(x.startswith(b) and x != b for b in broken)}

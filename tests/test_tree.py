@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from fraction_oracles import reference_contains
+from hypothesis import example, given, strategies as st
 
 from gaugetree import (
     BranchSchedule,
@@ -17,12 +18,44 @@ from gaugetree import (
     SplittingTree,
 )
 from gaugetree.errors import NodeBudgetError, TruncationError
-from gaugetree.tree import BITS_CHUNK, check_node, compatible, random_bits, selector_from_json_dict
+from gaugetree.tree import (
+    BITS_CHUNK, MAX_DEPTH, check_int, check_node, compatible, random_bits, selector_from_json_dict,
+)
 
 
 def make_tree(indices, depth, selector=None):
     sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)), n0=0)
     return SplittingTree(sched, selector or ConstantSelector(0), depth)
+
+
+@st.composite
+def schedules_and_depths(draw):
+    """A random schedule, and a depth below, at or past its own."""
+    depth = draw(st.integers(0, 80))
+    indices = sorted(draw(st.sets(st.integers(0, depth - 1)))) if depth else []
+    return BranchSchedule(depth=depth, indices=tuple(indices)), draw(st.integers(0, depth + 20))
+
+
+@given(schedules_and_depths())
+@example((BranchSchedule(depth=0, indices=()), 0))
+@example((BranchSchedule(depth=5, indices=(0, 1, 2, 3, 4)), 5))
+@example((BranchSchedule(depth=5, indices=(0, 4)), 9))
+def test_free_levels_count_the_free_levels_above_each_level(case):
+    schedule, d = case
+    free = schedule.free_levels(d)
+    assert free == [n - schedule.count_below(n) for n in range(d + 1)]
+    assert all(type(f) is int for f in free)
+
+
+def test_check_int_takes_its_bounds():
+    assert check_int(MAX_DEPTH, 0, MAX_DEPTH) == MAX_DEPTH
+    assert check_int(10**30) == 10**30
+    with pytest.raises(ValueError, match=f"not a depth <= {MAX_DEPTH}: {MAX_DEPTH + 1}"):
+        check_int(MAX_DEPTH + 1, 0, MAX_DEPTH, "a depth")
+    with pytest.raises(ValueError, match="not a depth >= 0: -1"):
+        check_int(-1, 0, MAX_DEPTH, "a depth")
+    with pytest.raises(ValueError, match="not an integer: True"):
+        check_int(True)
 
 
 def test_compatible():
@@ -50,7 +83,7 @@ def test_membership_forced_levels():
     assert not reference_contains(tree, "01")
     assert reference_contains(tree, "0000")
     assert not reference_contains(tree, "0001")
-    assert tree.materialize(4).leaves == ("0000", "0010", "1000", "1010")
+    assert tree._replace(depth=4).materialize().leaves == ("0000", "0010", "1000", "1010")
     with pytest.raises(TruncationError):
         tree.level_count(7)
 
@@ -62,7 +95,7 @@ def test_membership_explicit_selector():
     assert not reference_contains(tree, "00")
     assert reference_contains(tree, "10")
     assert not reference_contains(tree, "11")
-    assert tree.materialize(2).leaves == ("01", "10")
+    assert tree._replace(depth=2).materialize().leaves == ("01", "10")
 
 
 def test_cylinder_measure_example():
@@ -77,7 +110,7 @@ def test_level_counts_match_materialization():
     for indices in [set(), {0}, {1, 3}, {0, 1, 2}, {2, 5}]:
         tree = make_tree(indices, 6, SeededSelector(7))
         for n in range(7):
-            assert tree.level_count(n) == len(tree.materialize(n).leaves)
+            assert tree.level_count(n) == len(tree._replace(depth=n).materialize().leaves)
 
 
 def test_materialized_leaves_are_members_with_equal_measure():
@@ -94,6 +127,8 @@ def test_node_budget():
     tree = make_tree(set(), 22, ConstantSelector(0))
     with pytest.raises(NodeBudgetError):
         tree.materialize(budget=2**10)
+    with pytest.raises(TypeError):  # a tree lists its own depth; the budget is passed by name
+        tree.materialize(2**10)
 
 
 def test_sampling_deterministic_and_in_tree():
@@ -107,7 +142,7 @@ def test_sampling_frequencies_match_measure():
     tree = make_tree({1, 3}, 12, ConstantSelector(0))
     count = 20000
     xs = tree.sample(1, count)
-    nodes = tree.materialize(4).leaves
+    nodes = tree._replace(depth=4).materialize().leaves
     p = 0.25
     sigma = (count * p * (1 - p)) ** 0.5
     for node in nodes:
