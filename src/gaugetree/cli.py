@@ -30,7 +30,7 @@ from .hausdorff import (
 )
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
 from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
-from .tree import MAX_DEPTH, MAX_SAMPLES, NODE_BUDGET, SplittingTree, check_node, random_bits
+from .tree import MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
 
@@ -269,7 +269,7 @@ def cmd_antichain(args) -> int:
     # the lower bound only constrains covers finer than 2^-n0
     delta_used = max(args.delta_exp, n0)
     upper = level_dp_cost(tree, g, delta_used, values)
-    dim = dimension_estimate(tree._replace(depth=min(args.depth, 60)), tolerance=0.01)
+    dim = dimension_estimate(tree, delta_used)
     manifest = build_manifest("antichain", args, [args.maps])
     report = {
         "gauge": g.to_json_dict(),
@@ -284,12 +284,7 @@ def cmd_antichain(args) -> int:
             "upper": format_dyadic(upper),
             "delta_exp": delta_used,
         },
-        "dimension": {
-            "s_lo": dim.s_lo,
-            "s_hi": dim.s_hi,
-            "depth": dim.depth,
-            "conclusive": dim.conclusive,
-        },
+        "dimension": {"value": format_rational(dim.value), "witness_level": dim.witness_level},
     }
     write_json(args.out, report, manifest)
     return 0
@@ -315,6 +310,10 @@ def cmd_transfer(args) -> int:
             lines.append(f"{i},{format_ratio(lo, den)},{format_ratio(hi, den)},{m},{stop - first},{int(ok)}")
         write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], lines, manifest)
     elif args.mode == "interleave-check":
+        if args.count * args.length > MAX_BATCH_BITS:
+            print(f"error: --count {args.count} * --length {args.length} exceeds {MAX_BATCH_BITS} bits",
+                  file=sys.stderr)
+            return 2
         for i in range(args.count):
             n = rng.choice([2, 3, 4])
             length = args.length - args.length % n

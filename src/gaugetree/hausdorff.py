@@ -2,7 +2,9 @@
 
 Lower bounds come from the mass-distribution inequality, upper bounds from
 the optimal cylinder cover, lossless on binary strings; both read the level
-cost 2^free(n)·g(2^-n) at every level up to the tree's depth.
+cost 2^free(n)·g(2^-n) at every level up to the tree's depth.  On the power
+gauges t^s both sides meet at one exact dimension number, the least
+free(n)/n from the cut level on.
 """
 
 from __future__ import annotations
@@ -87,49 +89,26 @@ def level_dp_witness_level(tree: SplittingTree, g: Gauge, delta_exponent: int) -
 
 
 class DimensionEstimate(NamedTuple):
-    s_lo: float
-    s_hi: float
-    depth: int
-    conclusive: bool
+    value: Fraction
+    witness_level: Optional[int]
+    conclusive = True  # perfbench/spans.py reads it until ROADMAP item 5 re-binds that counter
 
 
-def dimension_estimate(tree: SplittingTree, tolerance: float) -> DimensionEstimate:
-    """Bracket for the branch set's dimension at the tree's depth N.
-
-    s is certified from below when the mass-distribution bound succeeds for
-    the power gauge t^s, and from above when the optimal cover cost at depth N
-    (cut level 0) drops strictly below the certified mass floor 1.  Both are
-    bisections over s in (0, 1] that halve until the width is <= tolerance,
-    k times for the least k >= 0 with 2^-k <= tolerance, and both tests read
-    only the free-level profile free(n) = n - |A ∩ n| of this
-    level-homogeneous tree, so each bisection has a closed form in integers:
-
-    - A level-n cylinder has measure 2^-free(n), so it passes the t^s test
-      iff free(n) >= n·s, and `frostman_lower` fails only when level N does.
-      The bisection keeps the largest j/2^k with free(N) >= N·j/2^k:
-      s_lo = floor(2^k·free(N)/N) / 2^k, which is 1 when free(N) = N.
-    - The cut-0 `level_dp` costs the least level cost, min over n <= N of
-      2^(free(n) - n·s), which is 1 at n = 0; so it is below 1 iff
-      free(n) < n·s for some n >= 1.  The bisection keeps the least j/2^k
-      above min free(n)/n: s_hi = (min of floor(2^k·free(n)/n) + 1) / 2^k
-      over 1 <= n <= N, capped at its starting point 1, which it keeps when
-      free(n) = n for every n <= N.
-    """
-    if tolerance < 2.0**-20:
-        raise ValueError("tolerance must be >= 2^-20")
+def dimension_estimate(tree: SplittingTree, delta_exponent: int) -> DimensionEstimate:
+    """d(k, N) = min free(n)/n over max(k, 1) <= n <= N, the tree's depth, and
+    the first n reaching it, or 1 and no witness level on an empty range.
+    t^s passes the Frostman test on levels k..N iff every free(n) >= n·s, and
+    the cut-k cover of t^s costs below 1 iff some free(n) < n·s: d is the one
+    exact s where both certifiers turn (the mass distribution principle)."""
+    k = max(int(delta_exponent), 0)  # a negative one cuts from the root on
+    if k > tree.depth:
+        raise ValueError(f"need delta exponent {k} <= depth {tree.depth}")
     free = tree.schedule.free_levels(tree.depth)
-    k = 0
-    while 2.0**-k > tolerance:
-        k += 1
-    lo = (free[-1] << k) // tree.depth if tree.depth else 1 << k
-    hi = min([1 << k] + [(free[n] << k) // n + 1 for n in range(1, tree.depth + 1)])
-    s_lo, s_hi = lo / (1 << k), hi / (1 << k)
-    return DimensionEstimate(
-        s_lo=s_lo,
-        s_hi=s_hi,
-        depth=tree.depth,
-        conclusive=s_lo <= s_hi + tolerance,
-    )
+    w = None
+    for n in range(max(k, 1), tree.depth + 1):
+        if w is None or free[n] * w < free[w] * n:
+            w = n
+    return DimensionEstimate(Fraction(free[w], w) if w else Fraction(1), w)
 
 
 class MeasureCertificate(NamedTuple):

@@ -23,6 +23,9 @@ MAX_DEPTH = 2**20
 # a sample is one bit of each column `Columns` builds, or one row of a transfer batch:
 # 2^20 keep a column at 128 KiB and a batch's rows at tens of MB
 MAX_SAMPLES = 2**20
+# count x length of an interleave-check batch, whose items each draw two length-bit
+# strings: 2^24 take 1-6 s at lengths 64 to 2^20 (about 60 ns a bit, 15 us an item)
+MAX_BATCH_BITS = 2**24
 # byte -> "1" if its top bit is set, else "0"
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 # draws per getrandbits call in random_bits: 16 KB temporaries stay below the
@@ -96,6 +99,8 @@ class BranchSchedule:
 
     def free_levels(self, depth: int) -> List[int]:
         """free(n) = n - |A ∩ n|, the free levels above level n, for n = 0..depth."""
+        if depth < 0:
+            raise ValueError(f"negative depth {depth}")
         steps = [1] * depth  # level n's step to free(n + 1)
         for i in self.indices[: self.count_below(depth)]:
             steps[i] = 0
@@ -303,6 +308,8 @@ class SplittingTree(NamedTuple):
     depth: int
 
     def level_count(self, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"negative level {n}")
         if n > self.depth:
             raise TruncationError(f"level {n} > depth {self.depth}")
         return 2 ** (n - self.schedule.count_below(n))

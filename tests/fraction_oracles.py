@@ -12,9 +12,9 @@ lower level cost among its failing levels), and the references of
 the upper ends as Fractions.  The integer (mantissa, exponent) fast paths
 in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli` must agree
 with them; `tests/test_certify_oracles.py` compares the two.
-`reference_dimension_estimate` is the bisection that bracketed the dimension
-by probing the Frostman test and the cover DP on power gauges, which
-`tests/test_hausdorff.py` compares with the closed form.
+`reference_dimension` is the dimension number d(k, N) as a naive Fraction
+minimum, checked against both certifiers on power gauges, which
+`tests/test_hausdorff.py` compares with the integer pass.
 `reference_dyadic_four_cover` is the Fraction body of the four-interval cover,
 and `reference_interleave_metric_check` the Fraction body of the interleaving
 metric check, which `tests/test_transfer.py` compares with the integer
@@ -44,7 +44,7 @@ from gaugetree.dyadic import floor_log2, is_dyadic
 from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError, TruncationError
 from gaugetree.game import TransducerMap
 from gaugetree.gauge import POWER, POWER_LOG, TABLE, Gauge
-from gaugetree.hausdorff import DimensionEstimate, frostman_lower, level_dp_cost
+from gaugetree.hausdorff import frostman_lower, level_dp_cost
 from gaugetree.transfer import DyadicInterval, interleave
 from gaugetree.tree import GameBuiltSelector, check_node
 
@@ -207,59 +207,21 @@ def reference_level_dp_witness_level(tree, g, delta_exponent, depth=None):
     return n_max
 
 
-def reference_dimension_estimate(tree, tolerance, depth=None):
-    """The bisection bracket: each of up to 16 probes runs the Frostman test or
-    the cut-0 level cover DP on a fresh power gauge t^s."""
-    if tolerance < 2.0**-20:
-        raise ValueError("tolerance must be >= 2^-20")
-    n_max = tree.depth if depth is None else int(depth)
-    if not 0 <= n_max <= tree.depth:
-        raise ValueError(f"need 0 <= depth {n_max} <= {tree.depth}")
-    cut = tree._replace(depth=n_max)
-
-    # both bisections only probe s in (0, 1]
-    def lower_ok(s):
-        try:
-            frostman_lower(cut, Gauge.power(s))
-            return True
-        except FrostmanConditionError:
-            return False
-
-    def upper_ok(s):
-        return level_dp_cost(cut, Gauge.power(s), 0) < 1
-
-    # lower bisection: largest s with mass-distribution evidence
-    lo, hi = Fraction(0), Fraction(1)
-    if lower_ok(hi):
-        s_lo = Fraction(1)
-    else:
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2
-            if lower_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        s_lo = lo
-
-    # upper bisection: smallest s with cover-decay evidence
-    lo, hi = Fraction(0), Fraction(1)
-    if not upper_ok(hi):
-        s_hi = Fraction(1)
-    else:
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2
-            if upper_ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        s_hi = hi
-
-    return DimensionEstimate(
-        s_lo=float(s_lo),
-        s_hi=float(s_hi),
-        depth=n_max,
-        conclusive=float(s_lo) <= float(s_hi) + tolerance,
-    )
+def reference_dimension(tree, delta_exponent):
+    """(d, witness level) from the definition: the first least
+    (n - #{i in indices : i < n}) / n over max(k, 1) <= n <= N as Fractions, or
+    (1, None) on an empty range; never through `free_levels`.  Both certifiers
+    must turn at d on power gauges: t^d passes the Frostman test from level k
+    on, and the cut-k cover of t^(d + 2^-20) costs below 1."""
+    k = max(delta_exponent, 0)
+    indices = tree.schedule.indices
+    ratios = [(Fraction(n - sum(1 for i in indices if i < n), n), n) for n in range(max(k, 1), tree.depth + 1)]
+    d, witness = min(ratios, key=lambda r: r[0], default=(Fraction(1), None))
+    if d:  # t^0 is no gauge
+        assert frostman_lower(tree, Gauge.power(d))[1] <= k
+    if witness is not None:
+        assert level_dp_cost(tree, Gauge.power(d + Fraction(1, 2**20)), k) < 1
+    return d, witness
 
 
 def parse_dyadic(s):

@@ -160,6 +160,35 @@ MUTANTS = (
          "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
     ),
     Mutant(
+        "dimension_keeps_the_last_least_ratio", "src/gaugetree/hausdorff.py",
+        "for n in range(max(k, 1), tree.depth + 1):",
+        "for n in reversed(range(max(k, 1), tree.depth + 1)):",
+        "a tie of free(n)/n names the deepest level as the witness",
+        ("tests/test_hausdorff.py::test_dimension_odds_half",
+         "tests/test_hausdorff.py::test_dimension_matches_the_naive_minimum",
+         "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_pinned_dimension"),
+    ),
+    Mutant(
+        "dimension_starts_past_the_cut_level", "src/gaugetree/hausdorff.py",
+        "for n in range(max(k, 1), tree.depth + 1):",
+        "for n in range(k + 1, tree.depth + 1):",
+        "the pass skips level k itself, so a least ratio there is missed",
+        ("tests/test_hausdorff.py::test_dimension_matches_the_naive_minimum",),
+    ),
+    Mutant(
+        "dimension_ties_replace_the_witness", "src/gaugetree/hausdorff.py",
+        "free[n] * w < free[w] * n", "free[n] * w <= free[w] * n",
+        "each later level of an equal ratio takes the witness over",
+        ("tests/test_hausdorff.py::test_dimension_matches_the_naive_minimum",
+         "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_pinned_dimension"),
+    ),
+    Mutant(
+        "interleave_batch_unbounded", "src/gaugetree/cli.py",
+        "if args.count * args.length > MAX_BATCH_BITS:", "if False:",
+        "transfer interleave-check draws count × length bits however many that is",
+        ("tests/test_cli.py::test_interleave_check_work_is_bounded",),
+    ),
+    Mutant(
         "measure_does_not_cut_to_depth", "src/gaugetree/cli.py",
         "    tree = tree._replace(depth=depth)\n", "",
         "measure --depth below the tree's depth certifies, or fails on, levels it was not asked for",

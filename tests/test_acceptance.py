@@ -126,17 +126,11 @@ def test_criterion_2_cover_dp_oracle_equivalence():
         assert _costs_equal(level_dp_cost(tree, g, k), node)
 
 
-@criterion(3, "dimension brackets for empty, odd, and full schedules", budget=15)
+@criterion(3, "exact dimension numbers 1, 1/2 and 0 for empty, odd, and full schedules", budget=15)
 def test_criterion_3_dimension_brackets():
-    est = dimension_estimate(make_tree(set(), 60), 0.01)
-    assert est.s_lo >= 0.99 and est.s_hi <= 1.0
-
-    est = dimension_estimate(make_tree(range(1, 60, 2), 60), 0.01)
-    assert est.s_lo <= 0.5 <= est.s_hi
-    assert est.s_hi - est.s_lo <= 0.02
-
-    est = dimension_estimate(make_tree(range(60), 60), 0.01)
-    assert est.s_lo == 0.0 and est.s_hi <= 0.01
+    assert dimension_estimate(make_tree(set(), 60), 0).value == 1
+    assert dimension_estimate(make_tree(range(1, 60, 2), 60), 0).value == Fraction(1, 2)
+    assert dimension_estimate(make_tree(range(60), 60), 0).value == 0
 
 
 @criterion(4, "sharp certificate for odd levels against the square-root gauge")

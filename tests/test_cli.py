@@ -31,7 +31,7 @@ from gaugetree.cli import (
 )
 from gaugetree.game import map_from_json_dict
 from gaugetree.transfer import MAX_DIMENSION, DyadicInterval, four_cover_span
-from gaugetree.tree import MAX_DEPTH, MAX_SAMPLES
+from gaugetree.tree import MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES
 
 
 def run(argv):
@@ -149,7 +149,8 @@ def test_antichain_pipeline_and_determinism(tmp_path, maps_file):
         assert row["unaccounted"] == 0
     assert report["measure_certificate"]["frostman"]["lower"] == "1"
     assert report["measure_certificate"]["delta_exp"] >= 1
-    assert report["dimension"]["depth"] == 60
+    # the least free(n)/n from delta_exp = 1 to the depth 64: level 2, whose level 1 is forced
+    assert report["dimension"] == {"value": "1/2", "witness_level": 2}
 
 
 def test_antichain_infeasible_exits_3(tmp_path, maps_file, capsys):
@@ -747,17 +748,9 @@ PARITY = {
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-@pytest.mark.parametrize("gauge, maps, depth, fixture", [
-    ("power_log:1,1", [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY], 64,
-     "antichain_power_log_flip_shift_parity_d64.json"),
-    ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}], 32,
-     "antichain_power_half_flip_shift_d32.json"),
-    # 61 is odd and not a multiple of 8: the transducer's tail chunk and a
-    # partial last block of the 1 000 escape samples
-    ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY], 61,
-     "antichain_power_half_flip_shift_parity_d61.json"),
-])
-def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, fixture):
+def antichain_report(tmp_path, gauge, maps, depth):
+    """The report of `antichain --stages 3`, without its manifest, which
+    holds the input's temporary path."""
     maps_path = tmp_path / "maps.json"
     maps_path.write_text(json.dumps(maps))
     out = tmp_path / "report.json"
@@ -766,7 +759,25 @@ def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, f
         "--depth", depth, "--stages", 3, "--out", out,
     ]) == 0
     report = json.loads(out.read_text())
-    del report["manifest"]  # holds the input's temporary path
+    del report["manifest"]
+    return report
+
+
+ANTICHAIN_FIXTURES = [
+    ("power_log:1,1", [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY], 64,
+     "antichain_power_log_flip_shift_parity_d64.json"),
+    ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}], 32,
+     "antichain_power_half_flip_shift_d32.json"),
+    # 61 is odd and not a multiple of 8: the transducer's tail chunk and a
+    # partial last block of the 1 000 escape samples
+    ("power:1/2", [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY], 61,
+     "antichain_power_half_flip_shift_parity_d61.json"),
+]
+
+
+@pytest.mark.parametrize("gauge, maps, depth, fixture", ANTICHAIN_FIXTURES)
+def test_antichain_report_matches_pinned_fixture(tmp_path, gauge, maps, depth, fixture):
+    report = antichain_report(tmp_path, gauge, maps, depth)
     with open(os.path.join(FIXTURES, fixture)) as fh:
         # text, not parsed dicts: 1 == 1.0 would hide a float turned int
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == fh.read()
@@ -835,6 +846,20 @@ def test_levels_csv_is_the_evidence_of_the_pinned_upper_bounds(tmp_path, gauge, 
     assert_upper_is_the_first_least_level_cost(cert, rows)
 
 
+@pytest.mark.parametrize("gauge, maps, depth, fixture", ANTICHAIN_FIXTURES)
+def test_levels_csv_is_the_evidence_of_the_pinned_dimension(tmp_path, gauge, maps, depth, fixture):
+    """`dimension` is the first least free/n of the report tree's levels CSV
+    rows from n = max(delta_exp, 1) on, and `witness_level` is that row."""
+    report = antichain_report(tmp_path, gauge, maps, depth)
+    k = report["measure_certificate"]["delta_exp"]
+    _, rows = measure_with_levels(tmp_path, report["tree"], gauge, k)
+    assert len(rows) == depth + 1
+    ratios = [Fraction(int(row[1]), int(row[0])) for row in rows[max(k, 1):]]
+    least = min(ratios)
+    dim = report["dimension"]
+    assert (Fraction(dim["value"]), dim["witness_level"]) == (least, max(k, 1) + ratios.index(least))
+
+
 # level n has value (n + 1)/2^n, except a non-dyadic 1/7 at level 5
 LEVEL_TABLE = "table:" + ",".join(f"{n}={'1/7' if n == 5 else f'{n + 1}/{2 ** n}'}" for n in range(121))
 
@@ -890,6 +915,49 @@ def test_transfer_interleave_check(tmp_path):
     _, rows = read_csv_table(str(out))
     assert len(rows) == 50
     assert all(r[-1] == "1" for r in rows)
+
+
+class Drew(Exception):
+    """A transfer batch reached its first draw."""
+
+
+@pytest.mark.parametrize("count, length, refused", [
+    (1000, MAX_DEPTH, True),  # each flag in range; the batch took 40 s
+    (MAX_SAMPLES, MAX_DEPTH, True),
+    (MAX_BATCH_BITS // 64 + 1, 64, True),
+    (MAX_BATCH_BITS // 64, 64, False),
+    (16, MAX_DEPTH, False),
+])
+def test_interleave_check_work_is_bounded(tmp_path, capsys, monkeypatch, count, length, refused):
+    """count × length past MAX_BATCH_BITS exits 2 with one line before any
+    draw; up to it the batch runs (stopped here at its first draw)."""
+
+    def no_draw(rng, n):
+        raise Drew
+
+    monkeypatch.setattr(gaugetree.cli, "random_bits", no_draw)
+    out = tmp_path / "ic.csv"
+    argv = ["transfer", "interleave-check", "--count", count, "--length", length, "--out", out]
+    if refused:
+        assert run(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: --count {count} * --length {length} exceeds {MAX_BATCH_BITS} bits"
+    else:
+        with pytest.raises(Drew):
+            run(argv)
+    assert not out.exists()
+
+
+def test_transfer_batches_stay_far_inside_the_work_bound():
+    """The default interleave-check batch and each of perfbench's take at
+    most 1/64 of MAX_BATCH_BITS."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    args = build_parser().parse_args(["transfer", "interleave-check", "--out", "ic.csv"])
+    batches = [(args.count, args.length)] + [(n, length) for _, n, length in workloads.TRANSFER_SIZES]
+    assert all(64 * n * length <= MAX_BATCH_BITS for n, length in batches)
 
 
 def test_transfer_cube_map(tmp_path):

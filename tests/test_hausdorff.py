@@ -1,11 +1,11 @@
-"""Frostman floors, optimal-cover DP cross-checks, and dimension brackets."""
+"""Frostman floors, optimal-cover DP cross-checks, and the dimension number."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import brute_force_cover_cost, optimal_cover_cost, reference_dimension_estimate
+from fraction_oracles import brute_force_cover_cost, optimal_cover_cost, reference_dimension
 from hypothesis import example, given, settings, strategies as st
 
 from gaugetree import (
@@ -20,7 +20,9 @@ from gaugetree import (
     level_dp_cost,
     measure_certificate,
 )
+from gaugetree.cli import _level_rows
 from gaugetree.errors import FrostmanConditionError
+from gaugetree.hausdorff import level_dp
 
 
 def make_tree(indices, depth, selector=None):
@@ -136,59 +138,41 @@ def test_singleton_chain_cost():
 
 
 def test_dimension_full_tree():
-    est = dimension_estimate(make_tree(set(), 60), 0.01)
-    assert est.s_lo == 1.0
-    assert est.s_hi == 1.0
-    assert est.conclusive
+    assert dimension_estimate(make_tree(set(), 60), 0) == (Fraction(1), 1)
 
 
 def test_dimension_odds_half():
-    est = dimension_estimate(make_tree(range(1, 60, 2), 60), 0.01)
-    assert abs(est.s_lo - 0.5) <= 0.01
-    assert abs(est.s_hi - 0.5) <= 0.01
-    assert est.conclusive
-    assert est.s_hi - est.s_lo <= 0.02
+    assert dimension_estimate(make_tree(range(1, 60, 2), 60), 0) == (Fraction(1, 2), 2)
 
 
 def test_dimension_all_forced_zero():
-    est = dimension_estimate(make_tree(range(60), 60), 0.01)
-    assert est.s_lo == 0.0
-    assert est.s_hi <= 0.01
-
-
-def test_dimension_tolerance_floor():
-    with pytest.raises(ValueError):
-        dimension_estimate(make_tree(set(), 10), 2.0**-30)
+    assert dimension_estimate(make_tree(range(60), 60), 0) == (Fraction(0), 1)
 
 
 @st.composite
 def dimension_cases(draw):
-    """A random schedule tree of depth <= 60, a working depth and a tolerance."""
+    """A random schedule tree of depth <= 60, a working depth N and a cut level k <= N."""
     depth = draw(st.integers(0, 60))
     indices = draw(st.sets(st.integers(0, depth - 1))) if depth else set()
     n_max = draw(st.integers(0, depth))
-    tolerance = draw(st.sampled_from([0.01, 2.0**-20, 2.0**-7, 0.3, 1, 1.5])
-                     | st.floats(2.0**-20, 2.0))
-    return sorted(indices), depth, n_max, tolerance
+    return sorted(indices), depth, n_max, draw(st.integers(-1, n_max))
 
 
 @settings(max_examples=300)
 @given(dimension_cases())
-@example(([], 0, 0, 0.01))  # the empty working depth
-@example(([1, 3], 8, 0, 2.0**-20))
-@example(([], 60, 60, 0.01))  # a full tree
-@example(([], 60, 60, 1))
-@example((list(range(60)), 60, 60, 0.01))  # an all-forced tree
-@example((list(range(60)), 60, 60, 2.0**-20))
-@example((list(range(1, 60, 2)), 60, 60, 1.5))
-def test_dimension_closed_form_matches_bisection(case):
-    indices, depth, n_max, tolerance = case
-    tree = make_tree(indices, depth)
-    est = dimension_estimate(tree._replace(depth=n_max), tolerance)
-    ref = reference_dimension_estimate(tree, tolerance, depth=n_max)
-    # repr tells 1 from 1.0, which == would not
-    assert (repr(est.s_lo), repr(est.s_hi)) == (repr(ref.s_lo), repr(ref.s_hi))
-    assert (est.depth, est.conclusive) == (ref.depth, ref.conclusive)
+@example(([], 0, 0, 0))  # the empty range
+@example(([], 8, 0, 0))
+@example(([], 60, 60, 0))  # a full tree
+@example(([], 60, 60, 60))
+@example((list(range(60)), 60, 60, 0))  # an all-forced tree
+@example((list(range(60)), 60, 60, 7))
+@example((list(range(1, 60, 2)), 60, 60, 0))  # ties at every even level
+@example(([1], 8, 8, 2))  # the least ratio at the cut level k itself
+@example(([1], 8, 8, -1))
+def test_dimension_matches_the_naive_minimum(case):
+    indices, depth, n_max, k = case
+    tree = make_tree(indices, depth)._replace(depth=n_max)
+    assert dimension_estimate(tree, k) == reference_dimension(tree, k)
 
 
 # -- certificates -----------------------------------------------------------
@@ -211,3 +195,19 @@ def test_measure_certificate_failure_records_level():
     assert cert.lower is None
     assert cert.failure_level is not None
     assert cert.to_json_dict()["lower"]["value"] is None
+
+
+HALF = Gauge.power(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("level_pass", [
+    lambda tree: dimension_estimate(tree, 0),
+    lambda tree: frostman_lower(tree, HALF),
+    lambda tree: level_dp(tree, HALF, 0),
+    lambda tree: list(_level_rows(tree, HALF.scale_values(tree.depth))),
+    lambda tree: tree.materialize(),
+], ids=["dimension_estimate", "frostman_lower", "level_dp", "cli._level_rows", "materialize"])
+def test_a_negative_cut_depth_is_refused(level_pass):
+    """`_replace` takes any depth; the passes refuse a negative one by name."""
+    with pytest.raises(ValueError, match="-1"):
+        level_pass(make_tree([1, 3], 8)._replace(depth=-1))

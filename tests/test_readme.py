@@ -15,7 +15,8 @@ def test_library_tour_runs_as_its_comments_say():
     assert ns["sched"].indices == (1, 3, 7, 15, 31, 63)
     assert ns["tree"].level_count(4) == 4
     assert ns["mass"] == 1
-    assert ns["est"].depth == 60  # the tree cut to depth 60
+    assert ns["n0"] == 1
+    assert ns["est"] == (Fraction(1, 2), 2)
     cover = ns["dyadic_four_cover"](Fraction(3, 10), Fraction(9, 20))
     assert len(cover) == 4 and all(interval.level == 3 for interval in cover)
     assert ns["to_cube"]("011011", 2).coords == (Fraction(3, 8), Fraction(5, 8))
