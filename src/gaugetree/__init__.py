@@ -30,7 +30,6 @@ from .hausdorff import (
     measure_certificate,
 )
 from .game import (
-    AntichainCertificate,
     BadSet,
     BitFlipMap,
     ExplicitNodeMap,

@@ -30,7 +30,7 @@ from .hausdorff import (
 )
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
 from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
-from .tree import MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, NODE_BUDGET, SplittingTree, check_node, random_bits
+from .tree import ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, NODE_BUDGET, SplittingTree, check_node, random_bits
 
 TOOL_NAME = "gaugetree"
 
@@ -310,9 +310,9 @@ def cmd_transfer(args) -> int:
             lines.append(f"{i},{format_ratio(lo, den)},{format_ratio(hi, den)},{m},{stop - first},{int(ok)}")
         write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], lines, manifest)
     elif args.mode == "interleave-check":
-        if args.count * args.length > MAX_BATCH_BITS:
-            print(f"error: --count {args.count} * --length {args.length} exceeds {MAX_BATCH_BITS} bits",
-                  file=sys.stderr)
+        if args.count * (args.length + ITEM_BITS) > MAX_BATCH_BITS:
+            print(f"error: --count {args.count} * (--length {args.length} + {ITEM_BITS}) exceeds "
+                  f"{MAX_BATCH_BITS} bits", file=sys.stderr)
             return 2
         for i in range(args.count):
             n = rng.choice([2, 3, 4])

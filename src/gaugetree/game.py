@@ -19,9 +19,9 @@ stage level; R the longest requirement or layer root).  Those bits decide
 every cut of the selector, so x's forced levels follow it and each bit of y
 at a decided level is checked as it is emitted; one pass gives a count and
 both stage halves.  `bad_set` counts each (requirement, scan depth, number
-of layers) once per game, in a memo on the `GameState`: the schedule, the
-maps and the default bit never change in a game, and layers only ever
-append, so the key decides the tree and a hit is the count it replaces.
+of layers) once per game, in a memo on the `GameState`: the schedule and the
+maps never change in a game, every game plays default bit 0, and layers only
+ever append, so the key decides the tree and a hit is the count it replaces.
 
 A game starts at the scan depth min(working depth, longest root + largest
 lag + 1).  From there on every image is at least as long as its root, so a
@@ -54,7 +54,8 @@ from .tree import BranchSchedule, Columns, GameBuiltSelector, Layer, SplittingTr
 
 class TreeMap:
     """Monotone map on finite binary strings with a bounded length lag, read
-    through its step table (state, "0" or "1") -> (state, output)."""
+    through its step table (state, "0" or "1") -> (state, output), built once
+    when the map is made."""
 
     kind = "abstract"
     lag = 0
@@ -70,8 +71,8 @@ class TreeMap:
         return "".join(out)
 
     def steps(self) -> Dict[Tuple[object, str], Tuple[object, str]]:
-        """The step table keyed by (state, "0" or "1"), from `delta`."""
-        return {(q, str(b)): move for (q, b), move in self.delta.items()}
+        """The step table keyed by (state, "0" or "1")."""
+        return self._steps
 
     def check_end(self, state) -> None:
         """The end test of every walk: raise UndefinedNodeError when no image
@@ -81,13 +82,13 @@ class TreeMap:
 class BitFlipMap(TreeMap):
     kind = "bit_flip"
     lag = 0
-    delta = {(0, 0): (0, "1"), (0, 1): (0, "0")}
+    _steps = {(0, "0"): (0, "1"), (0, "1"): (0, "0")}
 
 
 class ShiftMap(TreeMap):
     kind = "shift"
     lag = 1
-    delta = {(0, 0): (1, ""), (0, 1): (1, ""), (1, 0): (1, "0"), (1, 1): (1, "1")}
+    _steps = {(0, "0"): (1, ""), (0, "1"): (1, ""), (1, "0"): (1, "0"), (1, "1"): (1, "1")}
 
 
 class TransducerMap(TreeMap):
@@ -110,6 +111,7 @@ class TransducerMap(TreeMap):
             if (s, 0) not in self.delta or (s, 1) not in self.delta:
                 raise ValueError(f"transducer state {s!r} lacks a move on 0 or 1")
         check_node("".join(out for _, out in self.delta.values()))
+        self._steps = {(q, str(b)): move for (q, b), move in self.delta.items()}
 
     def min_drift(self, depth: int) -> int:
         """min of len(image) - len(input) over the inputs of length <= depth
@@ -170,9 +172,6 @@ class ExplicitNodeMap(TreeMap):
             reached[node] = key, image
             self._steps[node[:-1], node[-1]] = node, out
 
-    def steps(self) -> Dict[Tuple[str, str], Tuple[str, str]]:
-        return self._steps
-
     def check_end(self, state: str) -> None:
         if state not in self.entries:
             raise UndefinedNodeError(f"no image recorded for node {state!r}")
@@ -218,31 +217,69 @@ class BadSet(NamedTuple):
     measure: Fraction
 
 
+MEASURE_NOTE = (
+    "bad-set measures are taken with respect to the tree's own uniform "
+    "branch measure at the scan depth, and every bound holds at each depth "
+    "from scan_depth to the working depth"
+)
+
+
 @dataclass
 class GameState:
+    """One game, from its opening counts to its certificate, which `run_game`
+    returns.  Per requirement, by its index, each held once: the opening bad
+    measure, the stages played and the last level consulted (-1 for none);
+    the bound after k stages, initial / 2^k, is derived and never stored."""
+
     schedule: BranchSchedule
     maps: Sequence[TreeMap]
     requirements: List[Requirement]
     depth: int
     scan_depth: int
-    default_bit: int = 0
     layers: List[Layer] = field(default_factory=list)
-    bounds: Dict[int, Fraction] = field(default_factory=dict)
-    initial: Dict[int, Fraction] = field(default_factory=dict)
-    stage_counts: Dict[int, int] = field(default_factory=dict)
-    consulted: Dict[int, int] = field(default_factory=dict)
+    initial: List[Fraction] = field(default_factory=list)
+    stages: List[int] = field(default_factory=list)
+    consulted: List[int] = field(default_factory=list)
     stage_log: List[dict] = field(default_factory=list)
     # (requirement, scan depth, number of layers) -> its BadSet; see the module docstring
     counted: Dict[tuple, BadSet] = field(default_factory=dict, compare=False, repr=False)
 
-    def selector(self) -> GameBuiltSelector:
-        return GameBuiltSelector(self.layers, default=self.default_bit)
+    def open(self) -> GameState:
+        """Count every requirement's opening bad set, before any stage."""
+        self.initial = [bad_set(self, req).measure for req in self.requirements]
+        self.stages = [0] * len(self.requirements)
+        self.consulted = [-1] * len(self.requirements)
+        return self
+
+    def bound(self, key: int) -> Fraction:
+        return self.initial[key] / 2 ** self.stages[key]
 
     def tree(self, depth: Optional[int] = None) -> SplittingTree:
-        return SplittingTree(self.schedule, self.selector(), self.depth if depth is None else depth)
+        return SplittingTree(self.schedule, GameBuiltSelector(self.layers), self.depth if depth is None else depth)
 
     def decided(self) -> set:
         return {l.level for l in self.layers}
+
+    def to_json_dict(self) -> dict:
+        """The `game_certificate` block; `recomputed` is each final bad set."""
+        return {
+            "requirements": [
+                {
+                    "map": req.map_index,
+                    "root": req.root,
+                    "initial": format_dyadic(self.initial[key]),
+                    "final_bound": format_dyadic(self.bound(key)),
+                    "recomputed": format_dyadic(bad_set(self, req).measure),
+                    "stages": self.stages[key],
+                }
+                for key, req in enumerate(self.requirements)
+            ],
+            "layers": [[l.level, l.root, l.bit] for l in self.layers],
+            "stages_executed": len(self.stage_log),
+            "scan_depth": self.scan_depth,
+            "measure_note": MEASURE_NOTE,
+            "stage_log": list(self.stage_log),
+        }
 
 
 def _count(tree: SplittingTree, m: TreeMap, root: str, level: Optional[int] = None,
@@ -302,7 +339,7 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
     return state.counted[key]
 
 
-def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
+def _eligible_level(state: GameState, key: int, lag: int) -> int:
     """Least fresh forced level n whose image bit is visible at the scan
     depth, which grows to n + lag + 1 when needed, else DepthExhaustedError
     naming the first fresh level and why it is out: n + lag + 1 is past the
@@ -311,8 +348,8 @@ def _eligible_level(state: GameState, req: Requirement, lag: int) -> int:
     Growing the scan depth is sound: a depth-d bad set over-approximates all
     deeper ones, so earlier bounds remain valid upper bounds.
     """
-    decided = state.decided()
-    floor = max(len(req.root), state.consulted.get(state.requirements.index(req), -1) + 1)
+    req, decided = state.requirements[key], state.decided()
+    floor = max(len(req.root), state.consulted[key] + 1)
     for n in state.schedule.indices:
         if n < floor or n in decided:
             continue
@@ -337,12 +374,12 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
     key = state.requirements.index(req)
     m = state.maps[req.map_index]
     measure = bad_set(state, req).measure
-    state.stage_counts[key] = state.stage_counts.get(key, 0) + 1
-    state.bounds[key] = state.initial[key] / 2 ** state.stage_counts[key]
+    state.stages[key] += 1
+    bound = state.bound(key)
 
     level = chosen = None
     if measure:
-        level = _eligible_level(state, req, m.lag)
+        level = _eligible_level(state, key, m.lag)
         # one count at the scan depth, which may have grown, gives both halves
         halves = _count(state.tree(state.scan_depth), m, req.root, level)
         if halves[None]:
@@ -359,16 +396,15 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
             raise GameInvariantError("post-stage bad set escapes the chosen half")
         measure = Fraction(survivors[str(chosen)], tree.level_count(tree.depth))
 
-    if measure > state.bounds[key]:
-        raise GameInvariantError(f"recomputed bad measure {measure} exceeds bound {state.bounds[key]}")
+    if measure > bound:
+        raise GameInvariantError(f"recomputed bad measure {measure} exceeds bound {bound}")
     # non-interference: no other requirement's fresh count may outgrow its bound
     for other_key, other in enumerate(state.requirements):
-        if other_key != key and other_key in state.bounds:
-            if (fresh := bad_set(state, other).measure) > state.bounds[other_key]:
-                raise InfeasibleError(
-                    f"the layer at level {level} for {req} raises the bad measure of {other} "
-                    f"to {fresh}, above its bound {state.bounds[other_key]}"
-                )
+        if other_key != key and (fresh := bad_set(state, other).measure) > state.bound(other_key):
+            raise InfeasibleError(
+                f"the layer at level {level} for {req} raises the bad measure of {other} "
+                f"to {fresh}, above its bound {state.bound(other_key)}"
+            )
 
     state.stage_log.append(
         {
@@ -377,58 +413,10 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
             "root": req.root,
             "level": level,
             "chosen_bit": chosen,
-            "bound": format_dyadic(state.bounds[key]),
+            "bound": format_dyadic(bound),
         }
     )
     return state
-
-
-class RequirementReport(NamedTuple):
-    map_index: int
-    root: str
-    initial: Fraction
-    final_bound: Fraction
-    final_bad: BadSet
-    stages: int
-
-    @property
-    def recomputed(self) -> Fraction:
-        return self.final_bad.measure
-
-
-MEASURE_NOTE = (
-    "bad-set measures are taken with respect to the tree's own uniform "
-    "branch measure at the scan depth, and every bound holds at each depth "
-    "from scan_depth to the working depth"
-)
-
-
-class AntichainCertificate(NamedTuple):
-    layers: Tuple[Layer, ...]
-    requirements: Tuple[RequirementReport, ...]
-    stages_executed: int
-    scan_depth: int
-    stage_log: Tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "requirements": [
-                {
-                    "map": r.map_index,
-                    "root": r.root,
-                    "initial": format_dyadic(r.initial),
-                    "final_bound": format_dyadic(r.final_bound),
-                    "recomputed": format_dyadic(r.recomputed),
-                    "stages": r.stages,
-                }
-                for r in self.requirements
-            ],
-            "layers": [[l.level, l.root, l.bit] for l in self.layers],
-            "stages_executed": self.stages_executed,
-            "scan_depth": self.scan_depth,
-            "measure_note": MEASURE_NOTE,
-            "stage_log": list(self.stage_log),
-        }
 
 
 def run_game(
@@ -437,22 +425,19 @@ def run_game(
     roots: Sequence[str],
     depth: int,
     stages_per_requirement: int,
-    scan_depth: Optional[int] = None,
-) -> Tuple[SplittingTree, AntichainCertificate]:
-    """Round-robin the halving stage over all (map, root) requirements.
+) -> Tuple[SplittingTree, GameState]:
+    """Round-robin the halving stage over all (map, root) requirements; the
+    finished state is the game certificate.
 
     Bad sets are evaluated at the scan depth, which starts at min(depth,
     longest root + largest lag + 1) and which stages may deepen; the
     certified bounds hold at every depth from the final scan depth to
-    `depth` (see the module docstring).  `scan_depth` replaces the starting
-    depth, for tests.
+    `depth` (see the module docstring).
     """
     if len(set(roots)) != len(roots):
         raise ValueError(f"duplicate roots in {list(roots)!r}")
     if stages_per_requirement < 0:
         raise ValueError(f"negative stage count {stages_per_requirement}")
-    if scan_depth is None:
-        scan_depth = min(depth, max(map(len, roots), default=0) + max((m.lag for m in maps), default=0) + 1)
     requirements = [
         Requirement(map_index=i, root=check_node(r))
         for i in range(len(maps))
@@ -463,13 +448,8 @@ def run_game(
         maps=list(maps),
         requirements=requirements,
         depth=depth,
-        scan_depth=scan_depth,
-    )
-    for key, req in enumerate(requirements):
-        initial = bad_set(state, req)
-        state.initial[key] = initial.measure
-        state.bounds[key] = initial.measure
-        state.stage_counts[key] = 0
+        scan_depth=min(depth, max(map(len, roots), default=0) + max((m.lag for m in maps), default=0) + 1),
+    ).open()
 
     for round_no in range(stages_per_requirement):
         for req in requirements:
@@ -485,26 +465,7 @@ def run_game(
                     f"forced levels {levels(used)}; forced levels still free below the working depth: "
                     f"{levels(free)}"
                 ) from err
-
-    reports = tuple(
-        RequirementReport(
-            map_index=req.map_index,
-            root=req.root,
-            initial=state.initial[key],
-            final_bound=state.bounds[key],
-            final_bad=bad_set(state, req),
-            stages=state.stage_counts[key],
-        )
-        for key, req in enumerate(requirements)
-    )
-    certificate = AntichainCertificate(
-        layers=tuple(state.layers),
-        requirements=reports,
-        stages_executed=len(state.stage_log),
-        scan_depth=state.scan_depth,
-        stage_log=tuple(state.stage_log),
-    )
-    return state.tree(), certificate
+    return state.tree(), state
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +540,7 @@ def verify_escape(
     maps: Sequence[TreeMap],
     samples: int,
     seed: int,
-    certificate: AntichainCertificate,
+    certificate: GameState,
 ) -> EscapeReport:
     """Sample branches and classify each image prefix per adversary map.
 
@@ -594,7 +555,7 @@ def verify_escape(
     Each map's classifier runs once, on the tree's `Columns` to its depth.
     The bad-set predicate is `_count`'s, weighing the certified samples of
     each root as a mask over the certificate's tree to the cut."""
-    final = SplittingTree(tree.schedule, GameBuiltSelector(certificate.layers), min(certificate.scan_depth, tree.depth))
+    final = certificate.tree(min(certificate.scan_depth, tree.depth))
     cols = Columns(tree, seed, samples)
     decided = tree.selector.decided_levels(tree.schedule)
     per_map = []

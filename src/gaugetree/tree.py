@@ -23,9 +23,11 @@ MAX_DEPTH = 2**20
 # a sample is one bit of each column `Columns` builds, or one row of a transfer batch:
 # 2^20 keep a column at 128 KiB and a batch's rows at tens of MB
 MAX_SAMPLES = 2**20
-# count x length of an interleave-check batch, whose items each draw two length-bit
-# strings: 2^24 take 1-6 s at lengths 64 to 2^20 (about 60 ns a bit, 15 us an item)
+# count x (length + ITEM_BITS) of an interleave-check batch: each item draws 2 x length bits
 MAX_BATCH_BITS = 2**24
+# an item's fixed cost, about 15 us of Python whatever its length: 256 bits at 60 ns a bit;
+# batches at the bound take 1.1-1.4 s, from 64 527 items of 4 bits to 16 of 2^20 bits
+ITEM_BITS = 256
 # byte -> "1" if its top bit is set, else "0"
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 # draws per getrandbits call in random_bits: 16 KB temporaries stay below the

@@ -38,15 +38,22 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "stage_bound_doubled", "src/gaugetree/game.py",
-        "if measure > state.bounds[key]:", "if measure > 2 * state.bounds[key]:",
+        "if measure > bound:", "if measure > 2 * bound:",
         "stage_step lets a post-stage count exceed its halved bound",
         ("tests/test_scan_cache.py::test_post_stage_count_over_the_bound_is_caught",),
     ),
     Mutant(
         "interference_bound_doubled", "src/gaugetree/game.py",
-        "> state.bounds[other_key]:", "> 2 * state.bounds[other_key]:",
+        "> state.bound(other_key):", "> 2 * state.bound(other_key):",
         "the non-interference check lets another requirement's count double",
         ("tests/test_cli.py::test_antichain_interference_exits_3",),
+    ),
+    Mutant(
+        "bound_exponent_off_by_one", "src/gaugetree/game.py",
+        "return self.initial[key] / 2 ** self.stages[key]",
+        "return self.initial[key] / 2 ** (self.stages[key] - 1)",
+        "every bound, logged and final, is twice the halving the stages earned",
+        ("tests/test_game.py::test_certificate_agrees_with_its_stage_log",),
     ),
     Mutant(
         "memo_keyed_by_req_and_depth", "src/gaugetree/game.py",
@@ -184,8 +191,15 @@ MUTANTS = (
     ),
     Mutant(
         "interleave_batch_unbounded", "src/gaugetree/cli.py",
-        "if args.count * args.length > MAX_BATCH_BITS:", "if False:",
+        "if args.count * (args.length + ITEM_BITS) > MAX_BATCH_BITS:", "if False:",
         "transfer interleave-check draws count × length bits however many that is",
+        ("tests/test_cli.py::test_interleave_check_work_is_bounded",),
+    ),
+    Mutant(
+        "interleave_item_cost_dropped", "src/gaugetree/cli.py",
+        "if args.count * (args.length + ITEM_BITS) > MAX_BATCH_BITS:",
+        "if args.count * args.length > MAX_BATCH_BITS:",
+        "2^20 items of 16 bits pass the bound and take 16.5 s of per-item work",
         ("tests/test_cli.py::test_interleave_check_work_is_bounded",),
     ),
     Mutant(

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import brute_force_cover_cost, optimal_cover_cost, reference_contains, right_end
+from fraction_oracles import brute_force_cover_cost, optimal_cover_cost, parse_dyadic, reference_contains, right_end
 
 from gaugetree import (
     BitFlipMap,
@@ -164,10 +164,10 @@ def test_criterion_6_halving_game():
     sched = BranchSchedule(depth=64, indices=tuple(range(1, 64, 2)), n0=0)
     maps = [BitFlipMap(), ShiftMap()]
     tree, cert = run_game(sched, maps, ["0", "1"], depth=64, stages_per_requirement=5)
-    for rep in cert.requirements:
-        assert rep.stages == 5
-        assert rep.final_bound == rep.initial * Fraction(1, 2**5)
-        assert rep.recomputed <= rep.final_bound
+    for rep in cert.to_json_dict()["requirements"]:
+        assert rep["stages"] == 5
+        assert parse_dyadic(rep["final_bound"]) == parse_dyadic(rep["initial"]) * Fraction(1, 2**5)
+        assert parse_dyadic(rep["recomputed"]) <= parse_dyadic(rep["final_bound"])
     report = verify_escape(tree, maps, 1000, seed=0, certificate=cert)
     for row in report.per_map:
         assert row["fixed"] + row["escaped"] + row["undetermined"] == 1000

@@ -31,7 +31,7 @@ from gaugetree.cli import (
 )
 from gaugetree.game import map_from_json_dict
 from gaugetree.transfer import MAX_DIMENSION, DyadicInterval, four_cover_span
-from gaugetree.tree import MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES
+from gaugetree.tree import ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES
 
 
 def run(argv):
@@ -925,12 +925,17 @@ class Drew(Exception):
     (1000, MAX_DEPTH, True),  # each flag in range; the batch took 40 s
     (MAX_SAMPLES, MAX_DEPTH, True),
     (MAX_BATCH_BITS // 64 + 1, 64, True),
-    (MAX_BATCH_BITS // 64, 64, False),
-    (16, MAX_DEPTH, False),
+    (MAX_BATCH_BITS // (64 + ITEM_BITS) + 1, 64, True),
+    (MAX_BATCH_BITS // (64 + ITEM_BITS), 64, False),
+    (16, MAX_DEPTH - ITEM_BITS, False),
+    (16, MAX_DEPTH, True),
+    (64527, 4, False),  # the most items the bound admits; each costs ~15 us whatever its length
+    (64528, 4, True),
+    (2**20, 16, True),  # 2^24 bits by count x length alone; the batch took 16.5 s
 ])
 def test_interleave_check_work_is_bounded(tmp_path, capsys, monkeypatch, count, length, refused):
-    """count × length past MAX_BATCH_BITS exits 2 with one line before any
-    draw; up to it the batch runs (stopped here at its first draw)."""
+    """count × (length + ITEM_BITS) past MAX_BATCH_BITS exits 2 with one line
+    before any draw; up to it the batch runs (stopped here at its first draw)."""
 
     def no_draw(rng, n):
         raise Drew
@@ -941,7 +946,7 @@ def test_interleave_check_work_is_bounded(tmp_path, capsys, monkeypatch, count, 
     if refused:
         assert run(argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: --count {count} * --length {length} exceeds {MAX_BATCH_BITS} bits"
+        assert line == f"error: --count {count} * (--length {length} + 256) exceeds 16777216 bits"
     else:
         with pytest.raises(Drew):
             run(argv)
@@ -950,7 +955,7 @@ def test_interleave_check_work_is_bounded(tmp_path, capsys, monkeypatch, count, 
 
 def test_transfer_batches_stay_far_inside_the_work_bound():
     """The default interleave-check batch and each of perfbench's take at
-    most 1/64 of MAX_BATCH_BITS."""
+    most 1/64 of MAX_BATCH_BITS, and 1/16 of it with each item's cost."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -958,6 +963,7 @@ def test_transfer_batches_stay_far_inside_the_work_bound():
     args = build_parser().parse_args(["transfer", "interleave-check", "--out", "ic.csv"])
     batches = [(args.count, args.length)] + [(n, length) for _, n, length in workloads.TRANSFER_SIZES]
     assert all(64 * n * length <= MAX_BATCH_BITS for n, length in batches)
+    assert all(16 * n * (length + ITEM_BITS) <= MAX_BATCH_BITS for n, length in batches)
 
 
 def test_transfer_cube_map(tmp_path):
@@ -1249,7 +1255,7 @@ def test_benchmark_tracer_targets_exist():
 KEPT_DATACLASSES = {"GameState", "BranchSchedule", "ExplicitTree", "DyadicInterval", "CubePoint",
                     "ConstantSelector", "SeededSelector"}
 RECORDS = {
-    "game": ("Requirement", "BadLeaves", "BadSet", "RequirementReport", "AntichainCertificate", "EscapeReport"),
+    "game": ("Requirement", "BadLeaves", "BadSet", "EscapeReport"),
     "gauge": ("Gauge", "OrderVerdict"),
     "hausdorff": ("DimensionEstimate", "MeasureCertificate"),
     "transfer": ("MetricCheck",),

@@ -5,7 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import IDENTITY, reference_contains
+from fraction_oracles import IDENTITY, parse_dyadic, reference_contains
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scan_cache import MAPS, transducers
 
 from gaugetree import (
     BitFlipMap,
@@ -28,16 +31,10 @@ from gaugetree.tree import compatible
 def make_state(indices, depth, maps, roots, scan_depth):
     sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)), n0=0)
     reqs = [Requirement(i, r) for i in range(len(maps)) for r in roots]
-    state = GameState(
+    return GameState(
         schedule=sched, maps=list(maps), requirements=reqs,
         depth=depth, scan_depth=scan_depth,
-    )
-    for key, req in enumerate(reqs):
-        b = bad_set(state, req)
-        state.initial[key] = b.measure
-        state.bounds[key] = b.measure
-        state.stage_counts[key] = 0
-    return state
+    ).open()
 
 
 # -- maps -------------------------------------------------------------------
@@ -99,7 +96,7 @@ def test_map_lag_must_be_a_non_negative_integer(kind, lag):
 def bad_set_oracle(state, req, d):
     """Independent enumeration straight from the definitions."""
     m = state.maps[req.map_index]
-    sel = state.selector()
+    sel = state.tree().selector
     decided = {l.level for l in state.layers}
     forced = set(state.schedule.indices)
     out = []
@@ -145,17 +142,18 @@ def test_stage_halves_exactly():
     initial = state.initial[0]
     assert initial > 0
     stage_step(state, state.requirements[0])
-    assert state.bounds[0] == initial / 2
+    assert state.bound(0) == initial / 2
     assert bad_set(state, state.requirements[0]).measure <= initial / 2
     stage_step(state, state.requirements[0])
-    assert state.bounds[0] == initial / 4
+    assert state.bound(0) == initial / 4
+    assert state.stages == [2]
 
 
 def test_stage_noop_consumes_no_level():
     state = make_state({1, 3}, 8, [IDENTITY], ["0"], 6)
     stage_step(state, state.requirements[0])
     assert state.layers == []
-    assert state.bounds[0] == 0
+    assert state.bound(0) == 0
 
 
 def test_run_game_certificate_bounds():
@@ -164,10 +162,10 @@ def test_run_game_certificate_bounds():
         sched, [BitFlipMap(), ShiftMap()], ["0", "1"], depth=64,
         stages_per_requirement=5,
     )
-    assert cert.stages_executed == 20
-    for rep in cert.requirements:
-        assert rep.final_bound == rep.initial / 2**5
-        assert rep.recomputed <= rep.final_bound
+    assert len(cert.stage_log) == 20
+    for key, req in enumerate(cert.requirements):
+        assert cert.bound(key) == cert.initial[key] / 2**5
+        assert bad_set(cert, req).measure <= cert.bound(key)
     # decided levels form a subset of the schedule, one layer per level
     levels = [l.level for l in cert.layers]
     assert len(levels) == len(set(levels))
@@ -195,7 +193,7 @@ def test_run_game_checks_stage_count(stages, ok):
             run_game(sched, [BitFlipMap()], ["0", "1"], 16, stages)
         return
     _, cert = run_game(sched, [BitFlipMap()], ["0", "1"], 16, stages)
-    assert cert.stages_executed == 2 * stages
+    assert cert.to_json_dict()["stages_executed"] == 2 * stages
 
 
 def test_run_game_deterministic():
@@ -203,6 +201,38 @@ def test_run_game_deterministic():
     _, c1 = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 3)
     _, c2 = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 3)
     assert c1.to_json_dict() == c2.to_json_dict()
+
+
+@st.composite
+def small_games(draw):
+    """A random schedule to depth 20, a random lag-2 transducer and maybe a
+    fixed map, roots up to length 3 and 1 to 3 stages each."""
+    depth = draw(st.integers(4, 20))
+    indices = sorted(draw(st.sets(st.integers(0, depth - 1), min_size=1, max_size=depth // 2 + 1)))
+    maps = [draw(transducers()), *draw(st.lists(st.sampled_from(sorted(MAPS)).map(MAPS.get), max_size=1))]
+    roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
+    return BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps, roots, depth, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100)
+@given(small_games())
+def test_certificate_agrees_with_its_stage_log(case):
+    """Read from the JSON alone: each requirement's stages are its log
+    entries, its final bound is initial / 2^stages and its last entry's
+    bound, and the layers are the log's staged levels in order."""
+    try:
+        _, cert = run_game(*case)
+    except InfeasibleError:
+        return
+    doc = json.loads(json.dumps(cert.to_json_dict()))
+    log = doc["stage_log"]
+    assert doc["stages_executed"] == len(log)
+    for r in doc["requirements"]:
+        entries = [e for e in log if (e["map"], e["root"]) == (r["map"], r["root"])]
+        assert r["stages"] == len(entries)
+        assert parse_dyadic(r["final_bound"]) == parse_dyadic(r["initial"]) / 2 ** r["stages"]
+        assert r["final_bound"] == entries[-1]["bound"]
+    assert doc["layers"] == [[e["level"], e["root"], e["chosen_bit"]] for e in log if e["level"] is not None]
 
 
 # -- escape verification ----------------------------------------------------

@@ -17,6 +17,8 @@ def test_library_tour_runs_as_its_comments_say():
     assert ns["mass"] == 1
     assert ns["n0"] == 1
     assert ns["est"] == (Fraction(1, 2), 2)
+    assert type(ns["cert"]).__name__ == "GameState"
+    assert ns["cert"].to_json_dict()["stages_executed"] == 12  # 2 maps x 2 roots x 3 stages
     cover = ns["dyadic_four_cover"](Fraction(3, 10), Fraction(9, 20))
     assert len(cover) == 4 and all(interval.level == 3 for interval in cover)
     assert ns["to_cube"]("011011", 2).coords == (Fraction(3, 8), Fraction(5, 8))

@@ -41,8 +41,9 @@ from gaugetree import (
 )
 from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
+from gaugetree.dyadic import format_dyadic
 from gaugetree.errors import GameInvariantError, InfeasibleError, UndefinedNodeError
-from gaugetree.game import AntichainCertificate, ExplicitNodeMap, RequirementReport
+from gaugetree.game import ExplicitNodeMap
 from gaugetree.tree import Columns, check_node, compatible
 
 PARITY = TransducerMap(
@@ -55,21 +56,21 @@ PARITY = TransducerMap(
 # -- references: no cache, every leaf and image recomputed -----------------
 
 
-def reference_bad_set(state, req, depth=None):
-    d = state.scan_depth if depth is None else depth
-    m = state.maps[req.map_index]
-    s = req.root
-    selector = state.selector()
-    decided = state.decided()
+def reference_bad_set(tree, m, root):
+    """A game-built tree's leaves above `root` whose image under m is
+    incompatible with the root yet obeys every level a layer decides, and
+    their measure."""
+    selector, d = tree.selector, tree.depth
+    decided = {l.level for l in selector.layers}
     bad = []
-    for leaf in state.tree(d).materialize().leaves:
-        if not leaf.startswith(s):
+    for leaf in tree.materialize().leaves:
+        if not leaf.startswith(root):
             continue
         image = m.apply(leaf)
-        if compatible(image, s):
+        if compatible(image, root):
             continue
         consistent = True
-        for n in state.schedule.indices:
+        for n in tree.schedule.indices:
             if n >= len(image):
                 break
             if n in decided and int(image[n]) != selector.bit(image[:n]):
@@ -77,33 +78,15 @@ def reference_bad_set(state, req, depth=None):
                 break
         if consistent:
             bad.append(leaf)
-    unit = Fraction(1, 2 ** (d - state.schedule.count_below(d)))
+    unit = Fraction(1, 2 ** (d - tree.schedule.count_below(d)))
     return tuple(bad), len(bad) * unit
 
 
-def reference_halves(state, req, level, depth=None):
+def reference_halves(tree, m, root, level):
     """The enumerated bad leaves tallied by their image bit at `level`."""
-    m = state.maps[req.map_index]
-    leaves, _ = reference_bad_set(state, req, depth)
+    leaves, _ = reference_bad_set(tree, m, root)
     tally = Counter(u[level] if level < len(u) else None for u in map(m.apply, leaves))
     return {b: tally[b] for b in ("0", "1", None)}
-
-
-def state_of(tree, m):
-    """A game state holding `tree`'s schedule, layers and depth, and the one map m."""
-    return GameState(
-        schedule=tree.schedule, maps=[m], requirements=[], depth=tree.depth,
-        scan_depth=tree.depth, default_bit=tree.selector.default,
-        layers=list(tree.selector.layers),
-    )
-
-
-def certified_state(schedule, maps, depth, certificate):
-    """The game state a certificate ends in: its layers at its scan depth."""
-    return GameState(
-        schedule=schedule, maps=list(maps), requirements=[], depth=depth,
-        scan_depth=certificate.scan_depth, layers=list(certificate.layers),
-    )
 
 
 def reference_sample(tree, seed, count):
@@ -143,13 +126,21 @@ EXPLICIT_D10 = ExplicitNodeMap(
 # -- the counted bad set through whole games ---------------------------------
 
 
-def assert_scans_match(state, depth=None):
-    """Every requirement's count, its enumeration and its measure."""
+def assert_scans_match(state, depth=None, default=0):
+    """Every requirement's count, its enumeration and its measure on the
+    state's tree cut to `depth`; with default 1, which no game plays, on its
+    layers under that default, counted by `_count`."""
+    tree = state.tree(state.scan_depth if depth is None else depth)
+    if default:
+        tree = tree._replace(selector=GameBuiltSelector(state.layers, default=default))
     for req in state.requirements:
-        got = bad_set(state, req, depth)
-        leaves, measure = reference_bad_set(state, req, depth)
-        assert len(got.leaves) == len(leaves)
-        assert got.measure == measure
+        m = state.maps[req.map_index]
+        leaves, measure = reference_bad_set(tree, m, req.root)
+        if default:
+            assert sum(game._count(tree, m, req.root).values()) == len(leaves)
+        else:
+            got = bad_set(state, req, depth)
+            assert (len(got.leaves), got.measure) == (len(leaves), measure)
 
 
 def play(schedule, maps, roots, depth, stages, scan_depth):
@@ -158,11 +149,7 @@ def play(schedule, maps, roots, depth, stages, scan_depth):
     state = GameState(
         schedule=schedule, maps=list(maps), requirements=reqs,
         depth=depth, scan_depth=scan_depth,
-    )
-    for key, req in enumerate(reqs):
-        initial = bad_set(state, req)
-        state.initial[key] = state.bounds[key] = initial.measure
-        state.stage_counts[key] = 0
+    ).open()
     assert_scans_match(state)
     for _ in range(stages):
         for req in reqs:
@@ -249,7 +236,8 @@ def test_bad_set_memo_dropped_with_its_frontier():
                 # a repeat on the unchanged tree counts the same bad set
                 again = bad_set(state, req, depth)
                 assert (len(again.leaves), again.measure) == (len(got.leaves), got.measure)
-                seen.add((req, depth, reference_bad_set(state, req, depth)[0]))
+                leaves, _ = reference_bad_set(state.tree(depth), state.maps[req.map_index], req.root)
+                seen.add((req, depth, leaves))
     # the layers change the bad sets, so a count that missed one would show
     assert len(seen) > 2 * len(reqs)
 
@@ -323,17 +311,13 @@ def test_check_node_matches_strip_form(bits):
 
 def test_run_game_reports_final_scan_depth_and_its_bad_sets():
     schedule, maps, roots, depth, stages, scan_depth = GAMES["scan_depth_grows"]
-    tree, cert = run_game(schedule, maps, roots, depth, stages, scan_depth=scan_depth)
+    tree, cert = run_game(schedule, maps, roots, depth, stages)
     assert cert.scan_depth > scan_depth
-    state = GameState(
-        schedule=schedule, maps=list(maps),
-        requirements=[Requirement(r.map_index, r.root) for r in cert.requirements],
-        depth=depth, scan_depth=cert.scan_depth, layers=list(cert.layers),
-    )
-    for rep, req in zip(cert.requirements, state.requirements):
-        leaves, measure = reference_bad_set(state, req)
-        assert rep.final_bad.depth == cert.scan_depth
-        assert (len(rep.final_bad.leaves), rep.recomputed) == (len(leaves), measure)
+    for req, rep in zip(cert.requirements, cert.to_json_dict()["requirements"]):
+        leaves, measure = reference_bad_set(cert.tree(cert.scan_depth), maps[req.map_index], req.root)
+        final = bad_set(cert, req)
+        assert final.depth == cert.scan_depth
+        assert (len(final.leaves), rep["recomputed"]) == (len(leaves), format_dyadic(measure))
     # samples are cut to the final scan depth before the bad-set lookup
     report = verify_escape(tree, maps, 2000, seed=4, certificate=cert)
     certified = sum(m["undetermined"] - m["uncovered"] for m in report.per_map)
@@ -358,22 +342,21 @@ def games(draw):
         schedule=BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps=maps,
         requirements=[Requirement(i, r) for i in range(len(maps)) for r in roots],
         depth=depth, scan_depth=draw(st.integers(1, depth)),
-        default_bit=draw(st.integers(0, 1)),
     )
     levels = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
     layers = [Layer(n, draw(binary), draw(st.integers(0, 1))) for n in levels]
-    return state, layers
+    return state, layers, draw(st.integers(0, 1))
 
 
 @given(games())
 def test_bad_set_matches_reference_after_each_appended_layer(game):
-    state, layers = game
+    state, layers, default = game
     d = state.scan_depth
     for layer in [None, *layers]:
         if layer is not None:
             state.layers.append(layer)
         for depth in (d, d - 1, d):
-            assert_scans_match(state, depth)
+            assert_scans_match(state, depth, default)
 
 
 # every count the game makes on the benchmark's configurations
@@ -407,16 +390,13 @@ def test_count_and_halves_match_reference_at_every_benchmark_stage(monkeypatch, 
     assert staged and len(calls) == 2 * len(staged)
     for (tree, m, root, level, tally), entry in zip(calls, [e for e in staged for _ in (0, 1)]):
         assert (root, level) == (entry["root"], entry["level"])
-        assert tally == reference_halves(state_of(tree, m), Requirement(0, root), level)
+        assert tally == reference_halves(tree, m, root, level)
     # every post-stage count holds the chosen half only
     assert all(not tally[str(1 - e["chosen_bit"])] for (*_, tally), e in zip(calls[1::2], staged))
     # a stage deepened the scan
     assert cert.scan_depth > initial
     assert any(tree.depth > initial for tree, *_ in calls)
-    final = certified_state(schedule, BENCHMARK_MAPS[maps], depth, cert)
-    for rep in cert.requirements:
-        leaves, measure = reference_bad_set(final, Requirement(rep.map_index, rep.root))
-        assert (len(rep.final_bad.leaves), rep.recomputed) == (len(leaves), measure)
+    assert_scans_match(cert)
 
 
 # counts per benchmark game with roots 0 and 1; without the memo they were 64 and 128
@@ -427,9 +407,10 @@ COUNTS_PER_GAME = {"flip_shift": 28, "flip_shift_parity": 38}
 @pytest.mark.parametrize("maps", sorted(BENCHMARK_MAPS))
 @pytest.mark.parametrize("gauge", ["power_log:1,1", "power:1/2"])
 def test_each_count_runs_once_per_game(monkeypatch, gauge, maps, depth):
-    """No two counts of one game share their inputs (map, root, scan depth,
-    layers, tally level): a stage's opening count, its rescans on a tree it
-    left unchanged and the final counts read the game's memo instead."""
+    """No two counts of one game and its certificate share their inputs
+    (map, root, scan depth, layers, tally level): a stage's opening count,
+    its rescans on a tree it left unchanged and the certificate's final
+    counts read the game's memo instead."""
     inputs, count = [], game._count
 
     def recording(tree, m, root, level=None):
@@ -438,7 +419,7 @@ def test_each_count_runs_once_per_game(monkeypatch, gauge, maps, depth):
 
     monkeypatch.setattr(game, "_count", recording)
     schedule = sparsity_schedule(parse_gauge_spec(gauge), depth)
-    run_game(schedule, BENCHMARK_MAPS[maps], ["0", "1"], depth, 3)
+    run_game(schedule, BENCHMARK_MAPS[maps], ["0", "1"], depth, 3)[1].to_json_dict()
     assert len(set(inputs)) == len(inputs)
     assert len(inputs) == COUNTS_PER_GAME[maps]
 
@@ -453,7 +434,7 @@ def test_count_memo_belongs_to_its_game(indices, maps):
     second = GameState(schedule=BranchSchedule(depth=10, indices=indices, n0=0), maps=maps,
                        requirements=[req], depth=10, scan_depth=8)
     measures = [bad_set(state, req).measure for state in (first, second)]
-    assert measures == [reference_bad_set(state, req)[1] for state in (first, second)]
+    assert measures == [reference_bad_set(state.tree(8), state.maps[0], "0")[1] for state in (first, second)]
     assert measures[0] != measures[1]
 
 
@@ -480,26 +461,20 @@ def counting_cases(draw):
     maps = [draw(transducers()), *draw(st.lists(st.sampled_from(sorted(MAPS)).map(MAPS.get), max_size=1))]
     roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
     levels = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
-    state = GameState(
-        schedule=BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps=maps,
-        requirements=[Requirement(i, r) for i in range(len(maps)) for r in roots],
-        depth=depth, scan_depth=draw(st.integers(depth // 2, depth)),
-        default_bit=draw(st.integers(0, 1)),
-        layers=[Layer(n, draw(st.text(alphabet="01", max_size=3)), draw(st.integers(0, 1)))
-                for n in levels],
-    )
-    return state, draw(st.integers(0, depth + 1))
+    layers = [Layer(n, draw(st.text(alphabet="01", max_size=3)), draw(st.integers(0, 1))) for n in levels]
+    tree = SplittingTree(BranchSchedule(depth=depth, indices=tuple(indices), n0=0),
+                         GameBuiltSelector(layers, default=draw(st.integers(0, 1))),
+                         draw(st.integers(depth // 2, depth)))
+    return tree, maps, roots, draw(st.integers(0, depth + 1))
 
 
 @settings(max_examples=200)
 @given(counting_cases())
 def test_count_and_halves_match_reference_on_random_transducers(case):
-    state, level = case
-    tree = state.tree(state.scan_depth)
-    for req in state.requirements:
-        m = state.maps[req.map_index]
-        assert game._count(tree, m, req.root, level) == reference_halves(state, req, level)
-    assert_scans_match(state)
+    tree, maps, roots, level = case
+    for m in maps:
+        for root in roots:
+            assert game._count(tree, m, root, level) == reference_halves(tree, m, root, level)
 
 
 @st.composite
@@ -525,19 +500,18 @@ def test_bounds_hold_from_the_scan_depth_to_the_working_depth(case):
         _, cert = run_game(schedule, maps, roots, depth, stages)
     except InfeasibleError:
         return
-    final = certified_state(schedule, maps, depth, cert)
-    bare = certified_state(schedule, maps, depth, certificate_of((), cert.scan_depth, ()))
+    bare = GameState(schedule=schedule, maps=maps, requirements=[], depth=depth, scan_depth=cert.scan_depth)
     last = max((l.level for l in cert.layers), default=-1)
-    for rep in cert.requirements:
-        req = Requirement(rep.map_index, rep.root)
-        at_scan, at_depth = (bad_set(final, req, d).measure for d in (cert.scan_depth, depth))
-        assert at_depth <= at_scan == rep.recomputed <= rep.final_bound
-        assert bad_set(bare, req, depth).measure <= rep.initial
-        if cert.scan_depth >= last + 1 + maps[rep.map_index].lag:
+    for key, req in enumerate(cert.requirements):
+        at_scan, at_depth = (bad_set(cert, req, d).measure for d in (cert.scan_depth, depth))
+        assert at_depth <= at_scan <= cert.bound(key)
+        assert bad_set(bare, req, depth).measure <= cert.initial[key]
+        if cert.scan_depth >= last + 1 + maps[req.map_index].lag:
             assert at_depth == at_scan
         for d in (cert.scan_depth, depth):
-            if final.tree(d).level_count(d) <= 2**10:
-                assert bad_set(final, req, d).measure == reference_bad_set(final, req, d)[1]
+            if cert.tree(d).level_count(d) <= 2**10:
+                _, measure = reference_bad_set(cert.tree(d), maps[req.map_index], req.root)
+                assert bad_set(cert, req, d).measure == measure
 
 
 def test_long_root_bounds_hold_at_the_working_depth():
@@ -548,14 +522,12 @@ def test_long_root_bounds_hold_at_the_working_depth():
     maps = [BitFlipMap(), ShiftMap()]
     _, cert = run_game(schedule, maps, [root], 128, 1)
     assert cert.scan_depth == 65
-    bare = certified_state(schedule, maps, 128, certificate_of((), 0, ()))
-    final = certified_state(schedule, maps, 128, cert)
+    bare = GameState(schedule=schedule, maps=maps, requirements=[], depth=128, scan_depth=0)
     initial = [Fraction(1, 2**15), Fraction(1, 2**16)]
-    for rep, measure in zip(cert.requirements, initial):
-        req = Requirement(rep.map_index, rep.root)
+    for key, (req, measure) in enumerate(zip(cert.requirements, initial)):
         assert [bad_set(bare, req, d).measure for d in (16, 21, 128)] == [0, measure, measure]
-        assert rep.initial == measure
-        assert bad_set(final, req, 128).measure <= rep.recomputed <= rep.final_bound == measure / 2
+        assert cert.initial[key] == measure
+        assert bad_set(cert, req, 128).measure <= bad_set(cert, req).measure <= cert.bound(key) == measure / 2
 
 
 def test_post_stage_count_over_the_bound_is_caught(monkeypatch):
@@ -563,8 +535,7 @@ def test_post_stage_count_over_the_bound_is_caught(monkeypatch):
     # chosen half: twice the halved bound, so the bound check must fire
     schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7), n0=0)
     state = GameState(schedule=schedule, maps=[ShiftMap()], requirements=[Requirement(0, "1")],
-                      depth=16, scan_depth=10)
-    state.initial[0] = state.bounds[0] = bad_set(state, state.requirements[0]).measure
+                      depth=16, scan_depth=10).open()
     opening, count = [], game._count
 
     def all_survive(tree, m, root, level=None):
@@ -588,8 +559,7 @@ def test_post_stage_count_reading_the_other_half_is_caught(monkeypatch):
     # so both halves are non-empty and the kept half survives the stage
     schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7), n0=0)
     state = GameState(schedule=schedule, maps=[ShiftMap()], requirements=[Requirement(0, "1")],
-                      depth=16, scan_depth=10)
-    state.initial[0] = state.bounds[0] = bad_set(state, state.requirements[0]).measure
+                      depth=16, scan_depth=10).open()
     counts, count = [], game._count
 
     def other_half(tree, m, root, level=None):
@@ -876,7 +846,7 @@ def test_explicit_walk_ending_between_keys_or_past_them_has_no_image():
     for depth in (8, 11):
         with pytest.raises(UndefinedNodeError, match=f"no image recorded for node '[01]{{{depth}}}'"):
             bad_set(state, Requirement(0, "0"), depth)
-    assert bad_set(state, Requirement(0, "0"), 9).measure == reference_bad_set(state, Requirement(0, "0"), 9)[1]
+    assert bad_set(state, Requirement(0, "0"), 9).measure == reference_bad_set(state.tree(9), EXPLICIT_D10, "0")[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -885,13 +855,11 @@ def test_explicit_table_of_a_transducer_counts_and_classifies_like_it(case, seed
     """A random transducer's images on the leaves of a tree, as a table:
     every count and halves tally at the tree's depth, and every escape row,
     equal the transducer's own."""
-    state, level = case
-    t, tree = state.maps[0], state.tree(state.scan_depth)
+    tree, (t, *_), roots, level = case
     table = ExplicitNodeMap({x: t.apply(x) for x in tree.materialize().leaves}, lag=t.lag)
-    for root in {req.root for req in state.requirements}:
+    for root in roots:
         assert game._count(tree, table, root, level) == game._count(tree, t, root, level)
-    cert = certificate_of(state.layers, tree.depth,
-                          [(mi, req.root) for mi in (0, 1) for req in state.requirements if req.map_index == 0])
+    cert = certificate_of(tree, tree.selector.layers, tree.depth, [(mi, r) for mi in (0, 1) for r in roots])
     report = verify_escape(tree, [table, t], 300, seed, cert)
     assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
 
@@ -911,7 +879,7 @@ def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
     roots = ("0", "1", "01", "10")
     for root in roots:
         assert game._count(tree, maps[0], root) == game._count(tree, maps[1], root)
-    cert = certificate_of(tree.selector.layers, 8, [(0, r) for r in roots])
+    cert = certificate_of(tree, tree.selector.layers, 8, [(0, r) for r in roots])
     reports = [verify_escape(tree, [m], 500, 2, cert).per_map for m in maps]
     assert reports[0] == reports[1]
     assert reports[0][0]["escaped"] and reports[0][0]["undetermined"]
@@ -991,12 +959,9 @@ def reference_verify_escape(tree, maps, samples, seed, certificate=None, predica
             for r in certificate.requirements
         }
     elif certificate is not None:  # the final bad sets, enumerated
-        final = certified_state(tree.schedule, maps, tree.depth, certificate)
-        cert_bad = {
-            (r.map_index, r.root):
-                set(reference_bad_set(final, Requirement(r.map_index, r.root))[0])
-            for r in certificate.requirements
-        }
+        final = certificate.tree(cut)
+        cert_bad = {(r.map_index, r.root): set(reference_bad_set(final, maps[r.map_index], r.root)[0])
+                    for r in certificate.requirements}
     per_map = []
     for mi, m in enumerate(maps):
         counts = {"fixed": 0, "escaped": 0, "undetermined": 0, "unaccounted": 0, "uncovered": 0}
@@ -1068,7 +1033,7 @@ def test_mask_pass_reads_any_selector_through_its_rule(selector):
     schedule = BranchSchedule(depth=16, indices=(1, 5, 9), n0=0)
     tree = SplittingTree(schedule, selector, 16)
     roots = [(mi, r) for mi in range(3) for r in ("0", "1", "00", "01", "10", "11")]
-    cert = certificate_of([Layer(5, "1", 0)], 12, roots)
+    cert = certificate_of(tree, [Layer(5, "1", 0)], 12, roots)
     report = verify_escape(tree, ESCAPE_MAPS, 600, 3, cert)
     assert list(report.per_map) == reference_verify_escape(tree, ESCAPE_MAPS, 600, 3, cert, predicate=True)
     shift = report.per_map[1]
@@ -1078,11 +1043,12 @@ def test_mask_pass_reads_any_selector_through_its_rule(selector):
 # -- the mask pass against the per-sample loop ----------------------------
 
 
-def certificate_of(layers, scan_depth, certified):
-    """A certificate holding only what verify_escape reads: the layers, the
-    scan depth and the certified (map, root) requirements."""
-    reports = tuple(RequirementReport(mi, root, Fraction(0), Fraction(0), None, 0) for mi, root in certified)
-    return AntichainCertificate(tuple(layers), reports, 0, scan_depth, ())
+def certificate_of(tree, layers, scan_depth, certified):
+    """A certificate holding only what verify_escape reads: the tree's
+    schedule, the layers, the scan depth and the certified (map, root)
+    requirements."""
+    return GameState(schedule=tree.schedule, maps=[], depth=tree.depth, scan_depth=scan_depth,
+                     layers=list(layers), requirements=[Requirement(mi, root) for mi, root in certified])
 
 
 @st.composite
@@ -1117,7 +1083,7 @@ def escape_property_cases(draw):
     scan_depth = draw(st.integers(0, min(depth + 3, forced + 10)))
     roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), max_size=4, unique=True))
     certified = [(mi, r) for mi in range(len(maps)) for r in roots if draw(st.booleans())]
-    cert = certificate_of(cert_layers, scan_depth, certified)
+    cert = certificate_of(tree, cert_layers, scan_depth, certified)
     return tree, maps, cert, draw(st.sampled_from([1, 255, 256, 257, 600])), draw(st.integers(0, 2**16))
 
 
@@ -1138,19 +1104,19 @@ def test_count_weighs_sample_masks_like_the_enumerated_bad_set(case, level):
     that tree, whose certificate may come from another game, drops out."""
     tree, maps, cert, count, seed = case
     cut = min(cert.scan_depth, tree.depth)
-    final = certified_state(tree.schedule, maps, tree.depth, cert)
+    final = cert.tree(cut)
     cols, rows = Columns(tree, seed, count), reference_sample(tree, seed, count)
     for start in (cols.full, random.Random(seed).getrandbits(count)):
         for rep in cert.requirements:
             m = maps[rep.map_index]
-            leaves = set(reference_bad_set(final, Requirement(rep.map_index, rep.root), cut)[0])
+            leaves = set(reference_bad_set(final, m, rep.root)[0])
             expected = dict.fromkeys(("0", "1", None), 0)
             for i, x in enumerate(rows):
                 bit = 1 << (count - 1 - i)
                 if start & bit and x[:cut] in leaves:
                     u = m.apply(x[:cut])
                     expected[u[level] if level < len(u) else None] |= bit
-            assert game._count(final.tree(cut), m, rep.root, level, (cols, start)) == expected
+            assert game._count(final, m, rep.root, level, (cols, start)) == expected
 
 
 ESCAPE_SCHEDULE = sparsity_schedule(parse_gauge_spec("power:1/2"), 24)  # forced: odd levels
@@ -1163,7 +1129,7 @@ def escape_tree(depth=24):
 
 def test_identity_map_fixes_every_sample_to_the_full_depth():
     tree = escape_tree()
-    cert = certificate_of(tree.selector.layers, 12, [(0, "0"), (0, "1")])
+    cert = certificate_of(tree, tree.selector.layers, 12, [(0, "0"), (0, "1")])
     maps = [IDENTITY]
     (row,) = verify_escape(tree, maps, 300, 4, cert).per_map
     assert row == {"map": 0, "kind": "transducer", "fixed": 300, "escaped": 0,
@@ -1177,7 +1143,7 @@ def test_doubling_map_matches_per_sample_loop():
     doubling = TransducerMap(start=0, delta={(0, 0): (0, "00"), (0, 1): (0, "11")}, lag=8)
     layers = [Layer(3, "0", 1), Layer(6, "00", 1)]
     tree = SplittingTree(BranchSchedule(depth=8, indices=(3, 6), n0=0), GameBuiltSelector(layers, default=1), 8)
-    cert = certificate_of(layers, 6, [(0, "01"), (0, "10"), (0, "0110"), (0, "1001")])
+    cert = certificate_of(tree, layers, 6, [(0, "01"), (0, "10"), (0, "0110"), (0, "1001")])
     report = verify_escape(tree, [doubling], 600, 9, cert)
     assert list(report.per_map) == reference_verify_escape(tree, [doubling], 600, 9, cert)
     (row,) = report.per_map
@@ -1190,10 +1156,10 @@ def test_a_scan_deeper_than_the_tree_cuts_samples_at_its_depth():
     tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 5), n0=0),
                          GameBuiltSelector([Layer(5, "1", 1)], default=0), 6)
     roots = [(0, r) for r in ("0", "1", "00", "01", "10", "11")]
-    reports = [verify_escape(tree, [ShiftMap()], 300, 1, certificate_of(tree.selector.layers, d, roots))
+    reports = [verify_escape(tree, [ShiftMap()], 300, 1, certificate_of(tree, tree.selector.layers, d, roots))
                for d in (6, 9)]
     assert reports[0].per_map == reports[1].per_map
-    cert = certificate_of(tree.selector.layers, 9, roots)
+    cert = certificate_of(tree, tree.selector.layers, 9, roots)
     assert list(reports[1].per_map) == reference_verify_escape(tree, [ShiftMap()], 300, 1, cert, predicate=True)
     (row,) = reports[1].per_map
     assert row["undetermined"] > row["uncovered"] > 0 and not row["unaccounted"]
@@ -1206,7 +1172,7 @@ def test_explicit_table_of_a_transducer_classifies_like_it():
     leaves = tree.materialize().leaves
     table = ExplicitNodeMap({x: reference_transduce(PARITY, x) for x in leaves}, lag=0)
     certified = [(mi, r) for mi in (0, 1) for r in ("0", "1", "01", "10")]
-    cert = certificate_of(tree.selector.layers, 8, certified)
+    cert = certificate_of(tree, tree.selector.layers, 8, certified)
     report = verify_escape(tree, [table, PARITY], 500, 2, cert)
     assert list(report.per_map) == reference_verify_escape(tree, [table, PARITY], 500, 2, cert)
     assert report.per_map[0] == {**report.per_map[1], "map": 0, "kind": "explicit"}
@@ -1219,7 +1185,7 @@ def test_a_row_outside_the_certificates_tree_is_unaccounted():
     # certified, yet no cut row is a leaf of the certificate's tree
     tree = SplittingTree(BranchSchedule(depth=8, indices=(0, 1, 2, 3, 4), n0=0),
                          GameBuiltSelector([Layer(1, "0", 0)], default=1), 8)
-    cert = certificate_of((), 1, [(0, "1")])
+    cert = certificate_of(tree, (), 1, [(0, "1")])
     report = verify_escape(tree, [BitFlipMap()], 5, 0, cert)
     assert report.per_map[0]["undetermined"] == report.per_map[0]["unaccounted"] == 5
     assert list(report.per_map) == reference_verify_escape(tree, [BitFlipMap()], 5, 0, cert, predicate=True)
@@ -1227,7 +1193,7 @@ def test_a_row_outside_the_certificates_tree_is_unaccounted():
     # the forced level 2 where the certificate's tree keeps 0: no row cut to
     # depth 3 is a leaf there, though with 0 at level 2 it would be a bad one
     tree = SplittingTree(BranchSchedule(depth=8, indices=(1, 2, 3, 4), n0=0), tree.selector, 8)
-    cert = certificate_of((), 3, [(0, "0"), (0, "1")])
+    cert = certificate_of(tree, (), 3, [(0, "0"), (0, "1")])
     report = verify_escape(tree, [BitFlipMap()], 50, 0, cert)
     assert report.per_map[0]["undetermined"] == report.per_map[0]["unaccounted"] == 50
     assert list(report.per_map) == reference_verify_escape(tree, [BitFlipMap()], 50, 0, cert, predicate=True)
@@ -1235,6 +1201,6 @@ def test_a_row_outside_the_certificates_tree_is_unaccounted():
 
 @pytest.mark.parametrize("tree", [escape_tree(), SplittingTree(ESCAPE_SCHEDULE, SeededSelector(3), 24)])
 def test_verify_escape_refuses_zero_samples(tree):
-    cert = certificate_of((), 12, [(0, "0")])
+    cert = certificate_of(tree, (), 12, [(0, "0")])
     with pytest.raises(ValueError, match="count must be >= 1"):
         verify_escape(tree, [BitFlipMap()], 0, 0, cert)
