@@ -44,7 +44,6 @@ from .game import (
     verify_escape,
 )
 from .transfer import (
-    CubePoint,
     DyadicInterval,
     dyadic_four_cover,
     expand,

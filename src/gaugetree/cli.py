@@ -18,19 +18,14 @@ from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
 from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float, parse_rational
-from .errors import (
-    FrostmanConditionError, InfeasibleError, OutOfRangeError, UndefinedNodeError, UsageError,
-)
+from .errors import InfeasibleError, UsageError
 from .gauge import Gauge, bound_table, sparsity_schedule
-from .hausdorff import (
-    dimension_estimate,
-    frostman_lower,
-    level_dp_cost,
-    measure_certificate,
-)
+from .hausdorff import FLOOR, dimension_estimate, frostman_lower, level_dp_cost, measure_certificate
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
 from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
-from .tree import ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, NODE_BUDGET, SplittingTree, check_node, random_bits
+from .tree import (
+    ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG, NODE_BUDGET, SplittingTree, check_node, random_bits,
+)
 
 TOOL_NAME = "gaugetree"
 
@@ -250,6 +245,9 @@ def cmd_antichain(args) -> int:
                 f"{-drift} bits in its image, more than the lag {m.lag}"
             )
     roots = args.roots
+    if args.stages * max(1, len(maps) * len(roots)) > MAX_STAGE_LOG:
+        raise UsageError(f"--stages {args.stages} * max(1, {len(maps) * len(roots)} requirements) "
+                         f"exceeds {MAX_STAGE_LOG} stages")
     values = g.scale_values(args.depth)
     schedule = sparsity_schedule(g, args.depth, bound_table(g, args.depth + 1, values))
     try:
@@ -260,14 +258,10 @@ def cmd_antichain(args) -> int:
         print(f"infeasible: {err}", file=sys.stderr)
         return 3
     escape = verify_escape(tree, maps, args.escape_samples, args.seed, certificate)
-    try:
-        lower, n0 = frostman_lower(tree, g, values)
-        frostman = {"lower": format_dyadic(lower), "n0": n0}
-    except FrostmanConditionError as err:
-        n0 = 0
-        frostman = {"lower": None, "violating_level": err.worst_level}
+    n0, failure = frostman_lower(tree, g, values)
+    frostman = {"lower": None, "violating_level": failure} if n0 is None else {"lower": FLOOR, "n0": n0}
     # the lower bound only constrains covers finer than 2^-n0
-    delta_used = max(args.delta_exp, n0)
+    delta_used = max(args.delta_exp, n0 or 0)
     upper = level_dp_cost(tree, g, delta_used, values)
     dim = dimension_estimate(tree, delta_used)
     manifest = build_manifest("antichain", args, [args.maps])
@@ -327,8 +321,7 @@ def cmd_transfer(args) -> int:
             )
         write_csv(args.out, ["item", "n", "k", "expected", "observed", "pass"], lines, manifest)
     else:  # cube-map
-        point = to_cube(args.bits, args.n)
-        lines = [f"{i},{format_rational(c)}" for i, c in enumerate(point.coords)]
+        lines = [f"{i},{format_rational(c)}" for i, c in enumerate(to_cube(args.bits, args.n))]
         write_csv(args.out, ["coordinate", "value"], lines, manifest)
     return 0
 
@@ -465,11 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: a UsageError exits 2 with one `error:` line, and
+    `cmd_antichain` turns an InfeasibleError into exit 3 (see errors.py)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfRangeError, UndefinedNodeError, UsageError) as err:  # before any output
+    except UsageError as err:  # before any output
         print(f"error: {err}", file=sys.stderr)
         return 2
 

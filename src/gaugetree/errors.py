@@ -1,67 +1,28 @@
-"""Exception types shared across the package."""
+"""The ways a command can end other than by success.  `main` turns a
+UsageError into exit 2 and `cmd_antichain` an InfeasibleError into exit 3;
+a GameInvariantError is a failed self-check and ends with a traceback.  Any
+other misuse of the library raises ValueError, and a failed certifying
+condition is part of a result, never an exception."""
 
 
-class GaugeTreeError(Exception):
-    """Base class for all package-specific errors."""
+class UsageError(Exception):
+    """An input cannot be read, parsed or evaluated (a table gauge without an
+    entry at a level, an explicit map without an image for a node), or an
+    output cannot be created."""
 
 
-class OutOfRangeError(GaugeTreeError):
-    """A table gauge was queried outside its stored scale range."""
-
-
-class UsageError(GaugeTreeError):
-    """An input file cannot be read or parsed, or an output cannot be created."""
-
-
-class InsufficientDataError(GaugeTreeError):
-    """Not enough scales requested to reach an order verdict."""
-
-
-class TruncationError(GaugeTreeError):
-    """A node is longer than the tree's working depth."""
-
-
-class NodeBudgetError(GaugeTreeError):
-    """Materialization would exceed the explicit node budget."""
-
-    def __init__(self, count, budget):
-        super().__init__(f"materialization needs {count} leaves, budget is {budget}")
-        self.count = count
-        self.budget = budget
-
-
-class FrostmanConditionError(GaugeTreeError):
-    """The mass-distribution inequality fails up to the working depth."""
-
-    def __init__(self, worst_level, excess):
-        super().__init__(
-            f"cylinder measure exceeds the gauge at level {worst_level} "
-            f"(log2 excess {excess:.6g})"
-        )
-        self.worst_level = worst_level
-        self.excess = excess
-
-
-class UndefinedNodeError(GaugeTreeError):
-    """An explicit node map has no entry for the requested node."""
-
-
-class DepthExhaustedError(GaugeTreeError):
-    """No eligible selector level remains for a game stage."""
+class DepthExhaustedError(Exception):
+    """No eligible selector level remains for a game stage; `run_game` turns
+    it into an InfeasibleError that names the stages completed."""
 
     def __init__(self, requirement, why):
         super().__init__(f"no eligible level left for requirement {requirement}: {why}")
-        self.requirement = requirement
 
 
-class InfeasibleError(GaugeTreeError):
+class InfeasibleError(Exception):
     """The game cannot be played as asked: the schedule is too thin for the stage
     budget, or a stage's layer raises another requirement's bad set past its bound."""
 
 
-class GameInvariantError(GaugeTreeError):
+class GameInvariantError(Exception):
     """A self-check inside a game stage failed."""
-
-
-class DegenerateIntervalError(GaugeTreeError):
-    """Four-cover requested for an empty interval."""

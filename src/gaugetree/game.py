@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import format_dyadic
-from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UndefinedNodeError
+from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UsageError
 from .tree import BranchSchedule, Columns, GameBuiltSelector, Layer, SplittingTree, check_bit, check_int, check_node, compatible
 
 
@@ -75,7 +75,7 @@ class TreeMap:
         return self._steps
 
     def check_end(self, state) -> None:
-        """The end test of every walk: raise UndefinedNodeError when no image
+        """The end test of every walk: raise UsageError when no image
         ends in `state`.  A transducer's images end in every state."""
 
 
@@ -136,7 +136,7 @@ class _TrieSteps(dict):
 
     def __missing__(self, move):
         node, bit = move
-        raise UndefinedNodeError(f"no image recorded for node {node + bit!r}")
+        raise UsageError(f"no image recorded for node {node + bit!r}")
 
 
 class ExplicitNodeMap(TreeMap):
@@ -144,7 +144,7 @@ class ExplicitNodeMap(TreeMap):
     the trie of its keys.  A state is the node read so far; a move to σb
     exists iff some key extends σb, and it emits the new part of σb's image
     when σb is a key, else nothing.  Leaving the trie, or ending a walk on a
-    node that is not a key, raises UndefinedNodeError.  A step table emits
+    node that is not a key, raises UsageError.  A step table emits
     nothing before the first bit, so a non-empty image of the empty node is
     refused with ValueError, as are images that are not monotone along the
     keys or shorter than their node by more than the lag."""
@@ -174,7 +174,7 @@ class ExplicitNodeMap(TreeMap):
 
     def check_end(self, state: str) -> None:
         if state not in self.entries:
-            raise UndefinedNodeError(f"no image recorded for node {state!r}")
+            raise UsageError(f"no image recorded for node {state!r}")
 
 
 def map_from_json_dict(d: dict) -> TreeMap:

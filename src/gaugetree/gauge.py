@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import Number, Value, dyadic_pair, format_rational, parse_rational, to_number
-from .errors import InsufficientDataError, OutOfRangeError
+from .errors import UsageError
 from .tree import BranchSchedule
 
 # bits of an inexact value's mantissa, and of the fixed point it is formed in
@@ -211,7 +211,7 @@ class Gauge(NamedTuple):
             i = bisect_left(self.entries, (n,))  # (n,) sorts just before (n, v)
             if i < len(self.entries) and self.entries[i][0] == n:
                 return _enclose(*self.entries[i][1].as_integer_ratio())
-            raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
+            raise UsageError(f"table gauge has no entry at exponent {n}")
         raise ValueError(f"unknown gauge kind {self.kind!r}")
 
     def at_scale(self, exponent: int) -> Fraction:
@@ -288,7 +288,7 @@ def compare_order(
     inconclusive.  The trace is returned so callers can audit the verdict.
     """
     if max_exponent < 4:
-        raise InsufficientDataError("need max_exponent >= 4 for an order verdict")
+        raise ValueError("need max_exponent >= 4 for an order verdict")
     trace = []
     for n in range(1, max_exponent + 1):
         # ratio via log2 so deep scales cannot underflow

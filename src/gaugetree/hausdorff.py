@@ -2,35 +2,36 @@
 
 Lower bounds come from the mass-distribution inequality, upper bounds from
 the optimal cylinder cover, lossless on binary strings; both read the level
-cost 2^free(n)·g(2^-n) at every level up to the tree's depth.  On the power
-gauges t^s both sides meet at one exact dimension number, the least
-free(n)/n from the cut level on.
+cost 2^free(n)·g(2^-n) at every level up to the tree's depth.  A failed
+mass-distribution test is a result, the level it names, not an error.  On
+the power gauges t^s both sides meet at one exact dimension number, the
+least free(n)/n from the cut level on.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .dyadic import Pair, Value, format_dyadic, to_number, value_le
-from .errors import FrostmanConditionError
 from .gauge import Gauge
 from .tree import SplittingTree
 
 WITNESS_NODE_LIMIT = 2**12
+# the Frostman floor as written: the total mass of the branch measure
+FLOOR = "1"
 
 
 def frostman_lower(
     tree: SplittingTree, g: Gauge, values: Optional[Sequence[Value]] = None
-) -> Tuple[Fraction, int]:
-    """Least threshold from which every cylinder measure is below the gauge.
-
-    Returns (1, n0): the full branch set then has gauge measure at least its
-    own total mass for covers at scales finer than 2^-n0.  Level n passes when
-    its lower level cost 2^free(n)·lo·2^-f, the pair (lo, f - free(n)), is at
-    least 1, a non-strict test, which is all the lower-bound chain needs; a
-    failure names the first level of least lower level cost.
+) -> Tuple[Optional[int], Optional[int]]:
+    """The mass distribution test of every level up to the tree's depth:
+    (n0, None) when every level from n0 on passes, so that the branch set has
+    gauge measure at least its total mass, 1, for covers at scales finer than
+    2^-n0; (None, the first level of least lower level cost) when the deepest
+    level fails.  Level n passes when its lower level cost 2^free(n)·lo·2^-f,
+    the pair (lo, f - free(n)), is at least 1, a non-strict test, which is all
+    the lower-bound chain needs.
     """
     if values is None:
         values = g.scale_values(tree.depth)
@@ -43,10 +44,8 @@ def frostman_lower(
             if worst is None or not value_le(worst[1], (lo, c)):
                 worst = (n, (lo, c))
     if last == tree.depth:
-        n, (lo, c) = worst
-        raise FrostmanConditionError(n, c - math.log2(lo) if lo else math.inf)
-    n0 = last + 1 if last is not None else 0
-    return Fraction(1), n0
+        return None, worst[0]
+    return (0 if last is None else last + 1), None
 
 
 def level_dp(
@@ -116,7 +115,6 @@ class MeasureCertificate(NamedTuple):
 
     gauge: Gauge
     delta_exponent: int
-    lower: Optional[Fraction]
     frostman_threshold: Optional[int]
     upper: Fraction
     witness: Optional[Tuple[str, ...]]
@@ -133,9 +131,9 @@ class MeasureCertificate(NamedTuple):
                 "witness_level": self.witness_level,
             },
         }
-        if self.lower is not None:
+        if self.frostman_threshold is not None:
             d["lower"] = {
-                "value": format_dyadic(self.lower),
+                "value": FLOOR,
                 "provenance": "frostman",
                 "n0": self.frostman_threshold,
             }
@@ -152,12 +150,7 @@ def measure_certificate(
     """Bundle the Frostman floor and the optimal-cover ceiling at the tree's depth."""
     if values is None:
         values = g.scale_values(tree.depth)
-    try:
-        lower, n0 = frostman_lower(tree, g, values)
-        failure = None
-    except FrostmanConditionError as err:
-        lower, n0 = None, None
-        failure = err.worst_level
+    n0, failure = frostman_lower(tree, g, values)
     upper, w_level = level_dp(tree, g, delta_exponent, values)
     witness = None
     if tree.level_count(w_level) <= WITNESS_NODE_LIMIT:
@@ -165,7 +158,6 @@ def measure_certificate(
     return MeasureCertificate(
         gauge=g,
         delta_exponent=delta_exponent,
-        lower=lower,
         frostman_threshold=n0,
         upper=to_number(upper),
         witness=witness,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from .dyadic import floor_log2_ratio
-from .errors import DegenerateIntervalError
 from .tree import check_node
 
 # to_cube makes one coordinate per component: 2^20 keep cube-map to seconds and tens of MB
@@ -36,16 +35,6 @@ class DyadicInterval:
     @property
     def left(self) -> Fraction:
         return Fraction(self.index, 2**self.level)
-
-
-@dataclass(frozen=True)
-class CubePoint:
-    coords: Tuple[Fraction, ...]
-    precision: int
-
-    def __post_init__(self):
-        if any(not 0 <= c <= 1 for c in self.coords):
-            raise ValueError("cube coordinates must lie in [0, 1]")
 
 
 def expand(node: str) -> DyadicInterval:
@@ -80,7 +69,7 @@ def interleave_metric_check(x: str, y: str, n: int) -> MetricCheck:
     observed distance is the largest over the components, read from them."""
     xs, ys = interleave(x, n), interleave(y, n)  # validates both strings
     if x == y:
-        raise DegenerateIntervalError("distance undefined for equal strings")
+        raise ValueError("distance undefined for equal strings")
     if len(x) != len(y):
         raise ValueError("strings must have equal length")
     k = _first_difference(x, y)
@@ -88,14 +77,10 @@ def interleave_metric_check(x: str, y: str, n: int) -> MetricCheck:
     return MetricCheck(first_difference=k, expected_exp=k // n, observed_exp=observed)
 
 
-def to_cube(node: str, n: int) -> CubePoint:
-    """Interleave, then take the left endpoint of each component interval."""
-    comps = interleave(node, n)
-    precision = max(len(c) for c in comps) if node else 0
-    return CubePoint(
-        coords=tuple(expand(c).left for c in comps),
-        precision=precision,
-    )
+def to_cube(node: str, n: int) -> Tuple[Fraction, ...]:
+    """Interleave, then take the left endpoint of each component interval:
+    the point's n coordinates in [0, 1]."""
+    return tuple(expand(c).left for c in interleave(node, n))
 
 
 def four_cover_span(lo: int, hi: int, den: int) -> Tuple[int, int, int]:
@@ -104,7 +89,7 @@ def four_cover_span(lo: int, hi: int, den: int) -> Tuple[int, int, int]:
     least valid grid index keeps it total.  Any den > 0 will do, reduced or not."""
     if not (0 <= lo < hi <= den):
         if hi <= lo:
-            raise DegenerateIntervalError(f"need a < b, got [{Fraction(lo, den)}, {Fraction(hi, den)}]")
+            raise ValueError(f"need a < b, got [{Fraction(lo, den)}, {Fraction(hi, den)}]")
         raise ValueError("interval must lie inside [0, 1]")
     num = hi - lo
     if 2 * num > den:

@@ -15,8 +15,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import NodeBudgetError, TruncationError
-
 NODE_BUDGET = 2**22
 # a level pass keeps a few ints per level: `schedule` to 2^20 levels takes 3 s and 210 MB
 MAX_DEPTH = 2**20
@@ -28,6 +26,10 @@ MAX_BATCH_BITS = 2**24
 # an item's fixed cost, about 15 us of Python whatever its length: 256 bits at 60 ns a bit;
 # batches at the bound take 1.1-1.4 s, from 64 527 items of 4 bits to 16 of 2^20 bits
 ITEM_BITS = 256
+# stages x max(1, requirements) of an antichain game, its stage log's length: a stage reads
+# bounds initial / 2^stages, so a game's time grows about as the square of its stages; at the
+# bound 16 384 x 1 root or 8 192 x 2 roots take 0.6-1 s, and 16 384 x 2 roots took 3 s
+MAX_STAGE_LOG = 2**14
 # byte -> "1" if its top bit is set, else "0"
 _TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
 # draws per getrandbits call in random_bits: 16 KB temporaries stay below the
@@ -313,7 +315,7 @@ class SplittingTree(NamedTuple):
         if n < 0:
             raise ValueError(f"negative level {n}")
         if n > self.depth:
-            raise TruncationError(f"level {n} > depth {self.depth}")
+            raise ValueError(f"level {n} > depth {self.depth}")
         return 2 ** (n - self.schedule.count_below(n))
 
     def sample(self, seed: int, count: int) -> List[str]:
@@ -325,7 +327,7 @@ class SplittingTree(NamedTuple):
     def materialize(self, *, budget: int = NODE_BUDGET) -> ExplicitTree:
         count = self.level_count(self.depth)
         if count > budget:
-            raise NodeBudgetError(count, budget)
+            raise ValueError(f"materialization needs {count} leaves, budget is {budget}")
         forced = self.schedule.forced
         constant_bit, selector_bit = self.selector.constant_bit, self.selector.bit
         level = [""]

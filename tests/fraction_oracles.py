@@ -36,12 +36,11 @@ the identity transducer.
 
 import itertools
 
-import math
 from bisect import bisect_left
 from fractions import Fraction
 
 from gaugetree.dyadic import floor_log2, is_dyadic
-from gaugetree.errors import DegenerateIntervalError, FrostmanConditionError, OutOfRangeError, TruncationError
+from gaugetree.errors import UsageError
 from gaugetree.game import TransducerMap
 from gaugetree.gauge import POWER, POWER_LOG, TABLE, Gauge
 from gaugetree.hausdorff import frostman_lower, level_dp_cost
@@ -62,7 +61,7 @@ def exact_power(g, n):
         i = bisect_left([e for e, _ in g.entries], n)
         if i < len(g.entries) and g.entries[i][0] == n:
             return (1, *Fraction(g.entries[i][1]).as_integer_ratio())
-        raise OutOfRangeError(f"table gauge has no entry at exponent {n}")
+        raise UsageError(f"table gauge has no entry at exponent {n}")
     p, q = g.s.numerator, g.s.denominator
     if g.kind == POWER:
         return q, 1, 2 ** (n * p)
@@ -161,12 +160,10 @@ def reference_frostman_lower(tree, g):
             cost = Fraction(lo) / Fraction(2) ** (f + e)
             violations.append(n)
             if worst is None or cost < worst[1]:
-                worst = (n, cost, lo, f + e)
+                worst = (n, cost)
     if violations and violations[-1] == tree.depth:
-        n, _, lo, c = worst
-        raise FrostmanConditionError(n, c - math.log2(lo) if lo else math.inf)
-    n0 = violations[-1] + 1 if violations else 0
-    return Fraction(1), n0
+        return None, worst[0]
+    return (violations[-1] + 1 if violations else 0), None
 
 
 def reference_level_dp_cost(tree, g, delta_exponent, depth=None):
@@ -218,7 +215,8 @@ def reference_dimension(tree, delta_exponent):
     ratios = [(Fraction(n - sum(1 for i in indices if i < n), n), n) for n in range(max(k, 1), tree.depth + 1)]
     d, witness = min(ratios, key=lambda r: r[0], default=(Fraction(1), None))
     if d:  # t^0 is no gauge
-        assert frostman_lower(tree, Gauge.power(d))[1] <= k
+        n0, _ = frostman_lower(tree, Gauge.power(d))
+        assert n0 is not None and n0 <= k
     if witness is not None:
         assert level_dp_cost(tree, Gauge.power(d + Fraction(1, 2**20)), k) < 1
     return d, witness
@@ -259,7 +257,7 @@ def reference_dyadic_four_cover(a, b):
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a < b <= 1:
         if a >= b:
-            raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
+            raise ValueError(f"need a < b, got [{a}, {b}]")
         raise ValueError("interval must lie inside [0, 1]")
     diam = b - a
     if diam > Fraction(1, 2):
@@ -281,7 +279,7 @@ def reference_interleave_metric_check(x, y, n):
     difference k of x and y, in Fractions, scanning bit by bit."""
     xs, ys = interleave(x, n), interleave(y, n)  # validates both strings
     if x == y:
-        raise DegenerateIntervalError("distance undefined for equal strings")
+        raise ValueError("distance undefined for equal strings")
     if len(x) != len(y):
         raise ValueError("strings must have equal length")
     k = next(i for i in range(len(x)) if x[i] != y[i])
@@ -417,7 +415,7 @@ def reference_contains(tree, node):
     """`node` is a node of `tree`: binary, no longer than its depth, and
     obeying its selector at every forced level."""
     if len(check_node(node)) > tree.depth:
-        raise TruncationError(f"node length {len(node)} > depth {tree.depth}")
+        raise ValueError(f"node length {len(node)} > depth {tree.depth}")
     return reference_consistent(tree.selector, node, tree.schedule.indices)
 
 

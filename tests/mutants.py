@@ -158,6 +158,13 @@ MUTANTS = (
          "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
     ),
     Mutant(
+        "frostman_deepest_failure_passes", "src/gaugetree/hausdorff.py",
+        "if last == tree.depth:", "if last == tree.depth + 1:",
+        "a tree whose deepest level fails the mass distribution test gets a floor from n0 = depth + 1",
+        ("tests/test_hausdorff.py::test_frostman_failure_when_tree_too_thin",
+         "tests/test_certify_oracles.py::test_frostman_lower_matches_reference"),
+    ),
+    Mutant(
         "free_levels_counts_level_n_itself", "src/gaugetree/tree.py",
         "return list(accumulate(steps, initial=0))",
         "return list(accumulate(steps + [1]))",
@@ -201,6 +208,12 @@ MUTANTS = (
         "if args.count * args.length > MAX_BATCH_BITS:",
         "2^20 items of 16 bits pass the bound and take 16.5 s of per-item work",
         ("tests/test_cli.py::test_interleave_check_work_is_bounded",),
+    ),
+    Mutant(
+        "stage_log_unbounded", "src/gaugetree/cli.py",
+        "if args.stages * max(1, len(maps) * len(roots)) > MAX_STAGE_LOG:", "if False:",
+        "antichain plays any stage count, at a cost that grows with its square",
+        ("tests/test_cli.py::test_antichain_stage_log_is_bounded",),
     ),
     Mutant(
         "measure_does_not_cut_to_depth", "src/gaugetree/cli.py",

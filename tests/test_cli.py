@@ -31,7 +31,7 @@ from gaugetree.cli import (
 )
 from gaugetree.game import map_from_json_dict
 from gaugetree.transfer import MAX_DIMENSION, DyadicInterval, four_cover_span
-from gaugetree.tree import ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES
+from gaugetree.tree import ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG
 
 
 def run(argv):
@@ -953,17 +953,70 @@ def test_interleave_check_work_is_bounded(tmp_path, capsys, monkeypatch, count, 
     assert not out.exists()
 
 
-def test_transfer_batches_stay_far_inside_the_work_bound():
-    """The default interleave-check batch and each of perfbench's take at
-    most 1/64 of MAX_BATCH_BITS, and 1/16 of it with each item's cost."""
+def perfbench_workloads():
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_transfer_batches_stay_far_inside_the_work_bound():
+    """The default interleave-check batch and each of perfbench's take at
+    most 1/64 of MAX_BATCH_BITS, and 1/16 of it with each item's cost."""
+    workloads = perfbench_workloads()
     args = build_parser().parse_args(["transfer", "interleave-check", "--out", "ic.csv"])
     batches = [(args.count, args.length)] + [(n, length) for _, n, length in workloads.TRANSFER_SIZES]
     assert all(64 * n * length <= MAX_BATCH_BITS for n, length in batches)
     assert all(16 * n * (length + ITEM_BITS) <= MAX_BATCH_BITS for n, length in batches)
+
+
+class Played(Exception):
+    """An antichain game reached its first count."""
+
+
+IDENTITY_MAP = {"kind": "transducer", "start": 0, "lag": 0, "delta": [[0, 0, 0, "0"], [0, 1, 0, "1"]]}
+
+
+@pytest.mark.parametrize("maps, stages, roots, refused", [
+    (1, MAX_STAGE_LOG, "0", False),  # took 0.6 s
+    (1, MAX_STAGE_LOG + 1, "0", True),
+    (1, MAX_STAGE_LOG // 2, "0,1", False),
+    (1, MAX_STAGE_LOG // 2 + 1, "0,1", True),
+    (2, MAX_STAGE_LOG // 4 + 1, "0,1", True),
+    (0, MAX_STAGE_LOG, "0", False),  # no requirement: the rounds still run
+    (0, MAX_STAGE_LOG + 1, "0,1", True),
+    (0, 10**8, "0", True),  # ran 6 s and exited 0 before the bound
+])
+def test_antichain_stage_log_is_bounded(tmp_path, capsys, monkeypatch, maps, stages, roots, refused):
+    """stages × max(1, requirements) past MAX_STAGE_LOG exits 2 with one
+    line before any count; up to it the game is played (stopped here at
+    its start)."""
+
+    def no_game(*args):
+        raise Played
+
+    monkeypatch.setattr(gaugetree.cli, "run_game", no_game)
+    maps_path, out = tmp_path / "maps.json", tmp_path / "a.json"
+    maps_path.write_text(json.dumps([IDENTITY_MAP] * maps))
+    argv = ["antichain", "--gauge", "power:1/2", "--maps", maps_path, "--depth", 8,
+            "--stages", stages, "--roots", roots, "--out", out]
+    if refused:
+        assert run(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        requirements = maps * len(roots.split(","))
+        assert line == f"error: --stages {stages} * max(1, {requirements} requirements) exceeds 16384 stages"
+    else:
+        with pytest.raises(Played):
+            run(argv)
+    assert not out.exists()
+
+
+def test_perfbench_games_stay_far_inside_the_stage_log_bound():
+    """Each of perfbench's antichain games logs at most 1/64 of MAX_STAGE_LOG stages."""
+    workloads = perfbench_workloads()
+    for maps in workloads.MAP_SETS.values():
+        assert 64 * workloads.ANTICHAIN_STAGES * len(maps) * len(workloads.ANTICHAIN_ROOTS) <= MAX_STAGE_LOG
 
 
 def test_transfer_cube_map(tmp_path):
@@ -1252,7 +1305,7 @@ def test_benchmark_tracer_targets_exist():
 
 # the classes with invariants checked in __post_init__, mutable state, or a
 # base class a NamedTuple cannot have
-KEPT_DATACLASSES = {"GameState", "BranchSchedule", "ExplicitTree", "DyadicInterval", "CubePoint",
+KEPT_DATACLASSES = {"GameState", "BranchSchedule", "ExplicitTree", "DyadicInterval",
                     "ConstantSelector", "SeededSelector"}
 RECORDS = {
     "game": ("Requirement", "BadLeaves", "BadSet", "EscapeReport"),

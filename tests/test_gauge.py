@@ -17,7 +17,7 @@ from gaugetree import (
     compare_order,
     sparsity_schedule,
 )
-from gaugetree.errors import InsufficientDataError, OutOfRangeError
+from gaugetree.errors import UsageError
 from gaugetree.gauge import _HALVINGS, _WORK_BITS, _iroot
 
 
@@ -87,7 +87,7 @@ def test_power_log_eval():
 def test_table_eval_and_range():
     g = Gauge.table([(n, Fraction(1, 2**n)) for n in range(1, 11)])
     assert g.at_scale(5) == Fraction(1, 32)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(UsageError, match="no entry at exponent 20"):
         g.at_scale(20)
 
 
@@ -99,7 +99,7 @@ def test_table_scale_values_at_depth_4000_match_per_level_lookup():
     assert values == [g.dyadic_at_scale(n) for n in range(4001)]
     assert values[4000] == g.dyadic_at_scale(4000) != values[3999]
     gap = Gauge.table([(n, Fraction(1, n + 1)) for n in range(4001) if n != 2500])
-    with pytest.raises(OutOfRangeError, match="no entry at exponent 2500"):
+    with pytest.raises(UsageError, match="no entry at exponent 2500"):
         gap.scale_values(4000)
     assert gap.scale_values(2499) == values[:2500]
 
@@ -152,7 +152,7 @@ def test_order_verdict_antisymmetric():
 
 
 def test_order_needs_enough_scales():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ValueError, match="need max_exponent >= 4 for an order verdict"):
         compare_order(Gauge.power(1), Gauge.power(2), 3)
 
 

@@ -21,7 +21,6 @@ from gaugetree import (
     measure_certificate,
 )
 from gaugetree.cli import _level_rows
-from gaugetree.errors import FrostmanConditionError
 from gaugetree.hausdorff import level_dp
 
 
@@ -35,29 +34,28 @@ def make_tree(indices, depth, selector=None):
 
 def test_frostman_full_tree_identity():
     tree = make_tree(set(), 16)
-    assert frostman_lower(tree, Gauge.power(1)) == (Fraction(1), 0)
+    assert frostman_lower(tree, Gauge.power(1)) == (0, None)
 
 
 def test_frostman_odds_half_power():
     tree = make_tree(range(1, 32, 2), 32)
-    mass, n0 = frostman_lower(tree, Gauge.power(Fraction(1, 2)))
-    assert mass == Fraction(1)
+    n0, failure = frostman_lower(tree, Gauge.power(Fraction(1, 2)))
+    assert failure is None
     assert n0 <= 1
 
 
 def test_frostman_failure_when_tree_too_thin():
     # a sparse tree has cylinders heavier than the identity gauge allows
     tree = make_tree(range(1, 16, 2), 16)
-    with pytest.raises(FrostmanConditionError) as e:
-        frostman_lower(tree, Gauge.power(1))
-    assert e.value.worst_level > 0
+    n0, failure = frostman_lower(tree, Gauge.power(1))
+    assert n0 is None and failure > 0
 
 
 def test_frostman_log_sparse_power_log():
     sched_levels = (1, 3, 7, 15, 31)
     tree = make_tree(sched_levels, 32)
-    mass, n0 = frostman_lower(tree, Gauge.power_log(1, 1))
-    assert mass == Fraction(1)
+    n0, failure = frostman_lower(tree, Gauge.power_log(1, 1))
+    assert failure is None
     assert n0 <= 4
 
 
@@ -181,18 +179,18 @@ def test_dimension_matches_the_naive_minimum(case):
 def test_measure_certificate_sandwich():
     tree = make_tree(range(1, 30, 2), 30)
     cert = measure_certificate(tree, Gauge.power(Fraction(1, 2)), 5)
-    assert cert.lower == Fraction(1)
+    assert cert.frostman_threshold is not None
     assert cert.upper == Fraction(1)
     assert cert.witness is not None
     d = cert.to_json_dict()
-    assert d["lower"]["provenance"] == "frostman"
+    assert d["lower"]["provenance"] == "frostman" and d["lower"]["value"] == "1"
     assert d["upper"]["provenance"] == "optimal_cover"
 
 
 def test_measure_certificate_failure_records_level():
     tree = make_tree(range(1, 16, 2), 16)
     cert = measure_certificate(tree, Gauge.power(1), 2)
-    assert cert.lower is None
+    assert cert.frostman_threshold is None
     assert cert.failure_level is not None
     assert cert.to_json_dict()["lower"]["value"] is None
 

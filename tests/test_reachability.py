@@ -26,8 +26,7 @@ KEEP = {
     "tree.BranchSelector.bit": "the selector interface every tree reads",
     "tree.ConstantSelector.bit": "a constant selector answers bit like every selector",
     "tree.BranchSelector.decided_levels": "the interface default: every forced level is decided",
-    # an error path, and work done at import
-    "errors.NodeBudgetError.__init__": "the error of a materialisation over the node budget",
+    # work done at import
     "gauge._halvings": "runs at import, before any command",
     # ROADMAP items 12 and 2
     "gauge.compare_order": "the order hypothesis of the closed-set theorem (ROADMAP item 12)",

@@ -42,7 +42,7 @@ from gaugetree import (
 from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
 from gaugetree.dyadic import format_dyadic
-from gaugetree.errors import GameInvariantError, InfeasibleError, UndefinedNodeError
+from gaugetree.errors import GameInvariantError, InfeasibleError, UsageError
 from gaugetree.game import ExplicitNodeMap
 from gaugetree.tree import Columns, check_node, compatible
 
@@ -803,7 +803,7 @@ def test_apply_all_rejects_non_binary_like_apply(name, bad):
 
 def test_explicit_apply_all_reports_the_missing_node():
     assert EXPLICIT.apply("0") == "0"
-    with pytest.raises(UndefinedNodeError, match="'0000000'"):
+    with pytest.raises(UsageError, match="no image recorded for node '0000000'"):
         EXPLICIT.apply("0000000")
 
 
@@ -825,7 +825,7 @@ def test_explicit_trie_images_equal_the_table(table):
     keys = sorted(table)
     assert [m.apply(k) for k in keys] == [table[k] for k in keys]
     for node in {k[:i] for k in keys for i in range(len(k))} - set(table):  # inside the trie
-        with pytest.raises(UndefinedNodeError, match=f"no image recorded for node '{node}'"):
+        with pytest.raises(UsageError, match=f"no image recorded for node '{node}'"):
             m.apply(node)
 
 
@@ -844,7 +844,7 @@ def test_explicit_walk_ending_between_keys_or_past_them_has_no_image():
     state = GameState(schedule=BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0),
                       maps=[EXPLICIT_D10], requirements=[], depth=12, scan_depth=8)
     for depth in (8, 11):
-        with pytest.raises(UndefinedNodeError, match=f"no image recorded for node '[01]{{{depth}}}'"):
+        with pytest.raises(UsageError, match=f"no image recorded for node '[01]{{{depth}}}'"):
             bad_set(state, Requirement(0, "0"), depth)
     assert bad_set(state, Requirement(0, "0"), 9).measure == reference_bad_set(state.tree(9), EXPLICIT_D10, "0")[1]
 
@@ -883,7 +883,7 @@ def test_explicit_table_without_images_under_escaped_nodes_reports_the_same():
     reports = [verify_escape(tree, [m], 500, 2, cert).per_map for m in maps]
     assert reports[0] == reports[1]
     assert reports[0][0]["escaped"] and reports[0][0]["undetermined"]
-    with pytest.raises(UndefinedNodeError):  # a lookup leaf by leaf still needs the dropped images
+    with pytest.raises(UsageError, match="no image recorded for node"):  # a lookup leaf by leaf still needs the dropped images
         for x in tree.materialize().leaves:
             maps[1].apply(x)
 
