@@ -28,6 +28,7 @@ from .tree import (
 )
 
 TOOL_NAME = "gaugetree"
+COMMANDS = ("schedule", "measure", "antichain", "transfer", "plot")
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +63,28 @@ def atomic_write(path: str, data: str) -> None:
 
 
 def write_json(path: str, payload: dict, manifest: dict) -> None:
-    payload = {"manifest": manifest, **payload}
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write json.dumps(payload, sort_keys=True, indent=2) under the manifest,
+    each dict value that is a list of more than 64 ints by one join: the
+    indented encoder is pure Python, and walks such a list item by item."""
+    payload, lists, mark = {"manifest": manifest, **payload}, [], "\x00long int list"
+
+    def marked(d: dict, pad: str) -> dict:  # d, keys at indent pad, with its long int lists' texts moved out
+        out = {}
+        for k, v in sorted(d.items()):  # the order in which json.dumps writes the lists
+            if isinstance(v, dict):
+                v = marked(v, pad + "  ")
+            elif type(v) is list and len(v) > 64 and all(type(x) is int for x in v):
+                lists.append(f"[\n{pad}  " + f",\n{pad}  ".join(map(str, v)) + f"\n{pad}]")
+                v = mark
+            out[k] = v
+        return out
+
+    parts = json.dumps(marked(payload, "  "), sort_keys=True, indent=2).split(json.dumps(mark))
+    if len(parts) == len(lists) + 1:
+        text = parts[0] + "".join(map(str.__add__, lists, parts[1:]))
+    else:  # a string of the payload is the mark
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    atomic_write(path, text + "\n")
 
 
 def write_csv(path: str, header: List[str], lines: Iterable[str], manifest: dict) -> None:
@@ -190,7 +211,10 @@ def cmd_schedule(args) -> int:
         print("warning: empty schedule (full binary tree)", file=sys.stderr)
     write_json(args.out, payload, manifest)
     if args.csv:
-        lines = (f"{n},{caps[n]},{int(n in schedule.forced)}" for n in range(args.depth))
+        flags = [0] * args.depth
+        for n in schedule.indices:
+            flags[n] = 1
+        lines = map("%d,%d,%d".__mod__, zip(range(args.depth), caps, flags))
         write_csv(args.csv, ["n", "cap", "in_schedule"], lines, manifest)
     return 0
 
@@ -199,11 +223,10 @@ def _level_rows(tree: SplittingTree, values: Sequence[Value]):
     """Yield the levels CSV lines 0..the tree's depth: n, the free levels above
     n, the cylinder measure 2^-free, g(2^-n) and the level cost 2^free·g(2^-n),
     the last two from the upper end of the enclosure, written as format_pair does."""
-    for n, free in enumerate(tree.schedule.free_levels(tree.depth)):
-        _, m, e = values[n]
-        c = e - free
+    for n, free, (_, m, e) in zip(range(tree.depth + 1), tree.schedule.free_levels(tree.depth), values):
+        c, digits = e - free, str(m)
         yield (f"{n},{free},{f'1/2^{free}' if free else 1},"
-               f"{f'{m}/2^{e}' if e > 0 else m << -e},{f'{m}/2^{c}' if c > 0 else m << -c}")
+               f"{f'{digits}/2^{e}' if e > 0 else m << -e},{f'{digits}/2^{c}' if c > 0 else m << -c}")
 
 
 def cmd_measure(args) -> int:
@@ -404,64 +427,71 @@ def render_svg(xs, series, x_label, manifest) -> str:
 # argument wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone; the usage lists them all."""
+    only = command if command in COMMANDS else None
     parser = argparse.ArgumentParser(prog=TOOL_NAME, description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=only and "{%s}" % ",".join(COMMANDS))
 
-    p = sub.add_parser("schedule", help="compute a sparsity schedule for a gauge")
-    p.add_argument("--gauge", type=parse_gauge_spec, required=True)
-    p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH), required=True)
-    p.add_argument("--out", type=output_path, required=True)
-    p.add_argument("--csv", type=output_path)
-    p.set_defaults(func=cmd_schedule)
+    if only in (None, "schedule"):
+        p = sub.add_parser("schedule", help="compute a sparsity schedule for a gauge")
+        p.add_argument("--gauge", type=parse_gauge_spec, required=True)
+        p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH), required=True)
+        p.add_argument("--out", type=output_path, required=True)
+        p.add_argument("--csv", type=output_path)
+        p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("measure", help="certify gauge-measure bounds for a tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--gauge", type=parse_gauge_spec, required=True)
-    p.add_argument("--delta-exp", type=int_at_least(0), default=0)
-    p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH))
-    p.add_argument("--out", type=output_path, required=True)
-    p.add_argument("--csv", type=output_path)
-    p.set_defaults(func=cmd_measure)
+    if only in (None, "measure"):
+        p = sub.add_parser("measure", help="certify gauge-measure bounds for a tree")
+        p.add_argument("--tree", required=True)
+        p.add_argument("--gauge", type=parse_gauge_spec, required=True)
+        p.add_argument("--delta-exp", type=int_at_least(0), default=0)
+        p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH))
+        p.add_argument("--out", type=output_path, required=True)
+        p.add_argument("--csv", type=output_path)
+        p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("antichain", help="run the full antichain pipeline")
-    p.add_argument("--gauge", type=parse_gauge_spec, required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH), required=True)
-    p.add_argument("--stages", type=int_at_least(0), required=True)
-    p.add_argument("--roots", type=parse_roots, default="0,1")
-    p.add_argument("--delta-exp", type=int_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--escape-samples", type=int_at_least(1, MAX_SAMPLES), default=1000)
-    p.add_argument("--out", type=output_path, required=True)
-    p.set_defaults(func=cmd_antichain)
+    if only in (None, "antichain"):
+        p = sub.add_parser("antichain", help="run the full antichain pipeline")
+        p.add_argument("--gauge", type=parse_gauge_spec, required=True)
+        p.add_argument("--maps", required=True)
+        p.add_argument("--depth", type=int_at_least(0, MAX_DEPTH), required=True)
+        p.add_argument("--stages", type=int_at_least(0), required=True)
+        p.add_argument("--roots", type=parse_roots, default="0,1")
+        p.add_argument("--delta-exp", type=int_at_least(0), default=0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--escape-samples", type=int_at_least(1, MAX_SAMPLES), default=1000)
+        p.add_argument("--out", type=output_path, required=True)
+        p.set_defaults(func=cmd_antichain)
 
-    p = sub.add_parser("transfer", help="batch-check the transfer laws")
-    p.add_argument("mode", choices=["four-cover", "interleave-check", "cube-map"])
-    p.add_argument("--count", type=int_at_least(1, MAX_SAMPLES), default=1000)
-    # every n in {2, 3, 4} leaves a nonempty string of length - length % n
-    p.add_argument("--length", type=int_at_least(4, MAX_DEPTH), default=60)
-    p.add_argument("--bits", type=parse_bits, default="")
-    p.add_argument("--n", type=int_at_least(1, MAX_DIMENSION), default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=output_path, required=True)
-    p.set_defaults(func=cmd_transfer)
+    if only in (None, "transfer"):
+        p = sub.add_parser("transfer", help="batch-check the transfer laws")
+        p.add_argument("mode", choices=["four-cover", "interleave-check", "cube-map"])
+        p.add_argument("--count", type=int_at_least(1, MAX_SAMPLES), default=1000)
+        # every n in {2, 3, 4} leaves a nonempty string of length - length % n
+        p.add_argument("--length", type=int_at_least(4, MAX_DEPTH), default=60)
+        p.add_argument("--bits", type=parse_bits, default="")
+        p.add_argument("--n", type=int_at_least(1, MAX_DIMENSION), default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=output_path, required=True)
+        p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("plot", help="render a CSV table as an SVG plot")
-    p.add_argument("--table", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--out", type=output_path, required=True)
-    p.set_defaults(func=cmd_plot)
+    if only in (None, "plot"):
+        p = sub.add_parser("plot", help="render a CSV table as an SVG plot")
+        p.add_argument("--table", required=True)
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
+        p.add_argument("--out", type=output_path, required=True)
+        p.set_defaults(func=cmd_plot)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command: a UsageError exits 2 with one `error:` line, and
-    `cmd_antichain` turns an InfeasibleError into exit 3 (see errors.py)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, parsed by its own subparser alone: a UsageError exits 2
+    with one `error:` line, and `cmd_antichain` turns an InfeasibleError into exit 3 (see errors.py)."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as err:  # before any output

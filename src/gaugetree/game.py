@@ -399,12 +399,13 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
     if measure > bound:
         raise GameInvariantError(f"recomputed bad measure {measure} exceeds bound {bound}")
     # non-interference: no other requirement's fresh count may outgrow its bound
-    for other_key, other in enumerate(state.requirements):
-        if other_key != key and (fresh := bad_set(state, other).measure) > state.bound(other_key):
-            raise InfeasibleError(
-                f"the layer at level {level} for {req} raises the bad measure of {other} "
-                f"to {fresh}, above its bound {state.bound(other_key)}"
-            )
+    if chosen is not None:  # else no layer was appended, and no other count or bound changed
+        for other_key, other in enumerate(state.requirements):
+            if other_key != key and (fresh := bad_set(state, other).measure) > state.bound(other_key):
+                raise InfeasibleError(
+                    f"the layer at level {level} for {req} raises the bad measure of {other} "
+                    f"to {fresh}, above its bound {state.bound(other_key)}"
+                )
 
     state.stage_log.append(
         {

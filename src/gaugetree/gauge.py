@@ -7,7 +7,8 @@ arithmetic (Brent and Zimmermann, *Modern Computer Arithmetic*, §1.5) to
 about MANTISSA_BITS bits.  The caps and the Frostman test read lo, the cover
 costs read hi.  The power-family formulas live in one kernel,
 :meth:`Gauge._power_values`, which :meth:`Gauge.scale_values` (each level
-once per command) and :meth:`Gauge.dyadic_at_scale` read.
+once per command) and :meth:`Gauge.dyadic_at_scale` read; scale_values
+writes an exact power-log gauge's values by 2-adic class instead.
 """
 
 from __future__ import annotations
@@ -221,7 +222,15 @@ class Gauge(NamedTuple):
 
     def scale_values(self, depth: int) -> List[Value]:
         """dyadic_at_scale at every level 0..depth, a power-family gauge's
-        in one kernel call."""
+        in one kernel call.  With integer s = p and c = a >= 1 every value is
+        exact, (u^a, u^a, np - ta) at n = 2^t·u: one slice per 2-adic class t."""
+        if self.kind == POWER_LOG and self.s.denominator == self.c.denominator == 1 and self.c > 0:
+            p, a = self.s.numerator, self.c.numerator
+            values, odd = [(0, 0, 0)] * (depth + 1), [u**a for u in range(1, depth + 1, 2)]
+            for t in range(max(depth, 0).bit_length()):
+                f = odd[: (depth + (1 << t)) >> (t + 1)]  # u^a of the odd u <= depth / 2^t
+                values[1 << t :: 2 << t] = zip(f, f, range((p << t) - t * a, p * (depth + 1), p << (t + 1)))
+            return values
         if self.kind in (POWER, POWER_LOG):
             return self._power_values(range(depth + 1))
         return [self.dyadic_at_scale(n) for n in range(depth + 1)]

@@ -101,8 +101,11 @@ def gauge_is_dyadic(g, n):
     twos = (x.numerator // odd_num).bit_length() - (x.denominator // odd_den).bit_length()
     if odd_den != 1 or twos % L:
         return False
-    r = round(odd_num ** (1 / L))
-    return any(c > 0 and c**L == odd_num for c in (r - 1, r, r + 1))
+    lo, hi = 1, 1 << (odd_num.bit_length() // L + 1)
+    while lo < hi:  # bisect for the least c with c^L >= odd_num, exactly: a float root loses u^64's digits
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**L < odd_num else (lo, mid)
+    return lo**L == odd_num
 
 
 def encloses(g, n, value):

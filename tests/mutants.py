@@ -43,6 +43,12 @@ MUTANTS = (
         ("tests/test_scan_cache.py::test_post_stage_count_over_the_bound_is_caught",),
     ),
     Mutant(
+        "interference_check_always_skipped", "src/gaugetree/game.py",
+        "if chosen is not None:", "if False:",
+        "a layer that raises another requirement's bad set above its bound is kept",
+        ("tests/test_cli.py::test_antichain_interference_exits_3[depth6_halved_bound]",),
+    ),
+    Mutant(
         "interference_bound_doubled", "src/gaugetree/game.py",
         "> state.bound(other_key):", "> 2 * state.bound(other_key):",
         "the non-interference check lets another requirement's count double",
@@ -98,6 +104,12 @@ MUTANTS = (
         "default=0) > MAX_EXPONENT:", "default=0) > 10 * MAX_EXPONENT:",
         "a 4 401-digit decimal is refused by the interpreter's int limit, whose message names no spec",
         ("tests/test_dyadic.py", "tests/test_cli.py::test_bad_gauge_exits_2"),
+    ),
+    Mutant(
+        "power_log_classes_drop_the_log_term", "src/gaugetree/gauge.py",
+        "range((p << t) - t * a,", "range((p << t),",
+        "an exact power-log value written by class misses the factor 2^(ta) of n^a = (2^t·u)^a",
+        ("tests/test_certify_oracles.py::test_exact_power_log_classes_match_the_kernel",),
     ),
     Mutant(
         "power_log_c_unbounded", "src/gaugetree/gauge.py",
@@ -214,6 +226,13 @@ MUTANTS = (
         "if args.stages * max(1, len(maps) * len(roots)) > MAX_STAGE_LOG:", "if False:",
         "antichain plays any stage count, at a cost that grows with its square",
         ("tests/test_cli.py::test_antichain_stage_log_is_bounded",),
+    ),
+    Mutant(
+        "schedule_csv_flags_shifted_a_level", "src/gaugetree/cli.py",
+        "flags[n] = 1", "flags[n - 1] = 1",
+        "the caps CSV flags the level before each forced level, and the last level for level 0",
+        ("tests/test_cli.py::test_certify_outputs_match_pinned_fixtures",
+         "tests/test_cli.py::test_certify_outputs_at_depth_8000_match_their_pins"),
     ),
     Mutant(
         "measure_does_not_cut_to_depth", "src/gaugetree/cli.py",

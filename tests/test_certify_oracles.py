@@ -104,7 +104,14 @@ KERNEL_GAUGES = {
     **GAUGES,
     "power:5/7": Gauge.power(Fraction(5, 7)),
     "power_log:3/4,2": Gauge.power_log(Fraction(3, 4), 2),
+    # integer s and c >= 1: scale_values writes these by 2-adic class
+    "power_log:2,3": Gauge.power_log(2, 3),
+    "power_log:1,64": Gauge.power_log(1, 64),
+    "power_log:64,1": Gauge.power_log(64, 1),
 }
+EXACT_LOG_GAUGES = ("power_log:1,1", "power_log:2,3", "power_log:1,64", "power_log:64,1")
+# 0, 1, 2^k - 1, 2^k and 2^k + 1 for k <= 13, where a class gains or ends a level, and 8 000
+CLASS_DEPTHS = sorted({0, 8000, *(2**k + d for k in range(14) for d in (-1, 0, 1))})
 
 
 @pytest.mark.parametrize("name", KERNEL_GAUGES)
@@ -123,6 +130,27 @@ def test_scale_values_match_reference(name, depth):
         assert encloses(g, n, v), (n, v)
     if values:
         assert values[-1] == g.dyadic_at_scale(depth)
+
+
+@pytest.mark.parametrize("name", EXACT_LOG_GAUGES)
+def test_exact_power_log_classes_match_the_kernel(name):
+    """The slice of every 2-adic class equals the per-level kernel's values,
+    at each depth where a class gains its first level or its last."""
+    g = KERNEL_GAUGES[name]
+    for depth in CLASS_DEPTHS:
+        assert g.scale_values(depth) == g._power_values(range(depth + 1)), depth
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 5000))
+@example(1, 64, 4096)
+def test_exact_power_log_classes_match_every_level(s, a, depth):
+    """power_log:s,a for integers s and a >= 1: every level written by class
+    is the single-level evaluation."""
+    g = Gauge.power_log(s, a)
+    values = g.scale_values(depth)
+    assert len(values) == depth + 1
+    assert all(v == g.dyadic_at_scale(n) for n, v in enumerate(values))
 
 
 def pairs():

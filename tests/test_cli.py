@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import decimal
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -27,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 import gaugetree
 from gaugetree.cli import (
-    build_manifest, build_parser, int_at_least, main, parse_gauge_spec, read_csv_table, render_svg, write_csv,
+    COMMANDS, build_manifest, build_parser, int_at_least, main, parse_gauge_spec, read_csv_table, render_svg,
+    write_csv, write_json,
 )
 from gaugetree.game import map_from_json_dict
 from gaugetree.transfer import MAX_DIMENSION, DyadicInterval, four_cover_span
@@ -815,6 +817,41 @@ def test_certify_outputs_match_pinned_fixtures(tmp_path, gauge, depth, name):
             assert body == fh.read()
 
 
+# sha1 of every output of schedule --csv and measure --delta-exp 3 --csv at
+# depth 8 000, recorded while the values were evaluated level by level, the CSV
+# rows formatted field by field and every JSON list written by json.dumps: the
+# pinned fixtures stop at depth 301, short of the classes n = 2^t·u with t up to
+# 12 and of a 4 000-entry schedule
+DEEP_PINS = {
+    "power_log:1,1": {
+        "schedule.json": "05136b7399dc851cb7ebf4cd15e989ef16eb5fca",
+        "caps.csv": "f78de0042647d5b23b4fa6ab1ad18afdcbe9bf55",
+        "measure.json": "dd706583680563fadaf5aed2528e4a34cb9f5ccc",
+        "levels.csv": "45b161cc814c5f1d8664b7ee5688d79523816a23",
+    },
+    "power:1/2": {
+        "schedule.json": "e42ccaf637c4a5e65814b735ce1777dd6e607c65",
+        "caps.csv": "d43432a47c5e02645497b2abebcbde3645caf7b7",
+        "measure.json": "abe07b3130e344b9202fa6f2f932231e56523e99",
+        "levels.csv": "68165dc047a0923f5087d0469258680b702961d4",
+    },
+}
+
+
+@pytest.mark.parametrize("gauge", sorted(DEEP_PINS))
+def test_certify_outputs_at_depth_8000_match_their_pins(tmp_path, monkeypatch, gauge):
+    """Relative paths, so that each manifest, and so each whole file, is fixed."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["schedule", "--gauge", gauge, "--depth", 8000, "--out", "schedule.json", "--csv", "caps.csv"]) == 0
+    pathlib.Path("tree.json").write_text(json.dumps({
+        "schedule": json.loads(pathlib.Path("schedule.json").read_text())["schedule"],
+        "selector": {"kind": "seeded", "seed": 7}, "depth": 8000}))
+    assert run(["measure", "--tree", "tree.json", "--gauge", gauge, "--delta-exp", 3,
+                "--out", "measure.json", "--csv", "levels.csv"]) == 0
+    assert {name: hashlib.sha1(pathlib.Path(name).read_bytes()).hexdigest() for name in DEEP_PINS[gauge]} \
+        == DEEP_PINS[gauge]
+
+
 def measure_with_levels(tmp_path, tree, gauge, delta_exp):
     """The certificate and the levels CSV rows of `measure --csv` on a tree dict."""
     tree_file, out, levels = tmp_path / "t.json", tmp_path / "m.json", tmp_path / "m.csv"
@@ -1284,6 +1321,58 @@ def test_json_outputs_are_sorted_and_manifested(tmp_path):
     assert m["tool"] == "gaugetree"
     assert m["version"] == gaugetree.__version__
     assert "version" in m and "config" in m
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": {"indices": list(range(4000)), "b": [1, 2]}, "c": list(range(65)), "d": [[1, 2]] * 70,
+     "e": {"f": {"g": list(range(-40, 40)), "h": "x"}, "i": {}}, "j": [10**40, -3] * 40},
+    {"short": list(range(64)), "bools": [True] * 70, "floats": [1.0] * 70, "mark": "\x00long int list",
+     "ints": list(range(70))},
+], ids=["nested", "mark_in_a_string"])
+def test_write_json_is_json_dumps_byte_for_byte(tmp_path, payload):
+    """Long int lists are spliced in by one join at their indent, and a
+    payload string equal to the splice mark leaves every list to json.dumps."""
+    out = tmp_path / "o.json"
+    write_json(str(out), payload, {"tool": "t"})
+    assert out.read_text() == json.dumps({"manifest": {"tool": "t"}, **payload}, sort_keys=True, indent=2) + "\n"
+
+
+def parser_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of parse(argv), which argparse ends by SystemExit."""
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    return (e.value.code, *capsys.readouterr())
+
+
+FRONT_END_CASES = [
+    *([c, "--help"] for c in COMMANDS), *([c, "--bogus"] for c in COMMANDS), [], ["bogus"], ["-h"],
+    # a stray argument is the top-level parser's error, whose usage lists every command
+    ["schedule", "--gauge", "power:1/2", "--depth", "4", "--out", "s.json", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", FRONT_END_CASES, ids=lambda argv: " ".join(argv) or "empty")
+def test_front_end_writes_what_the_full_parser_writes(tmp_path, monkeypatch, capsys, argv):
+    """main builds the subparser argv[0] names, or all of them when it names
+    none; help, usage errors and exit codes are the full parser's."""
+    monkeypatch.chdir(tmp_path)
+    expected = parser_outcome(build_parser().parse_args, argv, capsys)
+    assert expected[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+    assert parser_outcome(main, argv, capsys) == expected
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_builds_only_its_own_subparser(monkeypatch, command):
+    """main adds one subparser, the command's; build_parser() adds all five."""
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert built == [command]
+    build_parser()
+    assert built == [command, *COMMANDS]
 
 
 def test_benchmark_tracer_targets_exist():
