@@ -17,10 +17,10 @@ import tempfile
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float, parse_rational
+from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float, parse_rational, to_number
 from .errors import InfeasibleError, UsageError
 from .gauge import Gauge, bound_table, sparsity_schedule
-from .hausdorff import FLOOR, dimension_estimate, frostman_lower, level_dp_cost, measure_certificate
+from .hausdorff import dimension_estimate, level_walk, measure_certificate
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
 from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
 from .tree import (
@@ -116,7 +116,10 @@ def read_csv_table(path: str):
         raise UsageError(f"cannot read {path}: not UTF-8: {err.reason} at byte {err.start}") from err
     if lines and lines[0].startswith("# manifest:"):
         del lines[0]
-    rows = list(csv.reader(lines)) or [[]]
+    try:
+        rows = list(csv.reader(lines)) or [[]]
+    except csv.Error as err:  # a field past csv.field_size_limit()
+        raise UsageError(f"bad table {path}: {err}") from err
     return rows[0], rows[1:]
 
 
@@ -182,13 +185,14 @@ def int_at_least(low: int, most: Optional[int] = None):
 
 def load_json(path: str, parse):
     """parse() of the JSON document in `path`; a file that cannot be read, is
-    not JSON or does not parse raises UsageError."""
+    not JSON, nests deeper than the decoder recurses or does not parse raises
+    UsageError."""
     try:
         with open(path) as fh:
             return parse(json.load(fh))
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err.strerror}") from err
-    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, RecursionError) as err:  # JSONDecodeError is a ValueError
         raise UsageError(f"bad input {path}: {type(err).__name__}: {err}") from err
 
 
@@ -200,7 +204,7 @@ def load_maps(path: str):
 # subcommands
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> None:
     g = args.gauge
     caps = bound_table(g, args.depth + 1)
     schedule = sparsity_schedule(g, args.depth, caps)
@@ -216,7 +220,6 @@ def cmd_schedule(args) -> int:
             flags[n] = 1
         lines = map("%d,%d,%d".__mod__, zip(range(args.depth), caps, flags))
         write_csv(args.csv, ["n", "cap", "in_schedule"], lines, manifest)
-    return 0
 
 
 def _level_rows(tree: SplittingTree, values: Sequence[Value]):
@@ -229,16 +232,14 @@ def _level_rows(tree: SplittingTree, values: Sequence[Value]):
                f"{f'{digits}/2^{e}' if e > 0 else m << -e},{f'{digits}/2^{c}' if c > 0 else m << -c}")
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> None:
     tree = load_json(args.tree, SplittingTree.from_json_dict)
     g = args.gauge
     depth = tree.depth if args.depth is None else args.depth
     if depth > tree.depth:
-        print(f"error: --depth {depth} exceeds the tree depth {tree.depth}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--depth {depth} exceeds the tree depth {tree.depth}")
     if args.delta_exp > depth:
-        print(f"error: --delta-exp {args.delta_exp} exceeds the depth {depth}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--delta-exp {args.delta_exp} exceeds the depth {depth}")
     tree = tree._replace(depth=depth)
     values = g.scale_values(depth)
     cert = measure_certificate(tree, g, args.delta_exp, values)
@@ -251,14 +252,12 @@ def cmd_measure(args) -> int:
             _level_rows(tree, values),
             manifest,
         )
-    return 0
 
 
-def cmd_antichain(args) -> int:
+def cmd_antichain(args) -> None:
     g = args.gauge
     if args.delta_exp > args.depth:
-        print(f"error: --delta-exp {args.delta_exp} exceeds --depth {args.depth}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--delta-exp {args.delta_exp} exceeds --depth {args.depth}")
     maps = load_maps(args.maps)
     for i, m in enumerate(maps):
         # the game reads image bit n only of leaves of length n + lag + 1 or more
@@ -273,19 +272,13 @@ def cmd_antichain(args) -> int:
                          f"exceeds {MAX_STAGE_LOG} stages")
     values = g.scale_values(args.depth)
     schedule = sparsity_schedule(g, args.depth, bound_table(g, args.depth + 1, values))
-    try:
-        tree, certificate = run_game(
-            schedule, maps, roots, args.depth, args.stages
-        )
-    except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        return 3
+    tree, certificate = run_game(schedule, maps, roots, args.depth, args.stages)
     escape = verify_escape(tree, maps, args.escape_samples, args.seed, certificate)
-    n0, failure = frostman_lower(tree, g, values)
-    frostman = {"lower": None, "violating_level": failure} if n0 is None else {"lower": FLOOR, "n0": n0}
-    # the lower bound only constrains covers finer than 2^-n0
-    delta_used = max(args.delta_exp, n0 or 0)
-    upper = level_dp_cost(tree, g, delta_used, values)
+    walk = level_walk(tree, g, args.delta_exp, values)
+    # the report reads both ends at a cut where the lower end is at least 1
+    delta_used = max(args.delta_exp, walk.n0 or 0)
+    if delta_used > args.delta_exp:
+        walk = level_walk(tree, g, delta_used, values)
     dim = dimension_estimate(tree, delta_used)
     manifest = build_manifest("antichain", args, [args.maps])
     report = {
@@ -297,17 +290,16 @@ def cmd_antichain(args) -> int:
             "escape_report": escape.to_json_dict(),
         },
         "measure_certificate": {
-            "frostman": frostman,
-            "upper": format_dyadic(upper),
+            "frostman": {"lower": format_dyadic(to_number(walk.lower)), "n0": walk.n0},
+            "upper": format_dyadic(to_number(walk.upper)),
             "delta_exp": delta_used,
         },
         "dimension": {"value": format_rational(dim.value), "witness_level": dim.witness_level},
     }
     write_json(args.out, report, manifest)
-    return 0
 
 
-def cmd_transfer(args) -> int:
+def cmd_transfer(args) -> None:
     manifest = build_manifest(f"transfer-{args.mode}", args, [])
     rng = random.Random(args.seed)
     lines = []
@@ -328,9 +320,8 @@ def cmd_transfer(args) -> int:
         write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], lines, manifest)
     elif args.mode == "interleave-check":
         if args.count * (args.length + ITEM_BITS) > MAX_BATCH_BITS:
-            print(f"error: --count {args.count} * (--length {args.length} + {ITEM_BITS}) exceeds "
-                  f"{MAX_BATCH_BITS} bits", file=sys.stderr)
-            return 2
+            raise UsageError(f"--count {args.count} * (--length {args.length} + {ITEM_BITS}) exceeds "
+                             f"{MAX_BATCH_BITS} bits")
         for i in range(args.count):
             n = rng.choice([2, 3, 4])
             length = args.length - args.length % n
@@ -346,19 +337,16 @@ def cmd_transfer(args) -> int:
     else:  # cube-map
         lines = [f"{i},{format_rational(c)}" for i, c in enumerate(to_cube(args.bits, args.n))]
         write_csv(args.out, ["coordinate", "value"], lines, manifest)
-    return 0
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     header, rows = read_csv_table(args.table)
     if not rows:
-        print("error: empty table", file=sys.stderr)
-        return 2
+        raise UsageError("empty table")
     y_cols = args.y.split(",")
     for col in [args.x, *y_cols]:
         if col not in header:
-            print(f"error: missing column {col!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"missing column {col!r}")
     xi = header.index(args.x)
     try:
         xs = [parse_float(r[xi]) for r in rows]
@@ -368,11 +356,9 @@ def cmd_plot(args) -> int:
             series.append((col, [parse_float(r[yi]) for r in rows]))
     except (ValueError, ZeroDivisionError, OverflowError, IndexError) as err:
         # IndexError: a row shorter than the header
-        print(f"error: bad cell in {args.table}: {err}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad cell in {args.table}: {err}") from err
     manifest = build_manifest("plot", args, [args.table])
     atomic_write(args.out, render_svg(xs, series, args.x, manifest))
-    return 0
 
 
 def render_svg(xs, series, x_label, manifest) -> str:
@@ -488,15 +474,20 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command, parsed by its own subparser alone: a UsageError exits 2
-    with one `error:` line, and `cmd_antichain` turns an InfeasibleError into exit 3 (see errors.py)."""
+    """Run one command, parsed by its own subparser alone, and end it: exit 0,
+    or a UsageError exits 2 with one `error:` line and an InfeasibleError 3
+    with one `infeasible:` line, both before any output (see errors.py)."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as err:  # before any output
+        args.func(args)
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InfeasibleError as err:
+        print(f"infeasible: {err}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """The ways a command can end other than by success.  `main` turns a
-UsageError into exit 2 and `cmd_antichain` an InfeasibleError into exit 3;
+UsageError into exit 2 and an InfeasibleError into exit 3;
 a GameInvariantError is a failed self-check and ends with a traceback.  Any
 other misuse of the library raises ValueError, and a failed certifying
 condition is part of a result, never an exception."""

@@ -7,11 +7,13 @@ integer cross-multiplication of L-th powers (for `power:p/q`, lo^q·2^(np)
 against 2^(eq)).  `encloses` checks a kernel triple (lo, hi, e) against it,
 `reference_bound_table` and `reference_frostman_lower` take their caps and
 cylinder tests from the same comparison (the latter names the first least
-lower level cost among its failing levels), and the references of
-`level_dp` run the downward cover DP twice (cost, then witness level) over
-the upper ends as Fractions.  The integer (mantissa, exponent) fast paths
-in `gaugetree.gauge`, `gaugetree.hausdorff` and `gaugetree.cli` must agree
-with them; `tests/test_certify_oracles.py` compares the two.
+lower level cost among its failing levels), the references of the level
+walk's upper end run the downward cover DP twice (cost, then witness level)
+over the upper ends as Fractions, and `reference_lower` takes the least
+lower-end level cost from its definition.  The integer (mantissa,
+exponent) fast paths in `gaugetree.gauge`, `gaugetree.hausdorff` and
+`gaugetree.cli` must agree with them; `tests/test_certify_oracles.py`
+compares the two.
 `reference_dimension` is the dimension number d(k, N) as a naive Fraction
 minimum, checked against both certifiers on power gauges, which
 `tests/test_hausdorff.py` compares with the integer pass.
@@ -20,9 +22,10 @@ and `reference_interleave_metric_check` the Fraction body of the interleaving
 metric check, which `tests/test_transfer.py` compares with the integer
 `four_cover_span` and `interleave_metric_check`.
 
-The cover-cost oracles of the level DP live here too: `optimal_cover_cost`,
-the node DP over an explicit trie, and `brute_force_cover_cost`, which
-enumerates every covering antichain; `deinterleave` is the inverse of
+The cover-cost oracles of the level walk live here too:
+`optimal_cover_cost`, the node DP over an explicit trie at either end of
+the enclosures, and `brute_force_cover_cost`, which enumerates every
+covering antichain; `deinterleave` is the inverse of
 `gaugetree.transfer.interleave`, and `right_end` the right end of a dyadic
 interval.  `parse_dyadic` is the exact parse of a ``p/2^q`` cell, which
 `gaugetree.dyadic.parse_float` must round.
@@ -128,6 +131,12 @@ def upper_value(g, n):
     return Fraction(hi) / Fraction(2) ** e
 
 
+def lower_value(g, n):
+    """The lower end of the kernel's enclosure of g(2^-n), as a Fraction."""
+    lo, _, e = g.dyadic_at_scale(n)
+    return Fraction(lo) / Fraction(2) ** e
+
+
 def _floor_log2(p, q):
     """floor(log2(p/q)) for integers p, q > 0."""
     k = p.bit_length() - q.bit_length()
@@ -167,6 +176,15 @@ def reference_frostman_lower(tree, g):
     if violations and violations[-1] == tree.depth:
         return None, worst[0]
     return (violations[-1] + 1 if violations else 0), None
+
+
+def reference_lower(tree, g, delta_exponent):
+    """(the least lo-end level cost 2^free(n)·lo(n) over k <= n <= depth, the
+    first n reaching it), from the definition, as Fractions."""
+    costs = [(2 ** (n - tree.schedule.count_below(n)) * lower_value(g, n), n)
+             for n in range(int(delta_exponent), tree.depth + 1)]
+    least = min(c for c, _ in costs)
+    return least, next(n for c, n in costs if c == least)
 
 
 def reference_level_dp_cost(tree, g, delta_exponent, depth=None):
@@ -295,8 +313,10 @@ def reference_interleave_metric_check(x, y, n):
     return k, expected, max(dists)
 
 
-def optimal_cover_cost(etree, g, delta_exponent):
-    """Exact infimum over cylinder covers with depths in [k, tree depth].
+def optimal_cover_cost(etree, g, delta_exponent, value=upper_value):
+    """Exact infimum over cylinder covers with depths in [k, tree depth],
+    each cylinder of length n charged value(g, n), by default the upper end
+    of its enclosure.
 
     Node-level DP: at each trie node, either pay the cylinder at this depth
     (when allowed) or recurse into both children.  Returns the minimizing
@@ -309,7 +329,7 @@ def optimal_cover_cost(etree, g, delta_exponent):
     def solve(prefix, leaves):
         n = len(prefix)
         if n == etree.depth:
-            return g.at_scale(n), (prefix,)
+            return value(g, n), (prefix,)
         left = tuple(l for l in leaves if l[n] == "0")
         right = tuple(l for l in leaves if l[n] == "1")
         parts = []
@@ -319,7 +339,7 @@ def optimal_cover_cost(etree, g, delta_exponent):
         child_cost = sum(c for c, _ in parts)
         child_witness = tuple(w for _, ws in parts for w in ws)
         if n >= k:
-            cut = g.at_scale(n)
+            cut = value(g, n)
             if cut <= child_cost:
                 return cut, (prefix,)
         return child_cost, child_witness

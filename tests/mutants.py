@@ -147,34 +147,47 @@ MUTANTS = (
     ),
     Mutant(
         "level_dp_keeps_the_last_least_cost", "src/gaugetree/hausdorff.py",
-        "if least is None or not value_le(least, (hi, e - free[n])):",
-        "if least is None or value_le((hi, e - free[n]), least):",
-        "a tie of level costs names the deeper level as the witness",
+        "if (hi << ue - c <= um) if c <= ue else (hi <= um << c - ue):",
+        "if (hi << ue - c < um) if c <= ue else (hi < um << c - ue):",
+        "a tie of upper-end level costs names the deeper level as the witness",
         ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
          "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_upper_bound"),
     ),
     Mutant(
         "level_dp_starts_past_the_cut_level", "src/gaugetree/hausdorff.py",
-        "for n in range(k, tree.depth + 1):",
-        "for n in range(k + 1, tree.depth + 1):",
-        "the cover never cuts at level k itself, so a cheapest cut there is missed",
+        "zip(range(top - 1, k - 1, -1),", "zip(range(top - 1, k, -1),",
+        "the walk never reads level k itself, so a least cost there is missed at both ends",
         ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
          "tests/test_cli.py::test_levels_csv_is_the_evidence_of_the_upper_bound"),
     ),
     Mutant(
         "frostman_worst_keeps_the_last_least_cost", "src/gaugetree/hausdorff.py",
-        "if worst is None or not value_le(worst[1], (lo, c)):",
-        "if worst is None or value_le((lo, c), worst[1]):",
-        "a tie of failing level costs names the deeper level",
+        "((lo << le - c <= lm) if c <= le else (lo <= lm << c - le))",
+        "((lo << le - c < lm) if c <= le else (lo < lm << c - le))",
+        "a tie of lower-end level costs names the deeper level as the failure",
         ("tests/test_certify_oracles.py::test_frostman_lower_matches_reference",
-         "tests/test_cli.py::test_frostman_failure_names_the_first_least_level_cost"),
+         "tests/test_certify_oracles.py::test_the_power_four_fifths_tie_names_level_1"),
     ),
     Mutant(
         "frostman_deepest_failure_passes", "src/gaugetree/hausdorff.py",
-        "if last == tree.depth:", "if last == tree.depth + 1:",
-        "a tree whose deepest level fails the mass distribution test gets a floor from n0 = depth + 1",
+        "below + 1 if below < top else None", "below + 1 if below < top + 1 else None",
+        "a tree whose deepest level fails the mass distribution test gets n0 = depth + 1",
         ("tests/test_hausdorff.py::test_frostman_failure_when_tree_too_thin",
          "tests/test_certify_oracles.py::test_frostman_lower_matches_reference"),
+    ),
+    Mutant(
+        "lower_reads_the_hi_end", "src/gaugetree/hausdorff.py",
+        "(lm, le), (um, ue), w, v)", "(um, ue), (um, ue), w, v)",
+        "the lower end is the cover's upper end, above the exact cover wherever the least level is inexact",
+        ("tests/test_certify_oracles.py::test_the_exact_cover_lies_between_both_ends",
+         "tests/test_certify_oracles.py::test_measure_certificate_matches_reference"),
+    ),
+    Mutant(
+        "lower_drops_the_exact_levels", "src/gaugetree/hausdorff.py",
+        "if (lo != hi or w == n) and", "if lo != hi and",
+        "the lower end skips the exact levels, min(upper, ...) dropped, so it misses a least cost there",
+        ("tests/test_certify_oracles.py::test_level_dp_matches_both_reference_passes",
+         "tests/test_certify_oracles.py::test_lower_never_exceeds_upper"),
     ),
     Mutant(
         "free_levels_counts_level_n_itself", "src/gaugetree/tree.py",

@@ -1,7 +1,8 @@
 """The integer certify numerics against their exact references in
 `fraction_oracles.py`: gauge enclosures (the power-family kernel behind
-`scale_values`), exact pair comparisons, caps, the Frostman floor, the
-least level cost of `level_dp`, measure certificates and the levels CSV rows."""
+`scale_values`), exact pair comparisons, caps, the Frostman threshold, both
+ends of the least level cost of `level_walk`, measure certificates and the
+levels CSV rows."""
 
 from fractions import Fraction
 
@@ -9,7 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fraction_oracles import (
+    compare_with_gauge,
     encloses,
+    gauge_is_dyadic,
+    lower_value,
+    optimal_cover_cost,
     reference_bound_table,
     reference_cap,
     reference_contains,
@@ -17,6 +22,7 @@ from fraction_oracles import (
     reference_level_dp_cost,
     reference_level_dp_witness_level,
     reference_level_rows,
+    reference_lower,
     upper_value,
 )
 from gaugetree import (
@@ -32,9 +38,9 @@ from gaugetree import (
     sparsity_schedule,
 )
 from gaugetree.cli import _level_rows
-from gaugetree.dyadic import dyadic_pair, to_number, value_le
+from gaugetree.dyadic import dyadic_pair, format_dyadic, to_number, value_le
 from gaugetree.errors import UsageError
-from gaugetree.hausdorff import FLOOR, level_dp, level_dp_witness_level
+from gaugetree.hausdorff import level_dp_witness_level, level_walk
 
 
 def _table():
@@ -61,7 +67,7 @@ DEPTHS = [*range(65), 300]
 DELTAS = (0, 3, 8)
 SELECTORS = (ConstantSelector(1), SeededSelector(2024))
 # forced levels 0 and 5: under power:4/5 levels 1 and 6 fail the Frostman
-# test at exactly the same level cost, and the failure names level 1, the first
+# test at exactly the same lower-end level cost, and the failure names level 1, the first
 TIE_TREE = SplittingTree(BranchSchedule(depth=6, indices=(0, 5)), ConstantSelector(0), 6)
 
 
@@ -191,24 +197,41 @@ def test_frostman_lower_matches_reference(name):
             assert outcome(frostman_lower, tree, g, values) == expected
 
 
+def test_the_power_four_fifths_tie_names_level_1():
+    """Levels 1 and 6 of TIE_TREE have the same lower-end level cost under
+    power:4/5, compared exactly: the failure and the lower end name level 1,
+    and so does the upper end."""
+    g = GAUGES["power:4/5"]
+    walk = level_walk(TIE_TREE, g, 0)
+    assert frostman_lower(TIE_TREE, g) == (None, 1)
+    assert (walk.n0, walk.lower_level, walk.witness_level) == (None, 1, 1)
+    free = TIE_TREE.schedule.free_levels(6)
+    costs = [2 ** free[n] * lower_value(g, n) for n in range(7)]
+    assert costs[1] == costs[6] == min(costs) == to_number(walk.lower) < 1
+
+
 @pytest.mark.parametrize("name", GAUGES)
 def test_level_dp_matches_both_reference_passes(name):
+    """The walk's upper end and its level against the downward cover DP, and
+    its lower end and its level against the least lower-end level cost."""
     g = GAUGES[name]
     values = g.scale_values(300)
     for depth in DEPTHS:
         for tree in trees(g, depth):
+            n0, _ = reference_frostman_lower(tree, g)
             for k in DELTAS:
                 expected = outcome(reference_level_dp_cost, tree, g, k)
-                got = outcome(level_dp, tree, g, k, values)
+                got = outcome(level_walk, tree, g, k, values)
                 assert same_number(outcome(level_dp_cost, tree, g, k), expected)
                 if isinstance(expected, tuple):  # k > depth
                     assert got == expected
                     continue
-                cost, witness = got
                 # normal form: odd mantissa, or (0, 0)
-                assert cost == dyadic_pair(expected.numerator, expected.denominator.bit_length() - 1)
-                assert witness == reference_level_dp_witness_level(tree, g, k)
-                assert level_dp_witness_level(tree, g, k) == witness
+                assert got.upper == dyadic_pair(expected.numerator, expected.denominator.bit_length() - 1)
+                assert got.witness_level == reference_level_dp_witness_level(tree, g, k)
+                assert level_dp_witness_level(tree, g, k) == got.witness_level
+                assert (to_number(got.lower), got.lower_level) == reference_lower(tree, g, k)
+                assert got.n0 == n0
             # the tree cut to depth n is the reference DP to depth n
             for n in {64: range(65), 300: range(0, 301, 20)}.get(depth, ()):
                 cut = tree._replace(depth=n)
@@ -227,8 +250,12 @@ def test_measure_certificate_matches_reference(name):
                 if k > depth:
                     continue
                 cert = measure_certificate(tree, g, k)
-                assert (cert.frostman_threshold, cert.failure_level) == reference_frostman_lower(tree, g)
+                n0, _ = reference_frostman_lower(tree, g)
+                assert cert.frostman_threshold == n0
+                assert same_number(cert.lower, reference_lower(tree, g, k)[0])
                 assert same_number(cert.upper, reference_level_dp_cost(tree, g, k))
+                lower = cert.to_json_dict()["lower"]
+                assert lower == {"value": format_dyadic(cert.lower), "provenance": "frostman", "n0": n0}
                 w = reference_level_dp_witness_level(tree, g, k)
                 assert cert.witness_level == w
                 if cert.witness is not None:
@@ -283,22 +310,90 @@ def test_enclosures_and_caps_are_exact(g, depth, picks):
         assert caps[n] == reference_cap(g, n), n
 
 
-@settings(max_examples=25)
-@given(random_gauges(), st.integers(1, 3000), st.integers(0, 64))
-@example(Gauge.power(Fraction(1, 2)), 2200, 0)
-@example(Gauge.power_log(1, Fraction(1, 2)), 3000, 3)
-@example(Gauge.power_log(1, -1), 3000, 0)
-def test_lower_never_exceeds_upper(g, depth, extra):
-    """On the gauge's own schedule tree, the certificate at any --delta-exp
-    at or past its Frostman threshold n0 has lower <= upper: a cover at
-    levels >= n0 costs at least the mass it covers."""
-    tree = SplittingTree(sparsity_schedule(g, depth), ConstantSelector(0), depth)
-    n0, _ = frostman_lower(tree, g)
-    if n0 is None:
-        return
-    k = min(depth, n0 + extra)
-    cert = measure_certificate(tree, g, k)
-    assert cert.frostman_threshold == n0 and 0 < Fraction(FLOOR) <= cert.upper
+@st.composite
+def gauge_trees(draw, depths):
+    """A gauge, drawn or from GAUGES, and its greedy schedule tree or a
+    tree over a random forced set, of a depth drawn from `depths`."""
+    g = draw(random_gauges() | st.sampled_from(list(GAUGES.values())))
+    depth = draw(depths)
+    if draw(st.booleans()):
+        indices = sparsity_schedule(g, depth).indices
+    else:
+        indices = tuple(sorted(draw(st.sets(st.integers(0, depth - 1))))) if depth else ()
+    selector = SeededSelector(draw(st.integers(0, 2**16)))
+    return g, SplittingTree(BranchSchedule(depth=depth, indices=indices), selector, depth)
+
+
+def exact_greedy(g, depth):
+    return g, SplittingTree(sparsity_schedule(g, depth), ConstantSelector(0), depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauge_trees(st.integers(0, 200)))
+@example(exact_greedy(Gauge.power(Fraction(1, 2)), 300))
+@example(exact_greedy(Gauge.power_log(1, Fraction(1, 2)), 300))
+@example(exact_greedy(Gauge.power_log(1, -1), 300))
+@example(exact_greedy(Gauge.power_log(1, 1), 64))  # lower was 1 above upper 0 at the cut 0
+@example((Gauge.power(1), SplittingTree(BranchSchedule(depth=16, indices=tuple(range(1, 16, 2))),
+                                        ConstantSelector(0), 16)))  # the deepest level fails
+def test_lower_never_exceeds_upper(case):
+    """At every cut k from 0 to the depth, below n0 as well: lower <= upper,
+    and lower >= 1 exactly when k >= n0, the Frostman threshold."""
+    g, tree = case
+    values = g.scale_values(tree.depth)
+    n0, _ = reference_frostman_lower(tree, g)
+    for k in range(tree.depth + 1):
+        walk = level_walk(tree, g, k, values)
+        lower, upper = to_number(walk.lower), to_number(walk.upper)
+        assert walk.n0 == n0
+        assert lower <= upper, k
+        assert (lower >= 1) == (n0 is not None and k >= n0), k
+
+
+@pytest.mark.parametrize("g, depth", [
+    (Gauge.power(Fraction(1, 2)), 2200),  # the float 2^-1100.5 once underflowed
+    (Gauge.power_log(1, Fraction(1, 2)), 3000),  # g(2^-n) once became 0.0 from n = 1 075
+    (Gauge.power_log(1, -1), 3000),
+], ids=["power:1/2", "power_log:1,1/2", "power_log:1,-1"])
+def test_lower_never_exceeds_upper_on_deep_greedy_trees(g, depth):
+    """The same property past the old underflow depths, on the gauge's own
+    schedule tree, at the cuts 0, n0 - 1, n0, n0 + 3, half the depth and the
+    depth.  power_log:1,-1 has no n0 there: its deepest level is below 1."""
+    _, tree = exact_greedy(g, depth)
+    values = g.scale_values(depth)
+    n0, _ = frostman_lower(tree, g, values)
+    cuts = {0, depth // 2, depth} | ({n0 - 1, n0, n0 + 3} if n0 is not None else set())
+    for k in sorted(cuts & set(range(depth + 1))):
+        walk = level_walk(tree, g, k, values)
+        lower, upper = to_number(walk.lower), to_number(walk.upper)
+        assert walk.n0 == n0
+        assert lower <= upper, k
+        assert (lower >= 1) == (n0 is not None and k >= n0), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauge_trees(st.integers(0, 8)))
+@example((GAUGES["power:4/5"], TIE_TREE))
+@example((GAUGES["table"], SplittingTree(BranchSchedule(depth=8, indices=(0, 5)), ConstantSelector(1), 8)))
+def test_the_exact_cover_lies_between_both_ends(case):
+    """lower <= the exact optimal cover cost <= upper at every cut, with the
+    cover ranging over every cylinder antichain, not only level cuts.  The
+    node DP charging each cylinder the lo end of its enclosure costs lower,
+    and charging the hi end upper; every exact level cost is at least lower
+    and the witness level's at most upper, by exact comparison with the gauge.
+    Where every level from the cut on is dyadic, the three are equal."""
+    g, tree = case
+    etree = tree.materialize()
+    free = tree.schedule.free_levels(tree.depth)
+    for k in range(tree.depth + 1):
+        walk = level_walk(tree, g, k)
+        (lm, le), (um, ue), w = walk.lower, walk.upper, walk.witness_level
+        assert to_number(walk.lower) == optimal_cover_cost(etree, g, k, lower_value)[0]
+        assert to_number(walk.upper) == optimal_cover_cost(etree, g, k)[0]
+        assert all(compare_with_gauge(g, n, lm, le + free[n]) <= 0 for n in range(k, tree.depth + 1))
+        assert compare_with_gauge(g, w, um, ue + free[w]) >= 0
+        if all(gauge_is_dyadic(g, n) for n in range(k, tree.depth + 1)):
+            assert to_number(walk.lower) == to_number(walk.upper)
 
 
 def test_power_half_upper_is_positive_at_depth_2200():
@@ -309,7 +404,7 @@ def test_power_half_upper_is_positive_at_depth_2200():
     for k in (0, 3, 8):
         cert = measure_certificate(tree, g, k)
         assert cert.frostman_threshold == 0
-        assert 0 < Fraction(FLOOR) <= cert.upper
+        assert 1 <= cert.lower <= cert.upper
 
 
 def test_power_log_half_does_not_underflow_at_1075():

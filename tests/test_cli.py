@@ -625,6 +625,19 @@ BAD_INPUTS = {
     "cube_map_non_binary_bits": (
         {}, ["transfer", "cube-map", "--bits", "0121", "--out", "out"],
     ),
+    # nested deeper than the JSON decoder recurses
+    "tree_nested_100000_deep": (
+        {"tree.json": "[" * 100_000}, ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--out", "out"],
+    ),
+    "maps_nested_100000_deep": (
+        {"maps.json": "[" * 100_000},
+        ["antichain", "--gauge", "power:1/2", "--maps", "maps.json", "--depth", 8, "--stages", 1, "--out", "out"],
+    ),
+    # a field past csv.field_size_limit(), 131 072 characters
+    "plot_field_of_200000_characters": (
+        {"t.csv": "n,y\n0," + "1" * 200_000 + "\n"},
+        ["plot", "--table", "t.csv", "--x", "n", "--y", "y", "--out", "out"],
+    ),
 }
 
 
@@ -646,6 +659,57 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, name):
     assert "Traceback" not in err
     assert len([l for l in err.splitlines() if "error:" in l]) == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(files)
+
+
+# every ending a command reaches by raising, as main writes it: the exit code
+# and the whole stderr, byte for byte as the commands wrote them themselves
+ENDINGS = {
+    "measure_depth_past_the_tree": (
+        ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--depth", 9, "--out", "out"], 2,
+        "error: --depth 9 exceeds the tree depth 8\n"),
+    "measure_delta_exp_past_the_tree": (
+        ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--delta-exp", 9, "--out", "out"], 2,
+        "error: --delta-exp 9 exceeds the depth 8\n"),
+    "measure_delta_exp_past_the_depth": (
+        ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--depth", 2, "--delta-exp", 3, "--out", "out"],
+        2, "error: --delta-exp 3 exceeds the depth 2\n"),
+    "antichain_delta_exp_past_the_depth": (
+        ["antichain", "--gauge", "power_log:1,1", "--maps", "maps.json", "--depth", 16, "--stages", 1,
+         "--delta-exp", 17, "--out", "out"], 2,
+        "error: --delta-exp 17 exceeds --depth 16\n"),
+    "interleave_check_past_the_batch_bits": (
+        ["transfer", "interleave-check", "--count", 100000, "--length", 4000, "--out", "out"], 2,
+        "error: --count 100000 * (--length 4000 + 256) exceeds 16777216 bits\n"),
+    "plot_empty_table": (
+        ["plot", "--table", "empty.csv", "--x", "n", "--y", "y", "--out", "out"], 2, "error: empty table\n"),
+    "plot_missing_column": (
+        ["plot", "--table", "cell.csv", "--x", "n", "--y", "y,bogus", "--out", "out"], 2,
+        "error: missing column 'bogus'\n"),
+    "plot_bad_cell": (
+        ["plot", "--table", "cell.csv", "--x", "n", "--y", "y", "--out", "out"], 2,
+        "error: bad cell in cell.csv: could not convert string to float: 'x'\n"),
+    "antichain_infeasible": (
+        ["antichain", "--gauge", "power_log:1,1", "--maps", "maps.json", "--depth", 16, "--stages", 9,
+         "--out", "out"], 3,
+        "infeasible: requested 9 stages per requirement, only 2 completed fairly (no eligible level left for "
+        "requirement Requirement(map_index=1, root='1'): forced level 15: n + lag + 1 = 17 > --depth 16); the "
+        "layers of 4 requirements consumed forced levels 1, 3, 7; forced levels still free below the working "
+        "depth: 15\n"),
+}
+
+
+@pytest.mark.parametrize("name", ENDINGS)
+def test_every_ending_is_pinned(tmp_path, monkeypatch, capsys, name):
+    argv, code, err = ENDINGS[name]
+    write_tree(tmp_path, "power:1/2", 8)
+    (tmp_path / "maps.json").write_text(json.dumps([{"kind": "bit_flip"}, {"kind": "shift"}]))
+    (tmp_path / "empty.csv").write_text("n,y\n")
+    (tmp_path / "cell.csv").write_text("n,y\n0,1\n1,x\n")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--delta-exp", 8]])
@@ -925,14 +989,16 @@ def test_levels_csv_is_the_evidence_of_the_upper_bound(case, gauge):
 
 def test_frostman_failure_names_the_first_least_level_cost(tmp_path):
     """Under power:4/5 levels 1 and 6 of this tree tie exactly at the least
-    level cost, below 1; the failure names level 1, the first.  Their float
-    excesses, 0.8 and 6·0.8 - 4, differ, since -6·0.8 rounds to
+    level cost, below 1, at both ends of the enclosure: no cut reaches 1, the
+    lower end is the tied lo cost and the upper end names level 1, the first.
+    Their float excesses, 0.8 and 6·0.8 - 4, differ, since -6·0.8 rounds to
     -4.800000000000001, so only an exact comparison finds the tie."""
     tree = {"schedule": {"depth": 6, "indices": [0, 5], "n0": 0},
             "selector": {"kind": "constant", "bit": 0}, "depth": 6}
     cert, rows = measure_with_levels(tmp_path, tree, "power:4/5", 0)
-    assert cert["lower"] == {"value": None, "violating_level": 1}
-    assert rows[1][4] == rows[6][4] == "10594872286260733111/2^64"
+    assert cert["lower"] == {"value": "10594872286260733109/2^64", "provenance": "frostman", "n0": None}
+    assert cert["upper"]["witness_level"] == 1
+    assert rows[1][4] == rows[6][4] == cert["upper"]["value"] == "10594872286260733111/2^64"
     assert min(parse_dyadic(row[4]) for row in rows) == parse_dyadic(rows[1][4]) < 1
 
 

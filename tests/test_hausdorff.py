@@ -21,7 +21,7 @@ from gaugetree import (
     measure_certificate,
 )
 from gaugetree.cli import _level_rows
-from gaugetree.hausdorff import level_dp
+from gaugetree.hausdorff import level_walk
 
 
 def make_tree(indices, depth, selector=None):
@@ -187,12 +187,14 @@ def test_measure_certificate_sandwich():
     assert d["upper"]["provenance"] == "optimal_cover"
 
 
-def test_measure_certificate_failure_records_level():
+def test_measure_certificate_failure_is_a_lower_end_below_1():
+    """Level 16 has 2^8 cylinders of mass 2^-8 against t = 2^-16: no cut
+    reaches 1, and the lower end is the least lower-end level cost, 2^-8."""
     tree = make_tree(range(1, 16, 2), 16)
     cert = measure_certificate(tree, Gauge.power(1), 2)
     assert cert.frostman_threshold is None
-    assert cert.failure_level is not None
-    assert cert.to_json_dict()["lower"]["value"] is None
+    assert cert.lower == cert.upper == Fraction(1, 2**8)
+    assert cert.to_json_dict()["lower"] == {"value": "1/2^8", "provenance": "frostman", "n0": None}
 
 
 HALF = Gauge.power(Fraction(1, 2))
@@ -201,10 +203,10 @@ HALF = Gauge.power(Fraction(1, 2))
 @pytest.mark.parametrize("level_pass", [
     lambda tree: dimension_estimate(tree, 0),
     lambda tree: frostman_lower(tree, HALF),
-    lambda tree: level_dp(tree, HALF, 0),
+    lambda tree: level_walk(tree, HALF, 0),
     lambda tree: list(_level_rows(tree, HALF.scale_values(tree.depth))),
     lambda tree: tree.materialize(),
-], ids=["dimension_estimate", "frostman_lower", "level_dp", "cli._level_rows", "materialize"])
+], ids=["dimension_estimate", "frostman_lower", "level_walk", "cli._level_rows", "materialize"])
 def test_a_negative_cut_depth_is_refused(level_pass):
     """`_replace` takes any depth; the passes refuse a negative one by name."""
     with pytest.raises(ValueError, match="-1"):

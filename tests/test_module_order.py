@@ -2,7 +2,9 @@
 `tree.py`, which owns the level structure every other layer reads, imports
 no gaugetree module.  So a new import cycle fails here instead of hiding
 behind an import inside a function.  Every exception class is one way a
-command ends, and sits in `errors.py`; any other error is a builtin one."""
+command ends, and sits in `errors.py`; any other error is a builtin one.
+A command ends only by returning nothing or by raising: `main` alone turns
+an ending into its exit code and its one line."""
 
 import ast
 import builtins
@@ -73,3 +75,27 @@ def test_every_raise_names_a_builtin_error_or_an_ending(path):
     raised = [ast.unparse(r.exc.func if isinstance(r.exc, ast.Call) else r.exc)
               for r in ast.walk(parse(path)) if isinstance(r, ast.Raise) and r.exc is not None]
     assert [name for name in raised if name not in BUILTIN_ERRORS | ENDINGS | {ARGPARSE_ERROR}] == []
+
+
+def self_endings(module):
+    """(command, line) of each `return <value>` in a `cmd_*` function of
+    `module`, and of each print of an `error:` or `infeasible:` line there."""
+    for f in module.body:
+        if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_"):
+            for n in ast.walk(f):
+                if isinstance(n, ast.Return) and n.value is not None:
+                    yield f.name, n.lineno
+                elif (isinstance(n, ast.Call) and ast.unparse(n.func) == "print"
+                      and any(word in ast.unparse(a) for a in n.args for word in ("error:", "infeasible:"))):
+                    yield f.name, n.lineno
+
+
+def test_no_command_ends_itself():
+    assert list(self_endings(parse(SRC / "cli.py"))) == []
+
+
+def test_the_guard_sees_a_command_ending_itself():
+    code = ("def cmd_a(args):\n    print(f'error: {args}', file=sys.stderr)\n    return 2\n"
+            "def cmd_b(args):\n    print('infeasible: x')\n    return\n"
+            "def helper(args):\n    return 2\n")
+    assert sorted(self_endings(ast.parse(code))) == [("cmd_a", 2), ("cmd_a", 3), ("cmd_b", 5)]
