@@ -24,7 +24,7 @@ from .hausdorff import dimension_estimate, level_walk, measure_certificate
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
 from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
 from .tree import (
-    ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG, NODE_BUDGET, SplittingTree, check_node, random_bits,
+    ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG, NODE_BUDGET, SplittingTree, WordReader, check_node,
 )
 
 TOOL_NAME = "gaugetree"
@@ -304,35 +304,33 @@ def cmd_transfer(args) -> None:
     rng = random.Random(args.seed)
     lines = []
     if args.mode == "four-cover":
+        draw = rng.getrandbits  # randrange(w) by the stdlib's rule: top w.bit_length() bits, redrawn while >= w
         for i in range(args.count):
-            den = rng.randrange(8, 1 << 16)
-            lo = rng.randrange(den - 1)
-            hi = rng.randrange(lo + 1, den)
+            while (den := 8 + draw(16)) >= 1 << 16:  # randrange(8, 2^16)
+                pass
+            while (lo := draw((den - 1).bit_length())) >= den - 1:  # randrange(den - 1)
+                pass
+            while (hi := lo + 1 + draw((den - lo - 1).bit_length())) >= den:  # randrange(lo + 1, den)
+                pass
             m, first, stop = four_cover_span(lo, hi, den)
             # re-check the span: [first, stop] / 2^m contains [lo, hi] / den
-            ok = (
-                0 <= first < stop <= 1 << m
-                and stop - first <= 4
-                and first * den <= lo << m
-                and stop * den >= hi << m
-            )
-            lines.append(f"{i},{format_ratio(lo, den)},{format_ratio(hi, den)},{m},{stop - first},{int(ok)}")
+            ok = (0 <= first < stop <= 1 << m and stop - first <= 4
+                  and first * den <= lo << m and stop * den >= hi << m)
+            lines.append(f"{i},{format_ratio(lo, den)},{format_ratio(hi, den)},{m},{stop - first},{ok:d}")
         write_csv(args.out, ["item", "a", "b", "level", "intervals", "pass"], lines, manifest)
     elif args.mode == "interleave-check":
         if args.count * (args.length + ITEM_BITS) > MAX_BATCH_BITS:
             raise UsageError(f"--count {args.count} * (--length {args.length} + {ITEM_BITS}) exceeds "
                              f"{MAX_BATCH_BITS} bits")
+        words = WordReader(rng)
         for i in range(args.count):
-            n = rng.choice([2, 3, 4])
+            n = 2 + words.below(3)  # rng.choice([2, 3, 4])
             length = args.length - args.length % n
-            x = y = random_bits(rng, length)
+            x = y = words.bits(length)
             while y == x:
-                y = random_bits(rng, length)
-            chk = interleave_metric_check(x, y, n)
-            lines.append(
-                f"{i},{n},{chk.first_difference},{format_ratio(1, 1 << chk.expected_exp)},"
-                f"{format_ratio(1, 1 << chk.observed_exp)},{int(chk.expected_exp == chk.observed_exp)}"
-            )
+                y = words.bits(length)
+            k, e, o = interleave_metric_check(x, y, n)
+            lines.append(f"{i},{n},{k},{format_ratio(1, 1 << e)},{format_ratio(1, 1 << o)},{e == o:d}")
         write_csv(args.out, ["item", "n", "k", "expected", "observed", "pass"], lines, manifest)
     else:  # cube-map
         lines = [f"{i},{format_rational(c)}" for i, c in enumerate(to_cube(args.bits, args.n))]

@@ -5,13 +5,14 @@ component expands to a dyadic interval endpoint.  The four-interval covering
 construction covers any interval by at most four dyadic intervals of one level;
 :func:`four_cover_span` is its one formula, in integers, and
 :func:`dyadic_four_cover` projects the span to intervals.  The metric check
-reads each first-difference index from the bit length of an integer xor.
+reads every first-difference index from the bit string of one integer xor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import List, NamedTuple, Tuple
 
 from .dyadic import floor_log2_ratio
@@ -58,23 +59,20 @@ class MetricCheck(NamedTuple):
     observed_exp: int
 
 
-def _first_difference(x: str, y: str):
-    """First index where equal-length bit strings x and y differ, or None."""
-    d = int(x, 2) ^ int(y, 2) if x else 0
-    return len(x) - d.bit_length() if d else None
-
-
 def interleave_metric_check(x: str, y: str, n: int) -> MetricCheck:
-    """Distance law under interleaving: 2^-k maps to 2^-floor(k/n).  The
-    observed distance is the largest over the components, read from them."""
-    xs, ys = interleave(x, n), interleave(y, n)  # validates both strings
-    if x == y:
+    """Distance law under interleaving: 2^-k maps to 2^-floor(k/n).  The observed distance is
+    the largest over the components of x xor y, the xors of the components of x and y."""
+    check_node(x)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    index(n)  # a non-integer n is refused here, as interleave refuses it
+    if check_node(y) == x:
         raise ValueError("distance undefined for equal strings")
     if len(x) != len(y):
         raise ValueError("strings must have equal length")
-    k = _first_difference(x, y)
-    observed = min(d for d in map(_first_difference, xs, ys) if d is not None)
-    return MetricCheck(first_difference=k, expected_exp=k // n, observed_exp=observed)
+    d = bin(int(x, 2) ^ int(y, 2))[2:].zfill(len(x))
+    k = d.index("1")
+    return MetricCheck(k, k // n, min(c.index("1") for c in interleave(d, n) if "1" in c))
 
 
 def to_cube(node: str, n: int) -> Tuple[Fraction, ...]:

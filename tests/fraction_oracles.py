@@ -20,7 +20,9 @@ minimum, checked against both certifiers on power gauges, which
 `reference_dyadic_four_cover` is the Fraction body of the four-interval cover,
 and `reference_interleave_metric_check` the Fraction body of the interleaving
 metric check, which `tests/test_transfer.py` compares with the integer
-`four_cover_span` and `interleave_metric_check`.
+`four_cover_span` and `interleave_metric_check`; `reference_transfer_rows`
+draws and checks a `transfer` batch with them and the stdlib's own calls,
+which `tests/test_cli.py` compares with the CLI's rows.
 
 The cover-cost oracles of the level walk live here too:
 `optimal_cover_cost`, the node DP over an explicit trie at either end of
@@ -38,6 +40,7 @@ the identity transducer.
 """
 
 import itertools
+import random
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -311,6 +314,34 @@ def reference_interleave_metric_check(x, y, n):
         if diff is not None:
             dists.append(Fraction(1, 2**diff))
     return k, expected, max(dists)
+
+
+def reference_transfer_rows(mode, count, seed, length=None):
+    """The CSV rows of `transfer four-cover` or `interleave-check` as the
+    loops before the word reader drew them: stdlib `randrange` and `choice`
+    on `random.Random(seed)`, each string from per-bit `getrandbits(1)`, the
+    cover of `reference_dyadic_four_cover` with its pass check in Fractions,
+    and `reference_interleave_metric_check`."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(count):
+        if mode == "four-cover":
+            den = rng.randrange(8, 1 << 16)
+            lo = rng.randrange(den - 1)
+            hi = rng.randrange(lo + 1, den)
+            a, b = Fraction(lo, den), Fraction(hi, den)
+            cover = reference_dyadic_four_cover(a, b)
+            ok = len(cover) <= 4 and cover[0].left <= a and right_end(cover[-1]) >= b
+            rows.append([i, a, b, cover[0].level, len(cover), int(ok)])
+            continue
+        n = rng.choice([2, 3, 4])
+        bits = length - length % n
+        x = y = "".join(str(rng.getrandbits(1)) for _ in range(bits))
+        while y == x:
+            y = "".join(str(rng.getrandbits(1)) for _ in range(bits))
+        k, expected, observed = reference_interleave_metric_check(x, y, n)
+        rows.append([i, n, k, expected, observed, int(expected == observed)])
+    return [[str(cell) for cell in row] for row in rows]
 
 
 def optimal_cover_cost(etree, g, delta_exponent, value=upper_value):

@@ -231,8 +231,28 @@ MUTANTS = (
         "interleave_item_cost_dropped", "src/gaugetree/cli.py",
         "if args.count * (args.length + ITEM_BITS) > MAX_BATCH_BITS:",
         "if args.count * args.length > MAX_BATCH_BITS:",
-        "2^20 items of 16 bits pass the bound and take 16.5 s of per-item work",
+        "2^20 items of 16 bits pass the bound and take 8.2 s of per-item work",
         ("tests/test_cli.py::test_interleave_check_work_is_bounded",),
+    ),
+    Mutant(
+        "interleave_observed_read_from_k", "src/gaugetree/transfer.py",
+        'min(c.index("1") for c in interleave(d, n) if "1" in c)', "k // n",
+        "the observed exponent restates the law, so the pass column cannot read 0",
+        ("tests/test_cli.py::test_interleave_pass_column_rejects_a_wrong_split",),
+    ),
+    Mutant(
+        "word_reader_keeps_the_low_byte", "src/gaugetree/tree.py",
+        "[3::4]", "[0::4]",
+        "every drawn bit and choice is read off a word's low byte, not the top bits getrandbits returns",
+        ("tests/test_tree.py::test_random_bits_is_the_per_bit_stream",
+         "tests/test_cli.py::test_transfer_rows_match_the_stdlib_draws"),
+    ),
+    Mutant(
+        "rejection_keeps_the_bound", "src/gaugetree/tree.py",
+        ") >= n:", ") > n:",
+        "a draw equal to n is kept, so choice([2, 3, 4]) can yield 5 and every later draw shifts",
+        ("tests/test_tree.py::test_random_bits_is_the_per_bit_stream",
+         "tests/test_cli.py::test_transfer_rows_match_the_stdlib_draws"),
     ),
     Mutant(
         "stage_log_unbounded", "src/gaugetree/cli.py",

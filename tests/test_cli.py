@@ -23,7 +23,7 @@ from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
-from fraction_oracles import parse_dyadic, right_end
+from fraction_oracles import parse_dyadic, reference_transfer_rows, right_end
 from hypothesis import given, settings, strategies as st
 
 import gaugetree
@@ -1020,6 +1020,54 @@ def test_transfer_interleave_check(tmp_path):
     assert all(r[-1] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("mode, count, length, seed", [
+    ("four-cover", 2000, 4, 0),
+    ("four-cover", 500, 4, -(1 << 70) - 3),
+    ("four-cover", 500, 4, (1 << 64) + 1),
+    # at most 4 bits a string, so x == y is redrawn in about one item of 8
+    ("interleave-check", 400, 4, 1),
+    ("interleave-check", 400, 5, -2),
+    # strings that cross a chunk of BITS_CHUNK words, or span several
+    ("interleave-check", 200, 61, (1 << 64) + 5),
+    ("interleave-check", 5, 4095, 3),
+    ("interleave-check", 5, 4096, -(1 << 70)),
+    ("interleave-check", 5, 4097, 4),
+    ("interleave-check", 3, 9000, 1 << 70),
+])
+def test_transfer_rows_match_the_stdlib_draws(tmp_path, mode, count, length, seed):
+    """Each row equals the one drawn by the stdlib's `randrange`, `choice`
+    and per-bit `getrandbits(1)` and checked by the Fraction references."""
+    out = tmp_path / "t.csv"
+    assert run(["transfer", mode, "--count", count, "--length", length, "--seed", seed, "--out", out]) == 0
+    _, rows = read_csv_table(str(out))
+    assert rows == reference_transfer_rows(mode, count, seed, length)
+
+
+def test_interleave_pass_column_rejects_a_wrong_split(tmp_path, monkeypatch):
+    """The observed exponent comes from the components `interleave` splits,
+    never from k: with a wrong split some rows read pass 0."""
+
+    def late(node, n):  # each component one bit late
+        return tuple(node[i + 1::n] for i in range(n))
+
+    def blocks(node, n):  # n runs of consecutive bits
+        size = -(-len(node) // n)
+        return tuple(node[i * size:(i + 1) * size] for i in range(n))
+
+    def whole(node, n):
+        return (node,)
+
+    for bad in (late, blocks, whole):
+        monkeypatch.setattr(gaugetree.transfer, "interleave", bad)
+        out = tmp_path / f"{bad.__name__}.csv"
+        assert run(["transfer", "interleave-check", "--count", 200, "--length", 60, "--out", out]) == 0
+        _, rows = read_csv_table(str(out))
+        assert any(r[-1] == "0" for r in rows), bad.__name__
+        for r in rows:
+            assert r[3] == str(Fraction(1, 2 ** (int(r[2]) // int(r[1])))), (bad.__name__, r)
+            assert r[-1] == str(int(r[3] == r[4])), (bad.__name__, r)
+
+
 class Drew(Exception):
     """A transfer batch reached its first draw."""
 
@@ -1032,18 +1080,18 @@ class Drew(Exception):
     (MAX_BATCH_BITS // (64 + ITEM_BITS), 64, False),
     (16, MAX_DEPTH - ITEM_BITS, False),
     (16, MAX_DEPTH, True),
-    (64527, 4, False),  # the most items the bound admits; each costs ~15 us whatever its length
+    (64527, 4, False),  # the most items the bound admits; each costs ~7 us whatever its length
     (64528, 4, True),
-    (2**20, 16, True),  # 2^24 bits by count x length alone; the batch took 16.5 s
+    (2**20, 16, True),  # 2^24 bits by count x length alone; the batch takes 8.2 s
 ])
 def test_interleave_check_work_is_bounded(tmp_path, capsys, monkeypatch, count, length, refused):
     """count × (length + ITEM_BITS) past MAX_BATCH_BITS exits 2 with one line
     before any draw; up to it the batch runs (stopped here at its first draw)."""
 
-    def no_draw(rng, n):
+    def no_draw(words, n):
         raise Drew
 
-    monkeypatch.setattr(gaugetree.cli, "random_bits", no_draw)
+    monkeypatch.setattr(gaugetree.cli.WordReader, "take", no_draw)
     out = tmp_path / "ic.csv"
     argv = ["transfer", "interleave-check", "--count", count, "--length", length, "--out", out]
     if refused:

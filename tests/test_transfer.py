@@ -114,6 +114,20 @@ def test_metric_check_rejects_non_binary_first(x, y):
         interleave_metric_check(x, y, 2)
 
 
+@pytest.mark.parametrize("x, y, n", [
+    ("0a", "01", 0), ("01", "0b", 0), ("01", "0b", 2.0), ("01", "01", 0), ("01", "01", 2.0),
+    ("01", "011", 2.0), ("01", "10", "2"), ("01", "10", -1), ("", "", 2), ("", "1", 2), (1, "0", 2), ("0", 1, 2),
+])
+def test_metric_check_errors_match_the_reference(x, y, n):
+    """Each bad argument is refused with the reference's error, in its order:
+    x, then n (below 1, then not an integer), then y, equality and length."""
+    with pytest.raises((TypeError, ValueError)) as new:
+        interleave_metric_check(x, y, n)
+    with pytest.raises((TypeError, ValueError)) as old:
+        reference_interleave_metric_check(x, y, n)
+    assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
+
+
 # -- four-interval covers ---------------------------------------------------
 
 
