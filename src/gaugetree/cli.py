@@ -17,15 +17,15 @@ import tempfile
 from typing import Iterable, List, Optional, Sequence
 
 from . import __version__
-from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float, parse_rational, to_number
+from .dyadic import Value, format_dyadic, format_ratio, format_rational, parse_float, parse_rational
 from .errors import InfeasibleError, UsageError
 from .gauge import Gauge, bound_table, sparsity_schedule
 from .hausdorff import dimension_estimate, level_walk, measure_certificate
 from .game import TransducerMap, map_from_json_dict, run_game, verify_escape
-from .transfer import MAX_DIMENSION, four_cover_span, interleave_metric_check, to_cube
-from .tree import (
-    ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG, NODE_BUDGET, SplittingTree, WordReader, check_node,
+from .transfer import (
+    ITEM_BITS, MAX_BATCH_BITS, MAX_DIMENSION, WordReader, four_cover_span, interleave_metric_check, to_cube,
 )
+from .tree import MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG, NODE_BUDGET, SplittingTree, check_node
 
 TOOL_NAME = "gaugetree"
 COMMANDS = ("schedule", "measure", "antichain", "transfer", "plot")
@@ -225,7 +225,8 @@ def cmd_schedule(args) -> None:
 def _level_rows(tree: SplittingTree, values: Sequence[Value]):
     """Yield the levels CSV lines 0..the tree's depth: n, the free levels above
     n, the cylinder measure 2^-free, g(2^-n) and the level cost 2^free·g(2^-n),
-    the last two from the upper end of the enclosure, written as format_pair does."""
+    the last two from the upper end (m, e) of the enclosure, written as ``m/2^e``
+    with that e, not normalised, or as an integer when e <= 0."""
     for n, free, (_, m, e) in zip(range(tree.depth + 1), tree.schedule.free_levels(tree.depth), values):
         c, digits = e - free, str(m)
         yield (f"{n},{free},{f'1/2^{free}' if free else 1},"
@@ -290,8 +291,8 @@ def cmd_antichain(args) -> None:
             "escape_report": escape.to_json_dict(),
         },
         "measure_certificate": {
-            "frostman": {"lower": format_dyadic(to_number(walk.lower)), "n0": walk.n0},
-            "upper": format_dyadic(to_number(walk.upper)),
+            "frostman": {"lower": format_dyadic(walk.lower), "n0": walk.n0},
+            "upper": format_dyadic(walk.upper),
             "delta_exp": delta_used,
         },
         "dimension": {"value": format_rational(dim.value), "witness_level": dim.witness_level},

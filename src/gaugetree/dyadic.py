@@ -1,11 +1,13 @@
 """Exact dyadic values shared across modules.
 
-An exact dyadic value m·2^-e is the integer pair ``(m, e)`` with m odd, or
-``(0, 0)``; e may be negative.  Doubling it is ``(m, e - 1)``, its floor(log2)
-is ``m.bit_length() - 1 - e``, and two pairs compare with one shift, so its
-cost does not grow with the depth of its scale as a Fraction's does.  A gauge
-value is the triple ``(lo, hi, e)`` enclosing it (see :mod:`gaugetree.gauge`),
-and :func:`to_number` projects a pair to a Fraction.
+An exact dyadic value m·2^-e is the integer pair ``(m, e)``, in normal form
+with m odd, or ``(0, 0)``; e may be negative.  Doubling it is ``(m, e - 1)``,
+its floor(log2) is ``m.bit_length() - 1 - e``, and two pairs compare with one
+shift, so its cost does not grow with the depth of its scale as a Fraction's
+does.  Every certified measure and bound is such a pair, from its count to
+the text :func:`format_dyadic` writes.  A gauge value is the triple
+``(lo, hi, e)`` enclosing it (see :mod:`gaugetree.gauge`), and
+:func:`to_number` projects a pair to a Fraction.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ def value_le(a: Pair, b: Pair) -> bool:
     return ma <= mb << (ea - eb)
 
 
-def format_pair(m: int, e: int) -> str:
-    """Render m·2^-e, m odd or 0, as ``m/2^e`` (plain integer when e <= 0)."""
-    if e <= 0:
-        return str(m << -e)
-    return f"{m}/2^{e}"
+def format_dyadic(v: Pair) -> str:
+    """Render the pair (m, e) in normal form as ``m/2^e``, a plain integer when e <= 0."""
+    m, e = dyadic_pair(*v)
+    return f"{m}/2^{e}" if e > 0 else str(m << -e)
 
 
 def floor_log2_ratio(p: int, q: int) -> int:
@@ -68,18 +69,6 @@ def floor_log2(x: Fraction) -> int:
     if x <= 0:
         raise ValueError("floor_log2 needs a positive argument")
     return floor_log2_ratio(x.numerator, x.denominator)
-
-
-def is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
-
-
-def format_dyadic(x: Fraction) -> str:
-    """Render a dyadic rational as ``p/2^q`` (plain integer when q = 0)."""
-    if not is_dyadic(x):
-        raise ValueError(f"{x} is not dyadic")
-    return format_pair(x.numerator, x.denominator.bit_length() - 1)
 
 
 def parse_float(s: str) -> float:

@@ -4,8 +4,9 @@ The construction decides the selector one forced level at a time.  At each
 stage the current "bad" leaves (those whose image under an adversary map is
 still consistent with the tree) are split by the image bit at a fresh forced
 level, the thinner half is kept alive, and the other is killed by the level
-assignment.  All measures are exact dyadic rationals, so the halving
-guarantee in the certificate is an equality, not an estimate.
+assignment.  Every measure and bound is an exact dyadic pair (m, e), the
+value m·2^-e (see :mod:`gaugetree.dyadic`), so the halving guarantee in the
+certificate is an equality, not an estimate.
 
 A leaf x at the scan depth is bad for (map T, root s) when x extends s and
 y = T(x) is incompatible with s yet consistent with every decided level.
@@ -40,10 +41,9 @@ one implementation, for counts and for samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .dyadic import format_dyadic
+from .dyadic import Pair, dyadic_pair, format_dyadic, to_number, value_le
 from .errors import DepthExhaustedError, GameInvariantError, InfeasibleError, UsageError
 from .tree import BranchSchedule, Columns, GameBuiltSelector, Layer, SplittingTree, check_bit, check_int, check_node, compatible
 
@@ -214,7 +214,7 @@ class BadSet(NamedTuple):
     requirement: Requirement
     depth: int
     leaves: BadLeaves
-    measure: Fraction
+    measure: Pair
 
 
 MEASURE_NOTE = (
@@ -229,7 +229,7 @@ class GameState:
     """One game, from its opening counts to its certificate, which `run_game`
     returns.  Per requirement, by its index, each held once: the opening bad
     measure, the stages played and the last level consulted (-1 for none);
-    the bound after k stages, initial / 2^k, is derived and never stored."""
+    the bound after k stages, initial · 2^-k, is derived and never stored."""
 
     schedule: BranchSchedule
     maps: Sequence[TreeMap]
@@ -237,7 +237,7 @@ class GameState:
     depth: int
     scan_depth: int
     layers: List[Layer] = field(default_factory=list)
-    initial: List[Fraction] = field(default_factory=list)
+    initial: List[Pair] = field(default_factory=list)
     stages: List[int] = field(default_factory=list)
     consulted: List[int] = field(default_factory=list)
     stage_log: List[dict] = field(default_factory=list)
@@ -251,8 +251,9 @@ class GameState:
         self.consulted = [-1] * len(self.requirements)
         return self
 
-    def bound(self, key: int) -> Fraction:
-        return self.initial[key] / 2 ** self.stages[key]
+    def bound(self, key: int) -> Pair:
+        m, e = self.initial[key]
+        return dyadic_pair(m, e + self.stages[key])
 
     def tree(self, depth: Optional[int] = None) -> SplittingTree:
         return SplittingTree(self.schedule, GameBuiltSelector(self.layers), self.depth if depth is None else depth)
@@ -334,7 +335,7 @@ def bad_set(state: GameState, req: Requirement, depth: Optional[int] = None) -> 
         return state.counted[key]
     tree, m = state.tree(d), state.maps[req.map_index]
     count = sum(_count(tree, m, req.root).values())
-    measure = Fraction(count, tree.level_count(d))
+    measure = dyadic_pair(count, d - state.schedule.count_below(d))
     state.counted[key] = BadSet(requirement=req, depth=d, leaves=BadLeaves(count), measure=measure)
     return state.counted[key]
 
@@ -378,10 +379,11 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
     bound = state.bound(key)
 
     level = chosen = None
-    if measure:
+    if measure[0]:  # the pair (0, 0) is truthy
         level = _eligible_level(state, key, m.lag)
+        d = state.scan_depth
         # one count at the scan depth, which may have grown, gives both halves
-        halves = _count(state.tree(state.scan_depth), m, req.root, level)
+        halves = _count(state.tree(d), m, req.root, level)
         if halves[None]:
             raise GameInvariantError(f"image too short at level {level} for {halves[None]} bad leaves")
         chosen = 0 if halves["0"] <= halves["1"] else 1
@@ -390,21 +392,20 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
 
         # a second count under the new layer: no surviving bad leaf may have
         # an image bit other than the chosen one
-        tree = state.tree(state.scan_depth)
-        survivors = _count(tree, m, req.root, level)
+        survivors = _count(state.tree(d), m, req.root, level)
         if survivors[str(1 - chosen)] or survivors[None]:
             raise GameInvariantError("post-stage bad set escapes the chosen half")
-        measure = Fraction(survivors[str(chosen)], tree.level_count(tree.depth))
+        measure = dyadic_pair(survivors[str(chosen)], d - state.schedule.count_below(d))
 
-    if measure > bound:
-        raise GameInvariantError(f"recomputed bad measure {measure} exceeds bound {bound}")
+    if not value_le(measure, bound):
+        raise GameInvariantError(f"recomputed bad measure {to_number(measure)} exceeds bound {to_number(bound)}")
     # non-interference: no other requirement's fresh count may outgrow its bound
     if chosen is not None:  # else no layer was appended, and no other count or bound changed
         for other_key, other in enumerate(state.requirements):
-            if other_key != key and (fresh := bad_set(state, other).measure) > state.bound(other_key):
+            if other_key != key and not value_le(fresh := bad_set(state, other).measure, state.bound(other_key)):
                 raise InfeasibleError(
                     f"the layer at level {level} for {req} raises the bad measure of {other} "
-                    f"to {fresh}, above its bound {state.bound(other_key)}"
+                    f"to {to_number(fresh)}, above its bound {to_number(state.bound(other_key))}"
                 )
 
     state.stage_log.append(

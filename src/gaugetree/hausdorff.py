@@ -124,8 +124,8 @@ class MeasureCertificate(NamedTuple):
     gauge: Gauge
     delta_exponent: int
     frostman_threshold: Optional[int]
-    lower: Fraction
-    upper: Fraction
+    lower: Pair
+    upper: Pair
     witness: Optional[Tuple[str, ...]]
     witness_level: int
 
@@ -162,8 +162,8 @@ def measure_certificate(
         gauge=g,
         delta_exponent=delta_exponent,
         frostman_threshold=walk.n0,
-        lower=to_number(walk.lower),
-        upper=to_number(walk.upper),
+        lower=walk.lower,
+        upper=walk.upper,
         witness=witness,
         witness_level=w_level,
     )

@@ -6,10 +6,13 @@ construction covers any interval by at most four dyadic intervals of one level;
 :func:`four_cover_span` is its one formula, in integers, and
 :func:`dyadic_four_cover` projects the span to intervals.  The metric check
 reads every first-difference index from the bit string of one integer xor.
+A batch draws its items from a seeded generator's word stream through
+:class:`WordReader`, and `MAX_BATCH_BITS` bounds its work.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -20,6 +23,44 @@ from .tree import check_node
 
 # to_cube makes one coordinate per component: 2^20 keep cube-map to seconds and tens of MB
 MAX_DIMENSION = 2**20
+# count x (length + ITEM_BITS) of an interleave-check batch: each item draws 2 x length bits
+MAX_BATCH_BITS = 2**24
+# an item's fixed cost, about 7 us of Python whatever its length, within 256 bits at 36 ns a bit;
+# batches at the bound take 0.43-0.61 s, from 64 527 items of 4 bits to 16 of 2^20 bits
+ITEM_BITS = 256
+# byte -> "1" if its top bit is set, else "0"
+_TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
+# words per getrandbits call of a WordReader: 16 KB temporaries stay below the
+# allocator's large-block threshold, so no call maps and unmaps fresh pages
+BITS_CHUNK = 4096
+
+
+class WordReader:
+    """rng's 32-bit words, drawn BITS_CHUNK per `getrandbits` call and kept as their top bytes:
+    each draw equals the stdlib call made in the same order on rng, whose state runs ahead."""
+
+    def __init__(self, rng: random.Random):
+        self.draw, self.tops, self.pos = rng.getrandbits, b"", 0
+
+    def take(self, n: int) -> bytes:
+        """The top bytes of the next n words, the chunks they need joined once."""
+        if self.pos + n > len(self.tops):
+            chunks = range((self.pos + n - len(self.tops) + BITS_CHUNK - 1) // BITS_CHUNK)
+            self.tops, self.pos = b"".join([self.tops[self.pos:], *(
+                self.draw(32 * BITS_CHUNK).to_bytes(4 * BITS_CHUNK, "little")[3::4] for _ in chunks)]), 0
+        self.pos += n
+        return self.tops[self.pos - n : self.pos]
+
+    def below(self, n: int) -> int:
+        """`randrange(n)`, 0 < n < 256, by the stdlib's rule: `getrandbits(n.bit_length())`, the
+        top bits of the next word, redrawn while it is >= n."""
+        while (r := self.take(1)[0] >> 8 - n.bit_length()) >= n:
+            pass
+        return r
+
+    def bits(self, n: int) -> str:
+        """The next n draws of `getrandbits(1)`, each a word's top bit, as "0"/"1"."""
+        return self.take(n).translate(_TOP_BIT).decode()
 
 
 @dataclass(frozen=True)

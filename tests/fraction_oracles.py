@@ -45,7 +45,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 
-from gaugetree.dyadic import floor_log2, is_dyadic
+from gaugetree.dyadic import floor_log2
 from gaugetree.errors import UsageError
 from gaugetree.game import TransducerMap
 from gaugetree.gauge import POWER, POWER_LOG, TABLE, Gauge
@@ -257,7 +257,7 @@ def parse_dyadic(s):
 
 def format_exact(x):
     """p/2^q for a dyadic x, p/q for any other."""
-    if not is_dyadic(x):
+    if x.denominator & (x.denominator - 1):  # not a power of two
         return f"{x.numerator}/{x.denominator}"
     q = x.denominator.bit_length() - 1
     if q == 0:

@@ -38,7 +38,7 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "stage_bound_doubled", "src/gaugetree/game.py",
-        "if measure > bound:", "if measure > 2 * bound:",
+        "if not value_le(measure, bound):", "if not value_le(measure, (bound[0], bound[1] - 1)):",
         "stage_step lets a post-stage count exceed its halved bound",
         ("tests/test_scan_cache.py::test_post_stage_count_over_the_bound_is_caught",),
     ),
@@ -50,14 +50,14 @@ MUTANTS = (
     ),
     Mutant(
         "interference_bound_doubled", "src/gaugetree/game.py",
-        "> state.bound(other_key):", "> 2 * state.bound(other_key):",
+        ", state.bound(other_key)):", ", (state.bound(other_key)[0], state.bound(other_key)[1] - 1)):",
         "the non-interference check lets another requirement's count double",
         ("tests/test_cli.py::test_antichain_interference_exits_3",),
     ),
     Mutant(
         "bound_exponent_off_by_one", "src/gaugetree/game.py",
-        "return self.initial[key] / 2 ** self.stages[key]",
-        "return self.initial[key] / 2 ** (self.stages[key] - 1)",
+        "return dyadic_pair(m, e + self.stages[key])",
+        "return dyadic_pair(m, e + self.stages[key] - 1)",
         "every bound, logged and final, is twice the halving the stages earned",
         ("tests/test_game.py::test_certificate_agrees_with_its_stage_log",),
     ),
@@ -86,6 +86,12 @@ MUTANTS = (
         "        if k < 0:\n            raise ValueError(f\"negative power of two in {s!r}\")\n", "",
         "a p/2^-k cell is refused only by the shift's 'negative shift count', which names no cell",
         ("tests/test_dyadic.py", "tests/test_cli.py::test_plot_bad_cell_exits_2"),
+    ),
+    Mutant(
+        "format_dyadic_skips_normal_form", "src/gaugetree/dyadic.py",
+        "m, e = dyadic_pair(*v)", "m, e = v",
+        "a pair with an even mantissa, such as a level walk's end, is written as m/2^e and not in normal form",
+        ("tests/test_dyadic.py", "tests/test_cli.py::test_measure_command"),
     ),
     Mutant(
         "exponent_unbounded", "src/gaugetree/dyadic.py",
@@ -241,17 +247,17 @@ MUTANTS = (
         ("tests/test_cli.py::test_interleave_pass_column_rejects_a_wrong_split",),
     ),
     Mutant(
-        "word_reader_keeps_the_low_byte", "src/gaugetree/tree.py",
+        "word_reader_keeps_the_low_byte", "src/gaugetree/transfer.py",
         "[3::4]", "[0::4]",
         "every drawn bit and choice is read off a word's low byte, not the top bits getrandbits returns",
-        ("tests/test_tree.py::test_random_bits_is_the_per_bit_stream",
+        ("tests/test_transfer.py::test_random_bits_is_the_per_bit_stream",
          "tests/test_cli.py::test_transfer_rows_match_the_stdlib_draws"),
     ),
     Mutant(
-        "rejection_keeps_the_bound", "src/gaugetree/tree.py",
+        "rejection_keeps_the_bound", "src/gaugetree/transfer.py",
         ") >= n:", ") > n:",
         "a draw equal to n is kept, so choice([2, 3, 4]) can yield 5 and every later draw shifts",
-        ("tests/test_tree.py::test_random_bits_is_the_per_bit_stream",
+        ("tests/test_transfer.py::test_random_bits_is_the_per_bit_stream",
          "tests/test_cli.py::test_transfer_rows_match_the_stdlib_draws"),
     ),
     Mutant(

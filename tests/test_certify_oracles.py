@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from fraction_oracles import (
     compare_with_gauge,
     encloses,
+    format_exact,
     gauge_is_dyadic,
     lower_value,
     optimal_cover_cost,
@@ -38,7 +39,7 @@ from gaugetree import (
     sparsity_schedule,
 )
 from gaugetree.cli import _level_rows
-from gaugetree.dyadic import dyadic_pair, format_dyadic, to_number, value_le
+from gaugetree.dyadic import dyadic_pair, to_number, value_le
 from gaugetree.errors import UsageError
 from gaugetree.hausdorff import level_dp_witness_level, level_walk
 
@@ -252,10 +253,12 @@ def test_measure_certificate_matches_reference(name):
                 cert = measure_certificate(tree, g, k)
                 n0, _ = reference_frostman_lower(tree, g)
                 assert cert.frostman_threshold == n0
-                assert same_number(cert.lower, reference_lower(tree, g, k)[0])
-                assert same_number(cert.upper, reference_level_dp_cost(tree, g, k))
-                lower = cert.to_json_dict()["lower"]
-                assert lower == {"value": format_dyadic(cert.lower), "provenance": "frostman", "n0": n0}
+                lower, upper = reference_lower(tree, g, k)[0], reference_level_dp_cost(tree, g, k)
+                assert same_number(to_number(cert.lower), lower)
+                assert same_number(to_number(cert.upper), upper)
+                d = cert.to_json_dict()
+                assert d["lower"] == {"value": format_exact(lower), "provenance": "frostman", "n0": n0}
+                assert d["upper"]["value"] == format_exact(upper)
                 w = reference_level_dp_witness_level(tree, g, k)
                 assert cert.witness_level == w
                 if cert.witness is not None:
@@ -404,7 +407,7 @@ def test_power_half_upper_is_positive_at_depth_2200():
     for k in (0, 3, 8):
         cert = measure_certificate(tree, g, k)
         assert cert.frostman_threshold == 0
-        assert 1 <= cert.lower <= cert.upper
+        assert 1 <= to_number(cert.lower) <= to_number(cert.upper)
 
 
 def test_power_log_half_does_not_underflow_at_1075():

@@ -32,8 +32,8 @@ from gaugetree.cli import (
     write_csv, write_json,
 )
 from gaugetree.game import map_from_json_dict
-from gaugetree.transfer import MAX_DIMENSION, DyadicInterval, four_cover_span
-from gaugetree.tree import ITEM_BITS, MAX_BATCH_BITS, MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG
+from gaugetree.transfer import ITEM_BITS, MAX_BATCH_BITS, MAX_DIMENSION, DyadicInterval, four_cover_span
+from gaugetree.tree import MAX_DEPTH, MAX_SAMPLES, MAX_STAGE_LOG
 
 
 def run(argv):
@@ -112,25 +112,31 @@ def test_schedule_empty_warns(tmp_path, capsys):
 def test_measure_command(tmp_path):
     sched_out = tmp_path / "s.json"
     run(["schedule", "--gauge", "power:1/2", "--depth", 20, "--out", sched_out])
-    schedule = json.loads(sched_out.read_text())["schedule"]
-    tree_file = tmp_path / "tree.json"
-    tree_file.write_text(json.dumps({
-        "schedule": schedule,
-        "selector": {"kind": "constant", "bit": 0},
-        "depth": 20,
-    }))
-    out = tmp_path / "m.json"
-    csv_out = tmp_path / "m.csv"
-    assert run([
-        "measure", "--tree", tree_file, "--gauge", "power:1/2",
-        "--delta-exp", 4, "--out", out, "--csv", csv_out,
-    ]) == 0
-    cert = json.loads(out.read_text())["certificate"]
-    assert cert["lower"]["value"] == "1"
-    assert cert["upper"]["value"] == "1"
-    header, rows = read_csv_table(str(csv_out))
-    assert header[0] == "n"
-    assert len(rows) == 21
+    cases = [  # (schedule, depth, --delta-exp, lower, upper)
+        (json.loads(sched_out.read_text())["schedule"], 20, 4, "1", "1"),
+        # the walk ends at lower = (13043817825332782212, 63), an even mantissa, written in normal form
+        ({"depth": 10, "indices": [0, 3, 6, 9], "n0": 0}, 10, 5,
+         "3260954456333195553/2^61", "13043817825332782213/2^63"),
+    ]
+    for schedule, depth, delta_exp, lower, upper in cases:
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps({
+            "schedule": schedule,
+            "selector": {"kind": "constant", "bit": 0},
+            "depth": depth,
+        }))
+        out = tmp_path / "m.json"
+        csv_out = tmp_path / "m.csv"
+        assert run([
+            "measure", "--tree", tree_file, "--gauge", "power:1/2",
+            "--delta-exp", delta_exp, "--out", out, "--csv", csv_out,
+        ]) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["lower"]["value"] == lower
+        assert cert["upper"]["value"] == upper
+        header, rows = read_csv_table(str(csv_out))
+        assert header[0] == "n"
+        assert len(rows) == depth + 1
 
 
 def test_antichain_pipeline_and_determinism(tmp_path, maps_file):

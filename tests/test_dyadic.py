@@ -15,10 +15,8 @@ from gaugetree.dyadic import (
     floor_log2,
     floor_log2_ratio,
     format_dyadic,
-    format_pair,
     format_ratio,
     format_rational,
-    is_dyadic,
     parse_float,
     parse_rational,
     to_number,
@@ -39,12 +37,13 @@ def test_dyadic_pair_normal_form():
 
 
 def test_pair_projection_format_and_order():
-    pairs = [dyadic_pair(m, e) for m in range(0, 20) for e in range(-3, 8)]
+    # in normal form or not: an even m, or m = 0 with e != 0, is written as its normal form
+    pairs = [(m, e) for m in range(-4, 20) for e in range(-3, 8)]
     for a in pairs:
         x = to_number(a)
         assert isinstance(x, Fraction)
-        assert format_pair(*a) == format_dyadic(x)
-        assert parse_dyadic(format_pair(*a)) == x
+        assert format_dyadic(a) == format_dyadic(dyadic_pair(*a)) == format_exact(x)
+        assert parse_dyadic(format_dyadic(a)) == x
         for b in pairs + [(1, 2), (1, 7), (3, 0), (-1, 3)]:
             y = to_number(b)
             assert value_le(a, b) == (x <= y)
@@ -85,18 +84,18 @@ def test_floor_log2_ratio_matches_fraction_form():
 
 
 def test_format_exact():
-    for x in [Fraction(0), Fraction(5, 8), Fraction(3), Fraction(-7, 16), Fraction(1, 2**90)]:
-        assert format_exact(x) == format_dyadic(x)
+    for a in [(0, 0), (5, 3), (3, 0), (-7, 4), (1, 90)]:
+        assert format_exact(to_number(a)) == format_dyadic(a)
+    # a level walk's end with an even mantissa
+    assert format_dyadic((13043817825332782212, 63)) == "3260954456333195553/2^61"
     assert format_exact(Fraction(2, 3)) == "2/3"
     assert format_exact(Fraction(-8, 7)) == "-8/7"
     assert parse_rational(format_exact(Fraction(10, 12))) == Fraction(5, 6)
 
 
 def test_dyadic_round_trip():
-    for x in [Fraction(0), Fraction(5, 8), Fraction(3), Fraction(-7, 16)]:
-        assert is_dyadic(x)
-        assert parse_dyadic(format_dyadic(x)) == x
-    assert not is_dyadic(Fraction(1, 3))
+    for a in [(0, 0), (5, 3), (3, 0), (-7, 4), (12, 5), (0, 7)]:
+        assert parse_dyadic(format_dyadic(a)) == to_number(a)
     # every cell the tool writes: exact p/q and float reprs too
     assert parse_dyadic(format_exact(Fraction(-8, 7))) == Fraction(-8, 7)
     assert float(parse_dyadic(repr(2.0**-0.5))) == 2.0**-0.5

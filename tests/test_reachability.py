@@ -13,6 +13,8 @@ import pkgutil
 import sys
 from functools import cached_property
 
+from test_cli import INTERFERENCE
+
 import gaugetree
 from gaugetree.cli import main
 
@@ -25,7 +27,8 @@ KEEP = {
     # interface contracts
     "tree.BranchSelector.bit": "the selector interface every tree reads",
     "tree.ConstantSelector.bit": "a constant selector answers bit like every selector",
-    "tree.BranchSelector.decided_levels": "the interface default: every forced level is decided",
+    "tree.BranchSelector.decided_levels": "the interface default, every forced level decided: verify_escape reads "
+                                          "it on any selector's tree, which tests/test_scan_cache.py pins",
     # work done at import
     "gauge._halvings": "runs at import, before any command",
     # ROADMAP items 12 and 2
@@ -59,8 +62,9 @@ def runs(tmp):
     out = lambda name: str(tmp / name)
     for i, selector in enumerate(SELECTORS):
         (tmp / f"tree{i}.json").write_text(json.dumps({**TREE, "selector": selector}))
+    halved, halved_flags, _ = INTERFERENCE["depth6_halved_bound"]
     maps = {"all": [{"kind": "bit_flip"}, {"kind": "shift"}, PARITY, explicit(8)],
-            "lacking": [explicit(3)], "shift": [{"kind": "shift"}]}
+            "lacking": [explicit(3)], "shift": [{"kind": "shift"}], "halved": halved}
     for name, data in maps.items():
         (tmp / f"{name}.json").write_text(json.dumps(data))
     for gauge in ("power:1/2", "power_log:1,1/2", "table:0=1,1=1/3,2=1/9,3=1/27,4=1/81"):
@@ -75,6 +79,9 @@ def runs(tmp):
            "--stages", 1, "--out", out("a.json")], 2
     yield ["antichain", "--gauge", "power:1/2", "--maps", out("shift.json"), "--depth", 8,
            "--stages", 5, "--roots", "1", "--out", out("a.json")], 3
+    # a layer raises another requirement's bad measure above its bound
+    yield ["antichain", "--gauge", "power_log:1,1", "--maps", out("halved.json"), *halved_flags,
+           "--out", out("a.json")], 3
     yield ["transfer", "four-cover", "--count", 20, "--out", out("t.csv")], 0
     yield ["transfer", "interleave-check", "--count", 20, "--out", out("t.csv")], 0
     yield ["transfer", "cube-map", "--bits", "0110110", "--n", 3, "--out", out("t.csv")], 0

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from fraction_oracles import IDENTITY, reference_consistent, reference_leaves
+from fraction_oracles import IDENTITY, format_exact, reference_consistent, reference_leaves
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +41,7 @@ from gaugetree import (
 )
 from gaugetree import game
 from gaugetree.cli import parse_gauge_spec
-from gaugetree.dyadic import format_dyadic
+from gaugetree.dyadic import to_number
 from gaugetree.errors import GameInvariantError, InfeasibleError, UsageError
 from gaugetree.game import ExplicitNodeMap
 from gaugetree.tree import Columns, check_node, compatible
@@ -140,7 +140,7 @@ def assert_scans_match(state, depth=None, default=0):
             assert sum(game._count(tree, m, req.root).values()) == len(leaves)
         else:
             got = bad_set(state, req, depth)
-            assert (len(got.leaves), got.measure) == (len(leaves), measure)
+            assert (len(got.leaves), to_number(got.measure)) == (len(leaves), measure)
 
 
 def play(schedule, maps, roots, depth, stages, scan_depth):
@@ -317,7 +317,7 @@ def test_run_game_reports_final_scan_depth_and_its_bad_sets():
         leaves, measure = reference_bad_set(cert.tree(cert.scan_depth), maps[req.map_index], req.root)
         final = bad_set(cert, req)
         assert final.depth == cert.scan_depth
-        assert (len(final.leaves), rep["recomputed"]) == (len(leaves), format_dyadic(measure))
+        assert (len(final.leaves), rep["recomputed"]) == (len(leaves), format_exact(measure))
     # samples are cut to the final scan depth before the bad-set lookup
     report = verify_escape(tree, maps, 2000, seed=4, certificate=cert)
     certified = sum(m["undetermined"] - m["uncovered"] for m in report.per_map)
@@ -434,7 +434,7 @@ def test_count_memo_belongs_to_its_game(indices, maps):
                       requirements=[req], depth=10, scan_depth=8)
     second = GameState(schedule=BranchSchedule(depth=10, indices=indices, n0=0), maps=maps,
                        requirements=[req], depth=10, scan_depth=8)
-    measures = [bad_set(state, req).measure for state in (first, second)]
+    measures = [to_number(bad_set(state, req).measure) for state in (first, second)]
     assert measures == [reference_bad_set(state.tree(8), state.maps[0], "0")[1] for state in (first, second)]
     assert measures[0] != measures[1]
 
@@ -504,15 +504,15 @@ def test_bounds_hold_from_the_scan_depth_to_the_working_depth(case):
     bare = GameState(schedule=schedule, maps=maps, requirements=[], depth=depth, scan_depth=cert.scan_depth)
     last = max((l.level for l in cert.layers), default=-1)
     for key, req in enumerate(cert.requirements):
-        at_scan, at_depth = (bad_set(cert, req, d).measure for d in (cert.scan_depth, depth))
-        assert at_depth <= at_scan <= cert.bound(key)
-        assert bad_set(bare, req, depth).measure <= cert.initial[key]
+        at_scan, at_depth = (to_number(bad_set(cert, req, d).measure) for d in (cert.scan_depth, depth))
+        assert at_depth <= at_scan <= to_number(cert.bound(key))
+        assert to_number(bad_set(bare, req, depth).measure) <= to_number(cert.initial[key])
         if cert.scan_depth >= last + 1 + maps[req.map_index].lag:
             assert at_depth == at_scan
         for d in (cert.scan_depth, depth):
             if cert.tree(d).level_count(d) <= 2**10:
                 _, measure = reference_bad_set(cert.tree(d), maps[req.map_index], req.root)
-                assert bad_set(cert, req, d).measure == measure
+                assert to_number(bad_set(cert, req, d).measure) == measure
 
 
 def test_long_root_bounds_hold_at_the_working_depth():
@@ -526,9 +526,10 @@ def test_long_root_bounds_hold_at_the_working_depth():
     bare = GameState(schedule=schedule, maps=maps, requirements=[], depth=128, scan_depth=0)
     initial = [Fraction(1, 2**15), Fraction(1, 2**16)]
     for key, (req, measure) in enumerate(zip(cert.requirements, initial)):
-        assert [bad_set(bare, req, d).measure for d in (16, 21, 128)] == [0, measure, measure]
-        assert cert.initial[key] == measure
-        assert bad_set(cert, req, 128).measure <= bad_set(cert, req).measure <= cert.bound(key) == measure / 2
+        assert [to_number(bad_set(bare, req, d).measure) for d in (16, 21, 128)] == [0, measure, measure]
+        assert to_number(cert.initial[key]) == measure
+        deep, scan = (to_number(bad_set(cert, req, d).measure) for d in (128, cert.scan_depth))
+        assert deep <= scan <= to_number(cert.bound(key)) == measure / 2
 
 
 def test_post_stage_count_over_the_bound_is_caught(monkeypatch):
@@ -847,7 +848,8 @@ def test_explicit_walk_ending_between_keys_or_past_them_has_no_image():
     for depth in (8, 11):
         with pytest.raises(UsageError, match=f"no image recorded for node '[01]{{{depth}}}'"):
             bad_set(state, Requirement(0, "0"), depth)
-    assert bad_set(state, Requirement(0, "0"), 9).measure == reference_bad_set(state.tree(9), EXPLICIT_D10, "0")[1]
+    measure = reference_bad_set(state.tree(9), EXPLICIT_D10, "0")[1]
+    assert to_number(bad_set(state, Requirement(0, "0"), 9).measure) == measure
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,4 @@
-"""Interleaving, dyadic expansion, four-interval covers."""
+"""Interleaving, dyadic expansion, four-interval covers, and the word reader batches draw from."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,7 @@ from gaugetree import (
     interleave_metric_check,
     to_cube,
 )
-from gaugetree.transfer import four_cover_span
+from gaugetree.transfer import BITS_CHUNK, WordReader, four_cover_span
 
 
 def test_expand():
@@ -274,3 +274,18 @@ def test_four_cover_span_matches_fraction_reference(interval):
     ref = reference_dyadic_four_cover(Fraction(lo, den), Fraction(hi, den))
     assert (m, first, stop) == (ref[0].level, ref[0].index, ref[-1].index + 1)
     assert stop - first == len(ref)
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 300, BITS_CHUNK, BITS_CHUNK + 1, 3 * BITS_CHUNK - 7])
+def test_random_bits_is_the_per_bit_stream(n):
+    """Any mix of a WordReader's draws equals the stdlib calls made in the
+    same order: `bits(n)` a per-bit `getrandbits(1)` loop, `below(m)`
+    `randrange(m)`; the reader runs ahead of the stream, never apart."""
+    for seed in (0, 1, 12345, -5, (1 << 64) + 9):
+        words, slow, plan = WordReader(random.Random(seed)), random.Random(seed), random.Random(n)
+        for _ in range(3):  # consecutive calls continue the stream
+            assert words.bits(n) == "".join(str(slow.getrandbits(1)) for _ in range(n))
+            m = plan.choice([1, 2, 3, 5, 8, 129, 255])
+            assert words.below(m) == slow.randrange(m)
+            assert [2, 3, 4][words.below(3)] == slow.choice([2, 3, 4])
+        assert words.bits(1) == str(slow.getrandbits(1))

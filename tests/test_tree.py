@@ -1,7 +1,6 @@
 """Splitting-tree membership, level counts, materialization, and sampling."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,9 +16,7 @@ from gaugetree import (
     SeededSelector,
     SplittingTree,
 )
-from gaugetree.tree import (
-    BITS_CHUNK, MAX_DEPTH, WordReader, check_int, check_node, compatible, selector_from_json_dict,
-)
+from gaugetree.tree import MAX_DEPTH, check_int, check_node, compatible, selector_from_json_dict
 
 
 def make_tree(indices, depth, selector=None):
@@ -183,18 +180,3 @@ def test_tree_json_round_trip():
     back = SplittingTree.from_json_dict(json.loads(json.dumps(tree.to_json_dict())))
     assert back.materialize().leaves == tree.materialize().leaves
     assert back.to_json_dict() == tree.to_json_dict()
-
-
-@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 300, BITS_CHUNK, BITS_CHUNK + 1, 3 * BITS_CHUNK - 7])
-def test_random_bits_is_the_per_bit_stream(n):
-    """Any mix of a WordReader's draws equals the stdlib calls made in the
-    same order: `bits(n)` a per-bit `getrandbits(1)` loop, `below(m)`
-    `randrange(m)`; the reader runs ahead of the stream, never apart."""
-    for seed in (0, 1, 12345, -5, (1 << 64) + 9):
-        words, slow, plan = WordReader(random.Random(seed)), random.Random(seed), random.Random(n)
-        for _ in range(3):  # consecutive calls continue the stream
-            assert words.bits(n) == "".join(str(slow.getrandbits(1)) for _ in range(n))
-            m = plan.choice([1, 2, 3, 5, 8, 129, 255])
-            assert words.below(m) == slow.randrange(m)
-            assert [2, 3, 4][words.below(3)] == slow.choice([2, 3, 4])
-        assert words.bits(1) == str(slow.getrandbits(1))
