@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -365,18 +366,16 @@ def render_svg(xs, series, x_label, manifest) -> str:
     from xml.sax.saxutils import escape  # not at the top: it imports urllib.request
     width, height, pad = 640, 420, 50
     all_y = [v for _, ys in series for v in ys]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(all_y), max(all_y)
-    if x1 == x0:
-        x1 = x0 + 1
-    if y1 == y0:
-        y1 = y0 + 1
 
-    def sx(v):
-        return pad + (v - x0) / (x1 - x0) * (width - 2 * pad)
+    def axis(lo, hi, length):
+        """v in [lo, hi] -> its finite offset along an axis of `length`: a
+        flat range puts every v at 0, and one wider than the largest float
+        is read at half scale."""
+        k = 0.5 if hi - lo == math.inf else 1.0
+        lo, span = lo * k, (hi * k - lo * k) or 1.0
+        return lambda v: (v * k - lo) / span * length
 
-    def sy(v):
-        return height - pad - (v - y0) / (y1 - y0) * (height - 2 * pad)
+    sx, sy = axis(min(xs), max(xs), width - 2 * pad), axis(min(all_y), max(all_y), height - 2 * pad)
 
     comment = json.dumps(manifest, sort_keys=True).replace("--", "-\\u002d")  # no "--" in a comment
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
@@ -392,7 +391,7 @@ def render_svg(xs, series, x_label, manifest) -> str:
     ]
     for idx, (label, ys) in enumerate(series):
         color = colors[idx % len(colors)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        points = " ".join(f"{pad + sx(x):.2f},{height - pad - sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

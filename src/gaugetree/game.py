@@ -275,7 +275,6 @@ class GameState:
                 }
                 for key, req in enumerate(self.requirements)
             ],
-            "layers": [[l.level, l.root, l.bit] for l in self.layers],
             "stages_executed": len(self.stage_log),
             "scan_depth": self.scan_depth,
             "measure_note": MEASURE_NOTE,
@@ -410,7 +409,6 @@ def stage_step(state: GameState, req: Requirement) -> GameState:
 
     state.stage_log.append(
         {
-            "stage": len(state.stage_log),
             "map": req.map_index,
             "root": req.root,
             "level": level,

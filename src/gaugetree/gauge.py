@@ -338,8 +338,7 @@ def sparsity_schedule(g: Gauge, depth: int, caps: Optional[Sequence[int]] = None
 
     Level n is included whenever the incremented counting function still
     respects c(m) at every later level m <= depth.  The result satisfies the
-    sparsity inequality at every level, so the certified threshold is 0.
-    `caps` defaults to bound_table(g, depth + 1).
+    sparsity inequality at every level.  `caps` defaults to bound_table(g, depth + 1).
     """
     if caps is None:
         caps = bound_table(g, depth + 1)
@@ -348,4 +347,4 @@ def sparsity_schedule(g: Gauge, depth: int, caps: Optional[Sequence[int]] = None
     for n, cap in enumerate(reversed(list(accumulate(caps[depth:0:-1], min)))):
         if len(indices) < cap:
             indices.append(n)
-    return BranchSchedule(depth=depth, indices=tuple(indices), n0=0)
+    return BranchSchedule(depth=depth, indices=tuple(indices))

@@ -66,7 +66,6 @@ class BranchSchedule:
 
     depth: int
     indices: Tuple[int, ...]
-    n0: int = 0
 
     def __post_init__(self):
         if any(i >= self.depth or i < 0 for i in self.indices):
@@ -96,14 +95,15 @@ class BranchSchedule:
         return n in self.forced
 
     def to_json_dict(self) -> dict:
-        return {"depth": self.depth, "indices": list(self.indices), "n0": self.n0}
+        return {"depth": self.depth, "indices": list(self.indices)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "BranchSchedule":
+        """The schedule of a tree or `schedule` output; other keys, such as the
+        `gauge` a schedule output carries or an older tree's `n0`, are ignored."""
         return BranchSchedule(
             depth=check_int(d["depth"], 0, MAX_DEPTH, "a depth"),
             indices=tuple(map(check_int, d["indices"])),
-            n0=check_int(d.get("n0", 0)),
         )
 
 

@@ -62,6 +62,12 @@ MUTANTS = (
         ("tests/test_game.py::test_certificate_agrees_with_its_stage_log",),
     ),
     Mutant(
+        "recomputed_restates_the_bound", "src/gaugetree/game.py",
+        '"recomputed": format_dyadic(bad_set(self, req).measure)', '"recomputed": format_dyadic(self.bound(key))',
+        "the certificate's recomputed measure restates the final bound instead of counting the final bad set",
+        ("tests/test_cli.py::test_antichain_report_matches_pinned_fixture",),
+    ),
+    Mutant(
         "memo_keyed_by_req_and_depth", "src/gaugetree/game.py",
         "(key := (req, d, len(state.layers)))", "(key := (req, d))",
         "the count memo returns a bad set counted before the latest layer",

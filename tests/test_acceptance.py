@@ -59,7 +59,7 @@ def criterion(num, description, budget=None):
 
 
 def make_tree(indices, depth, selector=None):
-    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)), n0=0)
+    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)))
     return SplittingTree(sched, selector or ConstantSelector(0), depth)
 
 
@@ -160,7 +160,7 @@ def test_criterion_5_sparsity_criterion():
 
 @criterion(6, "halving game certifies exact bounds and escapes", budget=60)
 def test_criterion_6_halving_game():
-    sched = BranchSchedule(depth=64, indices=tuple(range(1, 64, 2)), n0=0)
+    sched = BranchSchedule(depth=64, indices=tuple(range(1, 64, 2)))
     maps = [BitFlipMap(), ShiftMap()]
     tree, cert = run_game(sched, maps, ["0", "1"], depth=64, stages_per_requirement=5)
     for rep in cert.to_json_dict()["requirements"]:

@@ -115,9 +115,13 @@ def test_measure_command(tmp_path):
     cases = [  # (schedule, depth, --delta-exp, lower, upper)
         (json.loads(sched_out.read_text())["schedule"], 20, 4, "1", "1"),
         # the walk ends at lower = (13043817825332782212, 63), an even mantissa, written in normal form
+        ({"depth": 10, "indices": [0, 3, 6, 9]}, 10, 5,
+         "3260954456333195553/2^61", "13043817825332782213/2^63"),
+        # a tree written while schedules carried a constant "n0": 0 reads as the same tree
         ({"depth": 10, "indices": [0, 3, 6, 9], "n0": 0}, 10, 5,
          "3260954456333195553/2^61", "13043817825332782213/2^63"),
     ]
+    written = []
     for schedule, depth, delta_exp, lower, upper in cases:
         tree_file = tmp_path / "tree.json"
         tree_file.write_text(json.dumps({
@@ -137,6 +141,8 @@ def test_measure_command(tmp_path):
         header, rows = read_csv_table(str(csv_out))
         assert header[0] == "n"
         assert len(rows) == depth + 1
+        written.append((out.read_bytes(), csv_out.read_bytes()))
+    assert written[2] == written[1]
 
 
 def test_antichain_pipeline_and_determinism(tmp_path, maps_file):
@@ -212,9 +218,10 @@ def test_antichain_counts_a_long_root_past_its_length(tmp_path, maps_file, capsy
     argv = ["antichain", "--gauge", "power_log:1,1", "--maps", maps_file, "--stages", 1,
             "--roots", root, "--out", out]
     assert run([*argv, "--depth", 128]) == 0
-    game = json.loads(out.read_text())["game_certificate"]
+    report = json.loads(out.read_text())
+    game, tree = report["game_certificate"], report["tree"]
     assert [r["initial"] for r in game["requirements"]] == ["1/2^15", "1/2^16"]
-    assert game["layers"] == [[31, root, 0], [63, root, 0]]
+    assert tree["selector"]["layers"] == [[31, root, 0], [63, root, 0]]
     out.unlink()
     # the shift requirement needs level 63, and so a scan to depth 65
     assert run([*argv, "--depth", 64]) == 3
@@ -394,7 +401,7 @@ def test_tree_depth_past_the_bound_exits_2_naming_it(tmp_path, capsys, schedule,
     """A tree or schedule `depth` past MAX_DEPTH is refused as it is read,
     before any level is computed."""
     tree_file = tmp_path / "tree.json"
-    tree_file.write_text(json.dumps({"schedule": {"depth": 6, "indices": [1, 3], "n0": 0, **schedule},
+    tree_file.write_text(json.dumps({"schedule": {"depth": 6, "indices": [1, 3], **schedule},
                                      "selector": {"kind": "constant", "bit": 0}, "depth": depth}))
     assert run(["measure", "--tree", tree_file, "--gauge", "power:1/2", "--out", tmp_path / "m.json"]) == 2
     (line,) = capsys.readouterr().err.splitlines()
@@ -546,7 +553,7 @@ BAD_INPUTS = {
     ),
     **{
         f"selector_{name}": (
-            {"tree.json": json.dumps({"schedule": {"depth": 6, "indices": [1, 3], "n0": 0},
+            {"tree.json": json.dumps({"schedule": {"depth": 6, "indices": [1, 3]},
                                       "selector": selector, "depth": 6})},
             ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--delta-exp", 4,
              "--out", "out"],
@@ -569,14 +576,13 @@ BAD_INPUTS = {
     },
     **{
         f"tree_{name}": (
-            {"tree.json": json.dumps({"schedule": {"depth": 6, "indices": [1, 3], "n0": 0, **schedule},
+            {"tree.json": json.dumps({"schedule": {"depth": 6, "indices": [1, 3], **schedule},
                                       "selector": {"kind": "constant", "bit": 0}, "depth": depth})},
             ["measure", "--tree", "tree.json", "--gauge", "power:1/2", "--out", "out"],
         )
         for name, schedule, depth in [
             ("schedule_index_1_5", {"indices": [1.5, 3]}, 6),
             ("schedule_depth_negative", {"depth": -1, "indices": []}, 6),
-            ("schedule_n0_string", {"n0": "0"}, 6),
             ("depth_negative", {}, -1),
             ("depth_6_0", {}, 6.0),
         ]
@@ -746,7 +752,7 @@ def test_measure_depth_zero_is_honoured(tmp_path):
 
 def _full_tree(path, depth):
     path.write_text(json.dumps({
-        "schedule": {"depth": depth, "indices": [], "n0": 0},
+        "schedule": {"depth": depth, "indices": []},
         "selector": {"kind": "constant", "bit": 0},
         "depth": depth,
     }))
@@ -891,16 +897,17 @@ def test_certify_outputs_match_pinned_fixtures(tmp_path, gauge, depth, name):
 # depth 8 000, recorded while the values were evaluated level by level, the CSV
 # rows formatted field by field and every JSON list written by json.dumps: the
 # pinned fixtures stop at depth 301, short of the classes n = 2^t·u with t up to
-# 12 and of a 4 000-entry schedule
+# 12 and of a 4 000-entry schedule.  The schedule.json pins were re-recorded when
+# schedules stopped writing a constant "n0": 0, their only change
 DEEP_PINS = {
     "power_log:1,1": {
-        "schedule.json": "05136b7399dc851cb7ebf4cd15e989ef16eb5fca",
+        "schedule.json": "53fe0ce023fa06e18e4af3ab020de6190f1a1b22",
         "caps.csv": "f78de0042647d5b23b4fa6ab1ad18afdcbe9bf55",
         "measure.json": "dd706583680563fadaf5aed2528e4a34cb9f5ccc",
         "levels.csv": "45b161cc814c5f1d8664b7ee5688d79523816a23",
     },
     "power:1/2": {
-        "schedule.json": "e42ccaf637c4a5e65814b735ce1777dd6e607c65",
+        "schedule.json": "9070862775cd44ecffb97fb2278db20a3230d6b5",
         "caps.csv": "d43432a47c5e02645497b2abebcbde3645caf7b7",
         "measure.json": "abe07b3130e344b9202fa6f2f932231e56523e99",
         "levels.csv": "68165dc047a0923f5087d0469258680b702961d4",
@@ -979,7 +986,7 @@ def forced_trees(draw):
     indices = sorted(draw(st.sets(st.integers(0, depth - 1)))) if depth else []
     selector = draw(st.sampled_from([{"kind": "constant", "bit": 0}, {"kind": "constant", "bit": 1}])
                     | st.integers(0, 2**31).map(lambda seed: {"kind": "seeded", "seed": seed}))
-    tree = {"schedule": {"depth": depth, "indices": indices, "n0": 0}, "selector": selector, "depth": depth}
+    tree = {"schedule": {"depth": depth, "indices": indices}, "selector": selector, "depth": depth}
     return tree, draw(st.integers(0, depth))
 
 
@@ -999,7 +1006,7 @@ def test_frostman_failure_names_the_first_least_level_cost(tmp_path):
     lower end is the tied lo cost and the upper end names level 1, the first.
     Their float excesses, 0.8 and 6·0.8 - 4, differ, since -6·0.8 rounds to
     -4.800000000000001, so only an exact comparison finds the tie."""
-    tree = {"schedule": {"depth": 6, "indices": [0, 5], "n0": 0},
+    tree = {"schedule": {"depth": 6, "indices": [0, 5]},
             "selector": {"kind": "constant", "bit": 0}, "depth": 6}
     cert, rows = measure_with_levels(tmp_path, tree, "power:4/5", 0)
     assert cert["lower"] == {"value": "10594872286260733109/2^64", "provenance": "frostman", "n0": None}
@@ -1321,6 +1328,7 @@ def test_plot_svg(tmp_path):
 
 
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
+SVG_POLYLINE = "{http://www.w3.org/2000/svg}polyline"
 
 
 def svg_manifest(path):
@@ -1348,6 +1356,20 @@ def test_plot_escapes_labels_and_manifest(tmp_path):
 def test_plot_x_axis_spans_a_column_whose_maximum_is_zero():
     svg = render_svg([-3.0, 0.0], [("y", [0.0, 1.0])], "x", {})
     assert 'points="50.00,370.00 590.00,50.00"' in svg
+
+
+@pytest.mark.parametrize("table, points", [
+    # a flat column of magnitude >= 2^53, where x0 + 1 == x0
+    ("n,y\n0,1e300\n1,1e300\n", "50.00,370.00 590.00,370.00"),
+    ("n,y\n1e20,1\n1e20,2\n", "50.00,370.00 50.00,50.00"),
+    # a range wider than the largest float
+    ("n,y\n-1.7e308,-1.7e308\n1.7e308,1.7e308\n", "50.00,370.00 590.00,50.00"),
+], ids=["flat_y_1e300", "flat_x_1e20", "range_past_the_largest_float"])
+def test_plot_coordinates_are_finite_at_any_magnitude(tmp_path, table, points):
+    (tmp_path / "t.csv").write_text(table)
+    out = tmp_path / "p.svg"
+    assert run(["plot", "--table", tmp_path / "t.csv", "--x", "n", "--y", "y", "--out", out]) == 0
+    assert f'points="{points}"' in out.read_text()
 
 
 def _cell_value(cell):
@@ -1712,7 +1734,7 @@ def tree_jsons(draw):
     replaced by junk or dropped, or a document that is not a tree at all."""
     depth = draw(st.integers(0, 40))
     indices = sorted(draw(st.sets(st.integers(0, max(depth - 1, 0)), max_size=depth // 2)))
-    tree = {"schedule": {"depth": depth, "indices": indices, "n0": 0},
+    tree = {"schedule": {"depth": depth, "indices": indices},
             "selector": dict(draw(SELECTORS)), "depth": draw(st.integers(0, depth + 2))}
     flaw = draw(st.sampled_from([None, None, "junk", "drop", "indices", "document"]))
     if flaw in ("junk", "drop"):
@@ -1785,7 +1807,8 @@ def test_measure_cli_fuzz(tree, gauge, delta_exp, depth, csv_out):
 
 
 PRINTABLE = st.text(st.characters(exclude_categories=("Cs",)).filter(str.isprintable), max_size=8)
-CELLS = st.integers(-1000, 1000).map(str) | st.sampled_from(["1/2^3", "3/7", "-5/2^1"])
+CELLS = st.integers(-1000, 1000).map(str) | st.sampled_from(
+    ["1/2^3", "3/7", "-5/2^1", "1e20", "1e300", "-1.7e308", "1.7e308"])
 
 
 @settings(max_examples=200)
@@ -1797,7 +1820,8 @@ CELLS = st.integers(-1000, 1000).map(str) | st.sampled_from(["1/2^3", "3/7", "-5
 )
 def test_plot_cli_fuzz(headers, rows, bad_cell, picks):
     """Exit 0 or 2 on any printable header; an SVG is absent or parses as XML
-    with the requested labels and the manifest in its comment."""
+    with the requested labels, the manifest in its comment and every plotted
+    coordinate finite."""
     with tempfile.TemporaryDirectory() as tmp:
         os.mkdir(os.path.join(tmp, "d--x"))
         table, out = os.path.join(tmp, "d--x", "t.csv"), os.path.join(tmp, "p.svg")
@@ -1814,3 +1838,6 @@ def test_plot_cli_fuzz(headers, rows, bad_cell, picks):
         root = ElementTree.parse(out).getroot()
         assert [t.text or "" for t in root.iter(SVG_TEXT)] == [x, *ys]
         assert svg_manifest(out)["inputs"] == [table]
+        coordinates = [float(c) for line in root.iter(SVG_POLYLINE)
+                       for point in line.get("points").split() for c in point.split(",")]
+        assert all(map(math.isfinite, coordinates))

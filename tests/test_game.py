@@ -30,7 +30,7 @@ from gaugetree.tree import compatible
 
 
 def make_state(indices, depth, maps, roots, scan_depth):
-    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)), n0=0)
+    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)))
     reqs = [Requirement(i, r) for i in range(len(maps)) for r in roots]
     return GameState(
         schedule=sched, maps=list(maps), requirements=reqs,
@@ -158,7 +158,7 @@ def test_stage_noop_consumes_no_level():
 
 
 def test_run_game_certificate_bounds():
-    sched = BranchSchedule(depth=64, indices=tuple(range(1, 64, 2)), n0=0)
+    sched = BranchSchedule(depth=64, indices=tuple(range(1, 64, 2)))
     tree, cert = run_game(
         sched, [BitFlipMap(), ShiftMap()], ["0", "1"], depth=64,
         stages_per_requirement=5,
@@ -174,21 +174,21 @@ def test_run_game_certificate_bounds():
 
 
 def test_run_game_infeasible():
-    sched = BranchSchedule(depth=8, indices=(1, 3), n0=0)
+    sched = BranchSchedule(depth=8, indices=(1, 3))
     with pytest.raises(InfeasibleError):
         run_game(sched, [ShiftMap()], ["1"], depth=8, stages_per_requirement=5)
 
 
 @pytest.mark.parametrize("roots", [["0", "0"], ["1", "0", "1"], ["", ""], ["2"], ["0", "1a"]])
 def test_run_game_rejects_duplicate_or_non_binary_roots(roots):
-    sched = BranchSchedule(depth=16, indices=(1, 3), n0=0)
+    sched = BranchSchedule(depth=16, indices=(1, 3))
     with pytest.raises(ValueError):
         run_game(sched, [BitFlipMap()], roots, 16, 1)
 
 
 @pytest.mark.parametrize("stages, ok", [(-1, False), (-7, False), (0, True), (1, True)])
 def test_run_game_checks_stage_count(stages, ok):
-    sched = BranchSchedule(depth=16, indices=(1, 3, 5), n0=0)
+    sched = BranchSchedule(depth=16, indices=(1, 3, 5))
     if not ok:
         with pytest.raises(ValueError, match="negative stage count"):
             run_game(sched, [BitFlipMap()], ["0", "1"], 16, stages)
@@ -198,7 +198,7 @@ def test_run_game_checks_stage_count(stages, ok):
 
 
 def test_run_game_deterministic():
-    sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)), n0=0)
+    sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)))
     _, c1 = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 3)
     _, c2 = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 3)
     assert c1.to_json_dict() == c2.to_json_dict()
@@ -212,7 +212,7 @@ def small_games(draw):
     indices = sorted(draw(st.sets(st.integers(0, depth - 1), min_size=1, max_size=depth // 2 + 1)))
     maps = [draw(transducers()), *draw(st.lists(st.sampled_from(sorted(MAPS)).map(MAPS.get), max_size=1))]
     roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
-    return BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps, roots, depth, draw(st.integers(1, 3))
+    return BranchSchedule(depth=depth, indices=tuple(indices)), maps, roots, depth, draw(st.integers(1, 3))
 
 
 @settings(max_examples=100)
@@ -220,9 +220,10 @@ def small_games(draw):
 def test_certificate_agrees_with_its_stage_log(case):
     """Read from the JSON alone: each requirement's stages are its log
     entries, its final bound is initial / 2^stages and its last entry's
-    bound, and the layers are the log's staged levels in order."""
+    bound, and the report's tree holds the log's staged levels, sorted by
+    level."""
     try:
-        _, cert = run_game(*case)
+        tree, cert = run_game(*case)
     except InfeasibleError:
         return
     doc = json.loads(json.dumps(cert.to_json_dict()))
@@ -233,14 +234,15 @@ def test_certificate_agrees_with_its_stage_log(case):
         assert r["stages"] == len(entries)
         assert parse_dyadic(r["final_bound"]) == parse_dyadic(r["initial"]) / 2 ** r["stages"]
         assert r["final_bound"] == entries[-1]["bound"]
-    assert doc["layers"] == [[e["level"], e["root"], e["chosen_bit"]] for e in log if e["level"] is not None]
+    staged = [[e["level"], e["root"], e["chosen_bit"]] for e in log if e["level"] is not None]
+    assert json.loads(json.dumps(tree.to_json_dict()))["selector"]["layers"] == sorted(staged)
 
 
 # -- escape verification ----------------------------------------------------
 
 
 def test_verify_escape_identity_all_fixed():
-    sched = BranchSchedule(depth=16, indices=(1, 3), n0=0)
+    sched = BranchSchedule(depth=16, indices=(1, 3))
     tree, cert = run_game(sched, [IDENTITY], ["0"], 16, 2)
     rep = verify_escape(tree, [IDENTITY], 200, seed=0, certificate=cert)
     assert rep.per_map[0]["fixed"] == 200
@@ -248,7 +250,7 @@ def test_verify_escape_identity_all_fixed():
 
 
 def test_verify_escape_flip_counts_consistent():
-    sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)), n0=0)
+    sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)))
     tree, cert = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 4)
     rep = verify_escape(tree, [BitFlipMap()], 500, seed=7, certificate=cert)
     row = rep.per_map[0]
@@ -261,7 +263,7 @@ def test_verify_escape_flip_counts_consistent():
 
 def test_verify_escape_sampled_images_really_escape():
     # independent spot check: "escaped" means the image leaves the tree
-    sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)), n0=0)
+    sched = BranchSchedule(depth=32, indices=tuple(range(1, 32, 2)))
     tree, cert = run_game(sched, [BitFlipMap()], ["0", "1"], 32, 4)
     m = BitFlipMap()
     for x in tree.sample(3, 100):

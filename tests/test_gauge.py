@@ -193,7 +193,7 @@ def test_schedule_half_power_odds():
 
 
 def _check_criterion(sched, caps):
-    for n in range(sched.n0, sched.depth + 1):
+    for n in range(sched.depth + 1):
         assert sched.count_below(n) <= caps[n], f"cap violated at {n}"
 
 

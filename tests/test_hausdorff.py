@@ -26,7 +26,7 @@ from gaugetree.hausdorff import level_walk
 
 
 def make_tree(indices, depth, selector=None):
-    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)), n0=0)
+    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)))
     return SplittingTree(sched, selector or ConstantSelector(0), depth)
 
 

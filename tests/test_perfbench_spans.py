@@ -54,7 +54,7 @@ def test_install_then_uninstall_restores_every_attribute():
     tracer = SPANS.Tracer()
     tracer.install()
     try:
-        tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 3), n0=0), SeededSelector(2), 6)
+        tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 3)), SeededSelector(2), 6)
         tree.sample(0, 3)
         assert "tree.sample" in tracer.names
         changed = {key for key, value in attributes().items() if before.get(key) is not value}

@@ -36,7 +36,7 @@ KEEP = {
     "gauge.Gauge.from_json_dict": "the certificate checker reads the report's gauge block (ROADMAP item 2)",
 }
 
-TREE = {"schedule": {"depth": 10, "indices": [1, 3, 5, 7], "n0": 0}, "depth": 10}
+TREE = {"schedule": {"depth": 10, "indices": [1, 3, 5, 7]}, "depth": 10}
 SELECTORS = [
     {"kind": "constant", "bit": 1},
     {"kind": "seeded", "seed": 3},

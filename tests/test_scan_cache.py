@@ -172,7 +172,7 @@ GAMES = {
     ),
     # the lag-1 shift map needs levels beyond the initial scan depth 6
     "scan_depth_grows": (
-        BranchSchedule(depth=24, indices=tuple(range(2, 24, 2)), n0=0),
+        BranchSchedule(depth=24, indices=tuple(range(2, 24, 2))),
         [ShiftMap(), PARITY], ["0", "1"], 24, 3, 6,
     ),
     # the game keeps the 1-half here, so a layer flips leaves mid-game
@@ -198,7 +198,7 @@ def test_frontier_follows_hand_appended_layers():
     # level 1 is free, so both children of each root are in the tree; a
     # bit-1 layer rooted away from "0" flips the leaves under "0", whose
     # flipped images then pass that level: stale leaves would all escape
-    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0)
+    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8))
     state = GameState(
         schedule=schedule, maps=[BitFlipMap(), ShiftMap(), PARITY],
         requirements=[Requirement(0, "0"), Requirement(0, "1"), Requirement(0, "01"),
@@ -216,7 +216,7 @@ def test_bad_set_memo_dropped_with_its_frontier():
     # scan depth d, then d - 1, then d again, with a layer appended between
     # rounds: every call sees a tree other than the previous call's, and
     # nothing of an earlier tree's count may carry over to it
-    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0)
+    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8))
     reqs = [Requirement(0, "0"), Requirement(0, "1"), Requirement(0, "01"),
             Requirement(1, "0"), Requirement(2, "01"), Requirement(3, "1")]
     state = GameState(
@@ -243,7 +243,7 @@ def test_bad_set_memo_dropped_with_its_frontier():
 
 
 def flip_shift_parity_state():
-    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0)
+    schedule = BranchSchedule(depth=12, indices=(2, 4, 6, 8))
     return GameState(
         schedule=schedule, maps=[BitFlipMap(), ShiftMap(), PARITY],
         requirements=[Requirement(0, "0"), Requirement(1, "1"), Requirement(2, "01")],
@@ -339,7 +339,7 @@ def games(draw):
     maps = [MAPS[k] for k in draw(st.lists(st.sampled_from(sorted(MAPS)), min_size=1, max_size=3))]
     roots = draw(st.lists(binary, min_size=1, max_size=3, unique=True))
     state = GameState(
-        schedule=BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps=maps,
+        schedule=BranchSchedule(depth=depth, indices=tuple(indices)), maps=maps,
         requirements=[Requirement(i, r) for i in range(len(maps)) for r in roots],
         depth=depth, scan_depth=draw(st.integers(1, depth)),
     )
@@ -430,9 +430,9 @@ def test_count_memo_belongs_to_its_game(indices, maps):
     """Two games with one requirement, scan depth and empty layer list, but
     another schedule or another map, each count their own bad set."""
     req = Requirement(0, "0")
-    first = GameState(schedule=BranchSchedule(depth=10, indices=(1, 3), n0=0), maps=[ShiftMap()],
+    first = GameState(schedule=BranchSchedule(depth=10, indices=(1, 3)), maps=[ShiftMap()],
                       requirements=[req], depth=10, scan_depth=8)
-    second = GameState(schedule=BranchSchedule(depth=10, indices=indices, n0=0), maps=maps,
+    second = GameState(schedule=BranchSchedule(depth=10, indices=indices), maps=maps,
                        requirements=[req], depth=10, scan_depth=8)
     measures = [to_number(bad_set(state, req).measure) for state in (first, second)]
     assert measures == [reference_bad_set(state.tree(8), state.maps[0], "0")[1] for state in (first, second)]
@@ -463,7 +463,7 @@ def counting_cases(draw):
     roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=3), min_size=1, max_size=3, unique=True))
     levels = draw(st.permutations(indices))[: draw(st.integers(0, len(indices)))]
     layers = [Layer(n, draw(st.text(alphabet="01", max_size=3)), draw(st.integers(0, 1))) for n in levels]
-    tree = SplittingTree(BranchSchedule(depth=depth, indices=tuple(indices), n0=0),
+    tree = SplittingTree(BranchSchedule(depth=depth, indices=tuple(indices)),
                          GameBuiltSelector(layers, default=draw(st.integers(0, 1))),
                          draw(st.integers(depth // 2, depth)))
     return tree, maps, roots, draw(st.integers(0, depth + 1))
@@ -486,7 +486,7 @@ def played_games(draw):
     indices = sorted(draw(st.sets(st.integers(0, depth - 1), min_size=1, max_size=depth // 2 + 1)))
     maps = [draw(transducers()), *draw(st.lists(st.sampled_from(sorted(MAPS)).map(MAPS.get), max_size=1))]
     roots = draw(st.lists(st.text(alphabet="01", min_size=1, max_size=6), min_size=1, max_size=3, unique=True))
-    return BranchSchedule(depth=depth, indices=tuple(indices), n0=0), maps, roots, depth, draw(st.integers(1, 2))
+    return BranchSchedule(depth=depth, indices=tuple(indices)), maps, roots, depth, draw(st.integers(1, 2))
 
 
 @settings(max_examples=150)
@@ -535,7 +535,7 @@ def test_long_root_bounds_hold_at_the_working_depth():
 def test_post_stage_count_over_the_bound_is_caught(monkeypatch):
     # the post-stage count is made to hold the whole opening bad set in the
     # chosen half: twice the halved bound, so the bound check must fire
-    schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7), n0=0)
+    schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7))
     state = GameState(schedule=schedule, maps=[ShiftMap()], requirements=[Requirement(0, "1")],
                       depth=16, scan_depth=10).open()
     opening, count = [], game._count
@@ -559,7 +559,7 @@ def test_post_stage_count_over_the_bound_is_caught(monkeypatch):
 def test_post_stage_count_reading_the_other_half_is_caught(monkeypatch):
     # the shift image's bit at the odd stage level is the free bit after it,
     # so both halves are non-empty and the kept half survives the stage
-    schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7), n0=0)
+    schedule = BranchSchedule(depth=16, indices=(1, 3, 5, 7))
     state = GameState(schedule=schedule, maps=[ShiftMap()], requirements=[Requirement(0, "1")],
                       depth=16, scan_depth=10).open()
     counts, count = [], game._count
@@ -587,7 +587,7 @@ def sample_trees():
     return [
         SplittingTree(schedule, SeededSelector(5), 48),
         SplittingTree(schedule, GameBuiltSelector(layers, default=0), 48),
-        SplittingTree(BranchSchedule(depth=40, indices=(), n0=0), SeededSelector(1), 40),
+        SplittingTree(BranchSchedule(depth=40, indices=()), SeededSelector(1), 40),
         # whole prefixes decide the bit: five nodes the forced levels 1, 3
         # and 7 reach get 0, every other node the default 1
         SplittingTree(schedule, ExplicitSelector(
@@ -612,10 +612,10 @@ def block_edge_trees():
         "seeded": SplittingTree(schedule, SeededSelector(9), 40),
         "game_built_long_root": SplittingTree(schedule, long_root, 40),
         "no_free_levels": SplittingTree(
-            BranchSchedule(depth=12, indices=tuple(range(12)), n0=0), SeededSelector(4), 12
+            BranchSchedule(depth=12, indices=tuple(range(12))), SeededSelector(4), 12
         ),
         "no_forced_levels": SplittingTree(
-            BranchSchedule(depth=40, indices=(), n0=0), ConstantSelector(0), 40
+            BranchSchedule(depth=40, indices=()), ConstantSelector(0), 40
         ),
     }
 
@@ -843,7 +843,7 @@ def test_explicit_table_refuses_an_image_before_the_first_bit_or_past_the_lag(en
 def test_explicit_walk_ending_between_keys_or_past_them_has_no_image():
     # keys at lengths 9 and 10 only: a count at depth 8 ends on a node that
     # is not a key, one at depth 11 leaves the trie
-    state = GameState(schedule=BranchSchedule(depth=12, indices=(2, 4, 6, 8), n0=0),
+    state = GameState(schedule=BranchSchedule(depth=12, indices=(2, 4, 6, 8)),
                       maps=[EXPLICIT_D10], requirements=[], depth=12, scan_depth=8)
     for depth in (8, 11):
         with pytest.raises(UsageError, match=f"no image recorded for node '[01]{{{depth}}}'"):
@@ -994,7 +994,7 @@ ESCAPE_MAPS = [BitFlipMap(), ShiftMap(), PARITY]
 def escape_cases():
     schedule = sparsity_schedule(parse_gauge_spec("power:1/2"), 61)
     tree, cert = run_game(schedule, ESCAPE_MAPS, ["0", "1"], 61, 3)
-    seeded = SplittingTree(BranchSchedule(depth=30, indices=tuple(range(1, 30, 3)), n0=0),
+    seeded = SplittingTree(BranchSchedule(depth=30, indices=tuple(range(1, 30, 3))),
                            SeededSelector(2), 30)
     # a game without roots certifies no requirement: every undetermined
     # sample is uncovered
@@ -1033,7 +1033,7 @@ def test_mask_pass_reads_any_selector_through_its_rule(selector):
     # the tree is not game-built: its forced columns and decided levels come
     # from `bit`, and only its samples inside the certificate's tree can be
     # accounted for
-    schedule = BranchSchedule(depth=16, indices=(1, 5, 9), n0=0)
+    schedule = BranchSchedule(depth=16, indices=(1, 5, 9))
     tree = SplittingTree(schedule, selector, 16)
     roots = [(mi, r) for mi in range(3) for r in ("0", "1", "00", "01", "10", "11")]
     cert = certificate_of(tree, [Layer(5, "1", 0)], 12, roots)
@@ -1068,7 +1068,7 @@ def free_transducers(draw):
 def escape_property_cases(draw):
     depth = draw(st.integers(1, 40))
     indices = tuple(sorted(draw(st.sets(st.integers(0, depth - 1), max_size=depth // 2 + 1))))
-    schedule = BranchSchedule(depth=depth, indices=indices, n0=0)
+    schedule = BranchSchedule(depth=depth, indices=indices)
     short = st.text(alphabet="01", max_size=3)
 
     def layers():
@@ -1145,7 +1145,7 @@ def test_doubling_map_matches_per_sample_loop():
     # first bit that differs from the one before it
     doubling = TransducerMap(start=0, delta={(0, 0): (0, "00"), (0, 1): (0, "11")}, lag=8)
     layers = [Layer(3, "0", 1), Layer(6, "00", 1)]
-    tree = SplittingTree(BranchSchedule(depth=8, indices=(3, 6), n0=0), GameBuiltSelector(layers, default=1), 8)
+    tree = SplittingTree(BranchSchedule(depth=8, indices=(3, 6)), GameBuiltSelector(layers, default=1), 8)
     cert = certificate_of(tree, layers, 6, [(0, "01"), (0, "10"), (0, "0110"), (0, "1001")])
     report = verify_escape(tree, [doubling], 600, 9, cert)
     assert list(report.per_map) == reference_verify_escape(tree, [doubling], 600, 9, cert)
@@ -1156,7 +1156,7 @@ def test_doubling_map_matches_per_sample_loop():
 def test_a_scan_deeper_than_the_tree_cuts_samples_at_its_depth():
     # the shift image of a depth-6 sample stops short of the decided level
     # 5; a sample read past the depth would put a level-6 bit there
-    tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 5), n0=0),
+    tree = SplittingTree(BranchSchedule(depth=6, indices=(1, 5)),
                          GameBuiltSelector([Layer(5, "1", 1)], default=0), 6)
     roots = [(0, r) for r in ("0", "1", "00", "01", "10", "11")]
     reports = [verify_escape(tree, [ShiftMap()], 300, 1, certificate_of(tree, tree.selector.layers, d, roots))
@@ -1186,7 +1186,7 @@ def test_a_row_outside_the_certificates_tree_is_unaccounted():
     # the sampled tree keeps 1 at the forced level 0, where the certificate's
     # tree (no layers, default 0) keeps 0: each sample's root "1" is
     # certified, yet no cut row is a leaf of the certificate's tree
-    tree = SplittingTree(BranchSchedule(depth=8, indices=(0, 1, 2, 3, 4), n0=0),
+    tree = SplittingTree(BranchSchedule(depth=8, indices=(0, 1, 2, 3, 4)),
                          GameBuiltSelector([Layer(1, "0", 0)], default=1), 8)
     cert = certificate_of(tree, (), 1, [(0, "1")])
     report = verify_escape(tree, [BitFlipMap()], 5, 0, cert)
@@ -1195,7 +1195,7 @@ def test_a_row_outside_the_certificates_tree_is_unaccounted():
     # with level 0 free, the roots "0" and "1" pass, but every row keeps 1 at
     # the forced level 2 where the certificate's tree keeps 0: no row cut to
     # depth 3 is a leaf there, though with 0 at level 2 it would be a bad one
-    tree = SplittingTree(BranchSchedule(depth=8, indices=(1, 2, 3, 4), n0=0), tree.selector, 8)
+    tree = SplittingTree(BranchSchedule(depth=8, indices=(1, 2, 3, 4)), tree.selector, 8)
     cert = certificate_of(tree, (), 3, [(0, "0"), (0, "1")])
     report = verify_escape(tree, [BitFlipMap()], 50, 0, cert)
     assert report.per_map[0]["undetermined"] == report.per_map[0]["unaccounted"] == 50

@@ -20,7 +20,7 @@ from gaugetree.tree import MAX_DEPTH, check_int, check_node, compatible, selecto
 
 
 def make_tree(indices, depth, selector=None):
-    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)), n0=0)
+    sched = BranchSchedule(depth=depth, indices=tuple(sorted(indices)))
     return SplittingTree(sched, selector or ConstantSelector(0), depth)
 
 
